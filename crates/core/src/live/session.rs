@@ -39,6 +39,22 @@
 //! at any shard *and node* count (`tests/shard_parity.rs`,
 //! `tests/node_parity.rs`).
 //!
+//! **Windows close on the epoch watermark.** An epoch is a barrier: by the
+//! time a node task has drained its channel, every source and the
+//! dispatcher have finished the epoch, so every row and state delta stamped
+//! before the epoch's end is in. As its last step of the epoch each node
+//! task therefore advances event time to the epoch's end
+//! (`ShardSet::advance` = [`drain_windows`] per pipeline) with **zero
+//! allowed lateness** — there is no knob, because nothing can be late
+//! (the emulated engine, whose drained records ride a modelled network,
+//! keeps `LATENCY_BOUND_SECS` instead). Windows the watermark closes leave
+//! operator state as result batches, cascade down their shard's suffix and
+//! accumulate columnar in `ShardSet::collected`; they become [`Record`]s
+//! once, in [`LiveSession::try_finish`], which has only the last window
+//! left to drain. Live operator state is thus bounded by the windows still
+//! open — [`LiveSession::open_groups`], [`LiveOutcome::peak_open_groups`] —
+//! not by how long the session has run.
+//!
 //! Worker threads execute operators for real (state, joins, sketches); the
 //! CPU *budget* is counterfactual, charged from the calibrated cost model:
 //! an epoch whose modelled usage oversubscribes the budget classifies as
@@ -62,10 +78,11 @@ use std::sync::Arc;
 use bytes::Bytes;
 use streamkit::batch::{Batch, DictRegistry, DictVersions};
 use streamkit::ops::{AggRole, GroupPartialEntry, Operator, StatePartial};
-use streamkit::physical::build_pipeline;
+use streamkit::physical::{build_pipeline, drain_windows};
 use streamkit::record::Record;
 use streamkit::schema::SchemaRef;
 use streamkit::shard::{node_of_shard, shard_of_values, shards_of_node};
+use streamkit::time::{Ts, TS_MAX};
 
 use crate::calibration;
 use crate::deploy::{DeployError, DeploymentSpec, FaultIncident, TransportKind};
@@ -119,14 +136,20 @@ struct Worker {
     profile: Option<ProfileEstimates>,
 }
 
+/// Result batches smaller than this are appended to their predecessor in
+/// [`ShardSet::collected`], so thousands of pipelines closing a window of a
+/// few groups each do not leave thousands of few-row batches behind.
+const COLLECT_ROWS: usize = 4096;
+
 /// One virtual shard's pipelines: a keyed chain per source plus the shard's
 /// accumulated results and counters. Shared with the remote executor
 /// ([`crate::node`]), which hosts the same sets behind a TCP link.
 pub(crate) struct ShardSet {
     /// `pipelines[source]` = the chain from the stateful boundary down.
     pub(crate) pipelines: Vec<Vec<Box<dyn Operator>>>,
-    /// Rows that traversed a full chain on this shard.
-    pub(crate) collected: Vec<Record>,
+    /// Rows that traversed a full chain on this shard, columnar (result
+    /// rows of closed windows accumulate here for the whole run).
+    pub(crate) collected: Vec<Batch>,
     /// Input rows routed into this shard.
     pub(crate) drained_records: u64,
     /// Counterfactual compute charged to this shard, µs.
@@ -134,12 +157,22 @@ pub(crate) struct ShardSet {
 }
 
 impl ShardSet {
+    /// A zero-counter set over freshly built pipelines.
+    pub(crate) fn new(pipelines: Vec<Vec<Box<dyn Operator>>>) -> ShardSet {
+        ShardSet {
+            pipelines,
+            collected: Vec::new(),
+            drained_records: 0,
+            usage_us: 0.0,
+        }
+    }
+
     /// Runs a batch through the pipeline suffix starting at `rel`, charging
     /// the shard's counterfactual budget from the calibrated cost model.
     pub(crate) fn process(&mut self, source: usize, rel: usize, batch: Batch) {
         let ops = &mut self.pipelines[source];
         if rel >= ops.len() {
-            self.collected.extend(batch.to_records());
+            collect(&mut self.collected, batch);
             return;
         }
         self.drained_records += batch.len() as u64;
@@ -154,14 +187,60 @@ impl ShardSet {
             batches = next;
         }
         for b in batches {
-            self.collected.extend(b.to_records());
+            collect(&mut self.collected, b);
         }
     }
+
+    /// Advances event time to `wm` on every pipeline: windows the watermark
+    /// closes leave operator state, cascade down the rest of their chain
+    /// ([`drain_windows`]) and land in `collected`. Called at every epoch
+    /// barrier with the epoch's end — every task of the epoch has been
+    /// joined (or, on a remote node, every frame of the epoch precedes its
+    /// `EpochEnd` on the link), so nothing older than `wm` is still in
+    /// flight and the allowed lateness is zero — and with `TS_MAX` at the
+    /// end of the run.
+    pub(crate) fn advance(&mut self, wm: Ts) {
+        for pipeline in &mut self.pipelines {
+            for batch in drain_windows(pipeline, wm) {
+                collect(&mut self.collected, batch);
+            }
+        }
+    }
+
+    /// Groups held in open windows across the shard's stateful operators.
+    pub(crate) fn open_groups(&self) -> usize {
+        self.pipelines
+            .iter()
+            .flatten()
+            .filter(|op| op.is_stateful())
+            .map(|op| op.state_size())
+            .sum()
+    }
+}
+
+/// Adds a batch that left a chain to the collected results, coalescing
+/// small batches (see [`COLLECT_ROWS`]).
+fn collect(collected: &mut Vec<Batch>, batch: Batch) {
+    if batch.is_empty() {
+        return;
+    }
+    match collected.last_mut() {
+        Some(last) if last.len() + batch.len() <= COLLECT_ROWS => last.append(&batch),
+        _ => collected.push(batch),
+    }
+}
+
+/// The event-time watermark at the end of `epoch`: the barrier that closes
+/// it has seen every row and state delta stamped before this instant.
+pub(crate) fn epoch_end_watermark(epoch: u64) -> Ts {
+    ((epoch + 1) as f64 * calibration::EPOCH_SECS * 1e6) as Ts
 }
 
 /// One SP node of the pool: a contiguous ring slice of shard sets, owned by
 /// exactly one worker thread per epoch.
 struct NodeSet {
+    /// Index in the pool.
+    id: u32,
     /// The contiguous ring slice this node owns.
     owned: Range<usize>,
     /// One [`ShardSet`] per owned shard, indexed by `shard - owned.start`.
@@ -170,6 +249,52 @@ struct NodeSet {
     /// keyed by sender dict id. Lives on the node (not the per-epoch worker
     /// thread) because delta pages resume across epoch boundaries.
     registry: DictRegistry,
+}
+
+impl NodeSet {
+    /// Applies one link message to the owning shard set. An undecodable
+    /// frame or a payload kind the node links never carry is a typed node
+    /// failure, not a panic on the executor.
+    fn ingest(&mut self, msg: NodeMsg, suffix_schemas: &[SchemaRef]) -> Result<(), DeployError> {
+        let node = self.id;
+        let failed = |reason: String| DeployError::NodeFailed { node, reason };
+        let payload = match msg {
+            NodeMsg::Local(payload) => payload,
+            NodeMsg::Wire(raw) => {
+                decode_shard_payload_with(raw, suffix_schemas, &mut self.registry)
+                    .map_err(|e| failed(format!("undecodable shard payload: {e}")))?
+            }
+        };
+        match payload {
+            NetPayload::ShardBatch {
+                shard,
+                source,
+                rel,
+                batch,
+                ..
+            } => {
+                let set = &mut self.sets[shard as usize - self.owned.start];
+                set.process(source as usize, rel as usize, batch);
+            }
+            NetPayload::ShardState {
+                shard,
+                source,
+                rel,
+                delta,
+                ..
+            } => {
+                let set = &mut self.sets[shard as usize - self.owned.start];
+                set.pipelines[source as usize][rel as usize].merge_state(delta);
+            }
+            _ => return Err(failed("node links carry shard payloads only".to_string())),
+        }
+        Ok(())
+    }
+
+    /// Groups held in open windows across the node's shards.
+    fn open_groups(&self) -> usize {
+        self.sets.iter().map(ShardSet::open_groups).sum()
+    }
 }
 
 /// Where the SP node pool lives: in-process worker threads behind bounded
@@ -224,6 +349,10 @@ pub struct LiveOutcome {
     /// Fraction of epochs each shard's results cover (1.0 unless shards
     /// were degraded away by [`OnNodeLoss::Degrade`](crate::deploy::OnNodeLoss)).
     pub shard_completeness: Vec<f64>,
+    /// Most groups the SP tier held in open windows at any epoch barrier
+    /// (just before the barrier closed what it could); see
+    /// [`LiveSession::open_groups`]. `None` on the TCP tier.
+    pub peak_open_groups: Option<usize>,
 }
 
 /// A threaded deployment advanced epoch by epoch.
@@ -271,6 +400,9 @@ pub struct LiveSession {
     epoch_secs: f64,
     input_records: u64,
     input_bytes: u64,
+    /// High-water mark of [`LiveSession::open_groups`], sampled by the node
+    /// tasks at every epoch barrier before they close windows.
+    peak_open_groups: usize,
     finished: bool,
 }
 
@@ -357,15 +489,11 @@ impl LiveSession {
                                             .map(|mut ops| ops.split_off(boundary))
                                     })
                                     .collect::<Result<Vec<_>, _>>()?;
-                                Ok(ShardSet {
-                                    pipelines,
-                                    collected: Vec::new(),
-                                    drained_records: 0,
-                                    usage_us: 0.0,
-                                })
+                                Ok(ShardSet::new(pipelines))
                             })
                             .collect::<Result<Vec<_>, DeployError>>()?;
                         Ok(NodeSet {
+                            id: id as u32,
                             owned,
                             sets,
                             registry: DictRegistry::default(),
@@ -409,6 +537,7 @@ impl LiveSession {
             epoch_secs: calibration::EPOCH_SECS,
             input_records: 0,
             input_bytes: 0,
+            peak_open_groups: 0,
             finished: false,
         })
     }
@@ -455,6 +584,18 @@ impl LiveSession {
     /// Epochs executed so far.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Groups currently held in open windows across every shard pipeline —
+    /// the SP tier's live operator state. Windows close at every epoch
+    /// barrier, so between epochs this is bounded by the groups of the
+    /// windows still open, however long the session has run. `None` on the
+    /// TCP tier, whose state lives in the remote executors.
+    pub fn open_groups(&self) -> Option<usize> {
+        match &self.tier {
+            SpTier::InProcess(nodes) => Some(nodes.iter().map(NodeSet::open_groups).sum()),
+            SpTier::Remote(_) => None,
+        }
     }
 
     /// Executor worker threads backing the session's task runtime (the
@@ -522,6 +663,7 @@ impl LiveSession {
         let cap = self.channel_capacity;
         let handle = self.rt.handle();
         let n_nodes = self.n_nodes;
+        let wm = epoch_end_watermark(self.epoch);
 
         // Wire the dispatcher to the node pool. In-process: per-node bounded
         // async channels emulating network links (cross-node payloads travel
@@ -537,49 +679,30 @@ impl LiveSession {
                     node_txs.push(ntx);
                     let suffix_schemas = self.suffix_schemas.clone();
                     tasks.push(handle.spawn(async move {
-                        // Batch drain: one wakeup per burst of frames.
+                        // Batch drain: one wakeup per burst of frames. After
+                        // a failure the task keeps draining (the dispatcher
+                        // must never block on a dead link) but applies
+                        // nothing more.
                         let mut buf = Vec::new();
+                        let mut outcome = Ok(());
                         loop {
                             if nrx.recv_many(&mut buf).await == 0 {
                                 break;
                             }
                             for msg in buf.drain(..) {
-                                let payload = match msg {
-                                    NodeMsg::Local(payload) => payload,
-                                    NodeMsg::Wire(raw) => decode_shard_payload_with(
-                                        raw,
-                                        &suffix_schemas,
-                                        &mut node.registry,
-                                    )
-                                    .expect("dispatcher sends valid payloads"),
-                                };
-                                match payload {
-                                    NetPayload::ShardBatch {
-                                        shard,
-                                        source,
-                                        rel,
-                                        batch,
-                                        ..
-                                    } => {
-                                        let set = &mut node.sets[shard as usize - node.owned.start];
-                                        set.process(source as usize, rel as usize, batch);
-                                    }
-                                    NetPayload::ShardState {
-                                        shard,
-                                        source,
-                                        rel,
-                                        delta,
-                                        ..
-                                    } => {
-                                        let set = &mut node.sets[shard as usize - node.owned.start];
-                                        set.pipelines[source as usize][rel as usize]
-                                            .merge_state(delta);
-                                    }
-                                    _ => unreachable!("node links carry shard payloads only"),
+                                if outcome.is_ok() {
+                                    outcome = node.ingest(msg, &suffix_schemas);
                                 }
                             }
                         }
-                        node
+                        // Last step of the epoch: the dispatcher is done, so
+                        // every row and state delta of the epoch is in; close
+                        // what the epoch's end closes.
+                        let open = node.open_groups();
+                        for set in &mut node.sets {
+                            set.advance(wm);
+                        }
+                        (node, open, outcome)
                     }));
                 }
                 (LinkSink::Channels(node_txs), tasks)
@@ -696,9 +819,22 @@ impl LiveSession {
         self.shard_wire_bytes = shard_wire;
         self.node_wire_bytes = node_wire;
         self.dict_sync = dict_sync;
+        // Every node hands its sets back whether or not it failed, so the
+        // session stays whole; the first failure is the epoch's error.
+        let mut node_failure = Ok(());
         if let SpTier::InProcess(nodes) = &mut self.tier {
-            *nodes = node_tasks.into_iter().map(rt::JoinHandle::join).collect();
+            let mut open_groups = 0;
+            for task in node_tasks {
+                let (node, open, outcome) = task.join();
+                nodes.push(node);
+                open_groups += open;
+                if node_failure.is_ok() {
+                    node_failure = outcome;
+                }
+            }
+            self.peak_open_groups = self.peak_open_groups.max(open_groups);
         }
+        node_failure?;
 
         // Epoch boundary: block until every live remote executor acks it
         // (failure detection + recovery live behind this call), then run
@@ -856,9 +992,12 @@ impl LiveSession {
                 }
             }
         }
-        // Close all windows on every shard; emissions cascade through the
-        // rest of that shard's chain. In-process sets drain locally; remote
-        // executors drain on their side and stream the rows back.
+        // Close the windows still open (every earlier one closed at its
+        // epoch barrier); emissions cascade through the rest of that shard's
+        // chain. In-process sets drain locally and turn their columnar
+        // results into rows here, once; remote executors drain on their
+        // side and stream the rows back.
+        let peak_open_groups = self.open_groups().map(|_| self.peak_open_groups);
         let mut results = Vec::new();
         let mut shard_drained_records = vec![0u64; n_shards];
         let mut shard_usage_us = vec![0f64; n_shards];
@@ -875,14 +1014,10 @@ impl LiveSession {
                     let mut drained = 0u64;
                     let mut usage = 0f64;
                     for (s, set) in node.owned.clone().zip(node.sets.iter_mut()) {
-                        for pipeline in &mut set.pipelines {
-                            set.collected
-                                .extend(streamkit::physical::drain_windows_rows(
-                                    pipeline,
-                                    streamkit::time::TS_MAX,
-                                ));
+                        set.advance(TS_MAX);
+                        for batch in set.collected.drain(..) {
+                            results.extend(batch.to_records());
                         }
-                        results.append(&mut set.collected);
                         shard_drained_records[s] = set.drained_records;
                         shard_usage_us[s] = set.usage_us;
                         drained += set.drained_records;
@@ -936,6 +1071,7 @@ impl LiveSession {
             replay_bytes,
             heartbeats_sent,
             shard_completeness,
+            peak_open_groups,
         })
     }
 }
@@ -1304,6 +1440,54 @@ mod tests {
             .sources(2)
             .spec()
             .unwrap()
+    }
+
+    #[test]
+    fn undecodable_node_frames_are_typed_failures() {
+        // A frame the node cannot decode fails the epoch with the node's
+        // identity; it does not panic a runtime worker.
+        let mut node = NodeSet {
+            id: 3,
+            owned: 0..1,
+            sets: vec![ShardSet::new(Vec::new())],
+            registry: DictRegistry::default(),
+        };
+        let err = node
+            .ingest(NodeMsg::Wire(Bytes::from_static(b"not a shard frame")), &[])
+            .expect_err("garbage must not decode");
+        assert!(
+            matches!(&err, DeployError::NodeFailed { node: 3, reason } if reason.contains("undecodable")),
+            "got {err:?}"
+        );
+        // So does a payload kind the node links never carry.
+        let stray = NetPayload::Records {
+            stage: 0,
+            batch: Batch::empty(streamkit::schema::Schema::new(Vec::new())),
+        };
+        assert!(matches!(
+            node.ingest(NodeMsg::Local(stray), &[]),
+            Err(DeployError::NodeFailed { node: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn collected_results_coalesce_small_batches() {
+        use streamkit::schema::{DataType, Field, Schema};
+        use streamkit::value::Value;
+        let schema = Schema::new(vec![Field::new("n", DataType::U64)]);
+        let row = |ts| {
+            Batch::from_records(schema.clone(), &[Record::new(ts, vec![Value::U64(1)])]).unwrap()
+        };
+        // An empty suffix: every batch is already past the end of the chain.
+        let mut set = ShardSet::new(vec![Vec::new()]);
+        set.process(0, 0, Batch::empty(schema.clone()));
+        assert!(set.collected.is_empty(), "empty batches leave no trace");
+        for ts in 0..10 {
+            set.process(0, 0, row(ts));
+        }
+        assert_eq!(set.collected.len(), 1, "few-row batches share one batch");
+        assert_eq!(set.collected[0].timestamps, (0..10).collect::<Vec<_>>());
+        assert_eq!(set.drained_records, 0, "past-the-end rows are not input");
     }
 
     #[test]

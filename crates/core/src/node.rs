@@ -5,26 +5,40 @@
 //! is deterministic, so coordinator and node agree on the chain, the shard
 //! boundary, and every edge schema), instantiates the
 //! `ShardSet`s for its owned ring slice,
-//! and serves shard traffic until the coordinator finishes the run — at
-//! which point it drains every window, streams the result rows and final
-//! per-shard counters back, and exits. The serve loop is single-threaded:
-//! the coordinator's per-link FIFO ordering guarantees `EpochEnd` and
-//! `Finish` arrive after every data frame they follow.
+//! and serves shard traffic until the coordinator finishes the run. The
+//! serve loop is single-threaded: the coordinator's per-link FIFO ordering
+//! guarantees `EpochEnd` and `Finish` arrive after every data frame they
+//! follow.
+//!
+//! **Window lifecycle.** That ordering makes every `EpochEnd` a barrier:
+//! all of the epoch's rows and state deltas are in, so the node advances
+//! event time to the epoch's end with zero lateness — the same
+//! `ShardSet::advance` the in-process node tasks call — *before* it acks
+//! (and before it snapshots, on a checkpoint epoch). Closed windows leave
+//! operator state and accumulate as columnar result batches; operator
+//! state never outgrows the windows still open. `Finish` drains only the
+//! last window, streams the result batches and final per-shard counters
+//! back, and exits.
 //!
 //! Fault tolerance adds three duties on top of the fault-free loop:
 //!
 //! - **Heartbeats** — every `Ping` is answered with a `Pong` immediately,
 //!   so a coordinator waiting on a slow epoch can tell "busy" from "dead".
 //! - **Checkpoints** — when [`NodeSpec::checkpoint_interval`] is non-zero,
-//!   the node snapshots every stateful suffix operator plus the rows
-//!   already collected past the chain at the matching epoch boundaries
-//!   and ships both back as `Ckpt` frames, committed by the
+//!   the node ships two kinds of `Ckpt` frame at the matching epoch
+//!   boundaries, after closing windows: the open-window state of every
+//!   stateful suffix operator, and the cumulative result rows collected
+//!   past the chain (every window closed so far), one past-the-end
+//!   `ShardBatch` envelope per shard. Both are committed by the
 //!   [`CheckpointAck`] riding on the following `Progress` (per-link
 //!   FIFO order makes the ack see exactly the frames before it).
 //! - **Adoption** — an `Adopt` frame re-keys the engine: each adopted
 //!   shard starts from a fresh pipeline seeded with the checkpoint's
 //!   counter bases; checkpoint state and replayed traffic then arrive as
-//!   ordinary `Shard` frames. The same message serves both recovery paths
+//!   ordinary `Shard` frames — state merges into fresh per-window tables,
+//!   collected rows route straight back into `collected` — and the
+//!   re-sent `EpochEnd` re-closes, all at once, the windows the replayed
+//!   epochs completed. The same message serves both recovery paths
 //!   (a surviving node taking over a dead peer's shards, and a
 //!   reconnecting node re-owning its previous slice).
 //!
@@ -55,7 +69,7 @@ use crate::engine::netwire::{decode_shard_payload_with, encode_shard_payload};
 use crate::engine::transport::{encode_frame, FrameKind, FrameReader, Link, TransportError};
 use crate::engine::NetPayload;
 use crate::fault::splitmix64;
-use crate::live::session::ShardSet;
+use crate::live::session::{epoch_end_watermark, ShardSet};
 use crate::planner::plan_query;
 
 /// Rows per `Results` frame when streaming collected rows back.
@@ -305,6 +319,11 @@ fn run_session(config: &NodeConfig, state: &mut SessionState) -> Result<NodeSumm
             FrameKind::EpochEnd => {
                 let epoch = parse_epoch(&body)?;
                 state.epochs = state.epochs.max(epoch + 1);
+                // Close what the epoch's end closes *before* snapshotting:
+                // per-link FIFO order put every frame of the epoch ahead of
+                // this boundary, and a checkpoint must hold closed windows
+                // as result rows, not as operator state.
+                engine.advance(epoch);
                 let checkpoint = if spec.checkpoint_interval > 0
                     && (epoch + 1) % spec.checkpoint_interval == 0
                 {
@@ -320,7 +339,7 @@ fn run_session(config: &NodeConfig, state: &mut SessionState) -> Result<NodeSumm
                             }),
                         );
                     }
-                    for body in engine.collected_snapshot(epoch)? {
+                    for body in engine.collected_snapshot(epoch) {
                         link.send(FrameKind::Ckpt, &body);
                     }
                     Some(CheckpointAck {
@@ -343,16 +362,12 @@ fn run_session(config: &NodeConfig, state: &mut SessionState) -> Result<NodeSumm
                 );
             }
             FrameKind::Finish => {
-                let rows = engine.drain()?;
-                result_rows = rows.len() as u64;
-                for chunk in rows.chunks(RESULTS_CHUNK) {
-                    let batch =
-                        Batch::from_records(engine.final_schema.clone(), chunk).map_err(|e| {
-                            NodeError::Build {
-                                reason: format!("result rows do not fit the output schema: {e}"),
-                            }
-                        })?;
-                    link.send(FrameKind::Results, &streamkit::encode::encode_batch(&batch));
+                let results = engine.drain();
+                result_rows = results.iter().map(|b| b.len() as u64).sum();
+                for batch in &results {
+                    for chunk in batch.chunks(RESULTS_CHUNK) {
+                        link.send(FrameKind::Results, &streamkit::encode::encode_batch(&chunk));
+                    }
                 }
                 link.send(FrameKind::NodeStats, &to_body(&engine.stats(node_id)));
                 link.send(FrameKind::Done, &[]);
@@ -505,12 +520,7 @@ impl NodeEngine {
             .map_err(|e| NodeError::Build {
                 reason: e.to_string(),
             })?;
-        Ok(ShardSet {
-            pipelines,
-            collected: Vec::new(),
-            drained_records: 0,
-            usage_us: 0.0,
-        })
+        Ok(ShardSet::new(pipelines))
     }
 
     /// Takes ownership of shards lost with a failed peer (or re-owns this
@@ -549,34 +559,40 @@ impl NodeEngine {
         out
     }
 
-    /// The cumulative rows that already traversed a full chain, one
-    /// past-the-end `ShardBatch` envelope per non-empty shard (`rel` is
-    /// the suffix length, so restoring it routes the rows straight back
-    /// into `collected` without re-counting them as drained input). These
-    /// rows live outside operator state, so a checkpoint that omitted
-    /// them would silently drop every row emitted before the snapshot.
-    fn collected_snapshot(&self, epoch: u64) -> Result<Vec<bytes::Bytes>, NodeError> {
+    /// Closes every window that ends by the end of `epoch` on every owned
+    /// shard (see [`ShardSet::advance`]). Idempotent, so a boundary re-sent
+    /// by recovery is harmless — and for an adopter it is the moment the
+    /// restored and replayed windows close, all at once.
+    fn advance(&mut self, epoch: u64) {
+        let wm = epoch_end_watermark(epoch);
+        for set in self.sets.values_mut() {
+            set.advance(wm);
+        }
+    }
+
+    /// The cumulative rows that already traversed a full chain — the result
+    /// rows of every window closed so far — as one past-the-end
+    /// `ShardBatch` envelope per non-empty shard (`rel` is the suffix
+    /// length, so restoring it routes the rows straight back into
+    /// `collected` without re-counting them as drained input). These rows
+    /// live outside operator state, so a checkpoint that omitted them
+    /// would silently drop every window closed before the snapshot.
+    fn collected_snapshot(&self, epoch: u64) -> Vec<bytes::Bytes> {
         let rel = (self.suffix_schemas.len() - 1) as u32;
         let mut out = Vec::new();
         for (&shard, set) in &self.sets {
             if set.collected.is_empty() {
                 continue;
             }
-            let batch =
-                Batch::from_records(self.final_schema.clone(), &set.collected).map_err(|e| {
-                    NodeError::Build {
-                        reason: format!("collected rows do not fit the output schema: {e}"),
-                    }
-                })?;
             out.push(encode_shard_payload(&NetPayload::ShardBatch {
                 shard: shard as u32,
                 epoch,
                 source: 0,
                 rel,
-                batch,
+                batch: Batch::concat(self.final_schema.clone(), &set.collected),
             }));
         }
-        Ok(out)
+        out
     }
 
     /// Applies one shard data frame (an untouched `netwire` envelope).
@@ -637,20 +653,14 @@ impl NodeEngine {
         })
     }
 
-    /// Closes every window and returns all collected result rows.
-    fn drain(&mut self) -> Result<Vec<streamkit::record::Record>, NodeError> {
-        let mut rows = Vec::new();
+    /// Closes the windows still open and takes all collected result rows.
+    fn drain(&mut self) -> Vec<Batch> {
+        let mut results = Vec::new();
         for set in self.sets.values_mut() {
-            for pipeline in &mut set.pipelines {
-                set.collected
-                    .extend(streamkit::physical::drain_windows_rows(
-                        pipeline,
-                        streamkit::time::TS_MAX,
-                    ));
-            }
-            rows.append(&mut set.collected);
+            set.advance(streamkit::time::TS_MAX);
+            results.append(&mut set.collected);
         }
-        Ok(rows)
+        results
     }
 
     /// Per-shard accounting, ring order (adopted shards included).
@@ -749,6 +759,62 @@ mod tests {
     fn fresh_engines_have_no_state_to_snapshot() {
         let mut engine = NodeEngine::build(0, &spec(4, 2)).unwrap();
         assert!(engine.snapshot().is_empty());
+    }
+
+    /// One row per field type of the suffix's input edge, stamped `ts`.
+    fn boundary_batch(engine: &NodeEngine, ts: i64) -> Batch {
+        use streamkit::schema::DataType;
+        use streamkit::value::Value;
+        let schema = engine.suffix_schemas[0].clone();
+        let values = schema
+            .fields()
+            .iter()
+            .map(|f| match f.dtype {
+                DataType::Bool => Value::Bool(true),
+                DataType::I32 | DataType::I64 => Value::I64(1),
+                DataType::U32 | DataType::U64 => Value::U64(1),
+                DataType::F64 => Value::F64(1.0),
+                DataType::Str => Value::str("x"),
+            })
+            .collect();
+        Batch::from_records(schema, &[streamkit::record::Record::new(ts, values)]).unwrap()
+    }
+
+    #[test]
+    fn checkpoints_hold_closed_windows_as_rows_and_open_ones_as_state() {
+        let mut engine = NodeEngine::build(0, &spec(4, 2)).unwrap();
+        let batch = boundary_batch(&engine, 1_500_000);
+        engine
+            .ingest(encode_shard_payload(&NetPayload::ShardBatch {
+                shard: 0,
+                epoch: 1,
+                source: 0,
+                rel: 0,
+                batch,
+            }))
+            .unwrap();
+        // Epoch 8 ends at 9 s: the 10 s window stays open, as state.
+        engine.advance(8);
+        assert_eq!(engine.snapshot().len(), 1);
+        assert!(engine.collected_snapshot(8).is_empty());
+        // Epoch 9 ends at 10 s and closes it: the checkpoint taken at this
+        // boundary carries the window as a result row, not as state.
+        engine.advance(9);
+        assert!(engine.snapshot().is_empty());
+        let frames = engine.collected_snapshot(9);
+        assert_eq!(frames.len(), 1);
+        // A re-sent boundary closes nothing twice.
+        engine.advance(9);
+        assert_eq!(engine.collected_snapshot(9), frames);
+
+        // Restoring the frame routes the row straight back into `collected`
+        // — exactly once, and not counted as drained input.
+        let mut adopter = NodeEngine::build(0, &spec(4, 2)).unwrap();
+        adopter.ingest(frames[0].clone()).unwrap();
+        assert_eq!(adopter.totals().0, 0);
+        let restored = adopter.drain();
+        assert_eq!(restored.iter().map(Batch::len).sum::<usize>(), 1);
+        assert_eq!(restored, engine.drain());
     }
 
     #[test]

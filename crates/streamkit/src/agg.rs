@@ -67,13 +67,16 @@ impl AggSpec {
             AggKind::Avg => AggState::Avg { sum: 0.0, count: 0 },
             AggKind::ApproxQuantile { q, lo, hi } => AggState::Quantile {
                 q: *q,
-                sketch: QuantileSketch::new(*lo, *hi, 64),
+                sketch: Box::new(QuantileSketch::new(*lo, *hi, 64)),
             },
         }
     }
 }
 
 /// Mergeable partial aggregate state.
+///
+/// Every group holds one of these per aggregate, so the enum is kept at 24
+/// bytes: the sketch — the only large payload — sits behind a `Box`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum AggState {
     /// Count accumulator.
@@ -96,7 +99,7 @@ pub enum AggState {
         /// Quantile to report.
         q: f64,
         /// Mergeable histogram sketch.
-        sketch: QuantileSketch,
+        sketch: Box<QuantileSketch>,
     },
 }
 
@@ -246,6 +249,12 @@ mod tests {
             st.update(&Value::F64(*v));
         }
         st
+    }
+
+    #[test]
+    fn agg_state_stays_three_words() {
+        // One per aggregate per live group: the SP's dominant allocation.
+        assert!(std::mem::size_of::<AggState>() <= 24);
     }
 
     #[test]

@@ -625,6 +625,35 @@ impl Column {
         }
     }
 
+    /// Appends `other`'s rows. Dense columns of the same physical layout
+    /// (and dictionary columns sharing one page) extend in place; any other
+    /// pairing — plain vs dictionary strings, different pages, one side
+    /// nullable — is re-materialised value by value as a `dtype` column.
+    pub fn append(&mut self, other: &Column, dtype: DataType) {
+        match (&mut *self, other) {
+            (Column::Bool(a), Column::Bool(b)) => a.extend_from_slice(b),
+            (Column::I64(a), Column::I64(b)) => a.extend_from_slice(b),
+            (Column::U64(a), Column::U64(b)) => a.extend_from_slice(b),
+            (Column::F64(a), Column::F64(b)) => a.extend_from_slice(b),
+            (Column::Dict { codes: a, dict: da }, Column::Dict { codes: b, dict: db })
+                if Arc::ptr_eq(da, db) =>
+            {
+                a.extend_from_slice(b);
+            }
+            _ => {
+                let mut builder = ColumnBuilder::new(dtype, self.len() + other.len());
+                for col in [&*self, other] {
+                    for row in 0..col.len() {
+                        builder
+                            .push(&col.value(row))
+                            .expect("both columns hold `dtype` values");
+                    }
+                }
+                *self = builder.finish();
+            }
+        }
+    }
+
     /// Copies the rows in `range` into a new column.
     pub fn slice(&self, range: Range<usize>) -> Column {
         match self {
@@ -1018,6 +1047,29 @@ impl Batch {
         }
     }
 
+    /// Appends `other`'s rows (same schema) to this batch.
+    pub fn append(&mut self, other: &Batch) {
+        debug_assert_eq!(self.columns.len(), other.columns.len());
+        self.timestamps.extend_from_slice(&other.timestamps);
+        for ((col, more), field) in self
+            .columns
+            .iter_mut()
+            .zip(&other.columns)
+            .zip(self.schema.fields())
+        {
+            col.append(more, field.dtype);
+        }
+    }
+
+    /// One batch holding the rows of `batches`, in order.
+    pub fn concat(schema: SchemaRef, batches: &[Batch]) -> Batch {
+        let mut all = Batch::empty(schema);
+        for batch in batches {
+            all.append(batch);
+        }
+        all
+    }
+
     /// Gathers the rows where `mask` is true into a new batch (the
     /// vectorized filter's gather step).
     pub fn select(&self, mask: &[bool]) -> Batch {
@@ -1402,6 +1454,30 @@ mod tests {
         let batch = Batch::from_records(s.clone(), &recs).unwrap();
         assert_eq!(batch.wire_size(), wire_size_of(&recs, &s));
         assert_eq!(batch.to_records(), recs);
+    }
+
+    #[test]
+    fn concat_preserves_rows_across_physical_layouts() {
+        // Dense numerics extend in place; a nullable side and a dictionary
+        // side force the value-wise rebuild. Rows must come out the same.
+        let s = schema();
+        let plain = Batch::from_records(s.clone(), &records()).unwrap();
+        let nullable = Batch::from_records(
+            s.clone(),
+            &[Record::new(
+                4,
+                vec![Value::U64(1), Value::Null, Value::str("a")],
+            )],
+        )
+        .unwrap();
+        let mut dict = plain.clone();
+        assert!(dict.dict_encode(8));
+        let parts = [plain.clone(), nullable.clone(), dict.clone()];
+        let all = Batch::concat(s.clone(), &parts);
+        let expected: Vec<Record> = parts.iter().flat_map(Batch::to_records).collect();
+        assert_eq!(all.len(), 7);
+        assert_eq!(all.to_records(), expected);
+        assert!(Batch::concat(s, &[]).is_empty());
     }
 
     #[test]

@@ -571,14 +571,14 @@ pub fn decode_group_state(mut buf: Bytes) -> Result<Vec<GroupPartialEntry>> {
                     let counts = (0..buckets).map(|_| buf.get_u64_le()).collect();
                     AggState::Quantile {
                         q,
-                        sketch: QuantileSketch::from_parts(
+                        sketch: Box::new(QuantileSketch::from_parts(
                             lo,
                             hi,
                             counts,
                             buf.get_u64_le(),
                             buf.get_u64_le(),
                             buf.get_u64_le(),
-                        ),
+                        )),
                     }
                 }
                 tag => return Err(Error::Decode(format!("unknown agg-state tag {tag}"))),

@@ -13,14 +13,20 @@
 //!   [`Operator::take_state_delta`]; it never emits result rows itself, so
 //!   merged results are exact regardless of how records were split.
 //!
-//! Group state is kept in insertion order (vector + hash index) so emission
-//! is deterministic — a requirement for reproducible experiments. The hash
-//! index keys off a canonical *byte encoding* of `(window, key columns)`
-//! built directly from column slices, so the batch hot path materializes a
-//! `Value` key only once per distinct group, and aggregate updates read
-//! numeric columns natively ([`AggState::update_f64`]).
+//! Group state is **one table per open window**: window lifetime is part of
+//! the state's shape, so closing a window is taking its table (no surviving
+//! entry is touched, re-encoded or re-hashed), a watermark that closes
+//! nothing costs a look at the oldest open window, and live state is bounded
+//! by the windows the watermark leaves open rather than by run length.
+//! Within a table, groups are kept in insertion order (vector + hash index)
+//! and tables are visited in window order, so emission is deterministic — a
+//! requirement for reproducible experiments. The hash index keys off a
+//! canonical *byte encoding* of the key columns built directly from column
+//! slices, so the batch hot path materializes a `Value` key only once per
+//! distinct group, and aggregate updates read numeric columns natively
+//! ([`AggState::update_f64`]).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::agg::{AggKind, AggSpec, AggState};
 use crate::batch::{Batch, BatchBuilder, Column, StrDict};
@@ -50,33 +56,34 @@ pub enum AggRole {
     Partial,
 }
 
-pub(crate) type GroupKey = (Ts, Vec<Value>);
-
 // The canonical key encoding lives in `crate::shard`: the shard router and
 // the group-table index hash the same bytes, which is what lets a sharded
 // runtime route rows and shipped `StatePartial` entries to the shard owning
 // their group key.
 use crate::shard::{encode_col_value, encode_value};
 
-fn encode_key(buf: &mut Vec<u8>, key: &GroupKey) {
-    buf.extend_from_slice(&key.0.to_le_bytes());
-    for v in &key.1 {
-        encode_value(buf, v);
-    }
-}
+/// One group: key values, one state per aggregate, and whether the group
+/// changed since the last per-epoch delta emission.
+type Entry = (Vec<Value>, Vec<AggState>, bool);
 
-/// Insertion-ordered group table: deterministic iteration + O(1) lookup via
-/// the canonical key encoding.
+/// The groups of **one window**, in insertion order (deterministic
+/// emission) with O(1) lookup via the canonical encoding of the key
+/// columns. A window's whole state — index, entries, dense combo cache —
+/// lives and dies with its table: closing the window is taking the table
+/// out of the operator, which touches no other window.
 #[derive(Default)]
-pub(crate) struct GroupTable {
-    index: HashMap<Box<[u8]>, usize>,
-    entries: Vec<(GroupKey, Vec<AggState>, bool)>,
-    /// Shared key-encode buffer for the value-keyed entry points, so neither
-    /// `upsert` nor `insert_or_merge` allocates per call.
-    scratch: Vec<u8>,
+struct WindowTable {
+    index: HashMap<Box<[u8]>, u32>,
+    entries: Vec<Entry>,
+    /// Dense `combined code → slot` cache (`u32::MAX` = empty) over this
+    /// window's groups; empty when none was built. See
+    /// [`GroupAggregateOp::fold_window`] for when it is valid.
+    combo: Vec<u32>,
+    /// `(dict id, cardinality)` per key column `combo` was built under.
+    combo_sig: Vec<(u64, usize)>,
 }
 
-impl GroupTable {
+impl WindowTable {
     /// Looks up the group slot for an already-encoded key, creating it (via
     /// `make_key` + `init`) on first sight and marking it changed either
     /// way. The key bytes are copied into an owned index entry exactly once,
@@ -84,16 +91,16 @@ impl GroupTable {
     fn upsert_slot(
         &mut self,
         encoded: &[u8],
-        make_key: impl FnOnce() -> GroupKey,
+        make_key: impl FnOnce() -> Vec<Value>,
         init: impl FnOnce() -> Vec<AggState>,
-    ) -> usize {
+    ) -> u32 {
         match self.index.get(encoded) {
             Some(&i) => {
-                self.entries[i].2 = true;
+                self.entries[i as usize].2 = true;
                 i
             }
             None => {
-                let i = self.entries.len();
+                let i = self.entries.len() as u32;
                 self.entries.push((make_key(), init(), true));
                 self.index.insert(Box::from(encoded), i);
                 i
@@ -101,91 +108,27 @@ impl GroupTable {
         }
     }
 
-    /// Merges `incoming` into an existing entry, or adopts it as a new entry.
-    pub(crate) fn insert_or_merge(&mut self, key: GroupKey, incoming: Vec<AggState>) {
-        let mut buf = std::mem::take(&mut self.scratch);
-        buf.clear();
-        encode_key(&mut buf, &key);
-        match self.index.get(buf.as_slice()) {
+    /// Merges `incoming` into an existing entry, or adopts it as a new
+    /// entry. `scratch` is the caller's reusable key-encode buffer.
+    fn insert_or_merge(&mut self, scratch: &mut Vec<u8>, key: Vec<Value>, incoming: Vec<AggState>) {
+        scratch.clear();
+        for v in &key {
+            encode_value(scratch, v);
+        }
+        match self.index.get(scratch.as_slice()) {
             Some(&i) => {
-                self.entries[i].2 = true;
-                for (s, inc) in self.entries[i].1.iter_mut().zip(&incoming) {
+                let entry = &mut self.entries[i as usize];
+                entry.2 = true;
+                for (s, inc) in entry.1.iter_mut().zip(&incoming) {
                     s.merge(inc);
                 }
             }
             None => {
-                let i = self.entries.len();
-                self.index.insert(Box::from(buf.as_slice()), i);
+                let i = self.entries.len() as u32;
+                self.index.insert(Box::from(scratch.as_slice()), i);
                 self.entries.push((key, incoming, true));
             }
         }
-        self.scratch = buf;
-    }
-
-    /// The live entries, slot-indexed (vectorized aggregation kernels).
-    fn entries_mut(&mut self) -> &mut [(GroupKey, Vec<AggState>, bool)] {
-        &mut self.entries
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Removes and returns entries whose window is closed by `wm`, preserving
-    /// insertion order in both partitions.
-    pub(crate) fn split_closed(
-        &mut self,
-        window: TumblingWindow,
-        wm: Ts,
-    ) -> Vec<(GroupKey, Vec<AggState>)> {
-        let mut closed = Vec::new();
-        let mut kept = Vec::with_capacity(self.entries.len());
-        for (key, states, changed) in self.entries.drain(..) {
-            if window.is_closed(key.0, wm) {
-                closed.push((key, states));
-            } else {
-                kept.push((key, states, changed));
-            }
-        }
-        self.entries = kept;
-        self.index.clear();
-        let mut buf = Vec::with_capacity(24);
-        for (i, (key, _, _)) in self.entries.iter().enumerate() {
-            buf.clear();
-            encode_key(&mut buf, key);
-            self.index.insert(buf.as_slice().into(), i);
-        }
-        closed
-    }
-
-    pub(crate) fn drain_all(&mut self) -> Vec<(GroupKey, Vec<AggState>)> {
-        self.index.clear();
-        self.entries.drain(..).map(|(k, s, _)| (k, s)).collect()
-    }
-
-    /// Clones every live entry in insertion order, leaving the table (and
-    /// its change tracking) untouched — checkpoint snapshots.
-    pub(crate) fn snapshot_all(&self) -> Vec<(GroupKey, Vec<AggState>)> {
-        self.entries
-            .iter()
-            .map(|(k, s, _)| (k.clone(), s.clone()))
-            .collect()
-    }
-
-    pub(crate) fn take_changed(&mut self) -> Vec<(GroupKey, Vec<AggState>)> {
-        let mut out = Vec::new();
-        for (key, states, changed) in &mut self.entries {
-            if *changed {
-                out.push((key.clone(), states.clone()));
-                *changed = false;
-            }
-        }
-        out
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.index.clear();
-        self.entries.clear();
     }
 }
 
@@ -196,7 +139,9 @@ pub struct GroupAggregateOp {
     window: TumblingWindow,
     emit: EmitMode,
     role: AggRole,
-    table: GroupTable,
+    /// One table per open window, by window start: results and shipped
+    /// state leave in window order, then insertion order.
+    windows: BTreeMap<Ts, WindowTable>,
     out_schema: SchemaRef,
     cost: CostModel,
     /// Scratch buffer for key encoding (reused across rows).
@@ -205,8 +150,9 @@ pub struct GroupAggregateOp {
     slots: Vec<u32>,
     /// Canonical fragments per persistent dict id, extended append-only.
     frag_cache: HashMap<u64, KeyFrags>,
-    /// Cross-batch dense slot caches for all-persistent-dict key sets.
-    combo: ComboCache,
+    /// Batch-local dense combo cache (reused across batches) for key sets
+    /// whose codes are not stable identity.
+    local_combo: Vec<u32>,
 }
 
 impl GroupAggregateOp {
@@ -228,13 +174,13 @@ impl GroupAggregateOp {
             window,
             emit,
             role,
-            table: GroupTable::default(),
+            windows: BTreeMap::new(),
             out_schema,
             cost,
             scratch: Vec::with_capacity(64),
             slots: Vec::new(),
             frag_cache: HashMap::new(),
-            combo: ComboCache::default(),
+            local_combo: Vec::new(),
         }
     }
 
@@ -263,9 +209,14 @@ impl GroupAggregateOp {
         Schema::with_overhead(fields, input_schema.record_overhead())
     }
 
-    /// Live group count.
+    /// Live group count, across every open window.
     pub fn group_count(&self) -> usize {
-        self.table.len()
+        self.windows.values().map(|t| t.entries.len()).sum()
+    }
+
+    /// Windows currently holding state.
+    pub fn open_windows(&self) -> usize {
+        self.windows.len()
     }
 
     /// This instance's role.
@@ -273,31 +224,35 @@ impl GroupAggregateOp {
         self.role
     }
 
-    /// Number of live cross-batch combo caches (test observability).
+    /// Number of windows holding a cross-batch combo cache (test
+    /// observability).
     #[cfg(test)]
     fn cached_combo_windows(&self) -> usize {
-        self.combo.windows.len()
+        self.windows
+            .values()
+            .filter(|t| !t.combo.is_empty())
+            .count()
     }
 
-    /// Builds one result batch from finalised group rows.
-    fn emit_batch(&self, rows: &[(GroupKey, Vec<AggState>)], out: &mut Vec<Batch>) {
-        if rows.is_empty() {
-            return;
-        }
-        let mut builder = BatchBuilder::new(self.out_schema.clone(), rows.len());
+    /// Builds one result batch from finalised group rows (none for an empty
+    /// row set).
+    fn emit_batch<'a>(&self, rows: impl Iterator<Item = (Ts, &'a Entry)>, out: &mut Vec<Batch>) {
+        let mut builder = BatchBuilder::new(self.out_schema.clone(), rows.size_hint().0);
         let mut values: Vec<Value> = Vec::with_capacity(self.out_schema.width());
-        for (key, states) in rows {
+        for (window_start, (key, states, _)) in rows {
             values.clear();
-            values.push(Value::I64(key.0));
-            values.extend(key.1.iter().cloned());
+            values.push(Value::I64(window_start));
+            values.extend(key.iter().cloned());
             values.extend(states.iter().map(AggState::finalize));
             // Result timestamp is the window end, the event-time point at
             // which the result is complete.
             builder
-                .push_row(key.0 + self.window.size, &values)
+                .push_row(window_start + self.window.size, &values)
                 .expect("result rows match the output schema");
         }
-        out.push(builder.finish());
+        if !builder.is_empty() {
+            out.push(builder.finish());
+        }
     }
 }
 
@@ -484,53 +439,15 @@ fn combo_dims<'a>(key_cols: &[&'a Column]) -> Option<Vec<ComboDim<'a>>> {
     Some(dims)
 }
 
-/// At most this many per-window caches per batch; rows in further windows
-/// fall back to byte-keyed resolution (bounds memory and the per-row window
-/// scan for batches that span many windows).
+/// At most this many open windows hold a cross-batch combo cache; rows of
+/// further windows resolve through the byte-keyed index (bounds memory when
+/// a stream that never sees a watermark keeps many windows open).
 const MAX_WINDOW_CACHES: usize = 8;
 
 /// Keeps per-operator [`KeyFrags`] caches bounded: an operator normally sees
 /// one persistent dictionary per key column, so hitting this means dict ids
 /// are churning (e.g. streams being recreated) and caching stopped paying.
 const MAX_FRAG_CACHE: usize = 1024;
-
-/// Cross-batch, cross-epoch dense `(window, combined code) → slot` caches.
-///
-/// Valid only while every key column is a *persistent* dictionary (id ≠ 0):
-/// persistent codes are stable across batches and epochs, so a combined
-/// code observed in one batch names the same group in the next — a cache
-/// hit resolves group identity from codes alone, with no canonical-bytes
-/// work. The caches are dropped whenever the signature changes (different
-/// dict ids, or a dictionary grew and shifted the mixing radix) and
-/// whenever the table compacts slots (`split_closed` with closed entries,
-/// `drain_all`, `clear`), since the cached values are slot indexes. A miss
-/// always falls back to the canonical byte encoding, so mixed layouts and
-/// batch-local dictionaries stay exact.
-#[derive(Default)]
-struct ComboCache {
-    /// `(dict id, cardinality)` per key column the caches were built under.
-    dims: Vec<(u64, usize)>,
-    /// Per-window dense `combined code → slot` maps (`u32::MAX` = empty).
-    windows: Vec<(Ts, Vec<u32>)>,
-}
-
-impl ComboCache {
-    /// Returns the live window caches for this batch's signature, clearing
-    /// stale ones if the signature moved.
-    fn windows_for(&mut self, sig: Vec<(u64, usize)>) -> &mut Vec<(Ts, Vec<u32>)> {
-        if self.dims != sig {
-            self.windows.clear();
-            self.dims = sig;
-        }
-        &mut self.windows
-    }
-
-    /// Slot indexes are about to be compacted or the table emptied; every
-    /// cached resolution is invalid.
-    fn invalidate(&mut self) {
-        self.windows.clear();
-    }
-}
 
 /// Borrowed numeric view of an aggregate input column, hoisted out of the
 /// row loop so fold kernels run over contiguous slices.
@@ -615,7 +532,7 @@ fn for_each_value(input: &AggInput, slots: &[u32], mut f: impl FnMut(usize, f64)
 /// counts every record; the other aggregates ignore non-numeric and `Null`
 /// values.
 fn fold_aggregates(
-    entries: &mut [(GroupKey, Vec<AggState>, bool)],
+    entries: &mut [Entry],
     slots: &[u32],
     aggs: &[AggSpec],
     agg_cols: &[Option<&Column>],
@@ -671,29 +588,31 @@ fn fold_aggregates(
     }
 }
 
-impl Operator for GroupAggregateOp {
-    fn kind(&self) -> OpKind {
-        OpKind::GroupAggregate
-    }
-
-    fn output_schema(&self) -> SchemaRef {
-        self.out_schema.clone()
-    }
-
-    fn process_batch(&mut self, batch: Batch, _out: &mut Vec<Batch>) {
-        let n = batch.len();
-        if n == 0 {
-            return;
-        }
+impl GroupAggregateOp {
+    /// Folds a batch whose rows all belong to the window starting at `ws`
+    /// into that window's table.
+    ///
+    /// Pass 1 resolves every row to its group slot. When every key column
+    /// is dense and code-able with a small combined key space, rows resolve
+    /// through a dense `combined code → slot` cache, hashing each distinct
+    /// key only once. The cache lives in the window's table — surviving
+    /// batches and epochs until the window closes — while every key column
+    /// is a *persistent* dictionary (id ≠ 0: codes are stable identity) and
+    /// the `(dict id, cardinality)` signature holds; a dictionary that grew
+    /// shifts the mixing radix and rebuilds it. Batch-local pages and
+    /// bounded-int dimensions use a batch-local cache instead. A miss
+    /// always falls back to the canonical byte encoding, so the cache can
+    /// never conflate distinct keys. Pass 2 folds each aggregate column
+    /// with a contiguous kernel.
+    fn fold_window(&mut self, ws: Ts, batch: &Batch) {
         let GroupAggregateOp {
             keys,
             aggs,
-            window,
-            table,
+            windows,
             scratch,
             slots,
             frag_cache,
-            combo,
+            local_combo,
             ..
         } = self;
         // Hoist key/aggregate column bindings out of the row loop; dict key
@@ -736,19 +655,25 @@ impl Operator for GroupAggregateOp {
                 other => KeyEnc::Generic(other),
             })
             .collect();
+        let n = batch.len();
         slots.clear();
         slots.reserve(n);
 
-        // Pass 1 — resolve every row to its group slot.
+        let cached_windows = windows.values().filter(|t| !t.combo.is_empty()).count();
+        let table = windows.entry(ws).or_default();
+        let mut resolve = |table: &mut WindowTable, row: usize| {
+            scratch.clear();
+            for e in &encs {
+                e.encode_row(scratch, row);
+            }
+            table.upsert_slot(
+                scratch,
+                || key_cols.iter().map(|c| c.value(row)).collect(),
+                || aggs.iter().map(AggSpec::init).collect(),
+            )
+        };
         if let Some(dims) = combo_dims(&key_cols) {
             let card: usize = dims.iter().map(ComboDim::card).product();
-            // All keys are dense code-able columns (dictionaries or
-            // bounded-range integers) with a small combined key space:
-            // resolve through a per-window dense cache, hashing each
-            // distinct (window, key) combination only once. When every key
-            // column is a *persistent* dictionary the caches live in the
-            // operator and survive across batches and epochs (codes are
-            // stable identity); otherwise they are batch-local.
             let persist_sig: Option<Vec<(u64, usize)>> = key_cols
                 .iter()
                 .map(|c| match c {
@@ -758,79 +683,105 @@ impl Operator for GroupAggregateOp {
                     _ => None,
                 })
                 .collect();
-            let mut batch_caches: Vec<(Ts, Vec<u32>)> = Vec::with_capacity(2);
-            let caches: &mut Vec<(Ts, Vec<u32>)> = match persist_sig {
-                Some(sig) => combo.windows_for(sig),
-                None => &mut batch_caches,
+            // Borrow the cache out of its home for the row loop (the table
+            // is mutated alongside it) and put it back afterwards.
+            let persistent = persist_sig.is_some();
+            let mut cache = match persist_sig {
+                Some(sig) => {
+                    let mut cache = std::mem::take(&mut table.combo);
+                    if table.combo_sig != sig {
+                        cache.clear();
+                        table.combo_sig = sig;
+                    }
+                    // One more cached window only below the cap; past it
+                    // the cache stays empty and every row takes the index.
+                    if cache.is_empty() && cached_windows < MAX_WINDOW_CACHES {
+                        cache.resize(card, u32::MAX);
+                    }
+                    cache
+                }
+                None => {
+                    let mut cache = std::mem::take(local_combo);
+                    cache.clear();
+                    cache.resize(card, u32::MAX);
+                    cache
+                }
             };
             for row in 0..n {
-                let ws = window.start_of(batch.timestamps[row]);
-                let mut combo = 0usize;
+                let mut code = 0usize;
                 let mut mul = 1usize;
                 for d in &dims {
-                    combo += d.code(row) * mul;
+                    code += d.code(row) * mul;
                     mul *= d.card();
                 }
-                // Batches normally span one or two windows; a pathological
-                // batch covering many (e.g. an unsorted replay) must not
-                // allocate a card-sized cache per window or scan a long
-                // cache list per row, so later windows bypass the cache.
-                let cache = match caches.iter().position(|(w, _)| *w == ws) {
-                    Some(i) => Some(&mut caches[i].1),
-                    None if caches.len() < MAX_WINDOW_CACHES => {
-                        caches.push((ws, vec![u32::MAX; card]));
-                        Some(&mut caches.last_mut().expect("just pushed").1)
-                    }
-                    None => None,
-                };
-                let cached = cache.as_ref().map(|c| c[combo]);
-                let slot = match cached {
-                    Some(slot) if slot != u32::MAX => {
+                let slot = match cache.get(code) {
+                    Some(&slot) if slot != u32::MAX => {
                         table.entries[slot as usize].2 = true;
                         slot
                     }
                     _ => {
-                        scratch.clear();
-                        scratch.extend_from_slice(&ws.to_le_bytes());
-                        for e in &encs {
-                            e.encode_row(scratch, row);
-                        }
-                        let slot = table.upsert_slot(
-                            scratch,
-                            || (ws, key_cols.iter().map(|c| c.value(row)).collect()),
-                            || aggs.iter().map(AggSpec::init).collect(),
-                        ) as u32;
-                        if let Some(cache) = cache {
-                            cache[combo] = slot;
+                        let slot = resolve(table, row);
+                        if let Some(cached) = cache.get_mut(code) {
+                            *cached = slot;
                         }
                         slot
                     }
                 };
                 slots.push(slot);
             }
+            if persistent {
+                table.combo = cache;
+            } else {
+                *local_combo = cache;
+            }
         } else {
             for row in 0..n {
-                let ws = window.start_of(batch.timestamps[row]);
-                scratch.clear();
-                scratch.extend_from_slice(&ws.to_le_bytes());
-                for e in &encs {
-                    e.encode_row(scratch, row);
-                }
-                let slot = table.upsert_slot(
-                    scratch,
-                    || (ws, key_cols.iter().map(|c| c.value(row)).collect()),
-                    || aggs.iter().map(AggSpec::init).collect(),
-                ) as u32;
+                let slot = resolve(table, row);
                 slots.push(slot);
             }
         }
 
-        // Pass 2 — fold each aggregate column with a contiguous kernel.
         let agg_cols: Vec<Option<&Column>> = aggs
             .iter()
             .map(|spec| batch.columns.get(spec.col))
             .collect();
-        fold_aggregates(table.entries_mut(), slots, aggs, &agg_cols);
+        fold_aggregates(&mut table.entries, slots, aggs, &agg_cols);
+    }
+}
+
+impl Operator for GroupAggregateOp {
+    fn kind(&self) -> OpKind {
+        OpKind::GroupAggregate
+    }
+
+    fn output_schema(&self) -> SchemaRef {
+        self.out_schema.clone()
+    }
+
+    fn process_batch(&mut self, batch: Batch, _out: &mut Vec<Batch>) {
+        let Some(&first) = batch.timestamps.first() else {
+            return;
+        };
+        // A batch nearly always sits inside one window (epochs are shorter
+        // than windows); one that straddles a boundary — or an unsorted
+        // replay spanning many — is split by window first, so the fold
+        // kernels only ever see one table.
+        let lo = self.window.start_of(first);
+        let hi = lo + self.window.size;
+        if batch.timestamps.iter().all(|&ts| lo <= ts && ts < hi) {
+            self.fold_window(lo, &batch);
+            return;
+        }
+        let mut by_window: BTreeMap<Ts, Vec<u32>> = BTreeMap::new();
+        for (row, &ts) in batch.timestamps.iter().enumerate() {
+            by_window
+                .entry(self.window.start_of(ts))
+                .or_default()
+                .push(row as u32);
+        }
+        for (ws, rows) in by_window {
+            self.fold_window(ws, &batch.gather(&rows));
+        }
     }
 
     fn on_watermark(&mut self, wm: Ts, out: &mut Vec<Batch>) {
@@ -839,23 +790,33 @@ impl Operator for GroupAggregateOp {
         if self.role != AggRole::Final {
             return;
         }
-        let closed = self.table.split_closed(self.window, wm);
-        if !closed.is_empty() {
-            // Surviving entries shifted down: cached slot indexes are stale.
-            self.combo.invalidate();
+        // Closing a window is taking its table: a watermark that closes
+        // nothing stops at the oldest open window and touches no entry.
+        while let Some(oldest) = self.windows.first_entry() {
+            if !self.window.is_closed(*oldest.key(), wm) {
+                break;
+            }
+            let (ws, table) = oldest.remove_entry();
+            self.emit_batch(table.entries.iter().map(|e| (ws, e)), out);
         }
-        self.emit_batch(&closed, out);
     }
 
     fn on_epoch(&mut self, out: &mut Vec<Batch>) {
         if self.role == AggRole::Final && self.emit == EmitMode::PerEpochDelta {
-            let changed = self.table.take_changed();
-            self.emit_batch(&changed, out);
+            let changed = self.windows.iter().flat_map(|(&ws, table)| {
+                table.entries.iter().filter(|e| e.2).map(move |e| (ws, e))
+            });
+            self.emit_batch(changed, out);
+            for table in self.windows.values_mut() {
+                for entry in &mut table.entries {
+                    entry.2 = false;
+                }
+            }
         }
     }
 
     fn cost_us(&self) -> f64 {
-        self.cost.cost_us(self.table.len())
+        self.cost.cost_us(self.group_count())
     }
 
     fn is_stateful(&self) -> bool {
@@ -863,55 +824,55 @@ impl Operator for GroupAggregateOp {
     }
 
     fn state_size(&self) -> usize {
-        self.table.len()
+        self.group_count()
     }
 
     fn take_state_delta(&mut self) -> Option<StatePartial> {
-        if self.role != AggRole::Partial || self.table.len() == 0 {
+        if self.role != AggRole::Partial || self.windows.is_empty() {
             return None;
         }
-        self.combo.invalidate();
-        let entries = self
-            .table
-            .drain_all()
-            .into_iter()
-            .map(|((window_start, key), states)| GroupPartialEntry {
-                window_start,
-                key,
-                states,
-            })
-            .collect();
+        let mut entries = Vec::with_capacity(self.group_count());
+        for (window_start, table) in std::mem::take(&mut self.windows) {
+            for (key, states, _) in table.entries {
+                entries.push(GroupPartialEntry {
+                    window_start,
+                    key,
+                    states,
+                });
+            }
+        }
         Some(StatePartial::Group(entries))
     }
 
     fn checkpoint_state(&self) -> Option<StatePartial> {
-        if self.table.len() == 0 {
+        if self.windows.is_empty() {
             return None;
         }
-        let entries = self
-            .table
-            .snapshot_all()
-            .into_iter()
-            .map(|((window_start, key), states)| GroupPartialEntry {
-                window_start,
-                key,
-                states,
-            })
-            .collect();
+        let mut entries = Vec::with_capacity(self.group_count());
+        for (&window_start, table) in &self.windows {
+            for (key, states, _) in &table.entries {
+                entries.push(GroupPartialEntry {
+                    window_start,
+                    key: key.clone(),
+                    states: states.clone(),
+                });
+            }
+        }
         Some(StatePartial::Group(entries))
     }
 
     fn merge_state(&mut self, state: StatePartial) {
         let StatePartial::Group(entries) = state;
         for entry in entries {
-            self.table
-                .insert_or_merge((entry.window_start, entry.key), entry.states);
+            self.windows
+                .entry(entry.window_start)
+                .or_default()
+                .insert_or_merge(&mut self.scratch, entry.key, entry.states);
         }
     }
 
     fn reset(&mut self) {
-        self.table.clear();
-        self.combo.invalidate();
+        self.windows.clear();
     }
 }
 
@@ -1062,9 +1023,8 @@ mod tests {
 
     #[test]
     fn dict_keys_group_correctly_across_many_windows() {
-        // A batch spanning more windows than the combo cache will track:
-        // rows beyond MAX_WINDOW_CACHES windows resolve through the
-        // byte-keyed fallback and must land in the same groups.
+        // A batch spanning many windows is split by window before folding;
+        // every row must land in its own window's group.
         use crate::batch::{Batch, StrDict};
         use std::sync::Arc;
 
@@ -1213,9 +1173,10 @@ mod tests {
     fn persistent_dict_keys_cache_slots_across_batches_and_epochs() {
         // When every key column is a persistent dictionary, the dense
         // (window, combined-code) → slot caches must survive across
-        // batches — and stay exact across dictionary growth (signature
-        // change drops the caches), window close (slot compaction drops
-        // them), and versus the byte-hash path on the decoded rows.
+        // batches — and stay exact across dictionary growth (a signature
+        // change rebuilds the window's cache), window close (the closed
+        // window's cache goes with its table, the others stay), and versus
+        // the byte-hash path on the decoded rows.
         use crate::batch::{Batch, StreamDict};
         use std::sync::Arc;
 
@@ -1306,14 +1267,23 @@ mod tests {
         );
         assert_eq!(fast.cached_combo_windows(), 2);
 
-        // Closing the first window compacts slots: every cache must go.
+        // A watermark that closes nothing touches no table and no cache.
         let mut fast_out = Vec::new();
         let mut slow_out = Vec::new();
+        fast.on_watermark(secs(9.0), &mut fast_out);
+        assert!(fast_out.is_empty());
+        assert_eq!(fast.group_count(), 6);
+        assert_eq!(fast.cached_combo_windows(), 2);
+
+        // Closing the first window takes its table and its cache with it;
+        // the second window's cache stays valid.
         fast.on_watermark(secs(10.0), &mut fast_out);
         slow.on_watermark(secs(10.0), &mut slow_out);
-        assert_eq!(fast.cached_combo_windows(), 0);
+        assert_eq!(fast.group_count(), 2);
+        assert_eq!(fast.open_windows(), 1);
+        assert_eq!(fast.cached_combo_windows(), 1);
 
-        // Post-close batches must still resolve exactly (fresh caches).
+        // Post-close batches resolve through the surviving cache, exactly.
         feed_both(
             &mut fast,
             &mut slow,

@@ -112,17 +112,22 @@ pub fn build_pipeline(
     Ok(ops)
 }
 
-/// Closes every window open at watermark `wm` across a built pipeline and
+/// Closes every window closed by watermark `wm` across a built pipeline and
 /// routes the emissions through the downstream stages, returning the batches
-/// that exit the chain. This is the single end-of-run flush shared by every
-/// execution backend — exact merged results depend on all of them closing
-/// windows the same way.
+/// that exit the chain. This is the single flush shared by every execution
+/// backend — the live tiers call it at every epoch barrier and once more
+/// with `TS_MAX` at the end of the run — so exact merged results depend on
+/// all of them closing windows the same way. A watermark that closes nothing
+/// allocates nothing.
 pub fn drain_windows(ops: &mut [Box<dyn Operator>], wm: crate::time::Ts) -> Vec<Batch> {
     let n = ops.len();
     let mut out = Vec::new();
     for i in 0..n {
         let mut batches: Vec<Batch> = Vec::new();
         ops[i].on_watermark(wm, &mut batches);
+        if batches.is_empty() {
+            continue;
+        }
         for later in ops.iter_mut().take(n).skip(i + 1) {
             let mut next = Vec::new();
             for batch in batches.drain(..) {

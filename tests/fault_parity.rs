@@ -12,6 +12,13 @@
 //!   digest is again bit-identical.
 //! - `Degrade`: the lost shards are dropped and the report advertises the
 //!   exact per-shard completeness (acked epochs / epochs sent).
+//!
+//! Two fault schedules run every recovery path: [`EARLY`] cuts the link
+//! inside the first window, when a checkpoint is operator state only;
+//! [`LATE`] cuts it after the first window closed, when the last checkpoint
+//! holds that window as result rows (`collected` frames) *and* the second
+//! window as open operator state, and the second window only closes after
+//! the recovery — closed-window rows must come back exactly once.
 
 use std::net::TcpListener;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -27,10 +34,33 @@ use jarvis::core::strategy::StrategyKind;
 
 /// Virtual shards on the ring, matching `tests/remote_parity.rs`.
 const RING: u32 = 4;
-/// Epochs per run; the fault fires at the boundary of `KILL_EPOCH`.
-const EPOCHS: u64 = 8;
-/// The severed node acks exactly this many epochs before the cut.
-const KILL_EPOCH: u64 = 3;
+/// When the link is cut, relative to the run and its checkpoints.
+#[derive(Clone, Copy)]
+struct Schedule {
+    /// Epochs per run.
+    epochs: u64,
+    /// The fault fires at this epoch's boundary: the severed node acked
+    /// exactly this many epochs before the cut.
+    kill_epoch: u64,
+    /// Checkpoint every this many epochs.
+    checkpoint_interval: u64,
+}
+
+/// Inside the first window: nothing has closed on either side of the fault.
+const EARLY: Schedule = Schedule {
+    epochs: 8,
+    kill_epoch: 3,
+    checkpoint_interval: 2,
+};
+
+/// Window 1 closes at epoch 9; the checkpoint at epoch 14 carries its rows
+/// plus window 2's open state; the cut at 17 replays three epochs; window 2
+/// closes at 19, on the far side of the recovery.
+const LATE: Schedule = Schedule {
+    epochs: 22,
+    kill_epoch: 17,
+    checkpoint_interval: 5,
+};
 
 /// Serializes the TCP tests: each allocates an ephemeral port by binding
 /// then releasing it, which must not race another test's bind.
@@ -66,14 +96,14 @@ fn spawn_nodes(
         .collect()
 }
 
-/// Severs node 1's link just before the `KILL_EPOCH`-th `EpochEnd` frame:
-/// the node has all of epoch `KILL_EPOCH`'s shard traffic but never acks
-/// it, so the coordinator detects the loss at that boundary.
-fn sever_node_one() -> FaultPlan {
+/// Severs node 1's link just before the `kill_epoch`-th `EpochEnd` frame:
+/// the node has all of that epoch's shard traffic but never acks it, so
+/// the coordinator detects the loss at that boundary.
+fn sever_node_one(kill_epoch: u64) -> FaultPlan {
     FaultPlan::single(
         0x5eed_cafe,
         1,
-        FaultTrigger::EpochEnd(KILL_EPOCH),
+        FaultTrigger::EpochEnd(kill_epoch),
         FaultKind::Sever,
     )
 }
@@ -81,6 +111,7 @@ fn sever_node_one() -> FaultPlan {
 fn fault_deployment(
     spec: &ScenarioSpec,
     strategy: StrategyKind,
+    schedule: Schedule,
     addr: &str,
     token: &str,
 ) -> jarvis::core::deploy::DeploymentBuilder {
@@ -97,12 +128,12 @@ fn fault_deployment(
         .auth_token(token)
         .node_timeout(Duration::from_secs(30))
         .liveness_timeout(Duration::from_secs(10))
-        .checkpoint_interval(2)
-        .fault_plan(sever_node_one())
+        .checkpoint_interval(schedule.checkpoint_interval)
+        .fault_plan(sever_node_one(schedule.kill_epoch))
         .collect_results(true)
 }
 
-fn in_process_run(spec: &ScenarioSpec, strategy: StrategyKind) -> RunReport {
+fn in_process_run(spec: &ScenarioSpec, strategy: StrategyKind, epochs: u64) -> RunReport {
     Deployment::builder()
         .workload(spec.clone())
         .strategy(strategy)
@@ -114,7 +145,7 @@ fn in_process_run(spec: &ScenarioSpec, strategy: StrategyKind) -> RunReport {
         .collect_results(true)
         .build()
         .expect("valid spec")
-        .run(EPOCHS)
+        .run(epochs)
         .expect("run succeeds")
 }
 
@@ -142,16 +173,16 @@ fn assert_exact(report: &RunReport, baseline: &RunReport, label: &str) {
 
 /// Kills node 1 under `Reassign`: the survivor adopts its shards and the
 /// digest matches the fault-free run bit-for-bit.
-fn assert_reassign_parity(spec: ScenarioSpec, strategy: StrategyKind) {
+fn assert_reassign_parity(spec: ScenarioSpec, strategy: StrategyKind, schedule: Schedule) {
     let _guard = port_lock();
     let addr = free_addr();
     let token = "fault-parity";
     let handles = spawn_nodes(&addr, token, 2, false);
-    let report = fault_deployment(&spec, strategy, &addr, token)
+    let report = fault_deployment(&spec, strategy, schedule, &addr, token)
         .on_node_loss(OnNodeLoss::Reassign)
         .build()
         .expect("valid TCP spec")
-        .run(EPOCHS)
+        .run(schedule.epochs)
         .expect("run survives the node loss");
     let outcomes: Vec<_> = handles
         .into_iter()
@@ -166,11 +197,14 @@ fn assert_reassign_parity(spec: ScenarioSpec, strategy: StrategyKind) {
         .iter()
         .find_map(|o| o.as_ref().ok())
         .expect("one node survives");
-    assert_eq!(survivor.epochs, EPOCHS, "the survivor acks every epoch");
+    assert_eq!(
+        survivor.epochs, schedule.epochs,
+        "the survivor acks every epoch"
+    );
     assert_eq!(report.incidents.len(), 1, "{:?}", report.incidents);
     let incident = &report.incidents[0];
     assert_eq!(incident.node, 1);
-    assert_eq!(incident.epoch, KILL_EPOCH);
+    assert_eq!(incident.epoch, schedule.kill_epoch);
     assert_eq!(incident.action, "reassigned");
     assert!(
         incident.replay_bytes > 0,
@@ -182,22 +216,22 @@ fn assert_reassign_parity(spec: ScenarioSpec, strategy: StrategyKind) {
         "reassignment loses nothing: {:?}",
         report.shard_stats
     );
-    let baseline = in_process_run(&spec, strategy);
+    let baseline = in_process_run(&spec, strategy, schedule.epochs);
     assert_exact(&report, &baseline, spec.name());
 }
 
 /// Kills node 1 with a reconnect grace window: the node re-dials, is
 /// re-seeded from the last acked checkpoint, and the digest still matches.
-fn assert_reconnect_parity(spec: ScenarioSpec, strategy: StrategyKind) {
+fn assert_reconnect_parity(spec: ScenarioSpec, strategy: StrategyKind, schedule: Schedule) {
     let _guard = port_lock();
     let addr = free_addr();
     let token = "fault-parity";
     let handles = spawn_nodes(&addr, token, 2, true);
-    let report = fault_deployment(&spec, strategy, &addr, token)
+    let report = fault_deployment(&spec, strategy, schedule, &addr, token)
         .reconnect_grace(Duration::from_secs(10))
         .build()
         .expect("valid TCP spec")
-        .run(EPOCHS)
+        .run(schedule.epochs)
         .expect("run survives the reconnect");
     let mut reconnects = 0;
     for handle in handles {
@@ -205,14 +239,17 @@ fn assert_reconnect_parity(spec: ScenarioSpec, strategy: StrategyKind) {
             .join()
             .expect("node thread")
             .expect("both nodes finish after recovery");
-        assert_eq!(summary.epochs, EPOCHS, "every epoch boundary is acked");
+        assert_eq!(
+            summary.epochs, schedule.epochs,
+            "every epoch boundary is acked"
+        );
         reconnects += summary.reconnects;
     }
     assert_eq!(reconnects, 1, "the severed node re-dialled exactly once");
     assert_eq!(report.incidents.len(), 1, "{:?}", report.incidents);
     let incident = &report.incidents[0];
     assert_eq!(incident.node, 1);
-    assert_eq!(incident.epoch, KILL_EPOCH);
+    assert_eq!(incident.epoch, schedule.kill_epoch);
     assert_eq!(incident.action, "reconnected");
     assert!(
         incident.replay_bytes > 0,
@@ -223,44 +260,50 @@ fn assert_reconnect_parity(spec: ScenarioSpec, strategy: StrategyKind) {
         "reconnection loses nothing: {:?}",
         report.shard_stats
     );
-    let baseline = in_process_run(&spec, strategy);
+    let baseline = in_process_run(&spec, strategy, schedule.epochs);
     assert_exact(&report, &baseline, spec.name());
 }
 
 #[test]
 fn reassign_keeps_s2s_exact() {
-    assert_reassign_parity(ScenarioSpec::pingmesh_s2s(Scale::X1), StrategyKind::AllSp);
+    let spec = ScenarioSpec::pingmesh_s2s(Scale::X1);
+    assert_reassign_parity(spec.clone(), StrategyKind::AllSp, EARLY);
+    assert_reassign_parity(spec, StrategyKind::AllSp, LATE);
 }
 
 #[test]
 fn reassign_keeps_t2t_exact() {
-    assert_reassign_parity(
-        ScenarioSpec::pingmesh_t2t(Scale::X1, 500),
-        StrategyKind::AllSp,
-    );
+    let spec = ScenarioSpec::pingmesh_t2t(Scale::X1, 500);
+    assert_reassign_parity(spec.clone(), StrategyKind::AllSp, EARLY);
+    assert_reassign_parity(spec, StrategyKind::AllSp, LATE);
 }
 
 #[test]
 fn reassign_keeps_log_analytics_exact() {
-    assert_reassign_parity(ScenarioSpec::log_analytics(Scale::X1), StrategyKind::AllSp);
+    let spec = ScenarioSpec::log_analytics(Scale::X1);
+    assert_reassign_parity(spec.clone(), StrategyKind::AllSp, EARLY);
+    assert_reassign_parity(spec, StrategyKind::AllSp, LATE);
 }
 
 #[test]
 fn reconnect_keeps_s2s_exact() {
-    assert_reconnect_parity(ScenarioSpec::pingmesh_s2s(Scale::X1), StrategyKind::AllSp);
+    let spec = ScenarioSpec::pingmesh_s2s(Scale::X1);
+    assert_reconnect_parity(spec.clone(), StrategyKind::AllSp, EARLY);
+    assert_reconnect_parity(spec, StrategyKind::AllSp, LATE);
 }
 
 #[test]
 fn reconnect_keeps_t2t_exact() {
-    assert_reconnect_parity(
-        ScenarioSpec::pingmesh_t2t(Scale::X1, 500),
-        StrategyKind::AllSp,
-    );
+    let spec = ScenarioSpec::pingmesh_t2t(Scale::X1, 500);
+    assert_reconnect_parity(spec.clone(), StrategyKind::AllSp, EARLY);
+    assert_reconnect_parity(spec, StrategyKind::AllSp, LATE);
 }
 
 #[test]
 fn reconnect_keeps_log_analytics_exact() {
-    assert_reconnect_parity(ScenarioSpec::log_analytics(Scale::X1), StrategyKind::AllSp);
+    let spec = ScenarioSpec::log_analytics(Scale::X1);
+    assert_reconnect_parity(spec.clone(), StrategyKind::AllSp, EARLY);
+    assert_reconnect_parity(spec, StrategyKind::AllSp, LATE);
 }
 
 #[test]
@@ -270,11 +313,11 @@ fn degrade_reports_exact_completeness() {
     let token = "fault-parity";
     let spec = ScenarioSpec::pingmesh_s2s(Scale::X1);
     let handles = spawn_nodes(&addr, token, 2, false);
-    let report = fault_deployment(&spec, StrategyKind::AllSp, &addr, token)
+    let report = fault_deployment(&spec, StrategyKind::AllSp, EARLY, &addr, token)
         .on_node_loss(OnNodeLoss::Degrade)
         .build()
         .expect("valid TCP spec")
-        .run(EPOCHS)
+        .run(EARLY.epochs)
         .expect("degraded run still completes");
     let outcomes: Vec<_> = handles
         .into_iter()
@@ -288,9 +331,10 @@ fn degrade_reports_exact_completeness() {
     assert_eq!(report.incidents.len(), 1, "{:?}", report.incidents);
     assert_eq!(report.incidents[0].action, "degraded");
     assert_eq!(report.incidents[0].node, 1);
-    // The severed node acked KILL_EPOCH of EPOCHS epochs, so every shard it
-    // owned advertises exactly that completeness; survivors stay whole.
-    let expected = KILL_EPOCH as f64 / EPOCHS as f64;
+    // The severed node acked `kill_epoch` of the run's epochs, so every
+    // shard it owned advertises exactly that completeness; survivors stay
+    // whole.
+    let expected = EARLY.kill_epoch as f64 / EARLY.epochs as f64;
     let degraded: Vec<_> = report
         .shard_stats
         .iter()
@@ -314,7 +358,7 @@ fn degrade_reports_exact_completeness() {
         "the surviving shards still produce results"
     );
     // Degradation is visible: fewer digest rows than the fault-free run.
-    let baseline = in_process_run(&spec, StrategyKind::AllSp);
+    let baseline = in_process_run(&spec, StrategyKind::AllSp, EARLY.epochs);
     let digest = report.exactness.as_ref().expect("digest collected");
     let full = baseline.exactness.as_ref().expect("digest collected");
     assert!(
