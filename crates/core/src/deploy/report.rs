@@ -1,8 +1,8 @@
 //! The unified run report.
 //!
 //! [`RunReport`] subsumes the per-front-door report types the repo once
-//! accumulated (`ScenarioReport` and `RunnerReport` are gone with their
-//! shims; `LiveReport` remains on the low-level fixed-factor path): every
+//! accumulated (`ScenarioReport`, `RunnerReport` and the fixed-factor
+//! runner's report are gone with their front doors): every
 //! [`crate::deploy::ExecBackend`] fills the fields it can measure and leaves
 //! the rest at their empty defaults. Reports serialize to JSON so the bench
 //! harness's output stays machine-readable.

@@ -8,8 +8,10 @@
 //! * the stateless **prefix** runs as one chain per replica — drained
 //!   batches enter at the operator they were drained in front of, on the
 //!   source's *ingress node*;
-//! * at the boundary, a key-hash partitioner ([`Batch::shard_by_key`])
-//!   splits every batch over the fixed ring of `n_shards` virtual shards.
+//! * at the boundary, the shared routing policy
+//!   ([`Ring`], the one the live tiers use) splits
+//!   every batch over the fixed ring of `n_shards` virtual shards by key
+//!   hash.
 //!   Each engine instance owns a contiguous ring slice
 //!   ([`shards_of_node`]) and hosts one
 //!   **shard pipeline** per owned shard per replica; sub-batches, shipped
@@ -20,8 +22,8 @@
 //!
 //! Rows with equal group keys always land on the same shard regardless of
 //! the node count (the key → shard mapping is node-count-independent), and
-//! shipped state entries route to the shard owning their key
-//! ([`shard_of_values`]) — so window results stay exact: a group's whole
+//! shipped state entries route to the shard owning their key (the same
+//! `Ring`) — so window results stay exact: a group's whole
 //! lifetime (updates, merged partials, close) happens on one shard, and the
 //! union over shards ≡ the unsharded run at any node count.
 //!
@@ -45,7 +47,7 @@ use streamkit::batch::{Batch, DictVersions};
 use streamkit::ops::{absorbed_timestamps, AggRole, Operator, StatePartial};
 use streamkit::physical::{build_pipeline, CostProfile};
 use streamkit::record::Record;
-use streamkit::shard::{shard_of_values, shards_of_node};
+use streamkit::shard::{shards_of_node, Ring};
 use streamkit::time::Ts;
 
 use crate::calibration;
@@ -89,9 +91,6 @@ struct Replica {
     prefix: Vec<Box<dyn Operator>>,
     /// Arrival queues, one per prefix stage.
     prefix_queues: Vec<VecDeque<Item>>,
-    /// Group-key columns at the boundary edge (empty when the plan has no
-    /// keyed operator; everything then routes to shard 0).
-    shard_keys: Vec<usize>,
     /// Pipelines for the owned ring slice, indexed by `shard - owned.start`.
     shards: Vec<ShardPipeline>,
 }
@@ -114,27 +113,33 @@ impl Replica {
     }
 }
 
-/// Ring context threaded through the routing helpers: where this node sits
-/// on the fixed shard ring and where outbound payloads accumulate.
-struct RingCtx<'a> {
+/// Where this node sits on the fixed shard ring and where outbound payloads
+/// accumulate — everything the routing helpers need besides the replica.
+struct RingCtx {
+    /// The ring-wide key → shard policy (group-key columns at the boundary
+    /// edge; empty when the plan has no keyed operator, and everything then
+    /// routes to shard 0).
+    ring: Ring,
+    /// The contiguous ring slice this node owns.
     owned: Range<usize>,
-    n_shards: usize,
+    /// Epochs begun so far (stamped on outbound payloads).
     epoch: u64,
-    outbox: &'a mut Vec<(NetPayload, f64)>,
+    /// Payloads bound for shards on other nodes, with the virtual time they
+    /// were produced.
+    outbox: Vec<(NetPayload, f64)>,
     /// Wire bytes shipped toward each (remote) shard, `n_shards` wide.
-    shard_wire_out: &'a mut [u64],
+    shard_wire_out: Vec<u64>,
     /// Persistent-dict versions already shipped toward each shard stream,
     /// `n_shards` wide: outbound accounting charges the dictionary *delta*
     /// (plus codes) instead of re-charging the full page per batch, exactly
     /// what a delta-aware link ships. Reset on recovery so a re-seeded
     /// receiver is re-charged the full history.
-    dict_sync: &'a mut [DictVersions],
+    dict_sync: Vec<DictVersions>,
 }
 
-/// Routes a batch entering at suffix stage `rel` to its shard(s): the
-/// boundary partitions by key hash over the whole ring; later stages (and
-/// keyless plans) are stateless, so global shard 0 hosts them. Sub-batches
-/// owned by a remote node leave through the outbox as
+/// Routes a batch entering at suffix stage `rel` to its shard(s) as the
+/// [`Ring`] splits it. Parts owned by this node queue on their shard
+/// pipeline; parts owned by a remote node leave through the outbox as
 /// [`NetPayload::ShardBatch`], charging wire accounting per target shard.
 fn route_to_shards(
     replica: &mut Replica,
@@ -143,23 +148,21 @@ fn route_to_shards(
     rel: usize,
     arrived: f64,
     kind: ItemKind,
-    ring: &mut RingCtx<'_>,
+    ring: &mut RingCtx,
 ) {
-    if batch.is_empty() {
-        return;
-    }
-    let enqueue = |replica: &mut Replica, local: usize, rel: usize, batch: Batch| {
-        let shard = &mut replica.shards[local];
-        if kind == ItemKind::Input {
-            shard.drained_records += batch.len() as u64;
+    for (s, part) in ring.ring.split_batch(rel, batch) {
+        if ring.owned.contains(&s) {
+            let shard = &mut replica.shards[s - ring.owned.start];
+            if kind == ItemKind::Input {
+                shard.drained_records += part.len() as u64;
+            }
+            shard.queues[rel].push_back(Item {
+                batch: part,
+                arrived,
+                kind,
+            });
+            continue;
         }
-        shard.queues[rel].push_back(Item {
-            batch,
-            arrived,
-            kind,
-        });
-    };
-    let ship = |ring: &mut RingCtx<'_>, shard: usize, rel: usize, batch: Batch| {
         // Only input-domain batches cross nodes today: the prefix is
         // stateless (its watermark/epoch hooks emit nothing), and window
         // results cascade within their owning shard. `ShardBatch` carries no
@@ -167,87 +170,52 @@ fn route_to_shards(
         // batch crossing here would silently corrupt the input/result
         // domain split, which is why this is a hard assert.
         assert_eq!(kind, ItemKind::Input, "result batch crossing nodes");
-        ring.shard_wire_out[shard] += batch.wire_size_versioned(&mut ring.dict_sync[shard]) as u64;
+        ring.shard_wire_out[s] += part.wire_size_versioned(&mut ring.dict_sync[s]) as u64;
         ring.outbox.push((
             NetPayload::ShardBatch {
-                shard: shard as u32,
+                shard: s as u32,
                 epoch: ring.epoch,
                 source: source as u32,
                 rel: rel as u32,
-                batch,
+                batch: part,
             },
             arrived,
         ));
-    };
-    if rel == 0 && ring.n_shards > 1 && !replica.shard_keys.is_empty() {
-        let keys = replica.shard_keys.clone();
-        for (s, part) in batch
-            .shard_by_key(&keys, ring.n_shards)
-            .into_iter()
-            .enumerate()
-        {
-            if part.is_empty() {
-                continue;
-            }
-            if ring.owned.contains(&s) {
-                enqueue(replica, s - ring.owned.start, 0, part);
-            } else {
-                ship(ring, s, 0, part);
-            }
-        }
-    } else if ring.owned.start == 0 {
-        // Contiguous slices always place global shard 0 on node 0.
-        enqueue(replica, 0, rel, batch);
-    } else {
-        ship(ring, 0, rel, batch);
     }
 }
 
 /// Merges a shipped state delta into the owning shard(s) at suffix stage
-/// `rel`: entries are split by the hash of their group key — the same
-/// mapping the row partitioner uses — and remote splits leave through the
-/// outbox as [`NetPayload::ShardState`].
+/// `rel`: the [`Ring`] splits the entries by the shard owning their group
+/// key — the same mapping it applies to rows — and remote splits leave
+/// through the outbox as [`NetPayload::ShardState`].
 fn merge_sharded(
     replica: &mut Replica,
     source: usize,
     rel: usize,
     delta: StatePartial,
-    ring: &mut RingCtx<'_>,
+    ring: &mut RingCtx,
 ) {
     if rel >= replica.suffix_len() {
         return;
     }
-    if ring.n_shards == 1 {
-        replica.shards[0].stages[rel].merge_state(delta);
-        return;
-    }
-    let StatePartial::Group(entries) = delta;
-    let mut per_shard: Vec<Vec<_>> = (0..ring.n_shards).map(|_| Vec::new()).collect();
-    for entry in entries {
-        per_shard[shard_of_values(&entry.key, ring.n_shards)].push(entry);
-    }
-    for (s, part) in per_shard.into_iter().enumerate() {
-        if part.is_empty() {
+    for (s, split) in ring.ring.split_state(delta) {
+        if ring.owned.contains(&s) {
+            replica.shards[s - ring.owned.start].stages[rel].merge_state(split);
             continue;
         }
-        if ring.owned.contains(&s) {
-            replica.shards[s - ring.owned.start].stages[rel].merge_state(StatePartial::Group(part));
-        } else {
-            let split = StatePartial::Group(part);
-            ring.shard_wire_out[s] += split.wire_bytes() as u64;
-            ring.outbox.push((
-                NetPayload::ShardState {
-                    shard: s as u32,
-                    epoch: ring.epoch,
-                    source: source as u32,
-                    rel: rel as u32,
-                    delta: split,
-                },
-                // State merges have no processing timestamp of their own;
-                // they apply on arrival.
-                0.0,
-            ));
-        }
+        ring.shard_wire_out[s] += split.wire_bytes() as u64;
+        ring.outbox.push((
+            NetPayload::ShardState {
+                shard: s as u32,
+                epoch: ring.epoch,
+                source: source as u32,
+                rel: rel as u32,
+                delta: split,
+            },
+            // State merges have no processing timestamp of their own;
+            // they apply on arrival.
+            0.0,
+        ));
     }
 }
 
@@ -283,24 +251,12 @@ pub struct SpEngine {
     node: Node,
     node_id: usize,
     n_nodes: usize,
-    /// Width of the fixed virtual-shard ring (cluster-global).
-    n_shards: usize,
-    /// The contiguous ring slice this node owns.
-    owned: Range<usize>,
+    /// Ring geometry, ownership and the outbox for remote-shard payloads.
+    ring: RingCtx,
     replicas: Vec<Replica>,
     epoch_secs: f64,
-    epoch_index: u64,
     results_emitted: u64,
     lateness_secs: f64,
-    /// Payloads bound for shards on other nodes, with the virtual time they
-    /// were produced.
-    outbox: Vec<(NetPayload, f64)>,
-    /// Wire bytes shipped toward each shard of the ring (remote targets
-    /// only), `n_shards` wide.
-    shard_wire_out: Vec<u64>,
-    /// Persistent-dict versions already charged toward each shard stream
-    /// (delta-aware outbound accounting), `n_shards` wide.
-    dict_sync: Vec<DictVersions>,
     /// Retained result rows (window closes and stateless-tail completions),
     /// when result collection is enabled for exactness fingerprinting.
     collected: Option<Vec<Record>>,
@@ -461,7 +417,6 @@ impl SpEngine {
             replicas.push(Replica {
                 prefix,
                 prefix_queues,
-                shard_keys: shard_keys.clone(),
                 shards,
             });
         }
@@ -474,35 +429,19 @@ impl SpEngine {
             ),
             node_id,
             n_nodes,
-            n_shards,
-            owned,
+            ring: RingCtx {
+                ring: Ring::new(n_shards, shard_keys),
+                owned,
+                epoch: 0,
+                outbox: Vec::new(),
+                shard_wire_out: vec![0; n_shards],
+                dict_sync: vec![DictVersions::new(); n_shards],
+            },
             replicas,
             epoch_secs,
-            epoch_index: 0,
             results_emitted: 0,
             lateness_secs: calibration::LATENCY_BOUND_SECS,
-            outbox: Vec::new(),
-            shard_wire_out: vec![0; n_shards],
-            dict_sync: vec![DictVersions::new(); n_shards],
             collected: None,
-        }
-    }
-
-    fn ring_ctx<'a>(
-        owned: &Range<usize>,
-        n_shards: usize,
-        epoch: u64,
-        outbox: &'a mut Vec<(NetPayload, f64)>,
-        shard_wire_out: &'a mut [u64],
-        dict_sync: &'a mut [DictVersions],
-    ) -> RingCtx<'a> {
-        RingCtx {
-            owned: owned.clone(),
-            n_shards,
-            epoch,
-            outbox,
-            shard_wire_out,
-            dict_sync,
         }
     }
 
@@ -512,7 +451,7 @@ impl SpEngine {
     /// or shards are reassigned, mirroring the full-page re-handshake a
     /// delta-aware link performs after losing its peer's mirror state.
     pub fn reset_dict_sync(&mut self) {
-        for link in &mut self.dict_sync {
+        for link in &mut self.ring.dict_sync {
             link.clear();
         }
     }
@@ -524,7 +463,7 @@ impl SpEngine {
 
     /// Width of the fixed virtual-shard ring (cluster-global).
     pub fn n_shards(&self) -> usize {
-        self.n_shards
+        self.ring.ring.n_shards()
     }
 
     /// This node's id within its cluster.
@@ -539,7 +478,7 @@ impl SpEngine {
 
     /// The contiguous ring slice this node owns.
     pub fn owned_shards(&self) -> Range<usize> {
-        self.owned.clone()
+        self.ring.owned.clone()
     }
 
     /// Drain/usage counters for the *owned* shards (in ring order),
@@ -547,7 +486,7 @@ impl SpEngine {
     /// charged at the sender per target shard; see
     /// [`SpEngine::shard_wire_out`].
     pub fn shard_stats(&self) -> Vec<SpShardStat> {
-        let mut stats = vec![SpShardStat::default(); self.owned.len()];
+        let mut stats = vec![SpShardStat::default(); self.ring.owned.len()];
         for replica in &self.replicas {
             for (stat, shard) in stats.iter_mut().zip(&replica.shards) {
                 stat.drained_records += shard.drained_records;
@@ -560,7 +499,7 @@ impl SpEngine {
     /// Wire bytes this node shipped toward each shard of the ring (remote
     /// targets only), `n_shards` wide.
     pub fn shard_wire_out(&self) -> &[u64] {
-        &self.shard_wire_out
+        &self.ring.shard_wire_out
     }
 
     /// Enables retention of result rows for exactness fingerprinting.
@@ -610,7 +549,7 @@ impl SpEngine {
     /// Payloads bound for other nodes, produced since the last take. Each is
     /// paired with the virtual time it was produced.
     pub fn take_outbound(&mut self) -> Vec<(NetPayload, f64)> {
-        std::mem::take(&mut self.outbox)
+        std::mem::take(&mut self.ring.outbox)
     }
 
     /// Delivers a payload that finished its transfer at `arrival_secs`:
@@ -621,14 +560,10 @@ impl SpEngine {
             node,
             node_id,
             replicas,
-            owned,
-            n_shards,
-            epoch_index,
-            outbox,
-            shard_wire_out,
-            dict_sync,
+            ring,
             ..
         } = self;
+        let owned = &ring.owned;
         match payload {
             NetPayload::Records { stage, batch } => {
                 if batch.is_empty() {
@@ -644,14 +579,6 @@ impl SpEngine {
                         kind: ItemKind::Input,
                     });
                 } else {
-                    let mut ring = Self::ring_ctx(
-                        owned,
-                        *n_shards,
-                        *epoch_index,
-                        outbox,
-                        shard_wire_out,
-                        dict_sync,
-                    );
                     route_to_shards(
                         replica,
                         source,
@@ -659,7 +586,7 @@ impl SpEngine {
                         stage - g,
                         arrival_secs,
                         ItemKind::Input,
-                        &mut ring,
+                        ring,
                     );
                 }
             }
@@ -673,15 +600,7 @@ impl SpEngine {
                     // default merge hook ignores it.
                     replica.prefix[stage].merge_state(delta);
                 } else {
-                    let mut ring = Self::ring_ctx(
-                        owned,
-                        *n_shards,
-                        *epoch_index,
-                        outbox,
-                        shard_wire_out,
-                        dict_sync,
-                    );
-                    merge_sharded(replica, source, stage - g, delta, &mut ring);
+                    merge_sharded(replica, source, stage - g, delta, ring);
                 }
             }
             NetPayload::ShardBatch {
@@ -746,7 +665,7 @@ impl SpEngine {
     /// once per epoch before any processing pass.
     pub fn begin_epoch(&mut self) {
         self.node.begin_epoch(self.epoch_secs);
-        self.epoch_index += 1;
+        self.ring.epoch += 1;
     }
 
     /// Processes queued arrivals through the replica prefixes and owned
@@ -761,12 +680,7 @@ impl SpEngine {
         let SpEngine {
             node,
             replicas,
-            owned,
-            n_shards,
-            epoch_index,
-            outbox,
-            shard_wire_out,
-            dict_sync,
+            ring,
             collected,
             results_emitted,
             epoch_secs,
@@ -811,14 +725,6 @@ impl SpEngine {
                         if stage + 1 < g {
                             replica.prefix_queues[stage + 1].push_back(item);
                         } else {
-                            let mut ring = Self::ring_ctx(
-                                owned,
-                                *n_shards,
-                                *epoch_index,
-                                outbox,
-                                shard_wire_out,
-                                dict_sync,
-                            );
                             route_to_shards(
                                 replica,
                                 source,
@@ -826,7 +732,7 @@ impl SpEngine {
                                 0,
                                 item.arrived,
                                 item.kind,
-                                &mut ring,
+                                ring,
                             );
                         }
                     }
@@ -910,12 +816,7 @@ impl SpEngine {
         let arrived = epoch_start_s + self.epoch_secs;
         let SpEngine {
             replicas,
-            owned,
-            n_shards,
-            epoch_index,
-            outbox,
-            shard_wire_out,
-            dict_sync,
+            ring,
             collected,
             results_emitted,
             ..
@@ -939,15 +840,7 @@ impl SpEngine {
                                 kind,
                             });
                         } else {
-                            let mut ring = Self::ring_ctx(
-                                owned,
-                                *n_shards,
-                                *epoch_index,
-                                outbox,
-                                shard_wire_out,
-                                dict_sync,
-                            );
-                            route_to_shards(replica, source, out, 0, arrived, kind, &mut ring);
+                            route_to_shards(replica, source, out, 0, arrived, kind, ring);
                         }
                     }
                 }
@@ -1001,12 +894,7 @@ impl SpEngine {
     pub fn flush_queues(&mut self) {
         let SpEngine {
             replicas,
-            owned,
-            n_shards,
-            epoch_index,
-            outbox,
-            shard_wire_out,
-            dict_sync,
+            ring,
             collected,
             results_emitted,
             ..
@@ -1027,23 +915,7 @@ impl SpEngine {
                                 kind: item.kind,
                             });
                         } else {
-                            let mut ring = Self::ring_ctx(
-                                owned,
-                                *n_shards,
-                                *epoch_index,
-                                outbox,
-                                shard_wire_out,
-                                dict_sync,
-                            );
-                            route_to_shards(
-                                replica,
-                                source,
-                                out,
-                                0,
-                                item.arrived,
-                                item.kind,
-                                &mut ring,
-                            );
+                            route_to_shards(replica, source, out, 0, item.arrived, item.kind, ring);
                         }
                     }
                 }
@@ -1098,7 +970,7 @@ impl SpEngine {
     pub fn finalize(&mut self) {
         self.flush_queues();
         debug_assert!(
-            self.outbox.is_empty(),
+            self.ring.outbox.is_empty(),
             "single-node flush produced outbound"
         );
         self.close_windows();

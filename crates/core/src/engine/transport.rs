@@ -16,27 +16,18 @@
 //! ([`TransportError::VersionMismatch`] — fatal, surfaced to the deployer),
 //! and corruption in transit ([`TransportError::CrcMismatch`] over an IEEE
 //! CRC32 of the body). Vendor-only constraint: no tokio — `std::net`
-//! sockets under a [`Link`] writer that comes in two flavours sharing one
-//! fault-injection schedule and one backpressure shape (a bounded queue
-//! senders block on, like the in-process node channels):
-//!
-//! * **Thread-backed** ([`Link::spawn`]): one OS writer thread per link
-//!   over a blocking socket — the executor (`jarvis-node`) side, where a
-//!   process owns exactly one link.
-//! * **Task-backed** ([`Link::spawn_task`]): the writer is a cooperative
-//!   task on a [`crate::rt`] runtime over a socket with a short send
-//!   timeout ([`WRITE_PROBE`]; see there for why send-timeout rather than
-//!   `O_NONBLOCK`). A full send buffer parks the task on a timer-wheel
-//!   backoff instead of wedging a thread, so one runtime worker drives a
-//!   whole fleet of links — the coordinator side, where links scale with
-//!   the cluster.
-//!
-//! Readers ([`FrameReader`]) stay blocking OS threads in both modes:
-//! links scale with *nodes* (bounded by
-//! [`MAX_SP_SHARDS`](crate::deploy::MAX_SP_SHARDS)), not with the
-//! 10k-source fan-in, and a blocking read parked in the kernel costs
-//! nothing until bytes arrive. The reader also counts received socket
-//! bytes for the `RunReport` wire accounting.
+//! sockets with **one blocking OS thread each way per link**: a [`Link`]
+//! writer thread draining a bounded queue senders block on (the same
+//! backpressure shape as the in-process node channels), with the optional
+//! fault-injection schedule in front of the socket, and a [`FrameReader`]
+//! on the receiving side. Threads, not runtime tasks, on both the
+//! coordinator and the `jarvis-node` side, because links scale with *nodes*
+//! (bounded by [`MAX_SP_SHARDS`](crate::deploy::MAX_SP_SHARDS)), not with
+//! the 10k-source fan-in, and a thread parked in a blocking read or on an
+//! empty queue costs nothing until there is work — whereas a writer task
+//! needs a runtime worker plus a timer thread to poll a full send buffer.
+//! The reader also counts received socket bytes for the `RunReport` wire
+//! accounting.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -50,7 +41,6 @@ use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 
 use crate::fault::{splitmix64, FaultKind, FaultTrigger, LinkFault};
-use crate::rt;
 
 /// Frame magic: "JRVW" little-endian — Jarvis wire.
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"JRVW");
@@ -434,10 +424,8 @@ enum FaultStep {
     Sever,
 }
 
-/// The deterministic per-link fault schedule, shared by the thread- and
-/// task-backed writers so both inject byte-identical faults: each
-/// [`LinkFault`] fires at most once, *before* the frame matching its
-/// trigger is written.
+/// The deterministic per-link fault schedule: each [`LinkFault`] fires at
+/// most once, *before* the frame matching its trigger is written.
 struct FaultSchedule {
     pending: Vec<LinkFault>,
     seed: u64,
@@ -525,113 +513,8 @@ impl LinkShared {
     }
 }
 
-/// Send-side probe timeout for the task writer's socket (`SO_SNDTIMEO`).
-///
-/// Full `O_NONBLOCK` would be wrong here: the paired [`FrameReader`] holds
-/// a `try_clone` of the *same* socket, and the nonblocking flag lives on
-/// the shared file description — flipping it would break the blocking
-/// reader. The send timeout is a distinct, send-only knob: a write against
-/// a full buffer returns `WouldBlock`/`TimedOut` within this bound instead
-/// of wedging the worker, and the task then parks on the timer wheel.
-pub const WRITE_PROBE: Duration = Duration::from_millis(1);
-
-/// First timer-wheel backoff after a full-buffer write; doubles per retry
-/// up to [`WRITE_BACKOFF_MAX`] while the send buffer stays full.
-const WRITE_BACKOFF_MIN: Duration = Duration::from_micros(100);
-
-/// Backoff ceiling for a persistently full send buffer.
-const WRITE_BACKOFF_MAX: Duration = Duration::from_millis(5);
-
-/// Writes `frame` to a probe-timeout socket (see [`WRITE_PROBE`]), parking
-/// the task on the timer wheel (exponential backoff) whenever the send
-/// buffer is full, so a slow peer stalls only this task — a runtime worker
-/// blocks for at most one probe interval per attempt.
-async fn write_all_backoff(
-    stream: &mut TcpStream,
-    frame: &[u8],
-    timer: &rt::TimerWheel,
-) -> io::Result<()> {
-    let mut off = 0;
-    let mut backoff = WRITE_BACKOFF_MIN;
-    while off < frame.len() {
-        match stream.write(&frame[off..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "socket accepted zero bytes",
-                ))
-            }
-            Ok(n) => {
-                off += n;
-                backoff = WRITE_BACKOFF_MIN;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                timer.sleep(backoff).await;
-                backoff = (backoff * 2).min(WRITE_BACKOFF_MAX);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// The task-backed writer loop (see [`Link::spawn_task`]). Mirrors the
-/// thread writer frame for frame: same fault schedule, same
-/// drain-and-discard behaviour once the socket is dead.
-async fn task_writer(
-    mut rx: rt::chan::Receiver<Bytes>,
-    mut stream: TcpStream,
-    timer: Arc<rt::TimerWheel>,
-    mut sched: FaultSchedule,
-    shared: LinkShared,
-) {
-    let mut dead = false;
-    while let Some(frame) = rx.recv().await {
-        if dead {
-            continue;
-        }
-        let frame = match sched.step(frame) {
-            FaultStep::Write(f) => f,
-            FaultStep::DelayThenWrite(ms, f) => {
-                timer.sleep(Duration::from_millis(ms)).await;
-                f
-            }
-            FaultStep::Discard => continue,
-            FaultStep::Sever => {
-                shared.sever(&stream);
-                dead = true;
-                continue;
-            }
-        };
-        if let Err(e) = write_all_backoff(&mut stream, &frame, &timer).await {
-            shared.fail(TransportError::Io(e.to_string()));
-            dead = true;
-            continue;
-        }
-        shared.sent.fetch_add(frame.len() as u64, Ordering::Relaxed);
-    }
-    let _ = stream.flush();
-}
-
-/// The sending half of a [`Link`]: a bounded queue in either flavour.
-enum LinkTx {
-    Thread(Sender<Bytes>),
-    Task(rt::chan::Sender<Bytes>),
-}
-
-/// The writer behind a [`Link`], joined on close.
-enum LinkWriter {
-    Thread(JoinHandle<()>),
-    Task(rt::JoinHandle<()>),
-}
-
 /// The writing half of one peer link: a bounded queue drained by a
-/// dedicated writer — an OS thread over a blocking socket
-/// ([`Link::spawn`]) or a cooperative task over a nonblocking one
-/// ([`Link::spawn_task`]).
+/// dedicated writer thread over a blocking socket.
 ///
 /// Senders block when the queue is full — the same backpressure shape as
 /// the in-process bounded node channels. If the socket dies mid-run the
@@ -639,9 +522,9 @@ enum LinkWriter {
 /// deadlock against a dead peer) and raises the broken flag; the failure
 /// surfaces as a typed error when the coordinator collects results.
 pub struct Link {
-    tx: Option<LinkTx>,
+    tx: Option<Sender<Bytes>>,
     shared: LinkShared,
-    writer: Option<LinkWriter>,
+    writer: Option<JoinHandle<()>>,
 }
 
 impl Link {
@@ -694,42 +577,9 @@ impl Link {
             let _ = stream.flush();
         });
         Link {
-            tx: Some(LinkTx::Thread(tx)),
+            tx: Some(tx),
             shared,
-            writer: Some(LinkWriter::Thread(writer)),
-        }
-    }
-
-    /// Spawns the writer as a cooperative task on `handle`, over a socket
-    /// whose sends are bounded by [`WRITE_PROBE`]: a full send buffer
-    /// parks the task on the timer wheel instead of wedging a thread, so
-    /// one runtime worker can drive every link of a cluster. Fault
-    /// semantics are identical to [`Link::spawn_with_faults`] (`Delay`
-    /// sleeps on the wheel). Falls back to the thread-backed writer if
-    /// the socket rejects the send timeout.
-    pub fn spawn_task(
-        handle: &rt::Handle,
-        timer: &Arc<rt::TimerWheel>,
-        stream: TcpStream,
-        faults: Vec<LinkFault>,
-        seed: u64,
-    ) -> Link {
-        if stream.set_write_timeout(Some(WRITE_PROBE)).is_err() {
-            return Link::spawn_with_faults(stream, faults, seed);
-        }
-        let (tx, rx) = rt::chan::bounded::<Bytes>(LINK_QUEUE);
-        let shared = LinkShared::new();
-        let writer = handle.spawn(task_writer(
-            rx,
-            stream,
-            Arc::clone(timer),
-            FaultSchedule::new(faults, seed),
-            shared.clone(),
-        ));
-        Link {
-            tx: Some(LinkTx::Task(tx)),
-            shared,
-            writer: Some(LinkWriter::Task(writer)),
+            writer: Some(writer),
         }
     }
 
@@ -744,18 +594,7 @@ impl Link {
     /// Queues an already-encoded frame (see [`Link::send`]).
     pub fn send_raw(&self, frame: Bytes) -> u64 {
         let len = frame.len() as u64;
-        match self.tx.as_ref().expect("link open") {
-            LinkTx::Thread(tx) => {
-                let _ = tx.send(frame);
-            }
-            // Blocking bridge for sync callers: parks this thread (or, on
-            // a dispatcher task, this worker — backpressure, exactly like
-            // the thread writer's bounded queue) until the writer task
-            // frees capacity on its own runtime.
-            LinkTx::Task(tx) => {
-                let _ = rt::block_on(tx.send(frame));
-            }
-        }
+        let _ = self.tx.as_ref().expect("link open").send(frame);
         len
     }
 
@@ -779,14 +618,8 @@ impl Link {
     /// Closes the queue and joins the writer after it flushes.
     pub fn close(&mut self) {
         drop(self.tx.take());
-        match self.writer.take() {
-            Some(LinkWriter::Thread(handle)) => {
-                let _ = handle.join();
-            }
-            Some(LinkWriter::Task(handle)) => {
-                handle.join();
-            }
-            None => {}
+        if let Some(handle) = self.writer.take() {
+            let _ = handle.join();
         }
     }
 }
@@ -988,91 +821,6 @@ mod tests {
         assert!(
             matches!(err, TransportError::CrcMismatch { .. }),
             "a flipped body byte is always CRC-caught, got {err:?}"
-        );
-    }
-
-    #[test]
-    fn task_link_ships_frames_over_a_real_socket() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let reader_thread = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = FrameReader::new(stream);
-            let mut got = Vec::new();
-            loop {
-                match reader.read_frame() {
-                    Ok((kind, body)) => got.push((kind, body)),
-                    Err(TransportError::Closed) => break,
-                    Err(e) => panic!("unexpected transport error: {e}"),
-                }
-            }
-            (got, reader.bytes_received())
-        });
-        let runtime = rt::Runtime::new(1);
-        let timer = Arc::new(rt::TimerWheel::new());
-        let mut link = Link::spawn_task(
-            &runtime.handle(),
-            &timer,
-            TcpStream::connect(addr).unwrap(),
-            Vec::new(),
-            0,
-        );
-        let mut queued = 0;
-        // Bodies larger than the frames of the thread-mode test, so a few
-        // sends exercise the partial-write/backoff path too.
-        for i in 0..10u8 {
-            queued += link.send(FrameKind::Shard, &[i; 4096]);
-        }
-        queued += link.send(FrameKind::Done, b"");
-        link.close();
-        assert!(!link.is_broken());
-        assert_eq!(link.bytes_sent(), queued);
-        let (got, received) = reader_thread.join().unwrap();
-        assert_eq!(got.len(), 11);
-        assert_eq!(received, queued, "RX accounting sees every wire byte");
-        assert_eq!(got[7].0, FrameKind::Shard);
-        assert_eq!(&got[7].1[..], &[7u8; 4096][..]);
-        assert_eq!(got[10].0, FrameKind::Done);
-    }
-
-    #[test]
-    fn task_link_faults_match_the_thread_writer() {
-        // The same drop + sever schedule as the thread-mode test must
-        // produce the same wire outcome from the task-backed writer.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let reader_thread = faulty_reader_thread(listener);
-        let faults = vec![
-            LinkFault {
-                trigger: FaultTrigger::Frame(1),
-                kind: FaultKind::Drop,
-            },
-            LinkFault {
-                trigger: FaultTrigger::EpochEnd(0),
-                kind: FaultKind::Sever,
-            },
-        ];
-        let runtime = rt::Runtime::new(1);
-        let timer = Arc::new(rt::TimerWheel::new());
-        let mut link = Link::spawn_task(
-            &runtime.handle(),
-            &timer,
-            TcpStream::connect(addr).unwrap(),
-            faults,
-            7,
-        );
-        for i in 0..4u8 {
-            link.send(FrameKind::Shard, &[i; 8]);
-        }
-        link.send(FrameKind::EpochEnd, &0u64.to_le_bytes());
-        link.close();
-        let (ok, err) = reader_thread.join().unwrap();
-        assert_eq!(ok, vec![(FrameKind::Shard, 8); 3]);
-        assert_eq!(err, TransportError::Closed);
-        assert!(link.is_broken(), "sever raises the broken flag");
-        assert!(
-            matches!(link.error(), Some(TransportError::Io(ref m)) if m.contains("severed")),
-            "sever records a typed error"
         );
     }
 

@@ -31,7 +31,7 @@
 //! * [`fault`] — deterministic fault injection driving the §IV-E recovery
 //!   parity suites and the chaos-proxy CI job.
 //! * [`rt`] — the cooperative task runtime (work-stealing executor,
-//!   bounded async channels, timer wheel) the live session schedules its
+//!   bounded async channels) the live session schedules its
 //!   source / dispatcher / node tasks on.
 //! * [`live`] — the task-runtime live session running the same pipelines
 //!   under real concurrency (one task per source, 10k sources on

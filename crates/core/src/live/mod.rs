@@ -1,247 +1,15 @@
-//! A threaded "live" runtime, batch-first.
+//! The live runtime: the *same* pipeline code as the emulator (`engine`),
+//! under real concurrency.
 //!
-//! The emulator (`engine`) gives deterministic, calibrated results; this
-//! module runs the *same* pipeline code under real concurrency, mirroring the
-//! paper's MiNiFi-agent → NiFi deployment: one thread per data source runs
-//! the source pipeline and control proxies, a stream-processor thread runs
-//! the replica pipelines and state merging, and bounded crossbeam channels
-//! carry drained batches / state deltas (providing natural backpressure).
-//!
-//! It exists to validate that partitioned execution is *exact* — merged
-//! results equal an unpartitioned run — under real interleavings; the
-//! epoch-driven, multi-node variant behind `BackendKind::Live` lives in
-//! [`session::LiveSession`].
+//! [`session::LiveSession`] is the one live execution path — fixed and
+//! adaptive strategies, one to thousands of sources, in-process or TCP SP
+//! tier — and the backend behind `BackendKind::Live`. `host` is the
+//! single shard host both SP tiers drive (in-process node tasks here, the
+//! `jarvis-node` serve loop in [`crate::node`]); `remote` is the
+//! coordinator side of the TCP tier.
 
+pub(crate) mod host;
 pub(crate) mod remote;
 pub mod session;
 
 pub use session::{LiveOutcome, LiveSession};
-
-use std::thread;
-
-use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
-use streamkit::batch::Batch;
-use streamkit::ops::AggRole;
-use streamkit::physical::{build_pipeline, CostProfile};
-use streamkit::record::Record;
-use streamkit::time::Ts;
-
-use crate::planner::PlannedQuery;
-use crate::proxy::ControlProxy;
-
-/// Messages from a source worker to the SP worker.
-enum LiveMsg {
-    /// A batch drained in front of source-side operator `stage`.
-    Drained { stage: usize, batch: Batch },
-    /// Partial state from the source-side stateful operator at `stage`.
-    State {
-        stage: usize,
-        delta: streamkit::ops::StatePartial,
-    },
-    /// Source finished; final event-time watermark.
-    Eof { watermark: Ts },
-}
-
-/// Result of a live run.
-#[derive(Debug, Clone)]
-pub struct LiveReport {
-    /// Result rows emitted by the SP-side final operators.
-    pub results: Vec<Record>,
-    /// Rows drained over the channel.
-    pub drained_records: usize,
-    /// State deltas shipped.
-    pub state_deltas: usize,
-}
-
-/// Rows per drained channel message, to exercise backpressure.
-const DRAIN_CHUNK: usize = 128;
-
-/// Sends a drained batch in bounded chunks.
-fn send_chunked(tx: &Sender<LiveMsg>, stage: usize, batch: Batch) {
-    for chunk in batch.chunks(DRAIN_CHUNK) {
-        tx.send(LiveMsg::Drained {
-            stage,
-            batch: chunk,
-        })
-        .expect("SP worker alive");
-    }
-}
-
-/// Runs `records` through a partitioned deployment with fixed `load_factors`
-/// on `threads` source workers (records are partitioned round-robin), and
-/// returns the merged SP results.
-pub fn run_partitioned(
-    planned: &PlannedQuery,
-    costs: &CostProfile,
-    records: Vec<Record>,
-    load_factors: &[f64],
-    threads: usize,
-) -> LiveReport {
-    assert!(threads >= 1, "at least one source thread");
-    let m = planned.source_ops;
-    assert_eq!(load_factors.len(), m, "one load factor per source op");
-    let schemas = planned.plan.edge_schemas().expect("validated plan");
-
-    let (tx, rx): (Sender<LiveMsg>, Receiver<LiveMsg>) = bounded(256);
-    let results = Mutex::new(Vec::new());
-    let mut drained_records = 0usize;
-    let mut state_deltas = 0usize;
-
-    // Partition input round-robin across source workers.
-    let mut partitions: Vec<Vec<Record>> = (0..threads).map(|_| Vec::new()).collect();
-    // The stream has ended: the final watermark closes every window.
-    let max_ts = streamkit::time::TS_MAX;
-    for (i, rec) in records.into_iter().enumerate() {
-        partitions[i % threads].push(rec);
-    }
-
-    thread::scope(|scope| {
-        // Source workers.
-        for part in partitions {
-            let tx = tx.clone();
-            let lf = load_factors.to_vec();
-            let schema0 = schemas[0].clone();
-            scope.spawn(move || {
-                let mut ops =
-                    build_pipeline(&planned.plan, costs, AggRole::Partial).expect("validated plan");
-                ops.truncate(m);
-                let mut proxies: Vec<ControlProxy> = lf
-                    .iter()
-                    .map(|&p| ControlProxy::new(p, 0.05, 0.25))
-                    .collect();
-                let input = Batch::from_records(schema0, &part).expect("generator rows");
-                let mut batches = vec![input];
-                for i in 0..m {
-                    let mut next: Vec<Batch> = Vec::new();
-                    for batch in batches.drain(..) {
-                        let (fwd, drained) = proxies[i].split_batch(batch);
-                        if let Some(drained) = drained {
-                            send_chunked(&tx, i, drained);
-                        }
-                        if let Some(fwd) = fwd {
-                            ops[i].process_batch(fwd, &mut next);
-                        }
-                    }
-                    batches = next;
-                }
-                // Rows that passed the whole local prefix continue at SP
-                // stage m.
-                for batch in batches {
-                    send_chunked(&tx, m, batch);
-                }
-                for (stage, op) in ops.iter_mut().enumerate() {
-                    if let Some(delta) = op.take_state_delta() {
-                        tx.send(LiveMsg::State { stage, delta }).unwrap();
-                    }
-                }
-                tx.send(LiveMsg::Eof { watermark: max_ts }).unwrap();
-            });
-        }
-        drop(tx);
-
-        // SP worker.
-        let results = &results;
-        let drained = &mut drained_records;
-        let deltas = &mut state_deltas;
-        scope.spawn(move || {
-            let mut stages =
-                build_pipeline(&planned.plan, costs, AggRole::Final).expect("validated plan");
-            let n = stages.len();
-            let mut eofs = 0;
-            let mut final_wm = 0;
-            let mut collected = Vec::new();
-            while let Ok(msg) = rx.recv() {
-                match msg {
-                    LiveMsg::Drained { stage, batch } => {
-                        *drained += batch.len();
-                        let mut batches = vec![batch];
-                        for op in stages.iter_mut().take(n).skip(stage) {
-                            let mut next = Vec::new();
-                            for b in batches.drain(..) {
-                                op.process_batch(b, &mut next);
-                            }
-                            batches = next;
-                        }
-                        for b in batches {
-                            collected.extend(b.to_records());
-                        }
-                    }
-                    LiveMsg::State { stage, delta } => {
-                        *deltas += 1;
-                        stages[stage].merge_state(delta);
-                    }
-                    LiveMsg::Eof { watermark } => {
-                        eofs += 1;
-                        final_wm = final_wm.max(watermark);
-                    }
-                }
-            }
-            let _ = eofs;
-            // All sources done: close windows (the shared backend flush).
-            collected.extend(streamkit::physical::drain_windows_rows(
-                &mut stages,
-                final_wm,
-            ));
-            results.lock().extend(collected);
-        });
-    });
-
-    LiveReport {
-        results: results.into_inner(),
-        drained_records,
-        state_deltas,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::calibration;
-    use crate::planner::{plan_query, RuleConfig};
-    use telemetry::pingmesh::{PingmeshConfig, PingmeshGenerator};
-
-    fn workload(epochs: u64) -> Vec<Record> {
-        let mut g = PingmeshGenerator::new(PingmeshConfig::default());
-        let mut out = Vec::new();
-        for e in 0..epochs {
-            out.extend(g.generate_epoch(e as i64 * 1_000_000, 1.0));
-        }
-        out
-    }
-
-    fn sorted_rows(mut rows: Vec<Record>) -> Vec<Record> {
-        rows.sort_by_key(|r| format!("{:?}", r.values));
-        rows
-    }
-
-    #[test]
-    fn partitioned_results_equal_unpartitioned() {
-        let planned = plan_query(telemetry::queries::s2s_probe(), &RuleConfig::default()).unwrap();
-        let costs = calibration::s2s_cost_profile();
-        let records = workload(12);
-
-        // Reference: everything drained to the SP (p = 0 everywhere).
-        let reference = run_partitioned(&planned, &costs, records.clone(), &[0.0, 0.0, 0.0], 1);
-        // Partitioned: a fractional split across two worker threads.
-        let split = run_partitioned(&planned, &costs, records, &[1.0, 0.7, 0.4], 2);
-
-        assert_eq!(
-            sorted_rows(reference.results),
-            sorted_rows(split.results),
-            "data-level partitioning must be lossless and exact"
-        );
-        assert!(split.state_deltas > 0, "partial state must flow");
-        assert!(split.drained_records < reference.drained_records);
-    }
-
-    #[test]
-    fn all_local_ships_only_state() {
-        let planned = plan_query(telemetry::queries::s2s_probe(), &RuleConfig::default()).unwrap();
-        let costs = calibration::s2s_cost_profile();
-        let report = run_partitioned(&planned, &costs, workload(4), &[1.0, 1.0, 1.0], 1);
-        assert_eq!(report.drained_records, 0);
-        assert!(report.state_deltas > 0);
-        assert!(!report.results.is_empty());
-    }
-}

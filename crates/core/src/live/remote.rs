@@ -69,14 +69,13 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
-use streamkit::batch::DictVersions;
-use streamkit::record::Record;
+use streamkit::batch::{Batch, DictVersions};
 use streamkit::schema::SchemaRef;
 use streamkit::shard::node_of_shard;
 
 use crate::deploy::remote::{
     from_body, to_body, Admit, AdoptMsg, AdoptShard, CheckpointAck, NodeSpec, NodeStatsMsg,
-    Progress, Register, Reject, RemoteWorkload,
+    Progress, Register, Reject, RemoteWorkload, ShardCounters,
 };
 use crate::deploy::{DeployError, DeploymentSpec, FaultIncident, OnNodeLoss};
 use crate::engine::netwire::{encode_shard_payload, encode_shard_payload_with, peek_envelope};
@@ -251,11 +250,10 @@ impl Drop for Acceptor {
 
 /// Everything the session needs from the remote tier after `finish`.
 pub(crate) struct RemoteFinish {
-    /// Merged result rows from every node (order-independent digest).
-    pub results: Vec<Record>,
-    /// Final per-shard accounting, one message per node, node order
-    /// (synthesized from the last checkpoint for degraded nodes).
-    pub stats: Vec<NodeStatsMsg>,
+    /// Per node, node order: final per-shard accounting (synthesized from
+    /// the last checkpoint for degraded nodes) and the result batches the
+    /// node streamed back.
+    pub nodes: Vec<(Vec<ShardCounters>, Vec<Batch>)>,
     /// Actual socket traffic per node link, TX + RX bytes, summed across
     /// reconnects.
     pub node_wire_bytes: Vec<u64>,
@@ -296,14 +294,6 @@ pub(crate) struct RemoteCluster {
     /// Blocking acceptor thread owning the listener; held for its drop
     /// guard only (stops and joins the thread, releasing the port).
     _acceptor: Acceptor,
-    /// Single-worker runtime driving every link's writer task: one thread
-    /// for the whole fleet instead of one writer thread per node.
-    /// Declared after `links` so links close (joining their tasks) while
-    /// the workers are still alive.
-    link_rt: crate::rt::Runtime,
-    /// Timer wheel backing the writer tasks' send-buffer backoff and
-    /// `Delay` fault sleeps.
-    link_timer: Arc<crate::rt::TimerWheel>,
     /// Epochs announced via `epoch_end`.
     epochs_sent: u64,
     /// Highest epoch acked per node (max across duplicates — recovery
@@ -333,7 +323,7 @@ pub(crate) struct RemoteCluster {
     /// bodies stored verbatim (schema-free).
     ckpt_state: BTreeMap<(u32, u32, u32), Bytes>,
     /// Counters frozen at each shard's last committed checkpoint.
-    ckpt_counters: BTreeMap<u32, ShardCountersEntry>,
+    ckpt_counters: BTreeMap<u32, ShardCounters>,
     /// `Ckpt` frames received but not yet committed by a `Progress` ack.
     staged: Vec<Vec<Bytes>>,
     /// Epochs covered (acked) per degraded shard, frozen at loss.
@@ -358,9 +348,6 @@ pub(crate) struct RemoteCluster {
     sources: u32,
     final_schema: SchemaRef,
 }
-
-/// Alias keeping the checkpoint-counter map readable.
-type ShardCountersEntry = crate::deploy::remote::ShardCounters;
 
 impl RemoteCluster {
     /// Binds the listen endpoint, admits `n_nodes` registrations, pushes
@@ -456,14 +443,10 @@ impl RemoteCluster {
             }
         }
 
-        // Every slot is filled: spawn the writer links and reader threads.
-        // Writers are cooperative tasks on a dedicated single-worker
-        // runtime (one thread drives the whole fleet's sends over
-        // nonblocking sockets); readers stay blocking OS threads. The
-        // chaos plan (if any) arms the original links only; reconnected
-        // links are clean — a planned fault fires once.
-        let link_rt = crate::rt::Runtime::new(1);
-        let link_timer = Arc::new(crate::rt::TimerWheel::new());
+        // Every slot is filled: spawn the writer links and reader threads
+        // (one blocking thread each way per link; links scale with nodes,
+        // not sources). The chaos plan (if any) arms the original links
+        // only; reconnected links are clean — a planned fault fires once.
         let (ev_tx, events) = bounded::<NodeEvent>(EVENT_QUEUE);
         let mut links = Vec::with_capacity(n_nodes);
         let mut streams = Vec::with_capacity(n_nodes);
@@ -488,13 +471,7 @@ impl RemoteCluster {
                 .map(|p| p.faults_for(id as u32))
                 .unwrap_or_default();
             let seed = spec.fault_plan.as_ref().map_or(0, |p| p.seed);
-            links.push(Some(Link::spawn_task(
-                &link_rt.handle(),
-                &link_timer,
-                node.stream,
-                faults,
-                seed,
-            )));
+            links.push(Some(Link::spawn_with_faults(node.stream, faults, seed)));
             readers.push(Some(spawn_reader(node.reader, id as u32, 0, ev_tx.clone())));
         }
 
@@ -512,8 +489,6 @@ impl RemoteCluster {
             ev_tx,
             accepts: Mutex::new(accepts),
             _acceptor: acceptor,
-            link_rt,
-            link_timer,
             epochs_sent: 0,
             acked_epoch: vec![None; n_nodes],
             alive: vec![true; n_nodes],
@@ -1024,13 +999,7 @@ impl RemoteCluster {
         // traffic is self-contained and needs no mirror state).
         self.dict_sync[node].lock().clear();
         self.streams[node] = Some(shutdown);
-        self.links[node] = Some(Link::spawn_task(
-            &self.link_rt.handle(),
-            &self.link_timer,
-            stream,
-            Vec::new(),
-            0,
-        ));
+        self.links[node] = Some(Link::spawn(stream));
         self.readers[node] = Some(spawn_reader(reader, node as u32, gen, self.ev_tx.clone()));
         self.alive[node] = true;
         self.acked_epoch[node] = None;
@@ -1117,7 +1086,7 @@ impl RemoteCluster {
         // Results are kept per node so a node lost mid-collection can have
         // its partial rows discarded and re-collected (reconnect) or
         // dropped (degrade) without double-counting.
-        let mut results_per_node: Vec<Vec<Record>> = vec![Vec::new(); n];
+        let mut results_per_node: Vec<Vec<Batch>> = vec![Vec::new(); n];
         let deadline = Instant::now() + self.node_timeout;
         self.reset_liveness();
         // Collection is event-driven like `await_acks`, with a periodic
@@ -1179,7 +1148,7 @@ impl RemoteCluster {
                                         node,
                                         reason: format!("results frame undecodable: {e}"),
                                     })?;
-                            results_per_node[i].extend(batch.to_records());
+                            results_per_node[i].push(batch);
                         }
                         FrameKind::NodeStats => {
                             let msg: NodeStatsMsg = from_body(&body)
@@ -1246,20 +1215,22 @@ impl RemoteCluster {
             }
         }
 
-        let stats = stats
+        let nodes = stats
             .into_iter()
+            .zip(results_per_node)
             .enumerate()
-            .map(|(i, slot)| match slot {
-                Some(msg) => msg,
-                // Degraded (or reassigned-away) nodes report nothing; their
-                // last checkpointed counters stand in for the lost shards.
-                None => NodeStatsMsg {
-                    node_id: i as u32,
-                    shards: self.degraded_from[i]
+            .map(|(i, (slot, batches))| {
+                let counters = match slot {
+                    Some(msg) => msg.shards,
+                    // Degraded (or reassigned-away) nodes report nothing;
+                    // their last checkpointed counters stand in for the
+                    // lost shards.
+                    None => self.degraded_from[i]
                         .iter()
                         .filter_map(|s| self.ckpt_counters.get(s).cloned())
                         .collect(),
-                },
+                };
+                (counters, batches)
             })
             .collect();
 
@@ -1282,8 +1253,7 @@ impl RemoteCluster {
             })
             .collect();
         Ok(RemoteFinish {
-            results: results_per_node.into_iter().flatten().collect(),
-            stats,
+            nodes,
             node_wire_bytes,
             incidents: std::mem::take(&mut self.incidents),
             replay_bytes: self.replay_bytes,

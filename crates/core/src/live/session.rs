@@ -1,14 +1,14 @@
 //! An epoch-driven live session: task-scheduled, batch-first, key-sharded,
 //! multi-node execution under runtime control.
 //!
-//! [`run_partitioned`](crate::live::run_partitioned) runs one batch under
-//! *fixed* load factors. [`LiveSession`] lifts that limitation: it keeps one
-//! source worker per data source alive across epochs, and at every epoch
-//! boundary drives each source's [`JarvisRuntime`] state machine (Startup →
-//! Probe → Profile → Adapt) exactly like the emulated engine does — so
-//! adaptive strategies converge over a *really concurrent* execution while
-//! partitioned results stay exact. Sources generate columnar [`Batch`]es
-//! and the channels carry batches end-to-end.
+//! [`LiveSession`] keeps one source worker per data source alive across
+//! epochs, and at every epoch boundary drives each source's
+//! [`JarvisRuntime`] state machine (Startup → Probe → Profile → Adapt)
+//! exactly like the emulated engine does — so adaptive strategies converge
+//! over a *really concurrent* execution while partitioned results stay
+//! exact (fixed strategies with pinned load factors run through the same
+//! session). Sources generate columnar [`Batch`]es and the channels carry
+//! batches end-to-end.
 //!
 //! Concurrency comes from the [`crate::rt`] cooperative task runtime, not
 //! OS threads: every epoch spawns one **task** per source, one dispatcher
@@ -23,35 +23,34 @@
 //! ever shared between tasks.
 //!
 //! The SP side is a **dispatcher + node pool**: the dispatcher task runs each
-//! replica's stateless prefix, partitions every boundary batch over the
-//! fixed ring of `sp_shards` virtual shards
-//! ([`Batch::shard_by_key`]), and dispatches each sub-batch to the SP node
-//! owning its shard ([`node_of_shard`]) over that node's bounded channel —
-//! a channel that emulates a network link: payloads whose owner is not the
-//! source's ingress node cross it as **serialized**
+//! replica's stateless prefix, asks the [`Ring`] which of the `sp_shards`
+//! virtual shards each boundary batch's rows belong to, and dispatches each
+//! sub-batch to the SP node owning its shard ([`node_of_shard`]) over that
+//! node's bounded channel — a channel that emulates a network link: payloads
+//! whose owner is not the source's ingress node cross it as **serialized**
 //! [`NetPayload::ShardBatch`] / [`NetPayload::ShardState`] bytes
-//! ([`netwire`](crate::engine::netwire)), decoded on the node's worker
-//! task, so a remote shard pipeline is reachable through its wire form
-//! alone (location transparency); ingress-local traffic skips the codec,
-//! exactly like PR 4's single-node path. Shipped [`StatePartial`] entries split by the
-//! shard owning their key ([`shard_of_values`]) the same way, so a group's
-//! whole lifetime happens on one shard and merged results are bit-identical
-//! at any shard *and node* count (`tests/shard_parity.rs`,
-//! `tests/node_parity.rs`).
+//! ([`netwire`](crate::engine::netwire)), decoded by the node's
+//! `ShardHost`, so a remote shard pipeline is reachable through its wire
+//! form alone (location transparency); ingress-local traffic skips the
+//! codec. Shipped [`StatePartial`] entries split by the shard owning their
+//! key through the same `Ring`, so a group's whole lifetime happens on one
+//! shard and merged results are bit-identical at any shard *and node* count
+//! (`tests/shard_parity.rs`, `tests/node_parity.rs`). Each in-process node
+//! is a `ShardHost` — the same type `jarvis-node` serves behind a TCP
+//! link — so this module only decides *where* a payload goes.
 //!
 //! **Windows close on the epoch watermark.** An epoch is a barrier: by the
 //! time a node task has drained its channel, every source and the
 //! dispatcher have finished the epoch, so every row and state delta stamped
 //! before the epoch's end is in. As its last step of the epoch each node
 //! task therefore advances event time to the epoch's end
-//! (`ShardSet::advance` = [`drain_windows`] per pipeline) with **zero
-//! allowed lateness** — there is no knob, because nothing can be late
-//! (the emulated engine, whose drained records ride a modelled network,
-//! keeps `LATENCY_BOUND_SECS` instead). Windows the watermark closes leave
-//! operator state as result batches, cascade down their shard's suffix and
-//! accumulate columnar in `ShardSet::collected`; they become [`Record`]s
-//! once, in [`LiveSession::try_finish`], which has only the last window
-//! left to drain. Live operator state is thus bounded by the windows still
+//! (`ShardHost::advance`) with **zero allowed lateness** — there is no
+//! knob, because nothing can be late (the emulated engine, whose drained
+//! records ride a modelled network, keeps `LATENCY_BOUND_SECS` instead).
+//! Windows the watermark closes leave operator state as result batches,
+//! cascade down their shard's suffix and accumulate columnar in the host;
+//! they become [`Record`]s once, in [`LiveSession::try_finish`], which has
+//! only the last window left to drain. Live operator state is thus bounded by the windows still
 //! open — [`LiveSession::open_groups`], [`LiveOutcome::peak_open_groups`] —
 //! not by how long the session has run.
 //!
@@ -72,23 +71,21 @@
 //! pipeline fed with the epoch's batch — reproducing the paper's
 //! profile-on-a-sample bias — without disturbing live operator state.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use streamkit::batch::{Batch, DictRegistry, DictVersions};
-use streamkit::ops::{AggRole, GroupPartialEntry, Operator, StatePartial};
-use streamkit::physical::{build_pipeline, drain_windows};
+use streamkit::batch::{Batch, DictVersions};
+use streamkit::ops::{AggRole, Operator, StatePartial};
+use streamkit::physical::build_pipeline;
 use streamkit::record::Record;
-use streamkit::schema::SchemaRef;
-use streamkit::shard::{node_of_shard, shard_of_values, shards_of_node};
-use streamkit::time::{Ts, TS_MAX};
+use streamkit::shard::{node_of_shard, shards_of_node, Ring};
 
 use crate::calibration;
 use crate::deploy::{DeployError, DeploymentSpec, FaultIncident, TransportKind};
 use crate::engine::block::EpochSource;
-use crate::engine::netwire::{decode_shard_payload_with, encode_shard_payload_with};
+use crate::engine::netwire::encode_shard_payload_with;
 use crate::engine::NetPayload;
+use crate::live::host::{epoch_end_watermark, HostError, ShardHost};
 use crate::live::remote::RemoteCluster;
 use crate::planner::PlannedQuery;
 use crate::proxy::{ControlProxy, QueryState};
@@ -136,174 +133,14 @@ struct Worker {
     profile: Option<ProfileEstimates>,
 }
 
-/// Result batches smaller than this are appended to their predecessor in
-/// [`ShardSet::collected`], so thousands of pipelines closing a window of a
-/// few groups each do not leave thousands of few-row batches behind.
-const COLLECT_ROWS: usize = 4096;
-
-/// One virtual shard's pipelines: a keyed chain per source plus the shard's
-/// accumulated results and counters. Shared with the remote executor
-/// ([`crate::node`]), which hosts the same sets behind a TCP link.
-pub(crate) struct ShardSet {
-    /// `pipelines[source]` = the chain from the stateful boundary down.
-    pub(crate) pipelines: Vec<Vec<Box<dyn Operator>>>,
-    /// Rows that traversed a full chain on this shard, columnar (result
-    /// rows of closed windows accumulate here for the whole run).
-    pub(crate) collected: Vec<Batch>,
-    /// Input rows routed into this shard.
-    pub(crate) drained_records: u64,
-    /// Counterfactual compute charged to this shard, µs.
-    pub(crate) usage_us: f64,
-}
-
-impl ShardSet {
-    /// A zero-counter set over freshly built pipelines.
-    pub(crate) fn new(pipelines: Vec<Vec<Box<dyn Operator>>>) -> ShardSet {
-        ShardSet {
-            pipelines,
-            collected: Vec::new(),
-            drained_records: 0,
-            usage_us: 0.0,
-        }
-    }
-
-    /// Runs a batch through the pipeline suffix starting at `rel`, charging
-    /// the shard's counterfactual budget from the calibrated cost model.
-    pub(crate) fn process(&mut self, source: usize, rel: usize, batch: Batch) {
-        let ops = &mut self.pipelines[source];
-        if rel >= ops.len() {
-            collect(&mut self.collected, batch);
-            return;
-        }
-        self.drained_records += batch.len() as u64;
-        let mut batches = vec![batch];
-        let n = ops.len();
-        for op in ops.iter_mut().take(n).skip(rel) {
-            let mut next = Vec::new();
-            for b in batches.drain(..) {
-                self.usage_us += op.cost_us() * b.len() as f64;
-                op.process_batch(b, &mut next);
-            }
-            batches = next;
-        }
-        for b in batches {
-            collect(&mut self.collected, b);
-        }
-    }
-
-    /// Advances event time to `wm` on every pipeline: windows the watermark
-    /// closes leave operator state, cascade down the rest of their chain
-    /// ([`drain_windows`]) and land in `collected`. Called at every epoch
-    /// barrier with the epoch's end — every task of the epoch has been
-    /// joined (or, on a remote node, every frame of the epoch precedes its
-    /// `EpochEnd` on the link), so nothing older than `wm` is still in
-    /// flight and the allowed lateness is zero — and with `TS_MAX` at the
-    /// end of the run.
-    pub(crate) fn advance(&mut self, wm: Ts) {
-        for pipeline in &mut self.pipelines {
-            for batch in drain_windows(pipeline, wm) {
-                collect(&mut self.collected, batch);
-            }
-        }
-    }
-
-    /// Groups held in open windows across the shard's stateful operators.
-    pub(crate) fn open_groups(&self) -> usize {
-        self.pipelines
-            .iter()
-            .flatten()
-            .filter(|op| op.is_stateful())
-            .map(|op| op.state_size())
-            .sum()
-    }
-}
-
-/// Adds a batch that left a chain to the collected results, coalescing
-/// small batches (see [`COLLECT_ROWS`]).
-fn collect(collected: &mut Vec<Batch>, batch: Batch) {
-    if batch.is_empty() {
-        return;
-    }
-    match collected.last_mut() {
-        Some(last) if last.len() + batch.len() <= COLLECT_ROWS => last.append(&batch),
-        _ => collected.push(batch),
-    }
-}
-
-/// The event-time watermark at the end of `epoch`: the barrier that closes
-/// it has seen every row and state delta stamped before this instant.
-pub(crate) fn epoch_end_watermark(epoch: u64) -> Ts {
-    ((epoch + 1) as f64 * calibration::EPOCH_SECS * 1e6) as Ts
-}
-
-/// One SP node of the pool: a contiguous ring slice of shard sets, owned by
-/// exactly one worker thread per epoch.
-struct NodeSet {
-    /// Index in the pool.
-    id: u32,
-    /// The contiguous ring slice this node owns.
-    owned: Range<usize>,
-    /// One [`ShardSet`] per owned shard, indexed by `shard - owned.start`.
-    sets: Vec<ShardSet>,
-    /// Receiver-side mirrors of the dispatcher's persistent dictionaries,
-    /// keyed by sender dict id. Lives on the node (not the per-epoch worker
-    /// thread) because delta pages resume across epoch boundaries.
-    registry: DictRegistry,
-}
-
-impl NodeSet {
-    /// Applies one link message to the owning shard set. An undecodable
-    /// frame or a payload kind the node links never carry is a typed node
-    /// failure, not a panic on the executor.
-    fn ingest(&mut self, msg: NodeMsg, suffix_schemas: &[SchemaRef]) -> Result<(), DeployError> {
-        let node = self.id;
-        let failed = |reason: String| DeployError::NodeFailed { node, reason };
-        let payload = match msg {
-            NodeMsg::Local(payload) => payload,
-            NodeMsg::Wire(raw) => {
-                decode_shard_payload_with(raw, suffix_schemas, &mut self.registry)
-                    .map_err(|e| failed(format!("undecodable shard payload: {e}")))?
-            }
-        };
-        match payload {
-            NetPayload::ShardBatch {
-                shard,
-                source,
-                rel,
-                batch,
-                ..
-            } => {
-                let set = &mut self.sets[shard as usize - self.owned.start];
-                set.process(source as usize, rel as usize, batch);
-            }
-            NetPayload::ShardState {
-                shard,
-                source,
-                rel,
-                delta,
-                ..
-            } => {
-                let set = &mut self.sets[shard as usize - self.owned.start];
-                set.pipelines[source as usize][rel as usize].merge_state(delta);
-            }
-            _ => return Err(failed("node links carry shard payloads only".to_string())),
-        }
-        Ok(())
-    }
-
-    /// Groups held in open windows across the node's shards.
-    fn open_groups(&self) -> usize {
-        self.sets.iter().map(ShardSet::open_groups).sum()
-    }
-}
-
 /// Where the SP node pool lives: in-process worker threads behind bounded
 /// channels (the default), or remote `jarvis-node` executors behind real
 /// TCP links. Both carry identical shard payloads, so results are
 /// bit-identical across tiers.
 enum SpTier {
-    /// One [`NodeSet`] per node, executed by per-epoch node tasks.
-    InProcess(Vec<NodeSet>),
+    /// One [`ShardHost`] per node (index = node id), driven by per-epoch
+    /// node tasks.
+    InProcess(Vec<ShardHost>),
     /// Admitted remote executors (TCP transport); `Arc` so the dispatcher
     /// task can share the cluster's routing table for an epoch (the clone
     /// drops when the task joins, restoring exclusive access).
@@ -369,15 +206,10 @@ pub struct LiveSession {
     tier: SpTier,
     /// SP nodes dividing the ring.
     n_nodes: usize,
-    /// Width of the fixed virtual-shard ring.
-    n_shards: usize,
+    /// The fixed virtual-shard ring: key → shard routing policy.
+    ring: Ring,
     /// Index of the stateful boundary in the full chain.
     boundary: usize,
-    /// Group-key columns at the boundary edge.
-    shard_keys: Vec<usize>,
-    /// Input schema of every suffix stage (`suffix_schemas[rel]`), plus the
-    /// final output schema — the decode side of the inter-node wire.
-    suffix_schemas: Vec<SchemaRef>,
     /// Wire bytes shipped cross-node toward each shard (ring-wide).
     shard_wire_bytes: Vec<u64>,
     /// Wire bytes each node (as ingress) shipped to other nodes.
@@ -472,41 +304,22 @@ impl LiveSession {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let edge_schemas = planned.plan.edge_schemas()?;
+        let mut edge_schemas = planned.plan.edge_schemas()?;
         let input_schema = edge_schemas[0].clone();
-        let suffix_schemas: Vec<SchemaRef> = edge_schemas[boundary..].to_vec();
         let tier = match spec.transport {
             TransportKind::InProcess => {
-                let nodes = (0..n_nodes)
+                let hosts = (0..n_nodes)
                     .map(|id| {
                         let owned = shards_of_node(id, n_shards, n_nodes);
-                        let sets = owned
-                            .clone()
-                            .map(|_| {
-                                let pipelines = (0..n)
-                                    .map(|_| {
-                                        build_pipeline(&planned.plan, &costs, AggRole::Final)
-                                            .map(|mut ops| ops.split_off(boundary))
-                                    })
-                                    .collect::<Result<Vec<_>, _>>()?;
-                                Ok(ShardSet::new(pipelines))
-                            })
-                            .collect::<Result<Vec<_>, DeployError>>()?;
-                        Ok(NodeSet {
-                            id: id as u32,
-                            owned,
-                            sets,
-                            registry: DictRegistry::default(),
-                        })
+                        ShardHost::new(&planned.plan, &costs, n as usize, owned)
                     })
-                    .collect::<Result<Vec<_>, DeployError>>()?;
-                SpTier::InProcess(nodes)
+                    .collect::<Result<Vec<_>, _>>()?;
+                SpTier::InProcess(hosts)
             }
             TransportKind::Tcp => {
-                let final_schema = suffix_schemas
-                    .last()
-                    .expect("edge schemas cover the output edge")
-                    .clone();
+                let final_schema = edge_schemas
+                    .pop()
+                    .expect("edge schemas cover the output edge");
                 SpTier::Remote(Arc::new(RemoteCluster::listen(
                     spec,
                     n_shards,
@@ -522,10 +335,8 @@ impl LiveSession {
             sp_prefix,
             tier,
             n_nodes,
-            n_shards,
+            ring: Ring::new(n_shards, shard_keys),
             boundary,
-            shard_keys,
-            suffix_schemas,
             shard_wire_bytes: vec![0; n_shards],
             node_wire_bytes: vec![0; n_nodes],
             dict_sync: vec![DictVersions::new(); n_nodes],
@@ -563,7 +374,7 @@ impl LiveSession {
 
     /// Virtual shards on the SP tier's fixed hash ring.
     pub fn n_shards(&self) -> usize {
-        self.n_shards
+        self.ring.n_shards()
     }
 
     /// SP nodes in the pool.
@@ -593,7 +404,7 @@ impl LiveSession {
     /// TCP tier, whose state lives in the remote executors.
     pub fn open_groups(&self) -> Option<usize> {
         match &self.tier {
-            SpTier::InProcess(nodes) => Some(nodes.iter().map(NodeSet::open_groups).sum()),
+            SpTier::InProcess(hosts) => Some(hosts.iter().map(ShardHost::open_groups).sum()),
             SpTier::Remote(_) => None,
         }
     }
@@ -617,7 +428,7 @@ impl LiveSession {
     /// observations.
     ///
     /// Each task takes its epoch state by value (the source's `Worker`,
-    /// the node's `NodeSet`, the dispatcher's prefixes + link accounting)
+    /// the node's `ShardHost`, the dispatcher's prefixes + link accounting)
     /// and returns it through its join handle, so the scheduler never
     /// shares mutable state between tasks.
     ///
@@ -671,13 +482,12 @@ impl LiveSession {
         // no link crossed, no codec paid), drained by one task per node.
         // Remote: every payload is framed onto the owner's real TCP link.
         let (sink, node_tasks) = match &mut self.tier {
-            SpTier::InProcess(nodes) => {
+            SpTier::InProcess(hosts) => {
                 let mut node_txs = Vec::with_capacity(n_nodes);
                 let mut tasks = Vec::with_capacity(n_nodes);
-                for mut node in std::mem::take(nodes) {
+                for mut host in std::mem::take(hosts) {
                     let (ntx, mut nrx) = rt::chan::bounded::<NodeMsg>(cap);
                     node_txs.push(ntx);
-                    let suffix_schemas = self.suffix_schemas.clone();
                     tasks.push(handle.spawn(async move {
                         // Batch drain: one wakeup per burst of frames. After
                         // a failure the task keeps draining (the dispatcher
@@ -691,18 +501,19 @@ impl LiveSession {
                             }
                             for msg in buf.drain(..) {
                                 if outcome.is_ok() {
-                                    outcome = node.ingest(msg, &suffix_schemas);
+                                    outcome = match msg {
+                                        NodeMsg::Local(payload) => host.ingest(payload),
+                                        NodeMsg::Wire(frame) => host.ingest_wire(frame),
+                                    };
                                 }
                             }
                         }
                         // Last step of the epoch: the dispatcher is done, so
                         // every row and state delta of the epoch is in; close
                         // what the epoch's end closes.
-                        let open = node.open_groups();
-                        for set in &mut node.sets {
-                            set.advance(wm);
-                        }
-                        (node, open, outcome)
+                        let open = host.open_groups();
+                        host.advance(wm);
+                        (host, open, outcome)
                     }));
                 }
                 (LinkSink::Channels(node_txs), tasks)
@@ -739,8 +550,7 @@ impl LiveSession {
         let mut links = Links {
             sink,
             n_nodes,
-            shard_keys: self.shard_keys.clone(),
-            n_shards: self.n_shards,
+            ring: self.ring.clone(),
             epoch: self.epoch,
             shard_wire: std::mem::take(&mut self.shard_wire_bytes),
             node_wire: std::mem::take(&mut self.node_wire_bytes),
@@ -819,17 +629,17 @@ impl LiveSession {
         self.shard_wire_bytes = shard_wire;
         self.node_wire_bytes = node_wire;
         self.dict_sync = dict_sync;
-        // Every node hands its sets back whether or not it failed, so the
+        // Every node hands its host back whether or not it failed, so the
         // session stays whole; the first failure is the epoch's error.
         let mut node_failure = Ok(());
-        if let SpTier::InProcess(nodes) = &mut self.tier {
+        if let SpTier::InProcess(hosts) = &mut self.tier {
             let mut open_groups = 0;
-            for task in node_tasks {
-                let (node, open, outcome) = task.join();
-                nodes.push(node);
+            for (id, task) in node_tasks.into_iter().enumerate() {
+                let (host, open, outcome) = task.join();
+                hosts.push(host);
                 open_groups += open;
                 if node_failure.is_ok() {
-                    node_failure = outcome;
+                    node_failure = outcome.map_err(|e| node_failed(id, &e));
                 }
             }
             self.peak_open_groups = self.peak_open_groups.max(open_groups);
@@ -894,13 +704,9 @@ impl LiveSession {
                 }
                 // TCP deployments reject scheduled events at validation, so
                 // table swaps never need to reach a remote executor.
-                if let SpTier::InProcess(nodes) = &mut self.tier {
-                    for node in nodes {
-                        for set in &mut node.sets {
-                            for pipeline in &mut set.pipelines {
-                                swap(pipeline);
-                            }
-                        }
+                if let SpTier::InProcess(hosts) = &mut self.tier {
+                    for host in hosts {
+                        host.for_each_pipeline(&swap);
                     }
                 }
             }
@@ -935,11 +741,11 @@ impl LiveSession {
         let mut drained_bytes = 0u64;
         let mut state_deltas = 0u64;
         let boundary = self.boundary;
-        let n_shards = self.n_shards;
+        let n_shards = self.ring.n_shards();
         let n_nodes = self.n_nodes;
-        // Residual per-shard state still held by source-side operators:
-        // `(shard, source, rel, entries)` routed by key ownership.
-        let mut residuals: Vec<(usize, usize, usize, Vec<GroupPartialEntry>)> = Vec::new();
+        // Residual state still held by source-side operators goes where the
+        // live path would have sent it: split by key ownership, merged by
+        // the owning in-process host or framed onto the owner's link.
         for (source, worker) in self.workers.iter_mut().enumerate() {
             drained_records += worker.drained_records;
             drained_bytes += worker.drained_bytes;
@@ -953,97 +759,56 @@ impl LiveSession {
                     self.sp_prefix[source][stage].merge_state(delta);
                     continue;
                 }
-                let rel = stage - boundary;
-                let StatePartial::Group(entries) = delta;
-                let mut per_shard: Vec<Vec<GroupPartialEntry>> =
-                    (0..n_shards).map(|_| Vec::new()).collect();
-                for entry in entries {
-                    per_shard[shard_of_values(&entry.key, n_shards)].push(entry);
-                }
-                for (s, part) in per_shard.into_iter().enumerate() {
-                    if !part.is_empty() {
-                        residuals.push((s, source, rel, part));
-                    }
-                }
-            }
-        }
-        match &mut self.tier {
-            SpTier::InProcess(nodes) => {
-                for (s, source, rel, part) in residuals {
-                    let node = &mut nodes[node_of_shard(s, n_shards, n_nodes)];
-                    node.sets[s - node.owned.start].pipelines[source][rel]
-                        .merge_state(StatePartial::Group(part));
-                }
-            }
-            SpTier::Remote(cluster) => {
-                for (s, source, rel, part) in residuals {
+                for (s, part) in self.ring.split_state(delta) {
                     let payload = NetPayload::ShardState {
                         shard: s as u32,
                         epoch: self.epoch,
                         source: source as u32,
-                        rel: rel as u32,
-                        delta: StatePartial::Group(part),
+                        rel: (stage - boundary) as u32,
+                        delta: part,
                     };
-                    // Routed by the cluster's (possibly recovered) shard
-                    // map; degraded shards drop their residuals by policy.
-                    if let Some(bytes) = cluster.route_payload(s, self.epoch, &payload) {
-                        self.shard_wire_bytes[s] += bytes;
+                    match &mut self.tier {
+                        SpTier::InProcess(hosts) => {
+                            let owner = node_of_shard(s, n_shards, n_nodes);
+                            hosts[owner]
+                                .ingest(payload)
+                                .map_err(|e| node_failed(owner, &e))?;
+                        }
+                        // Routed by the cluster's (possibly recovered) shard
+                        // map; degraded shards drop their residuals by policy.
+                        SpTier::Remote(cluster) => {
+                            if let Some(bytes) = cluster.route_payload(s, self.epoch, &payload) {
+                                self.shard_wire_bytes[s] += bytes;
+                            }
+                        }
                     }
                 }
             }
         }
         // Close the windows still open (every earlier one closed at its
         // epoch barrier); emissions cascade through the rest of that shard's
-        // chain. In-process sets drain locally and turn their columnar
-        // results into rows here, once; remote executors drain on their
-        // side and stream the rows back.
+        // chain. In-process hosts drain locally; remote executors drain on
+        // their side and stream the batches back. Either way each node
+        // yields its per-shard counters and its columnar results, which
+        // become rows here, once.
         let peak_open_groups = self.open_groups().map(|_| self.peak_open_groups);
-        let mut results = Vec::new();
-        let mut shard_drained_records = vec![0u64; n_shards];
-        let mut shard_usage_us = vec![0f64; n_shards];
-        let mut node_drained_records = Vec::with_capacity(n_nodes);
-        let mut node_usage_us = Vec::with_capacity(n_nodes);
         let mut node_wire_bytes = self.node_wire_bytes;
         let mut incidents = Vec::new();
         let mut replay_bytes = 0u64;
         let mut heartbeats_sent = 0u64;
         let mut shard_completeness = vec![1.0f64; n_shards];
-        match self.tier {
-            SpTier::InProcess(mut nodes) => {
-                for node in &mut nodes {
-                    let mut drained = 0u64;
-                    let mut usage = 0f64;
-                    for (s, set) in node.owned.clone().zip(node.sets.iter_mut()) {
-                        set.advance(TS_MAX);
-                        for batch in set.collected.drain(..) {
-                            results.extend(batch.to_records());
-                        }
-                        shard_drained_records[s] = set.drained_records;
-                        shard_usage_us[s] = set.usage_us;
-                        drained += set.drained_records;
-                        usage += set.usage_us;
-                    }
-                    node_drained_records.push(drained);
-                    node_usage_us.push(usage);
-                }
-            }
+        let nodes = match self.tier {
+            SpTier::InProcess(hosts) => hosts
+                .into_iter()
+                .map(|mut host| {
+                    let batches = host.drain();
+                    (host.counters(), batches)
+                })
+                .collect(),
             SpTier::Remote(cluster) => {
                 let cluster = Arc::into_inner(cluster)
                     .expect("epoch tasks joined; the session holds the only cluster handle");
                 let fin = cluster.finish()?;
-                results = fin.results;
-                for msg in &fin.stats {
-                    let mut drained = 0u64;
-                    let mut usage = 0f64;
-                    for sc in &msg.shards {
-                        shard_drained_records[sc.shard as usize] = sc.drained_records;
-                        shard_usage_us[sc.shard as usize] = sc.usage_us;
-                        drained += sc.drained_records;
-                        usage += sc.usage_us;
-                    }
-                    node_drained_records.push(drained);
-                    node_usage_us.push(usage);
-                }
                 // Actual socket traffic (TX + RX) per node link, replacing
                 // the modelled per-ingress accounting.
                 node_wire_bytes = fin.node_wire_bytes;
@@ -1051,6 +816,27 @@ impl LiveSession {
                 replay_bytes = fin.replay_bytes;
                 heartbeats_sent = fin.heartbeats_sent;
                 shard_completeness = fin.shard_completeness;
+                fin.nodes
+            }
+        };
+        let mut results = Vec::new();
+        let mut shard_drained_records = vec![0u64; n_shards];
+        let mut shard_usage_us = vec![0f64; n_shards];
+        let mut node_drained_records = Vec::with_capacity(n_nodes);
+        let mut node_usage_us = Vec::with_capacity(n_nodes);
+        for (counters, batches) in nodes {
+            let mut drained = 0u64;
+            let mut usage = 0f64;
+            for c in &counters {
+                shard_drained_records[c.shard as usize] = c.drained_records;
+                shard_usage_us[c.shard as usize] = c.usage_us;
+                drained += c.drained_records;
+                usage += c.usage_us;
+            }
+            node_drained_records.push(drained);
+            node_usage_us.push(usage);
+            for batch in batches {
+                results.extend(batch.to_records());
             }
         }
         Ok(LiveOutcome {
@@ -1104,8 +890,7 @@ enum LinkSink {
 struct Links {
     sink: LinkSink,
     n_nodes: usize,
-    shard_keys: Vec<usize>,
-    n_shards: usize,
+    ring: Ring,
     epoch: u64,
     /// Cross-node wire bytes per target shard.
     shard_wire: Vec<u64>,
@@ -1126,7 +911,7 @@ impl Links {
     /// block this task's worker briefly, but the link's writer thread
     /// drains independently of the executor, so the pool cannot deadlock.
     async fn ship(&mut self, source: usize, shard: usize, payload: NetPayload) {
-        let owner = node_of_shard(shard, self.n_shards, self.n_nodes);
+        let owner = node_of_shard(shard, self.ring.n_shards(), self.n_nodes);
         // The node terminating `source`'s uplink (same placement the
         // emulated cluster uses).
         let ingress = source % self.n_nodes;
@@ -1163,91 +948,41 @@ impl Links {
         }
     }
 
-    /// Partitions a boundary batch over the ring and ships each non-empty
-    /// part to the node owning its shard. Batches entering past the
-    /// boundary (stateless suffix) and keyless plans go to shard 0.
+    /// Ships each part of a batch entering the suffix at `rel` to the node
+    /// owning its shard.
     async fn dispatch_batch(&mut self, source: usize, rel: usize, batch: Batch) {
-        if batch.is_empty() {
-            return;
-        }
-        if rel == 0 && self.n_shards > 1 && !self.shard_keys.is_empty() {
-            for (s, part) in batch
-                .shard_by_key(&self.shard_keys, self.n_shards)
-                .into_iter()
-                .enumerate()
-            {
-                if part.is_empty() {
-                    continue;
-                }
-                self.ship(
-                    source,
-                    s,
-                    NetPayload::ShardBatch {
-                        shard: s as u32,
-                        epoch: self.epoch,
-                        source: source as u32,
-                        rel: 0,
-                        batch: part,
-                    },
-                )
-                .await;
-            }
-        } else {
-            self.ship(
-                source,
-                0,
-                NetPayload::ShardBatch {
-                    shard: 0,
-                    epoch: self.epoch,
-                    source: source as u32,
-                    rel: rel as u32,
-                    batch,
-                },
-            )
-            .await;
+        for (s, part) in self.ring.split_batch(rel, batch) {
+            let payload = NetPayload::ShardBatch {
+                shard: s as u32,
+                epoch: self.epoch,
+                source: source as u32,
+                rel: rel as u32,
+                batch: part,
+            };
+            self.ship(source, s, payload).await;
         }
     }
 
-    /// Splits a state delta's group entries by key ownership and ships each
-    /// shard its share.
+    /// Ships each shard its share of a state delta's group entries.
     async fn dispatch_state(&mut self, source: usize, rel: usize, delta: StatePartial) {
-        let StatePartial::Group(entries) = delta;
-        if self.n_shards == 1 {
-            self.ship(
-                source,
-                0,
-                NetPayload::ShardState {
-                    shard: 0,
-                    epoch: self.epoch,
-                    source: source as u32,
-                    rel: rel as u32,
-                    delta: StatePartial::Group(entries),
-                },
-            )
-            .await;
-            return;
+        for (s, part) in self.ring.split_state(delta) {
+            let payload = NetPayload::ShardState {
+                shard: s as u32,
+                epoch: self.epoch,
+                source: source as u32,
+                rel: rel as u32,
+                delta: part,
+            };
+            self.ship(source, s, payload).await;
         }
-        let mut per_shard: Vec<Vec<GroupPartialEntry>> =
-            (0..self.n_shards).map(|_| Vec::new()).collect();
-        for entry in entries {
-            per_shard[shard_of_values(&entry.key, self.n_shards)].push(entry);
-        }
-        for (s, part) in per_shard.into_iter().enumerate() {
-            if !part.is_empty() {
-                self.ship(
-                    source,
-                    s,
-                    NetPayload::ShardState {
-                        shard: s as u32,
-                        epoch: self.epoch,
-                        source: source as u32,
-                        rel: rel as u32,
-                        delta: StatePartial::Group(part),
-                    },
-                )
-                .await;
-            }
-        }
+    }
+}
+
+/// A refused payload as the failure of the in-process node that refused it.
+fn node_failed(node: usize, e: &HostError) -> DeployError {
+    DeployError::NodeFailed {
+        node: node as u32,
+        reason: e.to_string(),
     }
 }
 
@@ -1443,51 +1178,14 @@ mod tests {
     }
 
     #[test]
-    fn undecodable_node_frames_are_typed_failures() {
-        // A frame the node cannot decode fails the epoch with the node's
-        // identity; it does not panic a runtime worker.
-        let mut node = NodeSet {
-            id: 3,
-            owned: 0..1,
-            sets: vec![ShardSet::new(Vec::new())],
-            registry: DictRegistry::default(),
-        };
-        let err = node
-            .ingest(NodeMsg::Wire(Bytes::from_static(b"not a shard frame")), &[])
-            .expect_err("garbage must not decode");
+    fn refused_payloads_fail_the_epoch_with_the_nodes_identity() {
+        // What a host refuses (see `live::host`) surfaces as a typed node
+        // failure naming the node; it does not panic a runtime worker.
+        let err = node_failed(3, &HostError::Undecodable("bad tag".to_string()));
         assert!(
             matches!(&err, DeployError::NodeFailed { node: 3, reason } if reason.contains("undecodable")),
             "got {err:?}"
         );
-        // So does a payload kind the node links never carry.
-        let stray = NetPayload::Records {
-            stage: 0,
-            batch: Batch::empty(streamkit::schema::Schema::new(Vec::new())),
-        };
-        assert!(matches!(
-            node.ingest(NodeMsg::Local(stray), &[]),
-            Err(DeployError::NodeFailed { node: 3, .. })
-        ));
-    }
-
-    #[test]
-    fn collected_results_coalesce_small_batches() {
-        use streamkit::schema::{DataType, Field, Schema};
-        use streamkit::value::Value;
-        let schema = Schema::new(vec![Field::new("n", DataType::U64)]);
-        let row = |ts| {
-            Batch::from_records(schema.clone(), &[Record::new(ts, vec![Value::U64(1)])]).unwrap()
-        };
-        // An empty suffix: every batch is already past the end of the chain.
-        let mut set = ShardSet::new(vec![Vec::new()]);
-        set.process(0, 0, Batch::empty(schema.clone()));
-        assert!(set.collected.is_empty(), "empty batches leave no trace");
-        for ts in 0..10 {
-            set.process(0, 0, row(ts));
-        }
-        assert_eq!(set.collected.len(), 1, "few-row batches share one batch");
-        assert_eq!(set.collected[0].timestamps, (0..10).collect::<Vec<_>>());
-        assert_eq!(set.drained_records, 0, "past-the-end rows are not input");
     }
 
     #[test]

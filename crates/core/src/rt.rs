@@ -2,11 +2,11 @@
 //!
 //! This is a thin facade over the vendored [`minirt`] crate: a
 //! work-stealing multi-worker executor ([`Runtime`]), bounded async MPSC
-//! channels ([`chan`]) whose receivers drain whole bursts per wakeup, and a
-//! deadline timer wheel ([`TimerWheel`] / [`DeadlineQueue`]). The live
-//! session spawns one task per source prefix, per SP node, and for the
-//! dispatcher, so 10k sources run on `num_cpus` worker threads instead of
-//! 10k OS threads.
+//! channels ([`chan`]) whose receivers drain whole bursts per wakeup, and
+//! the [`DeadlineQueue`] the TCP control plane bounds its blocking waits
+//! with. The live session spawns one task per source prefix, per SP node,
+//! and for the dispatcher, so 10k sources run on `num_cpus` worker threads
+//! instead of 10k OS threads.
 //!
 //! **Wakeup-amortization contract.** Every consumer task in the session
 //! topology receives through [`chan::Receiver::recv_many`], which moves the
@@ -23,8 +23,8 @@
 //! single-worker scheduler that replays one interleaving exactly.
 
 pub use minirt::chan;
-pub use minirt::exec::{block_on, yield_now, Handle, JoinHandle, Runtime};
-pub use minirt::timer::{DeadlineQueue, Sleep, TimerWheel};
+pub use minirt::exec::{yield_now, Handle, JoinHandle, Runtime};
+pub use minirt::timer::DeadlineQueue;
 
 /// Documented fan-in bound: how many source tasks one executor worker is
 /// expected to multiplex comfortably at the default channel capacity.

@@ -3,13 +3,17 @@
 //! A keyed shard operator splits one [`Batch`] into `n` disjoint sub-batches
 //! by hashing the group-key columns, so independent shard pipelines can
 //! process disjoint key ranges in parallel while partitioned aggregation
-//! stays exact. Three call sites must agree on the key → shard mapping:
+//! stays exact. Three things must agree on the key → shard mapping:
 //!
 //! * [`Batch::shard_by_key`] — rows, hashed straight off column storage;
-//! * [`shard_of_values`] — [`StatePartial`](crate::ops::StatePartial) group
-//!   entries, whose keys are already materialised `Value`s;
+//! * [`shard_of_values`] — [`StatePartial`] group entries, whose keys are
+//!   already materialised `Value`s;
 //! * window results — never re-sharded: a group's whole lifetime (updates,
 //!   merged partials, close) happens on the shard that owns its key.
+//!
+//! [`Ring`] is the one place the first two are *called* from routing code:
+//! every SP tier (emulated, in-process live, TCP) asks it where a batch or a
+//! state delta goes and keeps only its own "mine? apply : ship" step.
 //!
 //! Agreement is by construction: both paths hash the *canonical key
 //! encoding* defined here (variant tag + payload per value), which is also
@@ -34,6 +38,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::batch::{Batch, Column, StrDict};
+use crate::ops::{GroupPartialEntry, StatePartial};
 use crate::value::Value;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -219,8 +224,7 @@ impl<'a> ColHasher<'a> {
 }
 
 /// Shard owning a group key given as materialised values — the routing used
-/// for [`StatePartial`](crate::ops::StatePartial) entries and window-result
-/// ownership checks. Matches [`Batch::shard_by_key`] row assignment for the
+/// for [`StatePartial`] entries and window-result ownership checks. Matches [`Batch::shard_by_key`] row assignment for the
 /// same key values by construction.
 pub fn shard_of_values(key: &[Value], n: usize) -> usize {
     if n <= 1 {
@@ -292,6 +296,73 @@ pub fn shard_assignment(batch: &Batch, keys: &[usize], n: usize) -> Vec<usize> {
             (h % n as u64) as usize
         })
         .collect()
+}
+
+/// The SP tier's routing policy: which virtual shard of the fixed ring a
+/// boundary batch's rows and a state delta's entries belong to. Parts come
+/// out in ascending shard order with empty parts skipped, so every tier
+/// that routes through a `Ring` puts the same payloads on each link in the
+/// same order.
+#[derive(Debug, Clone)]
+pub struct Ring {
+    n_shards: usize,
+    keys: Vec<usize>,
+}
+
+impl Ring {
+    /// A ring of `n_shards` virtual shards (at least one) partitioned by the
+    /// group-key columns `keys` of the keyed boundary's input edge; `keys`
+    /// is empty for plans without a keyed operator.
+    pub fn new(n_shards: usize, keys: Vec<usize>) -> Ring {
+        Ring {
+            n_shards: n_shards.max(1),
+            keys,
+        }
+    }
+
+    /// Width of the ring.
+    pub fn n_shards(&self) -> usize {
+        self.n_shards
+    }
+
+    /// Splits a batch entering the suffix at stage `rel`: boundary batches
+    /// (`rel == 0`) of keyed plans partition over the ring by key hash;
+    /// batches entering past the boundary (stateless suffix) and keyless
+    /// plans go to shard 0 whole.
+    pub fn split_batch(&self, rel: usize, batch: Batch) -> Vec<(usize, Batch)> {
+        if batch.is_empty() {
+            return Vec::new();
+        }
+        if rel > 0 || self.n_shards == 1 || self.keys.is_empty() {
+            return vec![(0, batch)];
+        }
+        batch
+            .shard_by_key(&self.keys, self.n_shards)
+            .into_iter()
+            .enumerate()
+            .filter(|(_, part)| !part.is_empty())
+            .collect()
+    }
+
+    /// Splits a state delta's group entries by the shard owning their key —
+    /// the shard [`Ring::split_batch`] sends a row with the same key to, so
+    /// a group's whole lifetime happens on one shard.
+    pub fn split_state(&self, delta: StatePartial) -> Vec<(usize, StatePartial)> {
+        if self.n_shards == 1 {
+            return vec![(0, delta)];
+        }
+        let StatePartial::Group(entries) = delta;
+        let mut per_shard: Vec<Vec<GroupPartialEntry>> = vec![Vec::new(); self.n_shards];
+        for entry in entries {
+            per_shard[shard_of_values(&entry.key, self.n_shards)].push(entry);
+        }
+        per_shard
+            .into_iter()
+            .enumerate()
+            .filter(|(_, part)| !part.is_empty())
+            .map(|(s, part)| (s, StatePartial::Group(part)))
+            .collect()
+    }
 }
 
 impl Batch {

@@ -1,24 +1,70 @@
 //! Accuracy guarantees: data-level partitioning is lossless and exact — the
 //! property that distinguishes it from data synopses (paper §VI-D).
+//!
+//! Every run here is a [`LiveSession`] under a fixed strategy with pinned
+//! load factors: the same `n` probe streams must produce the same result
+//! rows however the sources split their work with the SP (each source has
+//! its own replica at the SP, so a reference run uses the same `n`).
 
 use jarvis::core::calibration;
-use jarvis::core::live::run_partitioned;
-use jarvis::core::planner::{plan_query, RuleConfig};
+use jarvis::core::deploy::{CustomWorkload, Deployment};
+use jarvis::core::engine::block::EpochSource;
+use jarvis::core::live::{LiveOutcome, LiveSession};
+use jarvis::core::strategy::StrategyKind;
+use jarvis::streamkit::logical::LogicalPlan;
+use jarvis::streamkit::physical::CostProfile;
 use jarvis::streamkit::record::Record;
 use jarvis::telemetry::anomaly::AnomalySchedule;
 use jarvis::telemetry::pingmesh::{PingmeshConfig, PingmeshGenerator};
 use jarvis::telemetry::queries;
 
-fn pingmesh_records(epochs: i64, anomalies: AnomalySchedule) -> Vec<Record> {
-    let mut gen = PingmeshGenerator::new(PingmeshConfig {
+/// Runs `epochs` epochs of `sources` probe streams (`config`, reseeded per
+/// source) through a live deployment of `plan`, every source-side proxy
+/// pinned to `factors`.
+fn run_live(
+    plan: LogicalPlan,
+    costs: CostProfile,
+    config: &PingmeshConfig,
+    epochs: u64,
+    factors: &[f64],
+    sources: u32,
+) -> LiveOutcome {
+    let generators = (0..sources)
+        .map(|i| {
+            Box::new(PingmeshGenerator::new(PingmeshConfig {
+                seed: config.seed + u64::from(i),
+                ..config.clone()
+            })) as Box<dyn EpochSource>
+        })
+        .collect();
+    let spec = Deployment::builder()
+        .workload(CustomWorkload::new("exactness", plan, costs, generators))
+        .strategy(StrategyKind::AllSp)
+        .load_factors(factors.to_vec())
+        .sources(sources)
+        .spec()
+        .expect("valid fixed-factor deployment");
+    let mut session = LiveSession::new(&spec).expect("session builds");
+    session.run_epochs(epochs).expect("in-process epochs");
+    session.finish()
+}
+
+fn s2s_live(config: &PingmeshConfig, epochs: u64, factors: &[f64], sources: u32) -> LiveOutcome {
+    run_live(
+        queries::s2s_probe(),
+        calibration::s2s_cost_profile(),
+        config,
+        epochs,
+        factors,
+        sources,
+    )
+}
+
+fn with_anomalies(anomalies: AnomalySchedule) -> PingmeshConfig {
+    PingmeshConfig {
         anomalies,
         ..Default::default()
-    });
-    let mut out = Vec::new();
-    for e in 0..epochs {
-        out.extend(gen.generate_epoch(e * 1_000_000, 1.0));
     }
-    out
 }
 
 fn sorted(mut rows: Vec<Record>) -> Vec<Record> {
@@ -28,24 +74,33 @@ fn sorted(mut rows: Vec<Record>) -> Vec<Record> {
 
 #[test]
 fn any_load_factor_split_yields_identical_results() {
-    let planned = plan_query(queries::s2s_probe(), &RuleConfig::default()).unwrap();
-    let costs = calibration::s2s_cost_profile();
-    let records = pingmesh_records(12, AnomalySchedule::none());
-
-    let reference = run_partitioned(&planned, &costs, records.clone(), &[0.0, 0.0, 0.0], 1).results;
+    let config = PingmeshConfig::default();
+    let reference = s2s_live(&config, 12, &[0.0, 0.0, 0.0], 2);
+    assert!(!reference.results.is_empty());
+    let reference_rows = sorted(reference.results);
     for factors in [
         [1.0, 1.0, 1.0],
         [1.0, 0.5, 0.25],
         [0.3, 1.0, 0.9],
         [1.0, 1.0, 0.83],
     ] {
-        let split = run_partitioned(&planned, &costs, records.clone(), &factors, 2).results;
+        let split = s2s_live(&config, 12, &factors, 2);
+        assert!(split.state_deltas > 0, "partial state must flow");
+        assert!(split.drained_records < reference.drained_records);
         assert_eq!(
-            sorted(reference.clone()),
-            sorted(split),
+            reference_rows,
+            sorted(split.results),
             "partitioning with factors {factors:?} must be exact"
         );
     }
+}
+
+#[test]
+fn all_local_ships_only_state() {
+    let out = s2s_live(&PingmeshConfig::default(), 4, &[1.0, 1.0, 1.0], 1);
+    assert_eq!(out.drained_records, 0);
+    assert!(out.state_deltas > 0);
+    assert!(!out.results.is_empty());
 }
 
 #[test]
@@ -54,13 +109,11 @@ fn partitioning_preserves_every_alert_unlike_sampling() {
     use jarvis::telemetry::pingmesh::{col, pingmesh_schema};
 
     // Sparse incident: 2% of pairs spike for the whole window.
-    let records = pingmesh_records(10, AnomalySchedule::single(0.0, 100.0, 0.02, 30.0));
+    let config = with_anomalies(AnomalySchedule::single(0.0, 100.0, 0.02, 30.0));
 
     // Ground truth + partitioned run.
-    let planned = plan_query(queries::s2s_probe(), &RuleConfig::default()).unwrap();
-    let costs = calibration::s2s_cost_profile();
-    let full = run_partitioned(&planned, &costs, records.clone(), &[0.0; 3], 1).results;
-    let split = run_partitioned(&planned, &costs, records.clone(), &[1.0, 0.7, 0.4], 3).results;
+    let full = s2s_live(&config, 10, &[0.0; 3], 3).results;
+    let split = s2s_live(&config, 10, &[1.0, 0.7, 0.4], 3).results;
     let alerts = |rows: &[Record]| {
         rows.iter()
             .filter(|r| r.values[4].as_f64().unwrap_or(0.0) > 5_000.0)
@@ -73,7 +126,11 @@ fn partitioning_preserves_every_alert_unlike_sampling() {
         "partitioning must not lose alerts"
     );
 
-    // Sampling at 20% misses some of the same alerts.
+    // Sampling at 20% misses some of the same alerts (source 0's stream).
+    let mut stream = PingmeshGenerator::new(config);
+    let records: Vec<Record> = (0..10)
+        .flat_map(|e| stream.generate_epoch(e * 1_000_000, 1.0))
+        .collect();
     let mut sampler = WspSampler::new(WspConfig {
         rate: 0.2,
         ..Default::default()
@@ -92,32 +149,31 @@ fn partitioning_preserves_every_alert_unlike_sampling() {
 
 #[test]
 fn t2t_partitioned_execution_is_exact() {
-    let (src, dst) = queries::t2t_tables(500, 40, &[1]);
-    let planned = plan_query(queries::t2t_probe(src, dst), &RuleConfig::default()).unwrap();
-    let costs = calibration::t2t_cost_profile();
-    let mut gen = PingmeshGenerator::new(PingmeshConfig {
+    let config = PingmeshConfig {
         peer_ip_space: 500,
         ..Default::default()
-    });
-    let mut records = Vec::new();
-    for e in 0..10i64 {
-        records.extend(gen.generate_epoch(e * 1_000_000, 1.0));
-    }
-    let m = planned.source_ops;
-    let reference = run_partitioned(&planned, &costs, records.clone(), &vec![0.0; m], 1).results;
-    let split = run_partitioned(
-        &planned,
-        &costs,
-        records,
-        &[1.0, 1.0, 0.6, 1.0, 1.0, 0.5],
-        2,
-    )
-    .results;
+    };
+    let t2t = |factors: &[f64], sources| {
+        let (src, dst) = queries::t2t_tables(500, 40, &[1]);
+        run_live(
+            queries::t2t_probe(src, dst),
+            calibration::t2t_cost_profile(),
+            &config,
+            10,
+            factors,
+            sources,
+        )
+        .results
+    };
+    let reference = t2t(&[0.0; 6], 2);
+    assert!(!reference.is_empty());
+    let split = t2t(&[1.0, 1.0, 0.6, 1.0, 1.0, 0.5], 2);
     assert_eq!(sorted(reference), sorted(split));
 }
 
 #[test]
 fn planner_excluded_suffix_still_executes_at_sp() {
+    use jarvis::core::planner::{plan_query, RuleConfig};
     use jarvis::streamkit::agg::AggKind;
     use jarvis::streamkit::expr::Expr;
     use jarvis::streamkit::query::Query;
@@ -131,12 +187,18 @@ fn planner_excluded_suffix_still_executes_at_sp() {
         .filter_named("max_rtt", |c| c.gt(Expr::lit(5_000.0)))
         .build()
         .unwrap();
-    let planned = plan_query(plan, &RuleConfig::default()).unwrap();
+    let planned = plan_query(plan.clone(), &RuleConfig::default()).unwrap();
     assert_eq!(planned.source_ops, 2, "suffix excluded");
 
-    let records = pingmesh_records(10, AnomalySchedule::single(0.0, 100.0, 0.02, 30.0));
-    let costs = jarvis::streamkit::physical::CostProfile::uniform(3, 1.0);
-    let report = run_partitioned(&planned, &costs, records, &[1.0, 0.8], 2);
+    let config = with_anomalies(AnomalySchedule::single(0.0, 100.0, 0.02, 30.0));
+    let report = run_live(
+        plan,
+        CostProfile::uniform(3, 1.0),
+        &config,
+        10,
+        &[1.0, 0.8],
+        2,
+    );
     assert!(
         !report.results.is_empty(),
         "SP-side filter must emit alert rows"
@@ -181,14 +243,10 @@ fn checkpoint_failover_completes_windows_at_sp() {
     assert!(sp.results_emitted() > 0);
 }
 
-/// `live::run_partitioned` is exercised above with 1, 2, and 3 worker
-/// threads, which also validates the crossbeam/parking_lot concurrency path.
 #[test]
-fn live_runtime_handles_many_worker_threads() {
-    let planned = plan_query(queries::s2s_probe(), &RuleConfig::default()).unwrap();
-    let costs = calibration::s2s_cost_profile();
-    let records = pingmesh_records(6, AnomalySchedule::none());
-    let reference = run_partitioned(&planned, &costs, records.clone(), &[0.0; 3], 1).results;
-    let wide = run_partitioned(&planned, &costs, records, &[1.0, 0.9, 0.6], 8).results;
+fn many_sources_split_their_streams_exactly() {
+    let config = PingmeshConfig::default();
+    let reference = s2s_live(&config, 6, &[0.0; 3], 8).results;
+    let wide = s2s_live(&config, 6, &[1.0, 0.9, 0.6], 8).results;
     assert_eq!(sorted(reference), sorted(wide));
 }
