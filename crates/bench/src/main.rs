@@ -337,7 +337,7 @@ fn run_bench(json: bool, check: bool) {
         source_scaling: Some(bench_source_scaling(15)),
     };
     let g = &report.group_agg;
-    println!("Group-aggregate kernels: str keys vs dict keys");
+    println!("Group-aggregate kernels: str keys vs dict keys, and wide-int keys");
     println!("  pipeline : {}", g.pipeline);
     println!("  rows/iter: {}", g.rows);
     println!(
@@ -349,6 +349,10 @@ fn run_bench(json: bool, check: bool) {
         g.dict_rows_per_sec, g.dict_ns_per_row
     );
     println!("  speedup  : {:.2}x (target: >= 1.5x)", g.speedup);
+    println!(
+        "  wide ints: {:.0} rows/s ({:.0} ns/row, {:.2}x a std HashMap; {} rows over 32 operators)",
+        g.wide_int_rows_per_sec, g.wide_int_ns_per_row, g.wide_int_vs_std_map, g.wide_int_rows
+    );
     let s = &report.shard_scaling;
     println!("Sharded SP runtime: keyed shard pipelines, critical-path throughput");
     println!("  pipeline : {}", s.pipeline);

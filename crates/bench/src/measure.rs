@@ -20,6 +20,21 @@ pub fn run_op(op: &mut dyn Operator, batches: &[Batch]) -> usize {
     emitted
 }
 
+/// Drives a set of independent operators over `(operator, batch)` traffic
+/// in arrival order — the way a shard host's pipelines take turns — closes
+/// every window, resets the operators, and returns the emitted row count.
+pub fn run_op_set(ops: &mut [Box<dyn Operator>], traffic: &[(usize, Batch)]) -> usize {
+    let mut sink = Vec::new();
+    for (op, batch) in traffic {
+        ops[*op].process_batch(batch.clone(), &mut sink);
+    }
+    for op in ops.iter_mut() {
+        op.on_watermark(streamkit::time::TS_MAX, &mut sink);
+        op.reset();
+    }
+    sink.iter().map(Batch::len).sum()
+}
+
 /// Drives a whole operator chain over the batches, drains all windows,
 /// resets every operator, and returns the emitted row count.
 pub fn run_chain(ops: &mut [Box<dyn Operator>], batches: &[Batch]) -> usize {

@@ -31,7 +31,8 @@ use crate::measure::best_secs;
 /// measured; `tests/golden_fingerprints.rs` now pins those semantics.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ThroughputReport {
-    /// Str-keyed vs dict-keyed group aggregation (PR 3).
+    /// Group aggregation by key shape: str vs dict keys (PR 3), and the
+    /// high-cardinality wide-int shape of the `s2s` boundary (PR 15).
     pub group_agg: crate::groupagg::GroupAggResult,
     /// Sharded SP runtime: 1/2/4 keyed shard pipelines (PR 4).
     pub shard_scaling: ShardScalingResult,
@@ -76,6 +77,11 @@ impl ThroughputReport {
             "group_agg",
             self.group_agg.speedup,
             baseline.group_agg.speedup,
+        );
+        check(
+            "group_agg wide_int",
+            self.group_agg.wide_int_vs_std_map,
+            baseline.group_agg.wide_int_vs_std_map,
         );
         check(
             "shard_scaling@4",

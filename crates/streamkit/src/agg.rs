@@ -167,6 +167,18 @@ impl AggState {
         }
     }
 
+    /// Folds one record given its aggregate input as the columnar kernels
+    /// see it: `Count` counts every record, the others fold `v` only when
+    /// the input was numeric and valid (exactly [`AggState::update`]).
+    #[inline]
+    pub fn fold(&mut self, v: Option<f64>) {
+        match (self, v) {
+            (AggState::Count(c), _) => *c += 1,
+            (state, Some(v)) => state.update_f64(v),
+            (_, None) => {}
+        }
+    }
+
     /// Merges another partial state of the same kind into this one.
     /// Mismatched kinds are a plan-construction bug and panic in debug builds;
     /// in release they are ignored to keep the pipeline alive.

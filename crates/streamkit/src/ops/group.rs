@@ -18,20 +18,52 @@
 //! entry is touched, re-encoded or re-hashed), a watermark that closes
 //! nothing costs a look at the oldest open window, and live state is bounded
 //! by the windows the watermark leaves open rather than by run length.
-//! Within a table, groups are kept in insertion order (vector + hash index)
-//! and tables are visited in window order, so emission is deterministic — a
-//! requirement for reproducible experiments. The hash index keys off a
-//! canonical *byte encoding* of the key columns built directly from column
-//! slices, so the batch hot path materializes a `Value` key only once per
-//! distinct group, and aggregate updates read numeric columns natively
-//! ([`AggState::update_f64`]).
+//!
+//! # Table layout
+//!
+//! A window's table is flat — three or four allocations however many groups
+//! it holds, so a row costs a few cache lines and closing a window a few
+//! `free`s:
+//!
+//! * an open-addressed **index** of `hash tag << 32 | slot` words, linearly
+//!   probed, at most 3/4 full;
+//! * a **key arena** holding each group's canonical encoding (the bytes
+//!   [`encode_col_value`] / [`encode_value`] produce) back to back in slot
+//!   order — at a fixed stride while every key has had the same length (wide
+//!   integer keys), behind an offsets vector from the first key that differs
+//!   (strings, nulls);
+//! * a **state arena** of `aggs.len()` [`AggState`]s per slot;
+//! * a **changed bitset** for per-epoch delta emission.
+//!
+//! Slots are handed out in first-sight order and never move, and tables are
+//! visited in window order, so every exit — result rows, shipped state,
+//! checkpoints — is in window order then insertion order: deterministic, a
+//! requirement for reproducible experiments.
+//!
+//! Nothing on the row path builds a `Value`: keys are encoded straight off
+//! column slices, compared as bytes, and aggregate inputs are read natively.
+//! `Vec<Value>` keys exist only where state leaves the operator as
+//! [`StatePartial`] (`take_state_delta`, `checkpoint_state`), decoded from
+//! the arena; result batches are built column by column from the arenas.
+//!
+//! The index hash is a seeded word-wise mixer over the canonical encoding,
+//! *not* the FNV-1a [`crate::shard`] routes by: every key that reaches a
+//! shard's table already agrees on that hash modulo the shard count, so
+//! indexing by it would fill a fraction of the buckets. The seed is drawn per
+//! operator; results never depend on it because no exit is in index order.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, RandomState};
 
 use crate::agg::{AggKind, AggSpec, AggState};
-use crate::batch::{Batch, BatchBuilder, Column, StrDict};
+use crate::batch::{Batch, Column, ColumnBuilder, StrDict};
 use crate::ops::{CostModel, GroupPartialEntry, OpKind, Operator, StatePartial};
 use crate::schema::{DataType, Field, Schema, SchemaRef};
+// The canonical key encoding lives in `crate::shard`: the shard router
+// hashes the same bytes this table stores, which is what lets a sharded
+// runtime route rows and shipped `StatePartial` entries to the shard owning
+// their group key.
+use crate::shard::{decode_value, encode_col_value, encode_value, Decoded};
 use crate::time::Ts;
 use crate::value::Value;
 use crate::window::TumblingWindow;
@@ -56,25 +88,62 @@ pub enum AggRole {
     Partial,
 }
 
-// The canonical key encoding lives in `crate::shard`: the shard router and
-// the group-table index hash the same bytes, which is what lets a sharded
-// runtime route rows and shipped `StatePartial` entries to the shard owning
-// their group key.
-use crate::shard::{encode_col_value, encode_value};
+/// An empty index word. No group's word equals it: slots stay below
+/// `u32::MAX`.
+const EMPTY: u64 = u64::MAX;
 
-/// One group: key values, one state per aggregate, and whether the group
-/// changed since the last per-epoch delta emission.
-type Entry = (Vec<Value>, Vec<AggState>, bool);
+/// Index width of a table holding its first group.
+const MIN_SLOTS: usize = 4;
 
-/// The groups of **one window**, in insertion order (deterministic
-/// emission) with O(1) lookup via the canonical encoding of the key
-/// columns. A window's whole state — index, entries, dense combo cache —
-/// lives and dies with its table: closing the window is taking the table
-/// out of the operator, which touches no other window.
+/// Seeded word-wise multiply-fold mixer over a canonical key encoding. Every
+/// bit of the result depends on every input word, so the index may take its
+/// tag and home position from the high half.
+fn hash_key(seed: u64, key: &[u8]) -> u64 {
+    fn mix(h: u64, word: u64) -> u64 {
+        let wide = u128::from(h ^ word) * 0x9E37_79B9_7F4A_7C15_u128;
+        wide as u64 ^ (wide >> 64) as u64
+    }
+    let (words, _) = key.as_chunks::<8>();
+    let mut h = seed ^ key.len() as u64;
+    for word in words {
+        h = mix(h, u64::from_le_bytes(*word));
+    }
+    // The last eight bytes again, overlapping the words above, cover a tail
+    // of any length with one load.
+    let tail = match key.last_chunk::<8>() {
+        Some(last) => u64::from_le_bytes(*last),
+        None => key.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)),
+    };
+    mix(h, tail)
+}
+
+fn arena_offset(n: usize) -> u32 {
+    u32::try_from(n).expect("a window's key arena stays under 4 GiB")
+}
+
+/// The groups of **one window** (see the module docs for the layout). A
+/// window's whole state — index, arenas, dense combo cache — lives and dies
+/// with its table: closing the window is taking the table out of the
+/// operator, which touches no other window. An empty table owns no memory.
 #[derive(Default)]
 struct WindowTable {
-    index: HashMap<Box<[u8]>, u32>,
-    entries: Vec<Entry>,
+    /// `hash tag << 32 | slot` words; empty or a power of two long. A word's
+    /// home position is its tag's low bits, so growing re-places words
+    /// without looking at a key.
+    index: Vec<u64>,
+    /// Canonical key encodings in slot order.
+    keys: Vec<u8>,
+    /// The length every key has had so far.
+    stride: usize,
+    /// `len + 1` key boundaries in `keys`, from the first key whose length
+    /// was not `stride`; empty until then.
+    bounds: Vec<u32>,
+    /// One state per aggregate per slot.
+    states: Vec<AggState>,
+    /// One bit per slot: changed since the last per-epoch delta emission.
+    changed: Vec<u64>,
+    /// Groups held.
+    len: usize,
     /// Dense `combined code → slot` cache (`u32::MAX` = empty) over this
     /// window's groups; empty when none was built. See
     /// [`GroupAggregateOp::fold_window`] for when it is valid.
@@ -84,51 +153,122 @@ struct WindowTable {
 }
 
 impl WindowTable {
-    /// Looks up the group slot for an already-encoded key, creating it (via
-    /// `make_key` + `init`) on first sight and marking it changed either
-    /// way. The key bytes are copied into an owned index entry exactly once,
-    /// on first insert.
-    fn upsert_slot(
-        &mut self,
-        encoded: &[u8],
-        make_key: impl FnOnce() -> Vec<Value>,
-        init: impl FnOnce() -> Vec<AggState>,
-    ) -> u32 {
-        match self.index.get(encoded) {
-            Some(&i) => {
-                self.entries[i as usize].2 = true;
-                i
-            }
-            None => {
-                let i = self.entries.len() as u32;
-                self.entries.push((make_key(), init(), true));
-                self.index.insert(Box::from(encoded), i);
-                i
-            }
+    /// Canonical encoding of the group in `slot`.
+    #[inline]
+    fn key(&self, slot: usize) -> &[u8] {
+        match self.bounds.get(slot..slot + 2) {
+            Some(b) => &self.keys[b[0] as usize..b[1] as usize],
+            None => &self.keys[slot * self.stride..][..self.stride],
         }
     }
 
-    /// Merges `incoming` into an existing entry, or adopts it as a new
-    /// entry. `scratch` is the caller's reusable key-encode buffer.
-    fn insert_or_merge(&mut self, scratch: &mut Vec<u8>, key: Vec<Value>, incoming: Vec<AggState>) {
-        scratch.clear();
-        for v in &key {
-            encode_value(scratch, v);
+    /// The group's key as values — what leaves the operator in a
+    /// [`StatePartial`].
+    fn key_values(&self, slot: usize) -> Vec<Value> {
+        let mut key = self.key(slot);
+        let mut values = Vec::new();
+        while !key.is_empty() {
+            values.push(decode_value(&mut key).into_value());
         }
-        match self.index.get(scratch.as_slice()) {
-            Some(&i) => {
-                let entry = &mut self.entries[i as usize];
-                entry.2 = true;
-                for (s, inc) in entry.1.iter_mut().zip(&incoming) {
-                    s.merge(inc);
-                }
+        values
+    }
+
+    #[inline]
+    fn mark_changed(&mut self, slot: usize) {
+        self.changed[slot / 64] |= 1 << (slot % 64);
+    }
+
+    fn is_changed(&self, slot: usize) -> bool {
+        self.changed[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    /// Bytes held by the index, the arenas and the combo cache.
+    fn state_bytes(&self) -> usize {
+        (self.index.capacity() + self.changed.capacity()) * size_of::<u64>()
+            + self.keys.capacity()
+            + (self.bounds.capacity() + self.combo.capacity()) * size_of::<u32>()
+            + self.states.capacity() * size_of::<AggState>()
+    }
+
+    /// Doubles the index and sizes the arenas for the groups it can now
+    /// take, so a table's footprint follows its group count in step.
+    fn grow(&mut self, n_aggs: usize) {
+        let slots = (self.index.len() * 2).max(MIN_SLOTS);
+        let mut index = vec![EMPTY; slots];
+        for &word in self.index.iter().filter(|&&w| w != EMPTY) {
+            let mut pos = (word >> 32) as usize & (slots - 1);
+            while index[pos] != EMPTY {
+                pos = (pos + 1) & (slots - 1);
             }
-            None => {
-                let i = self.entries.len() as u32;
-                self.index.insert(Box::from(scratch.as_slice()), i);
-                self.entries.push((key, incoming, true));
+            index[pos] = word;
+        }
+        self.index = index;
+        let groups = slots / 4 * 3;
+        self.states
+            .reserve_exact((groups * n_aggs).saturating_sub(self.states.len()));
+        if self.bounds.is_empty() {
+            self.keys
+                .reserve_exact((groups * self.stride).saturating_sub(self.keys.len()));
+        }
+    }
+
+    /// The slot named by the word at `hash`'s home position when its tag
+    /// matches, `u32::MAX` otherwise: a guess for the caller to confirm
+    /// against the key bytes. Slots never move, so a guess stays good
+    /// across later insertions.
+    #[inline]
+    fn guess(&self, hash: u64) -> u32 {
+        let tag = hash >> 32;
+        match self
+            .index
+            .get(tag as usize & self.index.len().wrapping_sub(1))
+        {
+            Some(&word) if word >> 32 == tag => word as u32,
+            _ => u32::MAX,
+        }
+    }
+
+    /// Slot of the group whose canonical key is `key` (hashing to `hash`),
+    /// and whether this call created it. The caller pushes a created
+    /// group's `n_aggs` states.
+    #[inline]
+    fn slot_of(&mut self, hash: u64, key: &[u8], n_aggs: usize) -> (usize, bool) {
+        if (self.len + 1) * 4 > self.index.len() * 3 {
+            self.grow(n_aggs);
+        }
+        let mask = self.index.len() - 1;
+        let tag = hash >> 32;
+        let mut pos = tag as usize & mask;
+        loop {
+            let word = self.index[pos];
+            if word == EMPTY {
+                break;
+            }
+            let slot = word as u32 as usize;
+            if word >> 32 == tag && self.key(slot) == key {
+                return (slot, false);
+            }
+            pos = (pos + 1) & mask;
+        }
+        let slot = self.len;
+        assert!(slot < u32::MAX as usize, "under 2^32 groups per window");
+        self.index[pos] = tag << 32 | slot as u64;
+        if self.bounds.is_empty() {
+            if slot == 0 {
+                self.stride = key.len();
+            } else if key.len() != self.stride {
+                self.bounds = (0..=slot).map(|i| arena_offset(i * self.stride)).collect();
             }
         }
+        self.keys.extend_from_slice(key);
+        if !self.bounds.is_empty() {
+            self.bounds.push(arena_offset(self.keys.len()));
+        }
+        if slot.is_multiple_of(64) {
+            self.changed.push(0);
+        }
+        self.len += 1;
+        (slot, true)
     }
 }
 
@@ -144,15 +284,20 @@ pub struct GroupAggregateOp {
     windows: BTreeMap<Ts, WindowTable>,
     out_schema: SchemaRef,
     cost: CostModel,
-    /// Scratch buffer for key encoding (reused across rows).
+    /// Seed of the index hash.
+    seed: u64,
+    /// Per-batch scratch, reused across batches (boundary batches are a few
+    /// dozen rows: a handful of allocations per call would show): the rows'
+    /// canonical keys back to back, their boundaries, their hashes, the
+    /// slots they resolved to, and the key columns' `(dict id, cardinality)`
+    /// signature while they are all persistent dictionaries.
     scratch: Vec<u8>,
-    /// Per-batch row → group-slot resolution (reused across batches).
+    key_bounds: Vec<usize>,
+    hashes: Vec<u64>,
     slots: Vec<u32>,
+    sig: Vec<(u64, usize)>,
     /// Canonical fragments per persistent dict id, extended append-only.
     frag_cache: HashMap<u64, KeyFrags>,
-    /// Batch-local dense combo cache (reused across batches) for key sets
-    /// whose codes are not stable identity.
-    local_combo: Vec<u32>,
 }
 
 impl GroupAggregateOp {
@@ -177,10 +322,13 @@ impl GroupAggregateOp {
             windows: BTreeMap::new(),
             out_schema,
             cost,
-            scratch: Vec::with_capacity(64),
+            seed: RandomState::new().hash_one(0u8),
+            scratch: Vec::new(),
+            key_bounds: Vec::new(),
+            hashes: Vec::new(),
             slots: Vec::new(),
+            sig: Vec::new(),
             frag_cache: HashMap::new(),
-            local_combo: Vec::new(),
         }
     }
 
@@ -211,12 +359,19 @@ impl GroupAggregateOp {
 
     /// Live group count, across every open window.
     pub fn group_count(&self) -> usize {
-        self.windows.values().map(|t| t.entries.len()).sum()
+        self.windows.values().map(|t| t.len).sum()
     }
 
     /// Windows currently holding state.
     pub fn open_windows(&self) -> usize {
         self.windows.len()
+    }
+
+    /// Bytes of group state held: index, arena and combo-cache capacities
+    /// of every open window (sketches behind `ApproxQuantile` states not
+    /// included).
+    pub fn state_bytes(&self) -> usize {
+        self.windows.values().map(WindowTable::state_bytes).sum()
     }
 
     /// This instance's role.
@@ -234,25 +389,53 @@ impl GroupAggregateOp {
             .count()
     }
 
-    /// Builds one result batch from finalised group rows (none for an empty
-    /// row set).
-    fn emit_batch<'a>(&self, rows: impl Iterator<Item = (Ts, &'a Entry)>, out: &mut Vec<Batch>) {
-        let mut builder = BatchBuilder::new(self.out_schema.clone(), rows.size_hint().0);
-        let mut values: Vec<Value> = Vec::with_capacity(self.out_schema.width());
-        for (window_start, (key, states, _)) in rows {
-            values.clear();
-            values.push(Value::I64(window_start));
-            values.extend(key.iter().cloned());
-            values.extend(states.iter().map(AggState::finalize));
+    /// Builds one result batch (none for no groups) for the listed
+    /// `(window start, table, slot)`s, column by column from the arenas:
+    /// keys are decoded into their columns, aggregates finalised into
+    /// theirs, with a validity mask where a state finalises to `Null`.
+    fn emit_batch<'a>(
+        &self,
+        groups: impl Iterator<Item = (Ts, &'a WindowTable, usize)>,
+        out: &mut Vec<Batch>,
+    ) {
+        const FITS: &str = "result rows match the output schema";
+        let rows = groups.size_hint().0;
+        let n_aggs = self.aggs.len();
+        let mut timestamps = Vec::with_capacity(rows);
+        let mut starts = Vec::with_capacity(rows);
+        let mut cols: Vec<ColumnBuilder> = self.out_schema.fields()[1..]
+            .iter()
+            .map(|f| ColumnBuilder::new(f.dtype, rows))
+            .collect();
+        let (key_cols, agg_cols) = cols.split_at_mut(self.keys.len());
+        for (window_start, table, slot) in groups {
             // Result timestamp is the window end, the event-time point at
             // which the result is complete.
-            builder
-                .push_row(window_start + self.window.size, &values)
-                .expect("result rows match the output schema");
+            timestamps.push(window_start + self.window.size);
+            starts.push(window_start);
+            let mut key = table.key(slot);
+            for col in key_cols.iter_mut() {
+                match decode_value(&mut key) {
+                    Decoded::Str(s) => col.push_str(s),
+                    Decoded::Scalar(v) => col.push(&v),
+                }
+                .expect(FITS);
+            }
+            let states = &table.states[slot * n_aggs..][..n_aggs];
+            for (col, state) in agg_cols.iter_mut().zip(states) {
+                col.push(&state.finalize()).expect(FITS);
+            }
         }
-        if !builder.is_empty() {
-            out.push(builder.finish());
+        if timestamps.is_empty() {
+            return;
         }
+        let mut columns = vec![Column::I64(starts)];
+        columns.extend(cols.into_iter().map(ColumnBuilder::finish));
+        out.push(Batch {
+            schema: self.out_schema.clone(),
+            timestamps,
+            columns,
+        });
     }
 }
 
@@ -329,115 +512,60 @@ impl KeyEnc<'_> {
     }
 }
 
-/// When every key column is dense and *code-able* — a dictionary (codes are
-/// page indexes) or an integer column whose batch-local value range is
-/// bounded (codes are offsets from the batch minimum) — and the combined
-/// key space is at most this many slots, rows resolve through a dense
-/// per-window `(combined code) → slot` cache instead of hashing byte keys.
+/// Encodes every row's canonical key back to back into `out`; row `i`'s key
+/// is `out[bounds[i]..bounds[i + 1]]`.
+fn encode_keys(encs: &[KeyEnc], rows: usize, out: &mut Vec<u8>, bounds: &mut Vec<usize>) {
+    out.clear();
+    bounds.clear();
+    bounds.push(0);
+    // Dense 64-bit columns only — the wide-int shape: every value is nine
+    // bytes, so columns are written one at a time at a fixed row pitch
+    // instead of appended value by value.
+    let words_only = encs.iter().all(|e| {
+        matches!(
+            e,
+            KeyEnc::Generic(Column::I64(_) | Column::U64(_) | Column::F64(_))
+        )
+    });
+    if words_only {
+        fn put(out: &mut [u8], pitch: usize, tag: u8, words: impl Iterator<Item = u64>) {
+            for (row, word) in words.enumerate() {
+                let at = &mut out[row * pitch..][..9];
+                at[0] = tag;
+                at[1..].copy_from_slice(&word.to_le_bytes());
+            }
+        }
+        let pitch = 9 * encs.len();
+        out.resize(rows * pitch, 0);
+        for (i, enc) in encs.iter().enumerate() {
+            let out = &mut out[9 * i..];
+            match enc {
+                KeyEnc::Generic(Column::I64(v)) => put(out, pitch, 2, v.iter().map(|&x| x as u64)),
+                KeyEnc::Generic(Column::U64(v)) => put(out, pitch, 3, v.iter().copied()),
+                KeyEnc::Generic(Column::F64(v)) => {
+                    put(out, pitch, 4, v.iter().map(|x| x.to_bits()));
+                }
+                _ => unreachable!("words_only admits no other encoder"),
+            }
+        }
+        bounds.extend((1..=rows).map(|row| row * pitch));
+        return;
+    }
+    for row in 0..rows {
+        for enc in encs {
+            enc.encode_row(out, row);
+        }
+        bounds.push(out.len());
+    }
+}
+
+/// While every key column is a *persistent* dictionary (id ≠ 0: codes are
+/// stable identity across batches and epochs) and the combined key space is
+/// at most this many codes, rows resolve through a dense per-window
+/// `combined code → slot` cache instead of hashing byte keys. The code is a
+/// cache key only — on a miss the canonical byte encoding still decides
+/// group identity, so the cache can never conflate distinct keys.
 const MAX_COMBO_CACHE: usize = 1 << 16;
-
-/// One dimension of the dense combined code: yields a per-row code in
-/// `0..card`. The code is a cache key only — on a cache miss the canonical
-/// byte encoding (via [`KeyEnc`]) still decides group identity, so the
-/// cache can never conflate distinct keys.
-enum ComboDim<'a> {
-    /// Dictionary column: the code is the page index.
-    Dict {
-        /// Per-row dictionary codes.
-        codes: &'a [u32],
-        /// Page entry count (≥ 1 so empty pages keep the product sane).
-        card: usize,
-    },
-    /// Bounded-range signed integers: the code is `value - lo`.
-    I64 {
-        /// Per-row values.
-        vals: &'a [i64],
-        /// Batch-local minimum.
-        lo: i64,
-        /// `hi - lo + 1`.
-        card: usize,
-    },
-    /// Bounded-range unsigned integers: the code is `value - lo`.
-    U64 {
-        /// Per-row values.
-        vals: &'a [u64],
-        /// Batch-local minimum.
-        lo: u64,
-        /// `hi - lo + 1`.
-        card: usize,
-    },
-}
-
-impl ComboDim<'_> {
-    fn card(&self) -> usize {
-        match self {
-            ComboDim::Dict { card, .. }
-            | ComboDim::I64 { card, .. }
-            | ComboDim::U64 { card, .. } => *card,
-        }
-    }
-
-    #[inline]
-    fn code(&self, row: usize) -> usize {
-        match self {
-            ComboDim::Dict { codes, .. } => codes[row] as usize,
-            ComboDim::I64 { vals, lo, .. } => (vals[row] - lo) as usize,
-            ComboDim::U64 { vals, lo, .. } => (vals[row] - lo) as usize,
-        }
-    }
-}
-
-/// Builds the combined-code dimensions when every key column qualifies and
-/// the combined cardinality stays within [`MAX_COMBO_CACHE`]. Integer
-/// columns qualify by a bounded batch-local value range (the LogAnalytics
-/// `stat` bucket is a handful of small integers); anything else — floats,
-/// plain strings, nullable columns — falls back to byte hashing.
-fn combo_dims<'a>(key_cols: &[&'a Column]) -> Option<Vec<ComboDim<'a>>> {
-    if key_cols.is_empty() {
-        return None;
-    }
-    let mut dims = Vec::with_capacity(key_cols.len());
-    let mut product = 1usize;
-    for col in key_cols {
-        let dim = match col {
-            Column::Dict { codes, dict } => ComboDim::Dict {
-                codes,
-                card: dict.len().max(1),
-            },
-            Column::I64(vals) => {
-                let (lo, hi) = (vals.iter().min()?, vals.iter().max()?);
-                let span = (*hi as i128 - *lo as i128) as u128;
-                if span >= MAX_COMBO_CACHE as u128 {
-                    return None;
-                }
-                ComboDim::I64 {
-                    vals,
-                    lo: *lo,
-                    card: span as usize + 1,
-                }
-            }
-            Column::U64(vals) => {
-                let (lo, hi) = (vals.iter().min()?, vals.iter().max()?);
-                let span = (hi - lo) as u128;
-                if span >= MAX_COMBO_CACHE as u128 {
-                    return None;
-                }
-                ComboDim::U64 {
-                    vals,
-                    lo: *lo,
-                    card: (hi - lo) as usize + 1,
-                }
-            }
-            _ => return None,
-        };
-        product = product.checked_mul(dim.card())?;
-        if product > MAX_COMBO_CACHE {
-            return None;
-        }
-        dims.push(dim);
-    }
-    Some(dims)
-}
 
 /// At most this many open windows hold a cross-batch combo cache; rows of
 /// further windows resolve through the byte-keyed index (bounds memory when
@@ -450,7 +578,7 @@ const MAX_WINDOW_CACHES: usize = 8;
 const MAX_FRAG_CACHE: usize = 1024;
 
 /// Borrowed numeric view of an aggregate input column, hoisted out of the
-/// row loop so fold kernels run over contiguous slices.
+/// row loop.
 enum NumView<'a> {
     F64(&'a [f64]),
     I64(&'a [i64]),
@@ -496,94 +624,19 @@ fn agg_input(col: Option<&Column>) -> AggInput<'_> {
     }
 }
 
-/// Runs `f(slot, value)` for every row whose input value is numeric and
-/// valid, one tight loop per storage class.
-#[inline]
-fn for_each_value(input: &AggInput, slots: &[u32], mut f: impl FnMut(usize, f64)) {
-    macro_rules! run {
-        ($v:expr, $conv:expr) => {{
-            match input.valid {
-                Some(va) => {
-                    for (i, &slot) in slots.iter().enumerate() {
-                        if va[i] {
-                            f(slot as usize, $conv($v[i]));
-                        }
-                    }
-                }
-                None => {
-                    for (i, &slot) in slots.iter().enumerate() {
-                        f(slot as usize, $conv($v[i]));
-                    }
-                }
-            }
-        }};
-    }
-    match input.view {
-        NumView::F64(v) => run!(v, |x: f64| x),
-        NumView::I64(v) => run!(v, |x: i64| x as f64),
-        NumView::U64(v) => run!(v, |x: u64| x as f64),
-        NumView::Bool(v) => run!(v, |x: bool| if x { 1.0 } else { 0.0 }),
-        NumView::None => {}
-    }
-}
-
-/// Folds one batch of resolved rows into the group states, one aggregate
-/// column at a time. Semantics match the scalar path exactly: `Count`
-/// counts every record; the other aggregates ignore non-numeric and `Null`
-/// values.
-fn fold_aggregates(
-    entries: &mut [Entry],
-    slots: &[u32],
-    aggs: &[AggSpec],
-    agg_cols: &[Option<&Column>],
-) {
-    for (j, spec) in aggs.iter().enumerate() {
-        match spec.kind {
-            AggKind::Count => {
-                for &slot in slots {
-                    if let AggState::Count(c) = &mut entries[slot as usize].1[j] {
-                        *c += 1;
-                    }
-                }
-            }
-            AggKind::Sum => {
-                for_each_value(&agg_input(agg_cols[j]), slots, |slot, v| {
-                    if let AggState::Sum(s) = &mut entries[slot].1[j] {
-                        *s += v;
-                    }
-                });
-            }
-            AggKind::Min => {
-                for_each_value(&agg_input(agg_cols[j]), slots, |slot, v| {
-                    if let AggState::Min(m) = &mut entries[slot].1[j] {
-                        if v < *m {
-                            *m = v;
-                        }
-                    }
-                });
-            }
-            AggKind::Max => {
-                for_each_value(&agg_input(agg_cols[j]), slots, |slot, v| {
-                    if let AggState::Max(m) = &mut entries[slot].1[j] {
-                        if v > *m {
-                            *m = v;
-                        }
-                    }
-                });
-            }
-            AggKind::Avg => {
-                for_each_value(&agg_input(agg_cols[j]), slots, |slot, v| {
-                    if let AggState::Avg { sum, count } = &mut entries[slot].1[j] {
-                        *sum += v;
-                        *count += 1;
-                    }
-                });
-            }
-            AggKind::ApproxQuantile { .. } => {
-                for_each_value(&agg_input(agg_cols[j]), slots, |slot, v| {
-                    entries[slot].1[j].update_f64(v);
-                });
-            }
+impl AggInput<'_> {
+    /// The row's value when it is numeric and valid.
+    #[inline]
+    fn at(&self, row: usize) -> Option<f64> {
+        if self.valid.is_some_and(|valid| !valid[row]) {
+            return None;
+        }
+        match self.view {
+            NumView::F64(v) => Some(v[row]),
+            NumView::I64(v) => Some(v[row] as f64),
+            NumView::U64(v) => Some(v[row] as f64),
+            NumView::Bool(v) => Some(if v[row] { 1.0 } else { 0.0 }),
+            NumView::None => None,
         }
     }
 }
@@ -592,57 +645,63 @@ impl GroupAggregateOp {
     /// Folds a batch whose rows all belong to the window starting at `ws`
     /// into that window's table.
     ///
-    /// Pass 1 resolves every row to its group slot. When every key column
-    /// is dense and code-able with a small combined key space, rows resolve
-    /// through a dense `combined code → slot` cache, hashing each distinct
-    /// key only once. The cache lives in the window's table — surviving
-    /// batches and epochs until the window closes — while every key column
-    /// is a *persistent* dictionary (id ≠ 0: codes are stable identity) and
-    /// the `(dict id, cardinality)` signature holds; a dictionary that grew
-    /// shifts the mixing radix and rebuilds it. Batch-local pages and
-    /// bounded-int dimensions use a batch-local cache instead. A miss
-    /// always falls back to the canonical byte encoding, so the cache can
-    /// never conflate distinct keys. Pass 2 folds each aggregate column
-    /// with a contiguous kernel.
+    /// Pass 1 resolves every row to its group slot. The rows' canonical
+    /// keys are encoded and hashed into operator-owned scratch, each row
+    /// then takes a guess at its slot from the index alone, and a last loop
+    /// confirms the guess against the key bytes or probes for real: three
+    /// short loops whose rows are independent, so their cache misses
+    /// overlap instead of queueing behind one another.
+    ///
+    /// While every key column is a persistent dictionary with a small
+    /// combined key space, rows resolve through the window's dense
+    /// `combined code → slot` cache instead, hashing each distinct key only
+    /// once. The cache lives in the window's table — surviving batches and
+    /// epochs until the window closes — for as long as the `(dict id,
+    /// cardinality)` signature holds; a dictionary that grew shifts the
+    /// mixing radix and rebuilds it.
+    ///
+    /// Pass 2 folds one aggregate at a time over the resolved slots: the
+    /// first aggregate's loop takes the state arena's misses, again
+    /// overlapped, and the others find their neighbours cached. Semantics
+    /// match the scalar path exactly — see [`AggState::fold`].
     fn fold_window(&mut self, ws: Ts, batch: &Batch) {
         let GroupAggregateOp {
             keys,
             aggs,
             windows,
+            seed,
             scratch,
+            key_bounds,
+            hashes,
             slots,
+            sig,
             frag_cache,
-            local_combo,
             ..
         } = self;
-        // Hoist key/aggregate column bindings out of the row loop; dict key
-        // columns additionally need their per-code canonical fragments.
+        // Dict key columns encode through per-code canonical fragments.
         // Persistent dictionaries (id ≠ 0) keep those in the operator and
         // extend them append-only; batch-local pages rebuild per batch.
-        let key_cols: Vec<&Column> = keys.iter().map(|&k| &batch.columns[k]).collect();
+        let key_cols = || keys.iter().map(|&k| &batch.columns[k]);
         if frag_cache.len() > MAX_FRAG_CACHE {
             frag_cache.clear();
         }
-        for col in &key_cols {
+        sig.clear();
+        let mut local_frags = Vec::new();
+        for col in key_cols() {
             if let Column::Dict { dict, .. } = col {
-                if dict.id() != 0 {
+                if dict.id() == 0 {
+                    local_frags.push(KeyFrags::for_dict(dict));
+                } else {
                     frag_cache
                         .entry(dict.id())
                         .or_insert_with(KeyFrags::new)
                         .extend_to(dict);
+                    sig.push((dict.id(), dict.len().max(1)));
                 }
             }
         }
-        let local_frags: Vec<KeyFrags> = key_cols
-            .iter()
-            .filter_map(|c| match c {
-                Column::Dict { dict, .. } if dict.id() == 0 => Some(KeyFrags::for_dict(dict)),
-                _ => None,
-            })
-            .collect();
         let mut next_local = local_frags.iter();
-        let encs: Vec<KeyEnc> = key_cols
-            .iter()
+        let encs: Vec<KeyEnc> = key_cols()
             .map(|c| match c {
                 Column::Dict { codes, dict } => KeyEnc::Dict {
                     codes,
@@ -656,71 +715,52 @@ impl GroupAggregateOp {
             })
             .collect();
         let n = batch.len();
+        let n_aggs = aggs.len();
         slots.clear();
-        slots.reserve(n);
 
         let cached_windows = windows.values().filter(|t| !t.combo.is_empty()).count();
         let table = windows.entry(ws).or_default();
-        let mut resolve = |table: &mut WindowTable, row: usize| {
-            scratch.clear();
-            for e in &encs {
-                e.encode_row(scratch, row);
+        let upsert = |table: &mut WindowTable, hash: u64, key: &[u8]| {
+            let (slot, created) = table.slot_of(hash, key, n_aggs);
+            if created {
+                table.states.extend(aggs.iter().map(AggSpec::init));
             }
-            table.upsert_slot(
-                scratch,
-                || key_cols.iter().map(|c| c.value(row)).collect(),
-                || aggs.iter().map(AggSpec::init).collect(),
-            )
+            slot as u32
         };
-        if let Some(dims) = combo_dims(&key_cols) {
-            let card: usize = dims.iter().map(ComboDim::card).product();
-            let persist_sig: Option<Vec<(u64, usize)>> = key_cols
-                .iter()
-                .map(|c| match c {
-                    Column::Dict { dict, .. } if dict.id() != 0 => {
-                        Some((dict.id(), dict.len().max(1)))
-                    }
-                    _ => None,
-                })
-                .collect();
-            // Borrow the cache out of its home for the row loop (the table
+        let card = sig
+            .iter()
+            .try_fold(1usize, |card, &(_, dim)| card.checked_mul(dim))
+            .filter(|&card| card <= MAX_COMBO_CACHE);
+        if let (Some(card), true) = (card, !keys.is_empty() && sig.len() == keys.len()) {
+            // Borrow the cache out of the table for the row loop (the table
             // is mutated alongside it) and put it back afterwards.
-            let persistent = persist_sig.is_some();
-            let mut cache = match persist_sig {
-                Some(sig) => {
-                    let mut cache = std::mem::take(&mut table.combo);
-                    if table.combo_sig != sig {
-                        cache.clear();
-                        table.combo_sig = sig;
-                    }
-                    // One more cached window only below the cap; past it
-                    // the cache stays empty and every row takes the index.
-                    if cache.is_empty() && cached_windows < MAX_WINDOW_CACHES {
-                        cache.resize(card, u32::MAX);
-                    }
-                    cache
-                }
-                None => {
-                    let mut cache = std::mem::take(local_combo);
-                    cache.clear();
-                    cache.resize(card, u32::MAX);
-                    cache
-                }
-            };
+            let mut cache = std::mem::take(&mut table.combo);
+            if table.combo_sig != *sig {
+                cache.clear();
+                table.combo_sig.clone_from(sig);
+            }
+            // One more cached window only below the cap; past it the cache
+            // stays empty and every row takes the index.
+            if cache.is_empty() && cached_windows < MAX_WINDOW_CACHES {
+                cache.resize(card, u32::MAX);
+            }
             for row in 0..n {
                 let mut code = 0usize;
-                let mut mul = 1usize;
-                for d in &dims {
-                    code += d.code(row) * mul;
-                    mul *= d.card();
+                let mut radix = 1usize;
+                for (enc, &(_, dim)) in encs.iter().zip(sig.iter()) {
+                    if let KeyEnc::Dict { codes, .. } = enc {
+                        code += codes[row] as usize * radix;
+                    }
+                    radix *= dim;
                 }
                 let slot = match cache.get(code) {
-                    Some(&slot) if slot != u32::MAX => {
-                        table.entries[slot as usize].2 = true;
-                        slot
-                    }
+                    Some(&slot) if slot != u32::MAX => slot,
                     _ => {
-                        let slot = resolve(table, row);
+                        scratch.clear();
+                        for enc in &encs {
+                            enc.encode_row(scratch, row);
+                        }
+                        let slot = upsert(table, hash_key(*seed, scratch), scratch);
                         if let Some(cached) = cache.get_mut(code) {
                             *cached = slot;
                         }
@@ -729,23 +769,30 @@ impl GroupAggregateOp {
                 };
                 slots.push(slot);
             }
-            if persistent {
-                table.combo = cache;
-            } else {
-                *local_combo = cache;
-            }
+            table.combo = cache;
         } else {
-            for row in 0..n {
-                let slot = resolve(table, row);
-                slots.push(slot);
+            encode_keys(&encs, n, scratch, key_bounds);
+            let key_of = |row: usize| &scratch[key_bounds[row]..key_bounds[row + 1]];
+            hashes.clear();
+            hashes.extend((0..n).map(|row| hash_key(*seed, key_of(row))));
+            slots.extend(hashes.iter().map(|&hash| table.guess(hash)));
+            for (row, slot) in slots.iter_mut().enumerate() {
+                let key = key_of(row);
+                if *slot == u32::MAX || table.key(*slot as usize) != key {
+                    *slot = upsert(table, hashes[row], key);
+                }
             }
         }
 
-        let agg_cols: Vec<Option<&Column>> = aggs
-            .iter()
-            .map(|spec| batch.columns.get(spec.col))
-            .collect();
-        fold_aggregates(&mut table.entries, slots, aggs, &agg_cols);
+        for &slot in slots.iter() {
+            table.mark_changed(slot as usize);
+        }
+        for (j, spec) in aggs.iter().enumerate() {
+            let input = agg_input(batch.columns.get(spec.col));
+            for (row, &slot) in slots.iter().enumerate() {
+                table.states[slot as usize * n_aggs + j].fold(input.at(row));
+            }
+        }
     }
 }
 
@@ -797,20 +844,20 @@ impl Operator for GroupAggregateOp {
                 break;
             }
             let (ws, table) = oldest.remove_entry();
-            self.emit_batch(table.entries.iter().map(|e| (ws, e)), out);
+            self.emit_batch((0..table.len).map(|slot| (ws, &table, slot)), out);
         }
     }
 
     fn on_epoch(&mut self, out: &mut Vec<Batch>) {
         if self.role == AggRole::Final && self.emit == EmitMode::PerEpochDelta {
             let changed = self.windows.iter().flat_map(|(&ws, table)| {
-                table.entries.iter().filter(|e| e.2).map(move |e| (ws, e))
+                (0..table.len)
+                    .filter(|&slot| table.is_changed(slot))
+                    .map(move |slot| (ws, table, slot))
             });
             self.emit_batch(changed, out);
             for table in self.windows.values_mut() {
-                for entry in &mut table.entries {
-                    entry.2 = false;
-                }
+                table.changed.fill(0);
             }
         }
     }
@@ -831,15 +878,15 @@ impl Operator for GroupAggregateOp {
         if self.role != AggRole::Partial || self.windows.is_empty() {
             return None;
         }
+        let n_aggs = self.aggs.len();
         let mut entries = Vec::with_capacity(self.group_count());
-        for (window_start, table) in std::mem::take(&mut self.windows) {
-            for (key, states, _) in table.entries {
-                entries.push(GroupPartialEntry {
-                    window_start,
-                    key,
-                    states,
-                });
-            }
+        for (window_start, mut table) in std::mem::take(&mut self.windows) {
+            let mut states = std::mem::take(&mut table.states).into_iter();
+            entries.extend((0..table.len).map(|slot| GroupPartialEntry {
+                window_start,
+                key: table.key_values(slot),
+                states: states.by_ref().take(n_aggs).collect(),
+            }));
         }
         Some(StatePartial::Group(entries))
     }
@@ -848,26 +895,45 @@ impl Operator for GroupAggregateOp {
         if self.windows.is_empty() {
             return None;
         }
+        let n_aggs = self.aggs.len();
         let mut entries = Vec::with_capacity(self.group_count());
         for (&window_start, table) in &self.windows {
-            for (key, states, _) in &table.entries {
-                entries.push(GroupPartialEntry {
-                    window_start,
-                    key: key.clone(),
-                    states: states.clone(),
-                });
-            }
+            entries.extend((0..table.len).map(|slot| GroupPartialEntry {
+                window_start,
+                key: table.key_values(slot),
+                states: table.states[slot * n_aggs..][..n_aggs].to_vec(),
+            }));
         }
         Some(StatePartial::Group(entries))
     }
 
     fn merge_state(&mut self, state: StatePartial) {
         let StatePartial::Group(entries) = state;
+        let n_aggs = self.aggs.len();
         for entry in entries {
-            self.windows
-                .entry(entry.window_start)
-                .or_default()
-                .insert_or_merge(&mut self.scratch, entry.key, entry.states);
+            self.scratch.clear();
+            for v in &entry.key {
+                encode_value(&mut self.scratch, v);
+            }
+            let hash = hash_key(self.seed, &self.scratch);
+            let table = self.windows.entry(entry.window_start).or_default();
+            let (slot, created) = table.slot_of(hash, &self.scratch, n_aggs);
+            table.mark_changed(slot);
+            let mut incoming = entry.states.into_iter();
+            if created {
+                // Adopted as shipped; a short entry is padded so the arena
+                // keeps its stride.
+                table.states.extend(
+                    self.aggs
+                        .iter()
+                        .map(|spec| incoming.next().unwrap_or_else(|| spec.init())),
+                );
+            } else {
+                let states = &mut table.states[slot * n_aggs..][..n_aggs];
+                for (state, inc) in states.iter_mut().zip(incoming) {
+                    state.merge(&inc);
+                }
+            }
         }
     }
 
@@ -1078,10 +1144,10 @@ mod tests {
     }
 
     #[test]
-    fn small_int_keys_take_the_combo_cache_and_stay_exact() {
+    fn dict_and_plain_string_keys_group_alike() {
         // A (dict, small-int) key pair — the LogAnalytics (tenant, stat
-        // bucket) shape — must resolve through the dense combined-code
-        // cache and produce exactly the groups the byte-hash path would.
+        // bucket) shape — encodes through per-code fragments and must
+        // produce exactly the groups the same rows as plain strings do.
         use crate::batch::{Batch, StrDict};
         use std::sync::Arc;
 
@@ -1116,12 +1182,11 @@ mod tests {
                 CostModel::fixed(1.0),
             )
         };
-        // Combo path (dict + bounded int).
+        // Batch-local dictionary page.
         let mut fast = mk();
         let mut sink = Vec::new();
         fast.process_batch(dict_batch.clone(), &mut sink);
-        // Byte-hash fallback: same rows with the dict decoded to plain
-        // strings (plain Str never enters the combo cache).
+        // The same rows with the dict decoded to plain strings.
         let mut plain_batch = dict_batch;
         plain_batch.dict_decode();
         let mut slow = mk();
@@ -1141,10 +1206,9 @@ mod tests {
     }
 
     #[test]
-    fn wide_int_ranges_fall_back_to_byte_hashing() {
-        // A batch whose integer key range exceeds the cache cap must still
-        // group correctly (through the fallback) — and not allocate a
-        // range-sized cache.
+    fn extreme_int_keys_group_exactly() {
+        // Integer keys at both ends of the range (the fixed-pitch key
+        // encoder's shape) must land in their own groups.
         let schema = Schema::new(vec![
             Field::new("k", DataType::I64),
             Field::new("v", DataType::U32),
@@ -1398,5 +1462,112 @@ mod tests {
         let mut sink = Vec::new();
         g.process_batch(batch, &mut sink);
         assert_eq!(g.group_count(), 2);
+    }
+
+    #[test]
+    fn empty_tables_own_nothing_and_tables_stay_small() {
+        assert_eq!(WindowTable::default().state_bytes(), 0);
+        let mut g = op(AggRole::Final, EmitMode::OnWindowClose);
+        assert_eq!(g.state_bytes(), 0);
+        // A handful of groups — the t2t fan-in shape, thousands of such
+        // operators — must not pay for an index sized for thousands.
+        feed(
+            &mut g,
+            &[rec(1.0, 1, 2, 100), rec(2.0, 3, 4, 300), rec(3.0, 9, 9, 50)],
+        );
+        assert_eq!(g.group_count(), 3);
+        assert!(g.state_bytes() <= 512, "{} B for 3 groups", g.state_bytes());
+        // The s2s shape: 5 000 groups of two 64-bit keys and three states.
+        let mut g = op(AggRole::Final, EmitMode::OnWindowClose);
+        let recs: Vec<Record> = (0..5000).map(|i| rec(1.0, 7, i * 257, 10)).collect();
+        feed(&mut g, &recs);
+        assert_eq!(g.group_count(), 5000);
+        let per_group = g.state_bytes() / 5000;
+        assert!(per_group <= 128, "{per_group} B/group at 5000 groups");
+        let mut out = Vec::new();
+        g.on_watermark(Ts::MAX, &mut out);
+        assert_eq!(g.state_bytes(), 0, "closing a window frees its table");
+    }
+
+    #[test]
+    fn colliding_hashes_and_growth_keep_every_group() {
+        // Every key under one hash: the index degenerates to one probe
+        // path, which several rehashes must carry over intact, and only the
+        // key bytes tell groups apart. Key lengths vary, so the arena also
+        // leaves its fixed stride on the way.
+        const HASH: u64 = 0xDEAD_BEEF_0BAD_F00D;
+        let key = |i: usize| {
+            let mut k = (i as u64).to_le_bytes().to_vec();
+            k.extend(std::iter::repeat_n(0xAB, i % 5));
+            k
+        };
+        let mut table = WindowTable::default();
+        for i in 0..1000 {
+            assert_eq!(table.slot_of(HASH, &key(i), 0), (i, true));
+            // A guess reads the index only: some group with this tag.
+            assert!((table.guess(HASH) as usize) <= i);
+        }
+        assert!(table.index.len() >= 1024, "grew across several rehashes");
+        for i in (0..1000).rev() {
+            assert_eq!(table.slot_of(HASH, &key(i), 0), (i, false));
+            assert_eq!(table.key(i), key(i));
+        }
+        assert_eq!(table.len, 1000);
+        assert_eq!(table.guess(!HASH), u32::MAX);
+    }
+
+    #[test]
+    fn keys_of_one_ring_shard_spread_over_the_whole_index() {
+        // A shard's table only ever sees keys that agree on the routing
+        // hash modulo the shard count. Indexed by that hash they would
+        // crowd a quarter of the home positions; the index hash must not
+        // care.
+        use crate::shard::shard_of_values;
+        let mut g = op(AggRole::Final, EmitMode::OnWindowClose);
+        g.seed = 17;
+        let recs: Vec<Record> = (0..40_000u64)
+            .filter(|&i| shard_of_values(&[Value::U64(7), Value::U64(i * 257)], 4) == 0)
+            .take(5000)
+            .map(|i| rec(1.0, 7, i * 257, 10))
+            .collect();
+        assert_eq!(recs.len(), 5000);
+        feed(&mut g, &recs);
+        let table = g.windows.values().next().expect("one window");
+        let mask = table.index.len() - 1;
+        let paths: Vec<usize> = table
+            .index
+            .iter()
+            .enumerate()
+            .filter(|(_, &word)| word != EMPTY)
+            .map(|(pos, &word)| pos.wrapping_sub((word >> 32) as usize) & mask)
+            .collect();
+        assert_eq!(paths.len(), 5000);
+        let mean = paths.iter().sum::<usize>() as f64 / paths.len() as f64;
+        let longest = paths.iter().max().copied().unwrap_or(0);
+        // Uniform hashing at this load walks under one slot past home on
+        // average; a quarter of the home positions would walk hundreds.
+        assert!(mean < 2.0, "mean probe path {mean:.2}");
+        assert!(longest < 128, "longest probe path {longest}");
+    }
+
+    #[test]
+    fn fixed_pitch_and_row_wise_key_encoders_agree() {
+        let cols = [
+            Column::I64(vec![i64::MIN, -1, 7]),
+            Column::U64(vec![0, u64::MAX, 7]),
+            Column::F64(vec![-0.0, f64::NAN, 7.5]),
+        ];
+        let encs: Vec<KeyEnc> = cols.iter().map(KeyEnc::Generic).collect();
+        let (mut fast, mut bounds) = (Vec::new(), Vec::new());
+        encode_keys(&encs, 3, &mut fast, &mut bounds);
+        assert_eq!(bounds.len(), 4);
+        let mut slow = Vec::new();
+        for (row, &end) in bounds[1..].iter().enumerate() {
+            for col in &cols {
+                encode_col_value(&mut slow, col, row);
+            }
+            assert_eq!(end, slow.len());
+        }
+        assert_eq!(fast, slow);
     }
 }

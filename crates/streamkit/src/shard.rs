@@ -114,6 +114,57 @@ pub fn encode_col_value(buf: &mut Vec<u8>, col: &Column, row: usize) {
     }
 }
 
+/// One value read back from its canonical encoding: strings borrow their
+/// payload, so a reader that only copies them on (result emission) never
+/// allocates a `Value::Str`.
+pub enum Decoded<'a> {
+    /// A string payload.
+    Str(&'a str),
+    /// Any other variant, `Null` included.
+    Scalar(Value),
+}
+
+impl Decoded<'_> {
+    /// The owned value.
+    pub fn into_value(self) -> Value {
+        match self {
+            Decoded::Str(s) => Value::str(s),
+            Decoded::Scalar(v) => v,
+        }
+    }
+}
+
+/// Reads one value off the front of a canonical encoding, advancing `bytes`
+/// past it — the inverse of [`encode_value`] / [`encode_col_value`], exact
+/// down to `F64` bit patterns. The bytes must be ones those two wrote.
+pub fn decode_value<'a>(bytes: &mut &'a [u8]) -> Decoded<'a> {
+    let (&tag, rest) = bytes.split_first().expect("one tag byte per value");
+    let width = match tag {
+        0 => 0,
+        1 => 1,
+        5 => 4,
+        _ => 8,
+    };
+    let (payload, rest) = rest.split_at(width);
+    let word = || u64::from_le_bytes(payload.try_into().expect("8-byte payload"));
+    *bytes = rest;
+    Decoded::Scalar(match tag {
+        0 => Value::Null,
+        1 => Value::Bool(payload[0] != 0),
+        2 => Value::I64(word() as i64),
+        3 => Value::U64(word()),
+        4 => Value::F64(f64::from_bits(word())),
+        _ => {
+            let len = u32::from_le_bytes(payload.try_into().expect("4-byte length")) as usize;
+            let (s, rest) = rest.split_at(len);
+            *bytes = rest;
+            let s = std::str::from_utf8(s);
+            debug_assert!(s.is_ok(), "canonical encodings hold UTF-8 strings");
+            return Decoded::Str(s.unwrap_or(""));
+        }
+    })
+}
+
 /// FNV-1a over a canonical encoding.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
