@@ -1,13 +1,13 @@
 //! Multi-node SP scaling on the group-aggregate-heavy pipeline.
 //!
 //! Runs the S2SProbe chain (`W -> F -> G+R`) over a high-cardinality
-//! Pingmesh stream through the consistent-hash dispatcher at 1, 2, and 4
-//! SP nodes over a fixed 4-shard ring, timing the critical path (serial
-//! dispatcher incl. the `NetPayload` wire encode for remote nodes +
-//! slowest node incl. decode) exactly as `repro bench`'s `node_scaling`
-//! series does. The acceptance target for the multi-node tier is ≥ 1.5×
-//! the single-node throughput at 4 nodes. Set `BENCH_SMOKE=1` for a
-//! reduced-sample CI run.
+//! Pingmesh stream through the consistent-hash split at 1, 2, and 4 SP
+//! nodes over a fixed 4-shard ring, timing the one-router critical-path
+//! model (one serial dispatch pass incl. the `NetPayload` wire encode for
+//! remote nodes + slowest node incl. decode) exactly as `repro bench`'s
+//! `node_scaling` series does. The acceptance target for the multi-node
+//! tier is ≥ 1.5× the single-node throughput at 4 nodes. Set
+//! `BENCH_SMOKE=1` for a reduced-sample CI run.
 
 use std::time::Duration;
 

@@ -15,7 +15,6 @@ pub mod nodescale;
 pub mod output;
 pub mod plancheck_cli;
 pub mod shardscale;
-pub mod sourcescale;
 
 pub use dictepoch::{bench_dict_epoch, DictEpochResult};
 pub use faultrecovery::{bench_fault_recovery, FaultRecoveryResult};
@@ -24,4 +23,3 @@ pub use groupagg::{bench_group_agg, GroupAggResult};
 pub use nettransport::{bench_net_transport, NetTransportResult};
 pub use nodescale::{bench_node_scaling, NodeScalingResult};
 pub use shardscale::{bench_shard_scaling, ShardScalingResult, ThroughputReport};
-pub use sourcescale::{bench_source_scaling, SourceScalingResult};

@@ -13,12 +13,10 @@
 //! `bench` is not a paper figure: it measures the str-keyed vs dict-keyed
 //! group-aggregate kernels, the sharded SP runtime's 1/2/4-shard scaling,
 //! the multi-node SP tier's 1/2/4-node scaling, the seeded fault-recovery
-//! drill, the persistent-dictionary cross-epoch series (group-by
+//! drill and the persistent-dictionary cross-epoch series (group-by
 //! throughput vs per-epoch rebuild plus delta vs full-page wire bytes),
-//! and the async runtime's source-scaling fan-in series
-//! (16/256/2048/10240 source tasks at a fixed row budget),
-//! and (with `--json`) writes
-//! `BENCH_throughput.json`, the perf-trajectory artifact CI uploads. With
+//! and (with `--json`) writes `BENCH_throughput.json`, the
+//! perf-trajectory artifact CI uploads. With
 //! `--check` it additionally fails (exit 1) when a measured speedup
 //! regresses more than 20% below the committed baseline, or when the
 //! fault-recovery drill fails to prove exact recovery.
@@ -334,7 +332,6 @@ fn run_bench(json: bool, check: bool) {
         net_transport: bench_net_transport(15),
         fault_recovery: Some(bench_fault_recovery()),
         dict_epoch: Some(bench_dict_epoch(15)),
-        source_scaling: Some(bench_source_scaling(15)),
     };
     let g = &report.group_agg;
     println!("Group-aggregate kernels: str keys vs dict keys, and wide-int keys");
@@ -431,26 +428,6 @@ fn run_bench(json: bool, check: bool) {
         println!(
             "  wire     : {:.0} B/epoch full pages vs {:.0} B/epoch deltas ({:.2}x smaller)",
             de.full_page_wire_bytes_per_epoch, de.delta_wire_bytes_per_epoch, de.wire_reduction
-        );
-    }
-    if let Some(ss) = &report.source_scaling {
-        println!("Async runtime fan-in: task-per-source over bounded MPSC");
-        println!("  pipeline : {}", ss.pipeline);
-        println!(
-            "  rows/iter: {} over {} executor worker(s)",
-            ss.rows, ss.rt_workers
-        );
-        for (i, n) in ss.sources.iter().enumerate() {
-            println!(
-                "  {n:>5} sources: {:.0} rows/s ({:.2}x)",
-                ss.rows_per_sec[i], ss.relative[i]
-            );
-        }
-        println!(
-            "  relative : {:.2}x at {} sources (floor: >= {:.2}x of 16-source rate)",
-            ss.relative_at_max(),
-            ss.sources.last().unwrap_or(&16),
-            jarvis_bench::sourcescale::FANIN_FLOOR
         );
     }
     maybe_json(json, "BENCH_throughput", &report);

@@ -3,18 +3,21 @@
 //! Measures the multi-node SP tier's critical path on the same
 //! group-aggregate-heavy hot path as the shard-scaling series — the
 //! S2SProbe chain over a high-cardinality Pingmesh stream — at 1, 2, and 4
-//! SP nodes over a fixed 4-shard ring. The dispatcher phase (stateless
-//! prefix + [`Batch::shard_by_key`] partitioning + encoding every
-//! remote-node payload to its `NetPayload::ShardBatch` wire form) is
-//! serial, exactly as the live runtime's dispatcher thread is; each node's
-//! phase (decoding its payloads + running its owned shard pipelines) is
-//! then timed independently and the reported wall-clock is the **critical
-//! path**, `dispatcher + slowest node` — the throughput a cluster with one
-//! machine per node sustains. Shards owned by the dispatcher-colocated
-//! node 0 skip the codec, exactly as the in-process fast path does.
-//! (This container may have a single core, so end-to-end thread wall-clock
-//! would measure the scheduler, not the runtime; node exactness under real
-//! threads and real byte transport is covered by `tests/node_parity.rs`.)
+//! SP nodes over a fixed 4-shard ring. Like `shard_scaling` it is a
+//! **one-router critical-path model**, not the live topology: one serial
+//! dispatch phase over the whole input (stateless prefix +
+//! [`Batch::shard_by_key`] partitioning + encoding every remote-node
+//! payload to its `NetPayload::ShardBatch` wire form, as if all of it
+//! entered at node 0), then each node's phase (decoding its payloads +
+//! running its owned shard pipelines) timed independently, reported as
+//! `dispatch + slowest node`. Shards owned by node 0 skip the codec, as
+//! ingress-local traffic does in the live session. The live session has no
+//! single dispatcher — every source task splits and encodes its own
+//! chunks — so the series gates the kernels on that path (partitioner,
+//! `netwire` codec, keyed `G+R`) and its ratio is bounded by the serial
+//! phase by construction; its fate is ROADMAP item 7(c). Node exactness
+//! under real tasks and real byte transport is covered by
+//! `tests/node_parity.rs`.
 
 use std::time::Instant;
 

@@ -431,8 +431,8 @@ pub struct DeploymentSpec {
     /// Executor worker threads of the live session's task runtime
     /// (`None` sizes to the host's available parallelism).
     pub rt_workers: Option<u32>,
-    /// Capacity of the session's async channels (source → dispatcher and
-    /// dispatcher → node).
+    /// Capacity of the session's async channels (one per SP node, fed by
+    /// every source task).
     pub channel_capacity: u32,
 }
 
@@ -713,8 +713,8 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Sets the capacity of the session's async channels (source →
-    /// dispatcher and dispatcher → node; default
+    /// Sets the capacity of the session's async channels — one per SP node,
+    /// into which every source task sends its shard payloads (default
     /// [`crate::rt::DEFAULT_CHANNEL_CAPACITY`]). Validated into
     /// `1..=`[`MAX_CHANNEL_CAPACITY`].
     pub fn channel_capacity(mut self, capacity: u32) -> Self {

@@ -31,10 +31,11 @@
 //! * [`fault`] — deterministic fault injection driving the §IV-E recovery
 //!   parity suites and the chaos-proxy CI job.
 //! * [`rt`] — the cooperative task runtime (work-stealing executor,
-//!   bounded async channels) the live session schedules its
-//!   source / dispatcher / node tasks on.
+//!   bounded async channels) the live session schedules its source and
+//!   SP-node tasks on.
 //! * [`live`] — the task-runtime live session running the same pipelines
-//!   under real concurrency (one task per source, 10k sources on
+//!   under real concurrency (one task per source, which generates,
+//!   partitions and ships its own epoch; thousands of sources on
 //!   `num_cpus` workers).
 //! * [`node`] — the remote stream-processor executor behind the
 //!   `jarvis-node` binary (TCP transport).

@@ -304,18 +304,19 @@ pub(crate) struct RemoteCluster {
     last_heard: Vec<Instant>,
     /// Current owner per ring shard; `None` once degraded away.
     routes: Vec<Option<usize>>,
-    /// Post-checkpoint shard payloads, per shard, epoch-stamped, in ship
-    /// order (locked: the dispatcher thread appends through `&self`).
-    /// Stored **self-contained** (full dictionary pages, no link state):
-    /// recovery re-ships these bodies verbatim to executors whose mirror
-    /// state is unknown — fresh after a reconnect, partial on an adopter.
+    /// Post-checkpoint shard payloads, per shard, epoch-stamped, each
+    /// source's in its ship order (locked: the epoch's source tasks append
+    /// concurrently through `&self`). Stored **self-contained** (full
+    /// dictionary pages, no link state): recovery re-ships these bodies
+    /// verbatim to executors whose mirror state is unknown — fresh after a
+    /// reconnect, partial on an adopter.
     replay: Vec<Mutex<Vec<(u64, Bytes)>>>,
     /// Sender-side persistent-dictionary versions per node link (locked:
-    /// the dispatcher thread encodes through `&self`): the highest version
-    /// of each dictionary already shipped over the link, so live shard
-    /// frames carry delta pages only. Reset when a node reconnects — the
-    /// rebuilt executor starts with empty mirrors, so the next frame
-    /// re-seeds it with full pages.
+    /// the epoch's source tasks encode concurrently through `&self`): the
+    /// highest version of each dictionary already shipped over the link, so
+    /// live shard frames carry delta pages only. Reset when a node
+    /// reconnects — the rebuilt executor starts with empty mirrors, so the
+    /// next frame re-seeds it with full pages.
     dict_sync: Vec<Mutex<DictVersions>>,
     /// Whether replay buffering is on (any recovery path configured).
     buffering: bool,
@@ -531,6 +532,27 @@ impl RemoteCluster {
     /// re-ships it verbatim to an executor whose mirrors it cannot assume.
     /// Returns the framed wire size, or `None` when the shard has been
     /// degraded away (the payload is dropped, by policy).
+    ///
+    /// **Concurrent callers.** With `rt_workers > 1` the source tasks of an
+    /// epoch enter this at once, and the three steps — replay append, encode
+    /// under the link's `dict_sync` lock, enqueue after releasing it — are
+    /// not one critical section. They need not be:
+    ///
+    /// * what the receiver relies on is per-(source, shard) frame order (it
+    ///   keeps one pipeline per source per shard), and all of a source's
+    ///   calls come from its one task, in order, so its frames reach the
+    ///   link's FIFO queue in order whatever other sources interleave;
+    /// * a dictionary delta must extend the receiver's mirror exactly, i.e.
+    ///   frames carrying one dictionary must be sent in the order they were
+    ///   encoded — and a persistent dictionary has one owner (a generator or
+    ///   an operator instance of one source), so no two tasks ever advance
+    ///   the same `DictVersions` entry; the lock only keeps the map itself
+    ///   consistent;
+    /// * recovery replays a shard's buffer front to back, which again needs
+    ///   ship order per source only, and the bodies are self-contained;
+    /// * the routing table, the links and the reset of a reconnected link's
+    ///   versions change under `&mut self` at the epoch barrier, when every
+    ///   source task has been joined.
     pub(crate) fn route_payload(
         &self,
         shard: usize,

@@ -11,37 +11,47 @@
 //! batches end-to-end.
 //!
 //! Concurrency comes from the [`crate::rt`] cooperative task runtime, not
-//! OS threads: every epoch spawns one **task** per source, one dispatcher
-//! task, and one task per in-process SP node onto a work-stealing executor
-//! sized by the `rt_workers` knob, connected by bounded async channels
-//! sized by `channel_capacity`. Consumers drain through
+//! OS threads: every epoch spawns one **task** per source and one per
+//! in-process SP node onto a work-stealing executor sized by the
+//! `rt_workers` knob, connected by one bounded async channel per node
+//! sized by `channel_capacity`. Node tasks drain through
 //! [`crate::rt::chan::Receiver::recv_many`], so a burst of messages costs
-//! one wakeup, not one per message — which is what lets 10k sources run on
-//! `num_cpus` worker threads (the `source_scaling` bench series gates this).
-//! Task ownership moves with the epoch: each task takes its worker or node
-//! state in and hands it back through its join handle, so no epoch state is
-//! ever shared between tasks.
+//! one wakeup, not one per message — which is what lets thousands of
+//! sources run on `num_cpus` worker threads (the repo benchmark's
+//! `t2t_allsp_fanin` workload, 2048 sources, is the fan-in number).
+//! Ownership moves with the epoch: each task takes its `Worker` or
+//! `ShardHost` in by value and hands it back through its join handle; what
+//! the tasks share is read-only (the plan, the ring, the channel senders).
 //!
-//! The SP side is a **dispatcher + node pool**: the dispatcher task runs each
-//! replica's stateless prefix, asks the [`Ring`] which of the `sp_shards`
-//! virtual shards each boundary batch's rows belong to, and dispatches each
-//! sub-batch to the SP node owning its shard ([`node_of_shard`]) over that
-//! node's bounded channel — a channel that emulates a network link: payloads
-//! whose owner is not the source's ingress node cross it as **serialized**
-//! [`NetPayload::ShardBatch`] / [`NetPayload::ShardState`] bytes
-//! ([`netwire`](crate::engine::netwire)), decoded by the node's
-//! `ShardHost`, so a remote shard pipeline is reachable through its wire
-//! form alone (location transparency); ingress-local traffic skips the
-//! codec. Shipped [`StatePartial`] entries split by the shard owning their
-//! key through the same `Ring`, so a group's whole lifetime happens on one
-//! shard and merged results are bit-identical at any shard *and node* count
-//! (`tests/shard_parity.rs`, `tests/node_parity.rs`). Each in-process node
-//! is a `ShardHost` — the same type `jarvis-node` serves behind a TCP
-//! link — so this module only decides *where* a payload goes.
+//! **Sources dispatch themselves**, as the paper's data sources do: there
+//! is no stage between a source and the SP node pool. A source task does
+//! the whole of its source's epoch (`Worker::run_epoch`): it generates its
+//! batch, walks its proxies and source-side operators, and for every
+//! drained chunk runs its own copy of the replica's SP-side stateless
+//! prefix, asks the [`Ring`] which of the `sp_shards` virtual shards the
+//! rows belong to, and sends each sub-batch to the SP node owning its shard
+//! ([`node_of_shard`]) over that node's bounded channel — a channel that
+//! emulates a network link: payloads whose owner is not the source's
+//! ingress node cross it as **serialized** [`NetPayload::ShardBatch`] /
+//! [`NetPayload::ShardState`] bytes ([`netwire`](crate::engine::netwire)),
+//! decoded by the node's `ShardHost`, so a remote shard pipeline is
+//! reachable through its wire form alone (location transparency);
+//! ingress-local traffic skips the codec. Shipped
+//! [`StatePartial`](streamkit::ops::StatePartial) entries split by the
+//! shard owning their key through the same `Ring`, so a
+//! group's whole lifetime happens on one shard and merged results are
+//! bit-identical at any shard *and node* count (`tests/shard_parity.rs`,
+//! `tests/node_parity.rs`). One task sends a source's frames in order over
+//! one channel per node, so per-(source, shard) order — all exactness
+//! needs, each shard keeps one pipeline per source — holds under any
+//! schedule, and the frames themselves do not depend on which task encoded
+//! them or when. Each in-process node is a `ShardHost` — the same type
+//! `jarvis-node` serves behind a TCP link — so this module only decides
+//! *where* a payload goes.
 //!
-//! **Windows close on the epoch watermark.** An epoch is a barrier: by the
-//! time a node task has drained its channel, every source and the
-//! dispatcher have finished the epoch, so every row and state delta stamped
+//! **Windows close on the epoch watermark.** An epoch is a barrier: a node
+//! task's channel closes when the last source task has finished the epoch,
+//! so by the time it has drained it, every row and state delta stamped
 //! before the epoch's end is in. As its last step of the epoch each node
 //! task therefore advances event time to the epoch's end
 //! (`ShardHost::advance`) with **zero allowed lateness** — there is no
@@ -75,7 +85,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use streamkit::batch::{Batch, DictVersions};
-use streamkit::ops::{AggRole, Operator, StatePartial};
+use streamkit::ops::{AggRole, Operator};
 use streamkit::physical::build_pipeline;
 use streamkit::record::Record;
 use streamkit::shard::{node_of_shard, shards_of_node, Ring};
@@ -85,7 +95,7 @@ use crate::deploy::{DeployError, DeploymentSpec, FaultIncident, TransportKind};
 use crate::engine::block::EpochSource;
 use crate::engine::netwire::encode_shard_payload_with;
 use crate::engine::NetPayload;
-use crate::live::host::{epoch_end_watermark, HostError, ShardHost};
+use crate::live::host::{epoch_end_watermark, ShardHost};
 use crate::live::remote::RemoteCluster;
 use crate::planner::PlannedQuery;
 use crate::proxy::{ControlProxy, QueryState};
@@ -93,34 +103,90 @@ use crate::rt;
 use crate::runtime::JarvisRuntime;
 use crate::stepwise::ProfileEstimates;
 
-/// Messages from source workers to the SP dispatcher.
-enum Msg {
-    /// A batch drained in front of source-side operator `stage`.
-    Drained {
-        /// Originating data source.
-        source: usize,
-        /// Entry stage on the SP replica.
-        stage: usize,
-        /// The drained rows.
-        batch: Batch,
-    },
-    /// Partial state from the source-side stateful operator at `stage`.
-    State {
-        /// Originating data source.
-        source: usize,
-        /// Stage to merge into.
-        stage: usize,
-        /// The state increment.
-        delta: StatePartial,
-    },
+/// What is fixed at [`LiveSession::new`] and read by every source task:
+/// shared by `Arc`, never cloned per source or per epoch.
+struct Topology {
+    planned: PlannedQuery,
+    /// Cost model of the plan's operators (scratch profiling).
+    costs: streamkit::physical::CostProfile,
+    /// The plan's input schema; generated batches are relabeled to it so
+    /// wire accounting matches the emulated backend (trace replay infers
+    /// column types).
+    input_schema: streamkit::schema::SchemaRef,
+    /// The fixed virtual-shard ring: key → shard routing policy.
+    ring: Ring,
+    /// SP nodes dividing the ring.
+    n_nodes: usize,
+    /// Index of the stateful boundary in the full chain.
+    boundary: usize,
 }
 
-/// One data source: its local operator prefix, proxies, generator, runtime.
+/// One epoch as its source tasks see it. The tasks hold the only handles
+/// past spawning, so the sink — and with it every node channel — closes
+/// when the last of them finishes.
+struct Epoch {
+    topo: Arc<Topology>,
+    sink: LinkSink,
+    epoch: u64,
+    /// Event time at which the epoch starts, µs.
+    now_us: i64,
+}
+
+/// Where shard payloads land: in-process node channels (cross-node payloads
+/// travel as encoded wire frames, ingress-local ones as in-process values)
+/// or the remote executors' TCP links.
+enum LinkSink {
+    /// Bounded async channels into the per-epoch node tasks.
+    Channels(Vec<rt::chan::Sender<NodeMsg>>),
+    /// The remote cluster (every payload is framed onto the shard owner's
+    /// link through the cluster's recovery-aware routing table).
+    Remote(Arc<RemoteCluster>),
+}
+
+/// One message on a node link: shard traffic whose owner is the sending
+/// source's ingress node stays an in-process value (the PR-4 single-node
+/// fast path — no link crossed, no codec paid), while genuine cross-node
+/// hops travel as encoded wire frames.
+enum NodeMsg {
+    /// Ingress-local shard payload.
+    Local(NetPayload),
+    /// Cross-node shard payload in its inter-node wire form.
+    Wire(Bytes),
+}
+
+/// A send found this node's channel closed: its task is gone mid-epoch.
+#[derive(Debug, PartialEq, Eq)]
+struct NodeGone(usize);
+
+/// One data source and everything that is per-source: generator, proxies,
+/// runtime, both halves of its replica's stateless work (the source-side
+/// operators and the SP-side prefix its drained rows still owe), and the
+/// sender state of its links to the SP nodes.
 struct Worker {
+    /// Index of this data source; its uplink terminates at SP node
+    /// `source % n_nodes` (same placement the emulated cluster uses).
+    source: usize,
     ops: Vec<Box<dyn Operator>>,
     proxies: Vec<ControlProxy>,
     generator: Box<dyn EpochSource>,
     runtime: JarvisRuntime,
+    /// Stateless prefix of the SP replica, up to the keyed boundary.
+    sp_prefix: Vec<Box<dyn Operator>>,
+    /// Per target node (in-process tier): the highest version of each of
+    /// this source's persistent dictionaries already shipped there, so
+    /// cross-node frames carry delta pages only — across batches *and*
+    /// epochs. Per source is per link: a `StreamDict` has exactly one `&mut`
+    /// owner (a generator or an operator instance, both owned by one
+    /// `Worker`) and its id is drawn from the process-wide `NEXT_DICT_ID`,
+    /// so no two sources ever ship the same dictionary and one map per
+    /// link would be the disjoint union of these — same entries, same
+    /// encoded bytes.
+    dict_sync: Vec<DictVersions>,
+    /// Cross-node wire bytes this source shipped toward each shard.
+    shard_wire: Vec<u64>,
+    /// Cross-node wire bytes this source shipped in all (charged to its
+    /// ingress node).
+    node_wire: u64,
     budget_us: f64,
     run_profile: bool,
     // Per-epoch measurements (reset each epoch).
@@ -141,9 +207,9 @@ enum SpTier {
     /// One [`ShardHost`] per node (index = node id), driven by per-epoch
     /// node tasks.
     InProcess(Vec<ShardHost>),
-    /// Admitted remote executors (TCP transport); `Arc` so the dispatcher
-    /// task can share the cluster's routing table for an epoch (the clone
-    /// drops when the task joins, restoring exclusive access).
+    /// Admitted remote executors (TCP transport); `Arc` so the source
+    /// tasks can share the cluster's routing table for an epoch (their
+    /// clone drops when the last one joins, restoring exclusive access).
     Remote(Arc<RemoteCluster>),
 }
 
@@ -194,35 +260,13 @@ pub struct LiveOutcome {
 
 /// A threaded deployment advanced epoch by epoch.
 pub struct LiveSession {
-    planned: PlannedQuery,
-    /// The plan's input schema; generated batches are relabeled to it so
-    /// wire accounting matches the emulated backend (trace replay infers
-    /// column types).
-    input_schema: streamkit::schema::SchemaRef,
+    topo: Arc<Topology>,
     workers: Vec<Worker>,
-    /// Per-source stateless prefix of the SP replica (dispatcher side).
-    sp_prefix: Vec<Vec<Box<dyn Operator>>>,
     /// The SP node pool; each node owns a contiguous slice of the ring.
     tier: SpTier,
-    /// SP nodes dividing the ring.
-    n_nodes: usize,
-    /// The fixed virtual-shard ring: key → shard routing policy.
-    ring: Ring,
-    /// Index of the stateful boundary in the full chain.
-    boundary: usize,
-    /// Wire bytes shipped cross-node toward each shard (ring-wide).
-    shard_wire_bytes: Vec<u64>,
-    /// Wire bytes each node (as ingress) shipped to other nodes.
-    node_wire_bytes: Vec<u64>,
-    /// Sender-side dictionary versions per node link (in-process tier): the
-    /// highest version of each persistent dictionary already shipped over
-    /// that link, so cross-node frames carry delta pages only. Survives
-    /// epochs — that is the point of persistent dictionaries.
-    dict_sync: Vec<DictVersions>,
-    costs: streamkit::physical::CostProfile,
-    /// The cooperative task runtime every epoch's source / dispatcher /
-    /// node tasks run on. Lives as long as the session, so worker threads
-    /// spawn once, not per epoch.
+    /// The cooperative task runtime every epoch's source and node tasks
+    /// run on. Lives as long as the session, so worker threads spawn once,
+    /// not per epoch.
     rt: rt::Runtime,
     /// Capacity of the per-epoch async channels.
     channel_capacity: usize,
@@ -238,7 +282,8 @@ pub struct LiveSession {
     finished: bool,
 }
 
-/// Rows per channel message, to exercise backpressure.
+/// Rows per channel message, to exercise backpressure: the unit a source
+/// runs through its SP-side prefix, splits over the ring and encodes.
 const CHUNK: usize = 256;
 
 impl LiveSession {
@@ -250,10 +295,27 @@ impl LiveSession {
         let n = spec.sources;
         let budget_us = spec.cpu_budget * calibration::EPOCH_SECS * 1e6;
 
+        // Split the replica chain at its keyed boundary: stateless prefix
+        // with the source, keyed pipelines on the node pool. Keyless plans
+        // keep the whole chain with the source and a single pass-through
+        // shard on a single node.
+        let (boundary, shard_keys) = match planned.plan.shard_boundary() {
+            Some((g, keys)) => (g, keys),
+            None => (planned.plan.len(), Vec::new()),
+        };
+        let (n_shards, n_nodes) = if shard_keys.is_empty() {
+            (1, 1)
+        } else {
+            let shards = spec.sp_shards.max(1) as usize;
+            (shards, (spec.sp_nodes.max(1) as usize).min(shards))
+        };
+
         let mut workers = Vec::with_capacity(n as usize);
         for i in 0..n {
             let mut ops = build_pipeline(&planned.plan, &costs, AggRole::Partial)?;
             ops.truncate(m);
+            let mut sp_prefix = build_pipeline(&planned.plan, &costs, AggRole::Final)?;
+            sp_prefix.truncate(boundary);
             let initial = spec
                 .fixed_load_factors
                 .clone()
@@ -267,10 +329,15 @@ impl LiveSession {
                 spec.strategy.build_policy(m),
             );
             workers.push(Worker {
+                source: i as usize,
                 ops,
                 proxies,
                 generator: spec.workload.generator(i, n),
                 runtime,
+                sp_prefix,
+                dict_sync: vec![DictVersions::new(); n_nodes],
+                shard_wire: vec![0; n_shards],
+                node_wire: 0,
                 budget_us,
                 run_profile: false,
                 usage_us: 0.0,
@@ -282,28 +349,6 @@ impl LiveSession {
                 profile: None,
             });
         }
-        // Split the replica chain at its keyed boundary: stateless prefix on
-        // the dispatcher, keyed pipelines on the node pool. Keyless plans
-        // keep the whole chain on the dispatcher with a single pass-through
-        // shard on a single node.
-        let (boundary, shard_keys) = match planned.plan.shard_boundary() {
-            Some((g, keys)) => (g, keys),
-            None => (planned.plan.len(), Vec::new()),
-        };
-        let (n_shards, n_nodes) = if shard_keys.is_empty() {
-            (1, 1)
-        } else {
-            let shards = spec.sp_shards.max(1) as usize;
-            (shards, (spec.sp_nodes.max(1) as usize).min(shards))
-        };
-        let sp_prefix = (0..n)
-            .map(|_| {
-                build_pipeline(&planned.plan, &costs, AggRole::Final).map(|mut ops| {
-                    let _ = ops.split_off(boundary);
-                    ops
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         let mut edge_schemas = planned.plan.edge_schemas()?;
         let input_schema = edge_schemas[0].clone();
         let tier = match spec.transport {
@@ -329,18 +374,16 @@ impl LiveSession {
             }
         };
         Ok(LiveSession {
-            planned,
-            input_schema,
+            topo: Arc::new(Topology {
+                planned,
+                costs,
+                input_schema,
+                ring: Ring::new(n_shards, shard_keys),
+                n_nodes,
+                boundary,
+            }),
             workers,
-            sp_prefix,
             tier,
-            n_nodes,
-            ring: Ring::new(n_shards, shard_keys),
-            boundary,
-            shard_wire_bytes: vec![0; n_shards],
-            node_wire_bytes: vec![0; n_nodes],
-            dict_sync: vec![DictVersions::new(); n_nodes],
-            costs,
             rt: rt::session_runtime(spec.rt_workers),
             channel_capacity: spec.channel_capacity as usize,
             events: spec.events.clone(),
@@ -369,17 +412,17 @@ impl LiveSession {
 
     /// The planned query.
     pub fn planned(&self) -> &PlannedQuery {
-        &self.planned
+        &self.topo.planned
     }
 
     /// Virtual shards on the SP tier's fixed hash ring.
     pub fn n_shards(&self) -> usize {
-        self.ring.n_shards()
+        self.topo.ring.n_shards()
     }
 
     /// SP nodes in the pool.
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.topo.n_nodes
     }
 
     /// Total rows generated so far.
@@ -421,78 +464,46 @@ impl LiveSession {
         self.channel_capacity as u32
     }
 
-    /// Runs one epoch: generates per-source batches, executes the
-    /// partitioned pipelines as cooperative tasks (source tasks →
-    /// dispatcher task → SP node tasks) on the session's runtime, then
-    /// drives each source's runtime state machine with the epoch's
+    /// Runs one epoch as cooperative tasks on the session's runtime — one
+    /// per source, each doing the whole of its source's epoch
+    /// (`Worker::run_epoch`) and sending straight to the SP node tasks —
+    /// then drives each source's runtime state machine with the epoch's
     /// observations.
     ///
     /// Each task takes its epoch state by value (the source's `Worker`,
-    /// the node's `ShardHost`, the dispatcher's prefixes + link accounting)
-    /// and returns it through its join handle, so the scheduler never
-    /// shares mutable state between tasks.
+    /// the node's `ShardHost`) and returns it through its join handle, so
+    /// the scheduler never shares mutable state between tasks; every task
+    /// is joined and every `Worker` and `ShardHost` put back before a
+    /// failure is returned, so the session stays whole.
     ///
     /// For TCP-backed sessions the epoch boundary blocks until every live
     /// remote node acks it, so node losses (and their recovery, per the
     /// configured [`OnNodeLoss`](crate::deploy::OnNodeLoss) policy) surface
-    /// here as typed errors. In-process sessions cannot fail.
+    /// here as typed errors. An in-process session fails only if a node
+    /// refuses a payload or its task dies.
     pub fn run_epoch(&mut self) -> Result<(), DeployError> {
         assert!(!self.finished, "session already finished");
-        let now_us = (self.epoch as f64 * self.epoch_secs * 1e6) as i64;
-        let m = self.planned.source_ops;
         self.apply_events();
-
-        // Generate deterministically on the coordinating thread, relabeling
-        // to the plan's input schema (same accounting as the emulated
-        // engine).
-        let input_schema = &self.input_schema;
-        let inputs: Vec<Batch> = self
-            .workers
-            .iter_mut()
-            .map(|w| {
-                let mut b = w.generator.generate_epoch_batch(now_us, 1.0);
-                b.relabel(input_schema);
-                b
-            })
-            .collect();
-        // Profile epochs measure their scratch pipeline on the coordinator
-        // before the tasks spawn: the scratch run borrows the plan and cost
-        // model, which stay with the session.
-        for (worker, input) in self.workers.iter_mut().zip(&inputs) {
-            if worker.run_profile {
-                worker.profile = Some(profile_on_scratch(
-                    &self.planned.plan,
-                    &self.costs,
-                    m,
-                    input,
-                    worker.budget_us,
-                ));
-                worker.run_profile = false;
-            }
-        }
 
         let cap = self.channel_capacity;
         let handle = self.rt.handle();
-        let n_nodes = self.n_nodes;
         let wm = epoch_end_watermark(self.epoch);
 
-        // Wire the dispatcher to the node pool. In-process: per-node bounded
-        // async channels emulating network links (cross-node payloads travel
-        // as encoded wire frames, ingress-local ones as in-process values —
-        // no link crossed, no codec paid), drained by one task per node.
-        // Remote: every payload is framed onto the owner's real TCP link.
+        // In-process: one bounded async channel per node, emulating its
+        // network link, drained by one task per node. Remote: every
+        // payload is framed onto the owner's real TCP link.
         let (sink, node_tasks) = match &mut self.tier {
             SpTier::InProcess(hosts) => {
-                let mut node_txs = Vec::with_capacity(n_nodes);
-                let mut tasks = Vec::with_capacity(n_nodes);
+                let mut node_txs = Vec::with_capacity(hosts.len());
+                let mut tasks = Vec::with_capacity(hosts.len());
                 for mut host in std::mem::take(hosts) {
                     let (ntx, mut nrx) = rt::chan::bounded::<NodeMsg>(cap);
                     node_txs.push(ntx);
                     tasks.push(handle.spawn(async move {
                         // Batch drain: one wakeup per burst of frames. After
-                        // a failure the task keeps draining (the dispatcher
-                        // must never block on a dead link) but applies
-                        // nothing more.
+                        // a failure the task keeps draining (a source must
+                        // never block on a dead link) but applies nothing
+                        // more.
                         let mut buf = Vec::new();
                         let mut outcome = Ok(());
                         loop {
@@ -508,7 +519,7 @@ impl LiveSession {
                                 }
                             }
                         }
-                        // Last step of the epoch: the dispatcher is done, so
+                        // Last step of the epoch: every source is done, so
                         // every row and state delta of the epoch is in; close
                         // what the epoch's end closes.
                         let open = host.open_groups();
@@ -521,130 +532,54 @@ impl LiveSession {
             SpTier::Remote(cluster) => (LinkSink::Remote(Arc::clone(cluster)), Vec::new()),
         };
 
-        // Source tasks: each owns its worker for the epoch and returns it.
-        let (tx, mut rx) = rt::chan::bounded::<Msg>(cap);
-        let workers = std::mem::take(&mut self.workers);
-        let mut source_tasks = Vec::with_capacity(workers.len());
-        for ((source, mut worker), input) in workers.into_iter().enumerate().zip(inputs) {
-            let tx = tx.clone();
-            source_tasks.push(handle.spawn(async move {
-                worker.begin_epoch();
-                worker.input_records = input.len() as u64;
-                worker.input_bytes = input.wire_size() as u64;
-                let mut msgs = Vec::new();
-                worker.execute(source, m, input, &mut msgs);
-                for msg in msgs {
-                    if tx.send(msg).await.is_err() {
-                        break;
-                    }
-                }
-                worker
-            }));
-        }
-        drop(tx);
-
-        // The dispatcher task: per-source stateless prefixes + the ring
-        // partitioner feeding the node pool (cross-node hops encoded). It
-        // owns the prefixes, dictionary sync state, and wire counters for
-        // the epoch, and hands them back through its join handle.
-        let mut links = Links {
+        // Source tasks: each owns its worker for the epoch and returns it
+        // with how its sends went.
+        let ep = Arc::new(Epoch {
+            topo: Arc::clone(&self.topo),
             sink,
-            n_nodes,
-            ring: self.ring.clone(),
             epoch: self.epoch,
-            shard_wire: std::mem::take(&mut self.shard_wire_bytes),
-            node_wire: std::mem::take(&mut self.node_wire_bytes),
-            dict_sync: std::mem::take(&mut self.dict_sync),
-        };
-        let mut sp_prefix = std::mem::take(&mut self.sp_prefix);
-        let boundary = self.boundary;
-        let dispatcher = handle.spawn(async move {
-            let mut buf = Vec::new();
-            loop {
-                if rx.recv_many(&mut buf).await == 0 {
-                    break;
-                }
-                for msg in buf.drain(..) {
-                    match msg {
-                        Msg::Drained {
-                            source,
-                            stage,
-                            batch,
-                        } => {
-                            if stage >= boundary {
-                                links.dispatch_batch(source, stage - boundary, batch).await;
-                                continue;
-                            }
-                            // Stateless prefix from the entry stage to the
-                            // boundary, then partition.
-                            let prefix = &mut sp_prefix[source];
-                            let mut batches = vec![batch];
-                            for op in prefix.iter_mut().skip(stage) {
-                                let mut next = Vec::new();
-                                for b in batches.drain(..) {
-                                    op.process_batch(b, &mut next);
-                                }
-                                batches = next;
-                            }
-                            for b in batches {
-                                links.dispatch_batch(source, 0, b).await;
-                            }
-                        }
-                        Msg::State {
-                            source,
-                            stage,
-                            delta,
-                        } => {
-                            if stage < boundary {
-                                // A stateless prefix op cannot own mergeable
-                                // state; the default merge hook ignores it.
-                                sp_prefix[source][stage].merge_state(delta);
-                                continue;
-                            }
-                            links.dispatch_state(source, stage - boundary, delta).await;
-                        }
-                    }
-                }
-            }
-            // Dispatcher done: dropping the sink closes the node channels,
-            // which stops the node tasks.
-            let Links {
-                sink,
-                shard_wire,
-                node_wire,
-                dict_sync,
-                ..
-            } = links;
-            drop(sink);
-            (sp_prefix, shard_wire, node_wire, dict_sync)
+            now_us: (self.epoch as f64 * self.epoch_secs * 1e6) as i64,
         });
+        let source_tasks: Vec<_> = std::mem::take(&mut self.workers)
+            .into_iter()
+            .map(|mut worker| {
+                let ep = Arc::clone(&ep);
+                handle.spawn(async move {
+                    let sent = worker.run_epoch(&ep).await;
+                    (worker, sent)
+                })
+            })
+            .collect();
+        drop(ep);
 
-        // Join in completion order — sources, then the dispatcher, then the
-        // node tasks — moving every task's epoch state back into the
-        // session. (On a deterministic runtime, the first join opens the
+        // Join nodes, then sources, moving every task's epoch state back into
+        // the session whether or not it failed. A node task ends when the
+        // last source task has dropped the sink, so the wait for the first
+        // node covers the whole epoch and every later join finds its result
+        // ready — joining sources first parks and wakes this thread once per
+        // source. The first failure in that order is the epoch's error: a
+        // node's own before a source's closed channel, which can only follow
+        // from it. (On a deterministic runtime, the first join opens the
         // scheduler gate.)
-        self.workers = source_tasks.into_iter().map(rt::JoinHandle::join).collect();
-        let (sp_prefix, shard_wire, node_wire, dict_sync) = dispatcher.join();
-        self.sp_prefix = sp_prefix;
-        self.shard_wire_bytes = shard_wire;
-        self.node_wire_bytes = node_wire;
-        self.dict_sync = dict_sync;
-        // Every node hands its host back whether or not it failed, so the
-        // session stays whole; the first failure is the epoch's error.
-        let mut node_failure = Ok(());
+        let mut failure = Ok(());
         if let SpTier::InProcess(hosts) = &mut self.tier {
             let mut open_groups = 0;
             for (id, task) in node_tasks.into_iter().enumerate() {
                 let (host, open, outcome) = task.join();
                 hosts.push(host);
                 open_groups += open;
-                if node_failure.is_ok() {
-                    node_failure = outcome.map_err(|e| node_failed(id, &e));
-                }
+                failure = failure.and(outcome.map_err(|e| node_failed(id, e)));
             }
             self.peak_open_groups = self.peak_open_groups.max(open_groups);
         }
-        node_failure?;
+        for task in source_tasks {
+            let (worker, sent) = task.join();
+            self.workers.push(worker);
+            failure = failure.and(sent.map_err(|NodeGone(node)| {
+                node_failed(node, "its channel closed mid-epoch: the node task is gone")
+            }));
+        }
+        failure?;
 
         // Epoch boundary: block until every live remote executor acks it
         // (failure detection + recovery live behind this call), then run
@@ -652,7 +587,7 @@ impl LiveSession {
         // per source.
         if let SpTier::Remote(cluster) = &mut self.tier {
             Arc::get_mut(cluster)
-                .expect("epoch tasks joined; the dispatcher's clone is gone")
+                .expect("epoch tasks joined; the source tasks' clone is gone")
                 .epoch_end(self.epoch)?;
         }
         for worker in &mut self.workers {
@@ -666,8 +601,8 @@ impl LiveSession {
 
     /// Applies resource events scheduled for the current epoch: budget
     /// changes update every worker's counterfactual budget; table growth
-    /// swaps the static join tables on workers, dispatcher prefixes, and
-    /// shard pipelines alike.
+    /// swaps the static join tables on both halves of every worker's
+    /// replica and on the shard pipelines alike.
     fn apply_events(&mut self) {
         let epoch = self.epoch;
         let epoch_secs = self.epoch_secs;
@@ -698,9 +633,7 @@ impl LiveSession {
                 };
                 for worker in &mut self.workers {
                     swap(&mut worker.ops);
-                }
-                for prefix in &mut self.sp_prefix {
-                    swap(prefix);
+                    swap(&mut worker.sp_prefix);
                 }
                 // TCP deployments reject scheduled events at validation, so
                 // table swaps never need to reach a remote executor.
@@ -740,30 +673,36 @@ impl LiveSession {
         let mut drained_records = 0u64;
         let mut drained_bytes = 0u64;
         let mut state_deltas = 0u64;
-        let boundary = self.boundary;
-        let n_shards = self.ring.n_shards();
-        let n_nodes = self.n_nodes;
+        let topo = Arc::clone(&self.topo);
+        let (n_shards, n_nodes, boundary) = (topo.ring.n_shards(), topo.n_nodes, topo.boundary);
+        // Wire counters live with the sources; this is where they are read.
+        let mut shard_wire_bytes = vec![0u64; n_shards];
+        let mut node_wire_bytes = vec![0u64; n_nodes];
         // Residual state still held by source-side operators goes where the
         // live path would have sent it: split by key ownership, merged by
         // the owning in-process host or framed onto the owner's link.
-        for (source, worker) in self.workers.iter_mut().enumerate() {
+        for worker in &mut self.workers {
             drained_records += worker.drained_records;
             drained_bytes += worker.drained_bytes;
             state_deltas += worker.state_deltas;
+            node_wire_bytes[worker.source % n_nodes] += worker.node_wire;
+            for (total, bytes) in shard_wire_bytes.iter_mut().zip(&worker.shard_wire) {
+                *total += bytes;
+            }
             for (stage, op) in worker.ops.iter_mut().enumerate() {
                 let Some(delta) = op.take_state_delta() else {
                     continue;
                 };
                 state_deltas += 1;
                 if stage < boundary {
-                    self.sp_prefix[source][stage].merge_state(delta);
+                    worker.sp_prefix[stage].merge_state(delta);
                     continue;
                 }
-                for (s, part) in self.ring.split_state(delta) {
+                for (s, part) in topo.ring.split_state(delta) {
                     let payload = NetPayload::ShardState {
                         shard: s as u32,
                         epoch: self.epoch,
-                        source: source as u32,
+                        source: worker.source as u32,
                         rel: (stage - boundary) as u32,
                         delta: part,
                     };
@@ -772,13 +711,13 @@ impl LiveSession {
                             let owner = node_of_shard(s, n_shards, n_nodes);
                             hosts[owner]
                                 .ingest(payload)
-                                .map_err(|e| node_failed(owner, &e))?;
+                                .map_err(|e| node_failed(owner, e))?;
                         }
                         // Routed by the cluster's (possibly recovered) shard
                         // map; degraded shards drop their residuals by policy.
                         SpTier::Remote(cluster) => {
                             if let Some(bytes) = cluster.route_payload(s, self.epoch, &payload) {
-                                self.shard_wire_bytes[s] += bytes;
+                                shard_wire_bytes[s] += bytes;
                             }
                         }
                     }
@@ -792,7 +731,6 @@ impl LiveSession {
         // yields its per-shard counters and its columnar results, which
         // become rows here, once.
         let peak_open_groups = self.open_groups().map(|_| self.peak_open_groups);
-        let mut node_wire_bytes = self.node_wire_bytes;
         let mut incidents = Vec::new();
         let mut replay_bytes = 0u64;
         let mut heartbeats_sent = 0u64;
@@ -849,7 +787,7 @@ impl LiveSession {
             epochs: self.epoch,
             shard_drained_records,
             shard_usage_us,
-            shard_wire_bytes: self.shard_wire_bytes,
+            shard_wire_bytes,
             node_drained_records,
             node_usage_us,
             node_wire_bytes,
@@ -862,164 +800,46 @@ impl LiveSession {
     }
 }
 
-/// One message on a node link: shard traffic whose owner is the sending
-/// source's ingress node stays an in-process value (the PR-4 single-node
-/// fast path — no link crossed, no codec paid), while genuine cross-node
-/// hops travel as encoded wire frames.
-enum NodeMsg {
-    /// Ingress-local shard payload.
-    Local(NetPayload),
-    /// Cross-node shard payload in its inter-node wire form.
-    Wire(Bytes),
-}
-
-/// Where the dispatcher's shard payloads land: in-process node channels or
-/// the remote executors' TCP links.
-enum LinkSink {
-    /// Bounded async channels into the per-epoch node tasks.
-    Channels(Vec<rt::chan::Sender<NodeMsg>>),
-    /// The remote cluster (every payload is framed onto the shard owner's
-    /// link through the cluster's recovery-aware routing table).
-    Remote(Arc<RemoteCluster>),
-}
-
-/// The dispatcher task's view of the per-node links: ring geometry, the
-/// sink, and the wire accounting charged when a payload's owning node
-/// differs from its source's ingress node. Owned by the dispatcher task
-/// for the epoch and handed back at its join.
-struct Links {
-    sink: LinkSink,
-    n_nodes: usize,
-    ring: Ring,
-    epoch: u64,
-    /// Cross-node wire bytes per target shard.
-    shard_wire: Vec<u64>,
-    /// Cross-node wire bytes per sending (ingress) node.
-    node_wire: Vec<u64>,
-    /// Per-target-node dictionary versions (in-process tier): what each
-    /// node's mirror already holds, so encoded frames ship delta pages only.
-    dict_sync: Vec<DictVersions>,
-}
-
-impl Links {
-    /// Sends one payload over the owning node's link. In-process:
-    /// ingress-local traffic as an in-process value, cross-node traffic
-    /// encoded delta-aware (persistent dictionary pages ship only what the
-    /// target's mirror is missing) and charged its actual encoded size.
-    /// Remote: everything is framed onto the owner's socket and charged its
-    /// actual framed size; the enqueue onto the link's bounded queue may
-    /// block this task's worker briefly, but the link's writer thread
-    /// drains independently of the executor, so the pool cannot deadlock.
-    async fn ship(&mut self, source: usize, shard: usize, payload: NetPayload) {
-        let owner = node_of_shard(shard, self.ring.n_shards(), self.n_nodes);
-        // The node terminating `source`'s uplink (same placement the
-        // emulated cluster uses).
-        let ingress = source % self.n_nodes;
-        let epoch = self.epoch;
-        let Links {
-            sink,
-            shard_wire,
-            node_wire,
-            dict_sync,
-            ..
-        } = self;
-        match sink {
-            LinkSink::Channels(node_txs) => {
-                let msg = if owner == ingress {
-                    NodeMsg::Local(payload)
-                } else {
-                    let wire = encode_shard_payload_with(&payload, &mut dict_sync[owner]);
-                    let bytes = wire.len() as u64;
-                    shard_wire[shard] += bytes;
-                    node_wire[ingress] += bytes;
-                    NodeMsg::Wire(wire)
-                };
-                node_txs[owner]
-                    .send(msg)
-                    .await
-                    .expect("node task alive for the epoch");
-            }
-            LinkSink::Remote(cluster) => {
-                if let Some(bytes) = cluster.route_payload(shard, epoch, &payload) {
-                    shard_wire[shard] += bytes;
-                    node_wire[ingress] += bytes;
-                }
-            }
-        }
-    }
-
-    /// Ships each part of a batch entering the suffix at `rel` to the node
-    /// owning its shard.
-    async fn dispatch_batch(&mut self, source: usize, rel: usize, batch: Batch) {
-        for (s, part) in self.ring.split_batch(rel, batch) {
-            let payload = NetPayload::ShardBatch {
-                shard: s as u32,
-                epoch: self.epoch,
-                source: source as u32,
-                rel: rel as u32,
-                batch: part,
-            };
-            self.ship(source, s, payload).await;
-        }
-    }
-
-    /// Ships each shard its share of a state delta's group entries.
-    async fn dispatch_state(&mut self, source: usize, rel: usize, delta: StatePartial) {
-        for (s, part) in self.ring.split_state(delta) {
-            let payload = NetPayload::ShardState {
-                shard: s as u32,
-                epoch: self.epoch,
-                source: source as u32,
-                rel: rel as u32,
-                delta: part,
-            };
-            self.ship(source, s, payload).await;
-        }
-    }
-}
-
-/// A refused payload as the failure of the in-process node that refused it.
-fn node_failed(node: usize, e: &HostError) -> DeployError {
+/// A refused payload, or a closed channel, as the failure of the in-process
+/// node behind it.
+fn node_failed(node: usize, reason: impl ToString) -> DeployError {
     DeployError::NodeFailed {
         node: node as u32,
-        reason: e.to_string(),
+        reason: reason.to_string(),
     }
 }
 
 impl Worker {
     fn begin_epoch(&mut self) {
         self.usage_us = 0.0;
-        self.input_records = 0;
-        self.input_bytes = 0;
         for p in &mut self.proxies {
             p.begin_epoch();
         }
     }
 
-    /// Routes and executes one epoch's batch, collecting the drained
-    /// chunks and state deltas into `out` (in the same order the threaded
-    /// path sent them); the owning source task streams `out` to the
-    /// dispatcher over the async channel afterwards, so the deep operator
-    /// code stays synchronous.
-    fn execute(&mut self, source: usize, m: usize, input: Batch, out: &mut Vec<Msg>) {
-        let send_chunked = |stage: usize,
-                            batch: Batch,
-                            drained_records: &mut u64,
-                            drained_bytes: &mut u64,
-                            out: &mut Vec<Msg>| {
-            if batch.is_empty() {
-                return;
-            }
-            *drained_records += batch.len() as u64;
-            *drained_bytes += batch.wire_size() as u64;
-            for chunk in batch.chunks(CHUNK) {
-                out.push(Msg::Drained {
-                    source,
-                    stage,
-                    batch: chunk,
-                });
-            }
-        };
+    /// The whole of this source's epoch: generate and relabel its batch,
+    /// profile it on a scratch pipeline when the runtime asked, route it
+    /// through proxies and source-side operators, and ship what drains —
+    /// chunk by chunk, as it drains — and then the operators' state deltas
+    /// to the owning SP nodes. A failed send ends the dispatch there.
+    async fn run_epoch(&mut self, ep: &Epoch) -> Result<(), NodeGone> {
+        let topo = &*ep.topo;
+        let m = topo.planned.source_ops;
+        self.begin_epoch();
+        let mut input = self.generator.generate_epoch_batch(ep.now_us, 1.0);
+        input.relabel(&topo.input_schema);
+        self.input_records = input.len() as u64;
+        self.input_bytes = input.wire_size() as u64;
+        if self.run_profile {
+            self.profile = Some(profile_on_scratch(
+                &topo.planned.plan,
+                &topo.costs,
+                m,
+                &input,
+                self.budget_us,
+            ));
+            self.run_profile = false;
+        }
 
         let mut batches = vec![input];
         for i in 0..m {
@@ -1027,13 +847,7 @@ impl Worker {
             for batch in batches.drain(..) {
                 let (fwd, drained) = self.proxies[i].split_batch(batch);
                 if let Some(drained) = drained {
-                    send_chunked(
-                        i,
-                        drained,
-                        &mut self.drained_records,
-                        &mut self.drained_bytes,
-                        out,
-                    );
+                    self.drain(i, drained, ep).await?;
                 }
                 if let Some(fwd) = fwd {
                     // Counterfactual budget charge from the calibrated model,
@@ -1050,25 +864,107 @@ impl Worker {
         }
         // Rows that passed the whole local prefix continue at SP stage m.
         for batch in batches {
-            send_chunked(
-                m,
-                batch,
-                &mut self.drained_records,
-                &mut self.drained_bytes,
-                out,
-            );
+            self.drain(m, batch, ep).await?;
         }
 
         // Ship partial state every epoch (exactness does not depend on the
         // cadence; shipping eagerly keeps replica state fresh).
-        for (stage, op) in self.ops.iter_mut().enumerate() {
-            if let Some(delta) = op.take_state_delta() {
-                self.state_deltas += 1;
-                out.push(Msg::State {
-                    source,
-                    stage,
-                    delta,
-                });
+        for stage in 0..self.ops.len() {
+            let Some(delta) = self.ops[stage].take_state_delta() else {
+                continue;
+            };
+            self.state_deltas += 1;
+            if stage < topo.boundary {
+                // A stateless prefix op cannot own mergeable state; the
+                // default merge hook ignores it.
+                self.sp_prefix[stage].merge_state(delta);
+                continue;
+            }
+            for (s, part) in topo.ring.split_state(delta) {
+                let payload = NetPayload::ShardState {
+                    shard: s as u32,
+                    epoch: ep.epoch,
+                    source: self.source as u32,
+                    rel: (stage - topo.boundary) as u32,
+                    delta: part,
+                };
+                self.ship(s, payload, ep).await?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Ships a batch drained in front of source-side operator `stage`,
+    /// `CHUNK` rows at a time: each chunk runs what is left of the stateless
+    /// prefix on its way to the keyed boundary, then splits over the ring. A
+    /// batch drained at or past the boundary has no prefix left (`skip`
+    /// yields nothing) and enters the shard suffix `rel` stages in.
+    async fn drain(&mut self, stage: usize, batch: Batch, ep: &Epoch) -> Result<(), NodeGone> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        self.drained_records += batch.len() as u64;
+        self.drained_bytes += batch.wire_size() as u64;
+        let rel = stage.saturating_sub(ep.topo.boundary);
+        for chunk in batch.chunks(CHUNK) {
+            let mut batches = vec![chunk];
+            for op in self.sp_prefix.iter_mut().skip(stage) {
+                let mut next = Vec::new();
+                for b in batches.drain(..) {
+                    op.process_batch(b, &mut next);
+                }
+                batches = next;
+            }
+            for b in batches {
+                for (s, part) in ep.topo.ring.split_batch(rel, b) {
+                    let payload = NetPayload::ShardBatch {
+                        shard: s as u32,
+                        epoch: ep.epoch,
+                        source: self.source as u32,
+                        rel: rel as u32,
+                        batch: part,
+                    };
+                    self.ship(s, payload, ep).await?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Sends one payload over the owning node's link. In-process:
+    /// ingress-local traffic as an in-process value, cross-node traffic
+    /// encoded delta-aware (persistent dictionary pages ship only what the
+    /// target's mirror is missing) and charged its actual encoded size.
+    /// Remote: everything is framed onto the owner's socket and charged its
+    /// actual framed size; the enqueue onto the link's bounded queue may
+    /// block this task's worker briefly, but the link's writer thread
+    /// drains independently of the executor, so the pool cannot deadlock.
+    async fn ship(
+        &mut self,
+        shard: usize,
+        payload: NetPayload,
+        ep: &Epoch,
+    ) -> Result<(), NodeGone> {
+        let n_nodes = ep.topo.n_nodes;
+        let owner = node_of_shard(shard, ep.topo.ring.n_shards(), n_nodes);
+        match &ep.sink {
+            LinkSink::Channels(node_txs) => {
+                let msg = if owner == self.source % n_nodes {
+                    NodeMsg::Local(payload)
+                } else {
+                    let wire = encode_shard_payload_with(&payload, &mut self.dict_sync[owner]);
+                    self.shard_wire[shard] += wire.len() as u64;
+                    self.node_wire += wire.len() as u64;
+                    NodeMsg::Wire(wire)
+                };
+                node_txs[owner].send(msg).await.map_err(|_| NodeGone(owner))
+            }
+            LinkSink::Remote(cluster) => {
+                if let Some(bytes) = cluster.route_payload(shard, ep.epoch, &payload) {
+                    self.shard_wire[shard] += bytes;
+                    self.node_wire += bytes;
+                }
+                Ok(())
             }
         }
     }
@@ -1165,6 +1061,7 @@ mod tests {
     use crate::calibration::Scale;
     use crate::deploy::Deployment;
     use crate::experiment::ScenarioSpec;
+    use crate::live::host::HostError;
     use crate::strategy::StrategyKind;
 
     fn spec(strategy: StrategyKind, cpu: f64) -> DeploymentSpec {
@@ -1181,10 +1078,78 @@ mod tests {
     fn refused_payloads_fail_the_epoch_with_the_nodes_identity() {
         // What a host refuses (see `live::host`) surfaces as a typed node
         // failure naming the node; it does not panic a runtime worker.
-        let err = node_failed(3, &HostError::Undecodable("bad tag".to_string()));
+        let err = node_failed(3, HostError::Undecodable("bad tag".to_string()));
         assert!(
             matches!(&err, DeployError::NodeFailed { node: 3, reason } if reason.contains("undecodable")),
             "got {err:?}"
+        );
+    }
+
+    /// Runs source 0's first epoch against a 2-node pool's channels, node
+    /// 1's receiver kept or dropped; returns the worker, how its sends
+    /// went, and the lengths of the wire frames that reached node 1.
+    fn first_epoch_of_source_zero(
+        node_one_alive: bool,
+    ) -> (Worker, Result<(), NodeGone>, Vec<u64>) {
+        let spec = Deployment::builder()
+            .workload(ScenarioSpec::pingmesh_s2s(Scale::X1))
+            .strategy(StrategyKind::AllSp)
+            .cpu_budget(0.6)
+            .sources(2)
+            .sp_shards(4)
+            .sp_nodes(2)
+            .spec()
+            .unwrap();
+        let mut session = LiveSession::new(&spec).unwrap();
+        let mut worker = session.workers.swap_remove(0);
+        // Wide enough that no send ever waits for a receiver.
+        let (tx0, _rx0) = rt::chan::bounded::<NodeMsg>(1 << 16);
+        let (tx1, rx1) = rt::chan::bounded::<NodeMsg>(1 << 16);
+        let mut rx1 = node_one_alive.then_some(rx1);
+        let ep = Epoch {
+            topo: Arc::clone(&session.topo),
+            sink: LinkSink::Channels(vec![tx0, tx1]),
+            epoch: 0,
+            now_us: 0,
+        };
+        let rt = rt::deterministic_runtime(7);
+        let task = rt.spawn(async move {
+            let sent = worker.run_epoch(&ep).await;
+            drop(ep);
+            let mut frames = Vec::new();
+            if let Some(rx) = &mut rx1 {
+                while rx.recv_many(&mut frames).await > 0 {}
+            }
+            (worker, sent, frames)
+        });
+        let (worker, sent, frames) = task.join();
+        let lens = frames
+            .into_iter()
+            .map(|msg| match msg {
+                NodeMsg::Wire(frame) => frame.len() as u64,
+                NodeMsg::Local(_) => panic!("source 0 ingresses at node 0"),
+            })
+            .collect();
+        (worker, sent, lens)
+    }
+
+    #[test]
+    fn a_closed_node_channel_ends_the_dispatch_with_the_owners_id() {
+        // Source 0 ingresses at node 0, so everything it owes node 1's
+        // shards is encoded. With node 1 draining, every frame arrives and
+        // is charged; with node 1's receiver gone, the first send toward
+        // it fails with that node's id instead of panicking the runtime
+        // worker, and nothing after that frame is encoded.
+        let (healthy, sent, frames) = first_epoch_of_source_zero(true);
+        assert_eq!(sent, Ok(()));
+        assert!(frames.len() > 1, "several chunks cross to node 1");
+        assert_eq!(healthy.node_wire, frames.iter().sum::<u64>());
+
+        let (failed, sent, _) = first_epoch_of_source_zero(false);
+        assert_eq!(sent, Err(NodeGone(1)));
+        assert_eq!(
+            failed.node_wire, frames[0],
+            "the dispatch stops at the frame whose send failed"
         );
     }
 

@@ -698,8 +698,8 @@ fn lint_deployment(plan: &LogicalPlan, ctx: &CheckContext, diags: &mut Vec<Diagn
     }
     // JP501: past `rt_workers × RT_FANIN_BOUND` sources per deployment, the
     // default channel capacity makes source tasks park on backpressure
-    // between dispatcher drains; the run stays exact but throughput sags
-    // until the batching knobs are tuned.
+    // between the SP node tasks' drains; the run stays exact but throughput
+    // sags until the batching knobs are tuned.
     let fanin_budget = u64::from(ctx.rt_workers) * u64::from(crate::rt::RT_FANIN_BOUND);
     if u64::from(ctx.sources) > fanin_budget
         && ctx.channel_capacity == crate::rt::DEFAULT_CHANNEL_CAPACITY
@@ -713,7 +713,7 @@ fn lint_deployment(plan: &LogicalPlan, ctx: &CheckContext, diags: &mut Vec<Diagn
                     "{} sources over {} runtime worker(s) exceeds the documented \
                      fan-in bound of {} sources per worker, and channel_capacity is \
                      at its default ({}): source tasks will park on backpressure \
-                     between dispatcher drains",
+                     between the SP node tasks' drains",
                     ctx.sources,
                     ctx.rt_workers,
                     crate::rt::RT_FANIN_BOUND,
@@ -722,7 +722,7 @@ fn lint_deployment(plan: &LogicalPlan, ctx: &CheckContext, diags: &mut Vec<Diagn
             )
             .with_help(
                 "raise rt_workers or widen channel_capacity on Deployment::builder() \
-                 so dispatcher batch drains keep up with the source fan-in",
+                 so the node tasks' batch drains keep up with the source fan-in",
             ),
         );
     }

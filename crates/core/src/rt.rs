@@ -4,39 +4,45 @@
 //! work-stealing multi-worker executor ([`Runtime`]), bounded async MPSC
 //! channels ([`chan`]) whose receivers drain whole bursts per wakeup, and
 //! the [`DeadlineQueue`] the TCP control plane bounds its blocking waits
-//! with. The live session spawns one task per source prefix, per SP node,
-//! and for the dispatcher, so 10k sources run on `num_cpus` worker threads
-//! instead of 10k OS threads.
+//! with. The live session spawns one task per source — which does the whole
+//! of its source's epoch, up to sending to the SP nodes — and one per SP
+//! node, so thousands of sources run on `num_cpus` worker threads instead
+//! of as many OS threads.
 //!
-//! **Wakeup-amortization contract.** Every consumer task in the session
-//! topology receives through [`chan::Receiver::recv_many`], which moves the
-//! channel's *entire* buffered backlog in one poll. A burst of `n` messages
-//! therefore costs one scheduler wakeup, not `n`, and per-record overhead
-//! stays flat as the source count grows — the property the
-//! `source_scaling` bench series gates on.
+//! **Wakeup-amortization contract.** The consumers in the session topology
+//! — the SP node tasks, each fed by every source — receive through
+//! [`chan::Receiver::recv_many`], which moves the channel's *entire*
+//! buffered backlog in one poll. A burst of `n` messages therefore costs
+//! one scheduler wakeup, not `n`, and per-record overhead stays flat as the
+//! source count grows. The number that shows it is the repo benchmark's
+//! `t2t_allsp_fanin` workload: 2048 real sources through the real session
+//! on one worker.
 //!
 //! **Determinism.** The schedule never affects results: the key → shard
 //! mapping, netwire codec, and dict delta protocol are all
-//! order-independent (see `tests/source_scale_parity.rs`). For debugging
-//! task-ordering bugs, [`deterministic_runtime`] (or the
-//! `JARVIS_RT_SEED` environment variable) switches to a seeded
-//! single-worker scheduler that replays one interleaving exactly.
+//! order-independent (see `tests/source_scale_parity.rs`), and every frame
+//! of a source is encoded and sent, in order, by that source's one task
+//! (`tests/node_parity.rs` sweeps workers × channel capacities for equal
+//! digests *and* wire bytes). For debugging task-ordering bugs,
+//! [`deterministic_runtime`] (or the `JARVIS_RT_SEED` environment variable)
+//! switches to a seeded single-worker scheduler that replays one
+//! interleaving exactly.
 
 pub use minirt::chan;
-pub use minirt::exec::{yield_now, Handle, JoinHandle, Runtime};
+pub use minirt::exec::{Handle, JoinHandle, Runtime};
 pub use minirt::timer::DeadlineQueue;
 
 /// Documented fan-in bound: how many source tasks one executor worker is
 /// expected to multiplex comfortably at the default channel capacity.
 /// Deployments requesting more than `rt_workers × RT_FANIN_BOUND` sources
 /// without tuning `channel_capacity` trip the `JP501` plancheck info lint —
-/// beyond this ratio, widening the channels is what keeps source tasks from
-/// parking on backpressure between dispatcher drains.
+/// beyond this ratio, widening the node channels is what keeps source tasks
+/// from parking on backpressure between a node task's drains.
 pub const RT_FANIN_BOUND: u32 = 512;
 
-/// Default capacity of the session's async channels (source → dispatcher
-/// and dispatcher → node), overridable via the `channel_capacity` builder
-/// knob.
+/// Default capacity of the session's async channels (one per SP node, every
+/// source task sending into each), overridable via the `channel_capacity`
+/// builder knob.
 pub const DEFAULT_CHANNEL_CAPACITY: u32 = 256;
 
 /// Effective worker count for a requested `rt_workers` knob: `None` sizes
@@ -104,5 +110,41 @@ mod tests {
         });
         prod.join();
         assert_eq!(cons.join(), (0..8).collect::<Vec<_>>());
+    }
+
+    /// Many producers into one `recv_many` consumer over a narrow channel —
+    /// the session's fan-in shape: one seed replays one interleaving exactly
+    /// (same arrival order), and every seed delivers the same messages.
+    #[test]
+    fn seeded_runtime_replays_a_fan_in_exactly() {
+        let run = |seed: u64| {
+            let rt = deterministic_runtime(seed);
+            let (tx, mut rx) = chan::bounded::<(u32, u32)>(4);
+            for producer in 0..16 {
+                let tx = tx.clone();
+                drop(rt.spawn(async move {
+                    for i in 0..8 {
+                        tx.send((producer, i)).await.expect("receiver alive");
+                    }
+                }));
+            }
+            drop(tx);
+            let cons = rt.spawn(async move {
+                let mut got = Vec::new();
+                let mut buf = Vec::new();
+                while rx.recv_many(&mut buf).await > 0 {
+                    got.append(&mut buf);
+                }
+                got
+            });
+            cons.join()
+        };
+        let mut first = run(7);
+        assert_eq!(first, run(7), "same seed, same interleaving");
+        let mut other = run(1234);
+        first.sort_unstable();
+        other.sort_unstable();
+        assert_eq!(first, other, "the delivery is schedule-independent");
+        assert_eq!(first.len(), 16 * 8);
     }
 }

@@ -174,12 +174,27 @@ fn assert_exact(report: &RunReport, baseline: &RunReport, label: &str) {
 /// Kills node 1 under `Reassign`: the survivor adopts its shards and the
 /// digest matches the fault-free run bit-for-bit.
 fn assert_reassign_parity(spec: ScenarioSpec, strategy: StrategyKind, schedule: Schedule) {
+    assert_reassign_parity_on(spec, strategy, schedule, None);
+}
+
+/// [`assert_reassign_parity`] with the coordinator's executor pinned to
+/// `rt_workers` threads when given (default: host-sized).
+fn assert_reassign_parity_on(
+    spec: ScenarioSpec,
+    strategy: StrategyKind,
+    schedule: Schedule,
+    rt_workers: Option<u32>,
+) {
     let _guard = port_lock();
     let addr = free_addr();
     let token = "fault-parity";
     let handles = spawn_nodes(&addr, token, 2, false);
-    let report = fault_deployment(&spec, strategy, schedule, &addr, token)
-        .on_node_loss(OnNodeLoss::Reassign)
+    let mut builder = fault_deployment(&spec, strategy, schedule, &addr, token)
+        .on_node_loss(OnNodeLoss::Reassign);
+    if let Some(workers) = rt_workers {
+        builder = builder.rt_workers(workers);
+    }
+    let report = builder
         .build()
         .expect("valid TCP spec")
         .run(schedule.epochs)
@@ -283,6 +298,17 @@ fn reassign_keeps_log_analytics_exact() {
     let spec = ScenarioSpec::log_analytics(Scale::X1);
     assert_reassign_parity(spec.clone(), StrategyKind::AllSp, EARLY);
     assert_reassign_parity(spec, StrategyKind::AllSp, LATE);
+}
+
+#[test]
+fn reassign_under_concurrent_senders_keeps_log_analytics_exact() {
+    // Both source tasks run at once on a four-worker executor, so the
+    // replay buffers the recovery re-ships were appended to — and the
+    // dictionary versions the live frames were encoded against — under
+    // concurrent `route_payload` callers. The late schedule replays three
+    // epochs of that traffic onto the survivor.
+    let spec = ScenarioSpec::log_analytics(Scale::X1);
+    assert_reassign_parity_on(spec, StrategyKind::AllSp, LATE, Some(4));
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //! single-node run. This suite proves 1 ≡ 2 ≡ 4 nodes on a 4-shard ring,
 //! on all three paper queries, on both executing backends, under:
 //!
-//! * **All-SP** (everything drained: the full flow, where the dispatcher
-//!   partitions raw row traffic over the ring);
+//! * **All-SP** (everything drained: the full flow, where every source
+//!   task partitions its raw row traffic over the ring);
 //! * **All-Src** (everything pre-aggregated at the sources: partitioned
 //!   state shipping, where every `StatePartial` entry must reach the node
 //!   owning its key's shard);
@@ -366,4 +366,68 @@ fn scale_out_does_not_change_cross_backend_parity() {
     let em = run(&spec, StrategyKind::AllSrc, BackendKind::Emulated, 4, 12);
     let lv = run(&spec, StrategyKind::AllSrc, BackendKind::Live, 4, 12);
     assert_eq!(digest_of(&em), digest_of(&lv));
+}
+
+// ---- live backend: schedule independence, swept ----
+
+#[test]
+fn s2s_live_adaptive_digest_and_wire_bytes_ignore_the_schedule() {
+    // Every source task splits, encodes and sends its own frames, so
+    // neither the result nor a single wire byte may depend on how many
+    // workers ran the tasks or how often a narrow channel parked them. S2S
+    // under Jarvis at a budget that leaves load factors fractional puts
+    // both payload kinds on the links: drained `ShardBatch` rows and
+    // `ShardState` deltas.
+    let run = |workers: u32, capacity: u32| {
+        Deployment::builder()
+            .workload(ScenarioSpec::pingmesh_s2s(Scale::X1))
+            .strategy(StrategyKind::Jarvis)
+            .cpu_budget(0.04)
+            .sources(8)
+            .sp_shards(RING)
+            .sp_nodes(2)
+            .backend(BackendKind::Live)
+            .rt_workers(workers)
+            .channel_capacity(capacity)
+            .collect_results(true)
+            .build()
+            .expect("valid spec")
+            .run(12)
+            .expect("run succeeds")
+    };
+    let wire_bytes = |r: &RunReport| -> (Vec<u64>, Vec<u64>) {
+        (
+            r.shard_stats.iter().map(|s| s.wire_bytes_out).collect(),
+            r.node_stats.iter().map(|n| n.wire_bytes_out).collect(),
+        )
+    };
+    let base = run(1, 256);
+    assert!(
+        base.load_factors.iter().any(|&p| p > 0.0 && p < 1.0),
+        "the budget must leave a fractional load factor: {:?}",
+        base.load_factors
+    );
+    assert!(
+        base.drained_records > 0 && base.state_deltas > 0,
+        "both drained rows and state deltas must flow"
+    );
+    assert!(
+        wire_bytes(&base).1.iter().all(|&b| b > 0),
+        "both ingress nodes ship across the link"
+    );
+    for workers in [1u32, 2, 4] {
+        for capacity in [2u32, 256] {
+            let r = run(workers, capacity);
+            assert_eq!(
+                digest_of(&r),
+                digest_of(&base),
+                "rt_workers {workers}, channel_capacity {capacity}: digest"
+            );
+            assert_eq!(
+                wire_bytes(&r),
+                wire_bytes(&base),
+                "rt_workers {workers}, channel_capacity {capacity}: wire bytes"
+            );
+        }
+    }
 }

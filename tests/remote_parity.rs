@@ -17,7 +17,9 @@ use std::thread;
 use std::time::Duration;
 
 use jarvis::core::calibration::Scale;
-use jarvis::core::deploy::{BackendKind, DeployError, Deployment, RunReport, TransportKind};
+use jarvis::core::deploy::{
+    BackendKind, DeployError, Deployment, DeploymentBuilder, TransportKind,
+};
 use jarvis::core::experiment::ScenarioSpec;
 use jarvis::core::node::{run_node, NodeConfig, NodeError, NodeSummary};
 use jarvis::core::strategy::StrategyKind;
@@ -57,6 +59,26 @@ fn spawn_nodes(
         .collect()
 }
 
+/// The deployment both tiers share: `sources` data sources over the fixed
+/// ring, on the live backend (in process unless the caller adds a
+/// transport).
+fn live_builder(
+    spec: &ScenarioSpec,
+    strategy: StrategyKind,
+    sources: u32,
+    nodes: u32,
+) -> DeploymentBuilder {
+    Deployment::builder()
+        .workload(spec.clone())
+        .strategy(strategy)
+        .cpu_budget(1.0)
+        .sources(sources)
+        .sp_shards(RING)
+        .sp_nodes(nodes)
+        .backend(BackendKind::Live)
+        .collect_results(true)
+}
+
 fn tcp_deployment(
     spec: &ScenarioSpec,
     strategy: StrategyKind,
@@ -64,53 +86,46 @@ fn tcp_deployment(
     addr: &str,
     token: &str,
 ) -> Deployment {
-    Deployment::builder()
-        .workload(spec.clone())
-        .strategy(strategy)
-        .cpu_budget(1.0)
-        .sources(2)
-        .sp_shards(RING)
-        .sp_nodes(nodes)
-        .backend(BackendKind::Live)
-        .transport(TransportKind::Tcp)
-        .listen_addr(addr)
-        .auth_token(token)
-        .node_timeout(Duration::from_secs(30))
-        .collect_results(true)
+    tcp_builder(live_builder(spec, strategy, 2, nodes), addr, token)
         .build()
         .expect("valid TCP spec")
 }
 
-fn in_process_run(
-    spec: &ScenarioSpec,
-    strategy: StrategyKind,
-    nodes: u32,
-    epochs: u64,
-) -> RunReport {
-    Deployment::builder()
-        .workload(spec.clone())
-        .strategy(strategy)
-        .cpu_budget(1.0)
-        .sources(2)
-        .sp_shards(RING)
-        .sp_nodes(nodes)
-        .backend(BackendKind::Live)
-        .collect_results(true)
-        .build()
-        .expect("valid spec")
-        .run(epochs)
-        .expect("run succeeds")
+fn tcp_builder(builder: DeploymentBuilder, addr: &str, token: &str) -> DeploymentBuilder {
+    builder
+        .transport(TransportKind::Tcp)
+        .listen_addr(addr)
+        .auth_token(token)
+        .node_timeout(Duration::from_secs(30))
 }
 
 /// Runs `spec`/`strategy` over two real `jarvis-node` processes-worth of
 /// executors on loopback TCP and asserts digest parity with the in-process
 /// 4-node run, plus populated socket-byte accounting.
 fn assert_remote_parity(spec: ScenarioSpec, strategy: StrategyKind, epochs: u64) {
+    assert_remote_parity_at(spec, strategy, epochs, 2, None);
+}
+
+/// [`assert_remote_parity`] at a chosen source count and, when given, a
+/// pinned executor width for the coordinator's session.
+fn assert_remote_parity_at(
+    spec: ScenarioSpec,
+    strategy: StrategyKind,
+    epochs: u64,
+    sources: u32,
+    rt_workers: Option<u32>,
+) {
     let _guard = port_lock();
     let addr = free_addr();
     let token = "remote-parity";
     let handles = spawn_nodes(&addr, token, 2);
-    let report = tcp_deployment(&spec, strategy, 2, &addr, token)
+    let mut builder = tcp_builder(live_builder(&spec, strategy, sources, 2), &addr, token);
+    if let Some(workers) = rt_workers {
+        builder = builder.rt_workers(workers);
+    }
+    let report = builder
+        .build()
+        .expect("valid TCP spec")
         .run(epochs)
         .expect("TCP run succeeds");
     for handle in handles {
@@ -129,7 +144,11 @@ fn assert_remote_parity(spec: ScenarioSpec, strategy: StrategyKind, epochs: u64)
         "socket byte accounting must be populated: {:?}",
         report.node_stats
     );
-    let baseline = in_process_run(&spec, strategy, 4, epochs);
+    let baseline = live_builder(&spec, strategy, sources, 4)
+        .build()
+        .expect("valid spec")
+        .run(epochs)
+        .expect("run succeeds");
     assert_eq!(
         report.exactness.as_ref().expect("digest collected"),
         baseline.exactness.as_ref().expect("digest collected"),
@@ -175,6 +194,24 @@ fn log_tcp_nodes_equal_in_process() {
     assert_remote_parity(spec.clone(), StrategyKind::AllSp, 8);
     assert_remote_parity(spec.clone(), StrategyKind::AllSrc, 8);
     assert_remote_parity(spec, StrategyKind::Jarvis, 10);
+}
+
+#[test]
+fn log_tcp_concurrent_senders_equal_in_process() {
+    // Four executor workers run eight source tasks at once, so several
+    // tasks are inside `RemoteCluster::route_payload` together — appending
+    // to one shard's replay buffer, encoding against one link's dictionary
+    // versions, enqueueing on one socket. LogAnalytics under Jarvis puts
+    // the order-sensitive traffic on that socket: persistent-dictionary
+    // delta pages (a delta out of order fails to decode) and `ShardState`
+    // beside `ShardBatch`.
+    assert_remote_parity_at(
+        ScenarioSpec::log_analytics(Scale::X1),
+        StrategyKind::Jarvis,
+        10,
+        8,
+        Some(4),
+    );
 }
 
 #[test]
