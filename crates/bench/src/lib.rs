@@ -15,6 +15,7 @@ pub mod nodescale;
 pub mod output;
 pub mod plancheck_cli;
 pub mod shardscale;
+pub mod wirecodec;
 
 pub use dictepoch::{bench_dict_epoch, DictEpochResult};
 pub use faultrecovery::{bench_fault_recovery, FaultRecoveryResult};
@@ -23,3 +24,4 @@ pub use groupagg::{bench_group_agg, GroupAggResult};
 pub use nettransport::{bench_net_transport, NetTransportResult};
 pub use nodescale::{bench_node_scaling, NodeScalingResult};
 pub use shardscale::{bench_shard_scaling, ShardScalingResult, ThroughputReport};
+pub use wirecodec::{bench_wire_codec, WireCodecResult};

@@ -14,12 +14,14 @@
 //! group-aggregate kernels, the sharded SP runtime's 1/2/4-shard scaling,
 //! the multi-node SP tier's 1/2/4-node scaling, the seeded fault-recovery
 //! drill and the persistent-dictionary cross-epoch series (group-by
-//! throughput vs per-epoch rebuild plus delta vs full-page wire bytes),
-//! and (with `--json`) writes `BENCH_throughput.json`, the
+//! throughput vs per-epoch rebuild plus delta vs full-page wire bytes)
+//! and the batch wire codec's encoded vs fixed-width bytes per boundary
+//! chunk, and (with `--json`) writes `BENCH_throughput.json`, the
 //! perf-trajectory artifact CI uploads. With
 //! `--check` it additionally fails (exit 1) when a measured speedup
-//! regresses more than 20% below the committed baseline, or when the
-//! fault-recovery drill fails to prove exact recovery.
+//! regresses more than 20% below the committed baseline, when the
+//! fault-recovery drill fails to prove exact recovery, or when the wire
+//! codec's byte counts differ from the committed ones.
 
 use jarvis_bench::output::{f2, render_ascii_chart, render_table, write_json};
 use jarvis_bench::*;
@@ -332,6 +334,7 @@ fn run_bench(json: bool, check: bool) {
         net_transport: bench_net_transport(15),
         fault_recovery: Some(bench_fault_recovery()),
         dict_epoch: Some(bench_dict_epoch(15)),
+        wire_codec: Some(bench_wire_codec(15)),
     };
     let g = &report.group_agg;
     println!("Group-aggregate kernels: str keys vs dict keys, and wide-int keys");
@@ -429,6 +432,26 @@ fn run_bench(json: bool, check: bool) {
             "  wire     : {:.0} B/epoch full pages vs {:.0} B/epoch deltas ({:.2}x smaller)",
             de.full_page_wire_bytes_per_epoch, de.delta_wire_bytes_per_epoch, de.wire_reduction
         );
+    }
+    if let Some(wc) = &report.wire_codec {
+        println!("Batch wire codec: content-sized integer pages vs the fixed-width format");
+        for p in [&wc.s2s, &wc.log] {
+            println!(
+                "  part     : {} ({} rows, {} frames)",
+                p.part, p.rows, p.frames
+            );
+            println!(
+                "  bytes    : {} encoded ({:.2} B/row) vs {} fixed-width ({:.2}x smaller)",
+                p.encoded_bytes,
+                p.encoded_bytes_per_row,
+                p.fixed_width_bytes,
+                p.fixed_width_bytes as f64 / p.encoded_bytes as f64
+            );
+            println!(
+                "  cost     : encode {:.1} ns/row, decode {:.1} ns/row (context only)",
+                p.encode_ns_per_row, p.decode_ns_per_row
+            );
+        }
     }
     maybe_json(json, "BENCH_throughput", &report);
 

@@ -77,15 +77,7 @@ pub fn run_node_iter(
     let mut local: Vec<Vec<Batch>> = (0..n_shards).map(|_| Vec::new()).collect();
     let mut remote: Vec<Vec<bytes::Bytes>> = (0..n_nodes).map(|_| Vec::new()).collect();
     for batch in batches {
-        let mut cur = vec![batch.clone()];
-        for op in &mut chain.prefix {
-            let mut next = Vec::new();
-            for b in cur {
-                op.process_batch(b, &mut next);
-            }
-            cur = next;
-        }
-        for out in cur {
+        for out in chain.run_prefix(batch.clone()) {
             if n_shards == 1 {
                 local[0].push(out);
                 continue;

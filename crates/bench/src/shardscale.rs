@@ -52,6 +52,10 @@ pub struct ThroughputReport {
     /// group-by throughput and delta vs full-page wire bytes (PR 9).
     /// `Option` for the same pre-PR baseline-loading reason.
     pub dict_epoch: Option<crate::dictepoch::DictEpochResult>,
+    /// Encoded vs fixed-width bytes of one S2S and one LogAnalytics
+    /// boundary chunk (PR 24) — deterministic byte counts, gated exactly.
+    /// `Option` for the same pre-PR baseline-loading reason.
+    pub wire_codec: Option<crate::wirecodec::WireCodecResult>,
 }
 
 /// Allowed relative speedup regression before the CI gate fails.
@@ -128,6 +132,17 @@ impl ThroughputReport {
                     .to_string(),
             );
         }
+        // The wire-codec series gates on its byte counts alone: they are
+        // deterministic, so they must equal the committed ones exactly.
+        if let Some(wc) = &self.wire_codec {
+            out.extend(wc.failures_vs(baseline.wire_codec.as_ref()));
+        } else if baseline.wire_codec.is_some() {
+            out.push(
+                "wire_codec: series missing from the measured report but present \
+                 in the committed baseline"
+                    .to_string(),
+            );
+        }
         out
     }
 }
@@ -182,6 +197,22 @@ pub struct ShardedChain {
     pub shards: Vec<Vec<Box<dyn Operator>>>,
 }
 
+impl ShardedChain {
+    /// Runs one batch through the stateless prefix, returning what reaches
+    /// the keyed boundary.
+    pub fn run_prefix(&mut self, batch: Batch) -> Vec<Batch> {
+        let mut cur = vec![batch];
+        for op in &mut self.prefix {
+            let mut next = Vec::new();
+            for b in cur {
+                op.process_batch(b, &mut next);
+            }
+            cur = next;
+        }
+        cur
+    }
+}
+
 /// Builds the S2SProbe chain split for `n` shards.
 pub fn build_sharded_chain(n: usize) -> ShardedChain {
     let plan = telemetry::queries::s2s_probe();
@@ -210,15 +241,7 @@ pub fn run_sharded_iter(chain: &mut ShardedChain, batches: &[Batch]) -> (f64, f6
     let start = Instant::now();
     let mut buckets: Vec<Vec<Batch>> = (0..n).map(|_| Vec::new()).collect();
     for batch in batches {
-        let mut cur = vec![batch.clone()];
-        for op in &mut chain.prefix {
-            let mut next = Vec::new();
-            for b in cur {
-                op.process_batch(b, &mut next);
-            }
-            cur = next;
-        }
-        for out in cur {
+        for out in chain.run_prefix(batch.clone()) {
             if n == 1 {
                 buckets[0].push(out);
             } else {

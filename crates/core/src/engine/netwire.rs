@@ -1,26 +1,30 @@
 //! Binary wire codec for the [`NetPayload`] shard variants.
 //!
 //! A multi-node SP ships remote-shard traffic between nodes as bytes, not
-//! in-process values: a length-prefixed little-endian envelope around the
-//! existing batch wire format ([`streamkit::encode`]) for row payloads and
-//! the bit-exact group-state format ([`encode_group_state`] — floats travel
-//! as raw bits, so non-finite accumulators like an untouched `Min` at
-//! `+inf` survive the hop) for [`StatePartial`] splits. Decoding needs the
-//! suffix edge schemas (schemas are fixed per query edge, as everywhere else
-//! on the wire) — `schemas[rel]` is the input schema of suffix stage `rel`,
-//! with one extra entry for fully-processed result rows (`rel ==
-//! schemas.len() - 1`).
+//! in-process values: a 25-byte little-endian envelope (tag, shard, epoch,
+//! source, stage, body length) followed, in the same buffer, by the batch
+//! wire format ([`streamkit::encode`] — content-sized integer pages) for row
+//! payloads or the bit-exact group-state format ([`encode_group_state`] —
+//! floats travel as raw bits, so non-finite accumulators like an untouched
+//! `Min` at `+inf` survive the hop) for [`StatePartial`] splits. Decoding
+//! needs the suffix edge schemas (schemas are fixed per query edge, as
+//! everywhere else on the wire) — `schemas[rel]` is the input schema of
+//! suffix stage `rel`, with one extra entry for fully-processed result rows
+//! (`rel == schemas.len() - 1`).
 //!
-//! Note the codec is a *transport*; bandwidth accounting stays on
-//! [`NetPayload::wire_bytes`] (the `batch::layout` single source of truth),
-//! exactly as the source → SP uplink charges `Batch::wire_size` rather than
-//! its own envelope.
+//! Note the codec is a *transport*: what it ships is what `Worker::node_wire`
+//! and the socket counters report (`sp_wire_bytes_per_row`), while bandwidth
+//! *accounting* stays on [`NetPayload::wire_bytes`] (the `batch::layout`
+//! single source of truth, fixed schema widths), exactly as the source → SP
+//! uplink charges `Batch::wire_size` rather than its own envelope.
+//!
+//! [`encode_group_state`]: streamkit::encode::encode_group_state
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use streamkit::batch::{DictRegistry, DictVersions};
 use streamkit::encode::{
-    decode_batch, decode_batch_with, decode_group_state, encode_batch, encode_batch_with,
-    encode_group_state,
+    decode_batch, decode_batch_with, decode_group_state, encode_batch_into,
+    encode_group_state_into, ships_dict_deltas,
 };
 use streamkit::error::Error;
 use streamkit::ops::StatePartial;
@@ -28,6 +32,8 @@ use streamkit::schema::SchemaRef;
 
 use crate::engine::NetPayload;
 
+/// Bytes of the envelope ahead of the body.
+const ENVELOPE_LEN: usize = 25;
 /// Envelope tag for [`NetPayload::ShardBatch`].
 const TAG_SHARD_BATCH: u8 = 2;
 /// Envelope tag for [`NetPayload::ShardState`].
@@ -55,54 +61,57 @@ pub fn encode_shard_payload_with(payload: &NetPayload, link: &mut DictVersions) 
     encode_shard_payload_impl(payload, Some(link))
 }
 
+/// True when [`encode_shard_payload_with`] depends on the link, i.e. when
+/// `payload` carries a persistent-dictionary column; for every other payload
+/// it yields exactly the bytes of [`encode_shard_payload`].
+pub(crate) fn link_dependent(payload: &NetPayload) -> bool {
+    matches!(payload, NetPayload::ShardBatch { batch, .. } if ships_dict_deltas(batch))
+}
+
+/// Starts a payload buffer with its envelope; the body length is patched in
+/// by [`encode_shard_payload_impl`] once the body has been appended.
+fn envelope(tag: u8, shard: u32, epoch: u64, source: u32, rel: u32) -> BytesMut {
+    let mut buf = BytesMut::with_capacity(ENVELOPE_LEN);
+    buf.put_u8(tag);
+    buf.put_u32_le(shard);
+    buf.put_u64_le(epoch);
+    buf.put_u32_le(source);
+    buf.put_u32_le(rel);
+    buf.put_u32_le(0);
+    buf
+}
+
 fn encode_shard_payload_impl(payload: &NetPayload, link: Option<&mut DictVersions>) -> Bytes {
-    let (tag, shard, epoch, source, rel, body) = match payload {
+    // Envelope and body share one buffer, which the body encoder grows once.
+    let mut buf = match payload {
         NetPayload::ShardBatch {
             shard,
             epoch,
             source,
             rel,
             batch,
-        } => (
-            TAG_SHARD_BATCH,
-            *shard,
-            *epoch,
-            *source,
-            *rel,
-            match link {
-                Some(link) => encode_batch_with(batch, link),
-                None => encode_batch(batch),
-            },
-        ),
+        } => {
+            let mut buf = envelope(TAG_SHARD_BATCH, *shard, *epoch, *source, *rel);
+            encode_batch_into(&mut buf, batch, link);
+            buf
+        }
         NetPayload::ShardState {
             shard,
             epoch,
             source,
             rel,
-            delta,
+            delta: StatePartial::Group(entries),
         } => {
-            let StatePartial::Group(entries) = delta;
-            (
-                TAG_SHARD_STATE,
-                *shard,
-                *epoch,
-                *source,
-                *rel,
-                encode_group_state(entries),
-            )
+            let mut buf = envelope(TAG_SHARD_STATE, *shard, *epoch, *source, *rel);
+            encode_group_state_into(&mut buf, entries);
+            buf
         }
         NetPayload::Records { .. } | NetPayload::StateDelta { .. } => {
             panic!("only shard variants cross SP nodes")
         }
     };
-    let mut buf = BytesMut::with_capacity(25 + body.len());
-    buf.put_u8(tag);
-    buf.put_u32_le(shard);
-    buf.put_u64_le(epoch);
-    buf.put_u32_le(source);
-    buf.put_u32_le(rel);
-    buf.put_u32_le(body.len() as u32);
-    buf.put_slice(&body);
+    let body_len = (buf.len() - ENVELOPE_LEN) as u32;
+    buf[ENVELOPE_LEN - 4..ENVELOPE_LEN].copy_from_slice(&body_len.to_le_bytes());
     buf.freeze()
 }
 
@@ -131,7 +140,7 @@ pub struct ShardEnvelope {
 /// schemas and without touching the body. Returns `None` on anything that
 /// is not a well-formed shard envelope.
 pub fn peek_envelope(buf: &[u8]) -> Option<ShardEnvelope> {
-    if buf.len() < 25 {
+    if buf.len() < ENVELOPE_LEN {
         return None;
     }
     let tag = buf[0];
@@ -139,7 +148,7 @@ pub fn peek_envelope(buf: &[u8]) -> Option<ShardEnvelope> {
         return None;
     }
     let len = u32::from_le_bytes([buf[21], buf[22], buf[23], buf[24]]) as usize;
-    if buf.len() != 25 + len {
+    if buf.len() != ENVELOPE_LEN + len {
         return None;
     }
     Some(ShardEnvelope {
@@ -177,7 +186,7 @@ fn decode_shard_payload_impl(
     schemas: &[SchemaRef],
     registry: Option<&mut DictRegistry>,
 ) -> Result<NetPayload, Error> {
-    if buf.remaining() < 25 {
+    if buf.remaining() < ENVELOPE_LEN {
         return Err(Error::Decode(format!(
             "shard payload underrun: {} bytes",
             buf.remaining()

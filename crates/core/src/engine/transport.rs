@@ -49,8 +49,10 @@ pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"JRVW");
 /// control-message-format change; mismatched peers are rejected at the
 /// handshake instead of misdecoding mid-stream. Version 2 added the
 /// fault-tolerance frames (`Ping`/`Pong`/`Ckpt`/`Adopt`) and the optional
-/// checkpoint acknowledgement on `Progress`.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// checkpoint acknowledgement on `Progress`; version 3 changed the batch
+/// body inside `Shard` and `Results` frames to content-sized integer pages
+/// ([`streamkit::encode`]) — a version-2 peer is refused on its first frame.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Fixed frame header length in bytes.
 pub const HEADER_LEN: usize = 15;
@@ -670,6 +672,14 @@ mod tests {
                 got: u16::from_le_bytes([0xEE, 0x00]),
                 want: PROTOCOL_VERSION
             }
+        );
+        // The previous release (fixed-width integer bodies) is refused by
+        // its header, never decoded.
+        let mut old = frame.to_vec();
+        old[4..6].copy_from_slice(&2u16.to_le_bytes());
+        assert_eq!(
+            decode_frame(&old).unwrap_err(),
+            TransportError::VersionMismatch { got: 2, want: 3 }
         );
         let mut bad = frame.to_vec();
         bad[6] = 200;

@@ -58,7 +58,7 @@
 //! exactly when there is a frame to handle or a timer to honour — no
 //! fixed-interval `sleep` loops.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -78,7 +78,9 @@ use crate::deploy::remote::{
     Progress, Register, Reject, RemoteWorkload, ShardCounters,
 };
 use crate::deploy::{DeployError, DeploymentSpec, FaultIncident, OnNodeLoss};
-use crate::engine::netwire::{encode_shard_payload, encode_shard_payload_with, peek_envelope};
+use crate::engine::netwire::{
+    encode_shard_payload, encode_shard_payload_with, link_dependent, peek_envelope,
+};
 use crate::engine::transport::{encode_frame, FrameKind, FrameReader, Link, TransportError};
 use crate::engine::NetPayload;
 use crate::planner::RuleConfig;
@@ -101,6 +103,14 @@ const EVENT_QUEUE: usize = 4096;
 
 /// Heartbeat cadence while blocked on epoch acks.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(500);
+
+/// Frame bodies shorter than this are released by the reader thread that
+/// allocated them (see [`SmallBodies`]).
+const SMALL_BODY: usize = 4096;
+
+/// Small bodies a reader keeps its own handle on at a time — control
+/// frames arrive a few per epoch, so this spans many epochs.
+const SMALL_BODIES_KEPT: usize = 64;
 
 /// One admitted node's connection state between handshake and link spawn.
 struct AdmittedNode {
@@ -130,6 +140,33 @@ enum NodeEvent {
     },
 }
 
+/// A reader's own handles on the last small frame bodies it read, so the
+/// final reference to each is dropped on the thread that allocated it.
+///
+/// A control frame's body (`Progress`, `Pong`, `NodeStats`) is allocated
+/// by the reader and consumed by the coordinator thread a moment later.
+/// Freed over there, the chunk parks in that thread's allocator cache while
+/// still belonging to the reader's heap — the heap that also holds the
+/// checkpoint bodies this reader allocated — and a heap with a parked
+/// chunk near its top is not handed back to the OS when the checkpoint
+/// bodies go: whether the coordinator's recovery state (two checkpoint
+/// generations, tens of MB) stayed resident while `try_finish` built its
+/// rows was a coin flip per run. Bodies of [`SMALL_BODY`] and up bypass
+/// that cache and need no handle.
+struct SmallBodies(VecDeque<Bytes>);
+
+impl SmallBodies {
+    fn keep(&mut self, body: &Bytes) {
+        if body.len() >= SMALL_BODY {
+            return;
+        }
+        if self.0.len() == SMALL_BODIES_KEPT {
+            self.0.pop_front();
+        }
+        self.0.push_back(body.clone());
+    }
+}
+
 /// Spawns the per-connection reader thread feeding the event channel.
 fn spawn_reader(
     mut reader: FrameReader<TcpStream>,
@@ -137,32 +174,36 @@ fn spawn_reader(
     gen: u32,
     tx: Sender<NodeEvent>,
 ) -> JoinHandle<()> {
-    thread::spawn(move || loop {
-        match reader.read_frame() {
-            Ok((kind, body)) => {
-                let done = kind == FrameKind::Done;
-                if tx
-                    .send(NodeEvent::Frame {
+    thread::spawn(move || {
+        let mut small = SmallBodies(VecDeque::with_capacity(SMALL_BODIES_KEPT));
+        loop {
+            match reader.read_frame() {
+                Ok((kind, body)) => {
+                    small.keep(&body);
+                    let done = kind == FrameKind::Done;
+                    if tx
+                        .send(NodeEvent::Frame {
+                            node,
+                            gen,
+                            kind,
+                            body,
+                        })
+                        .is_err()
+                    {
+                        return;
+                    }
+                    if done {
+                        return;
+                    }
+                }
+                Err(e) => {
+                    let _ = tx.send(NodeEvent::Broken {
                         node,
                         gen,
-                        kind,
-                        body,
-                    })
-                    .is_err()
-                {
+                        error: e.to_string(),
+                    });
                     return;
                 }
-                if done {
-                    return;
-                }
-            }
-            Err(e) => {
-                let _ = tx.send(NodeEvent::Broken {
-                    node,
-                    gen,
-                    error: e.to_string(),
-                });
-                return;
             }
         }
     })
@@ -350,6 +391,29 @@ pub(crate) struct RemoteCluster {
     final_schema: SchemaRef,
 }
 
+/// Encodes `payload` for its owner's link and, when `buffering`, for the
+/// replay buffer. The link form is encoded against the link's
+/// persistent-dictionary versions (delta pages only); the replay form is
+/// self-contained, because recovery re-ships it verbatim to an executor
+/// whose mirrors it cannot assume. The two differ only when a
+/// persistent-dictionary column is present — every `ShardState` and every
+/// dictionary-free `ShardBatch` is encoded once and the bytes are shared.
+fn link_and_replay_forms(
+    payload: &NetPayload,
+    buffering: bool,
+    dict_sync: &Mutex<DictVersions>,
+) -> (Bytes, Option<Bytes>) {
+    if link_dependent(payload) {
+        let replay = buffering.then(|| encode_shard_payload(payload));
+        let body = encode_shard_payload_with(payload, &mut dict_sync.lock());
+        (body, replay)
+    } else {
+        let body = encode_shard_payload(payload);
+        let replay = buffering.then(|| body.clone());
+        (body, replay)
+    }
+}
+
 impl RemoteCluster {
     /// Binds the listen endpoint, admits `n_nodes` registrations, pushes
     /// each node its spec slice, and waits for every `Ready`.
@@ -526,12 +590,10 @@ impl RemoteCluster {
     }
 
     /// Ships one shard payload to the shard's current owner, buffering it
-    /// for replay when recovery is enabled. The live frame is encoded
-    /// against the owner link's persistent-dictionary versions (delta pages
-    /// only); the replay copy is encoded self-contained, because recovery
-    /// re-ships it verbatim to an executor whose mirrors it cannot assume.
-    /// Returns the framed wire size, or `None` when the shard has been
-    /// degraded away (the payload is dropped, by policy).
+    /// for replay when recovery is enabled ([`link_and_replay_forms`]: one
+    /// encode shared by both unless the payload carries a persistent
+    /// dictionary). Returns the framed wire size, or `None` when the shard
+    /// has been degraded away (the payload is dropped, by policy).
     ///
     /// **Concurrent callers.** With `rt_workers > 1` the source tasks of an
     /// epoch enter this at once, and the three steps — replay append, encode
@@ -560,13 +622,11 @@ impl RemoteCluster {
         payload: &NetPayload,
     ) -> Option<u64> {
         let owner = self.routes[shard]?;
-        if self.buffering {
-            self.replay[shard]
-                .lock()
-                .push((epoch, encode_shard_payload(payload)));
+        let (body, replay) = link_and_replay_forms(payload, self.buffering, &self.dict_sync[owner]);
+        if let Some(replay) = replay {
+            self.replay[shard].lock().push((epoch, replay));
         }
         let link = self.links[owner].as_ref()?;
-        let body = encode_shard_payload_with(payload, &mut self.dict_sync[owner].lock());
         Some(link.send(FrameKind::Shard, &body))
     }
 
@@ -917,7 +977,8 @@ impl RemoteCluster {
 
     /// Tears down a lost node's connection: force-shutdown the socket (so
     /// a blocked reader/writer unblocks), close the link banking its TX
-    /// bytes, and detach the reader thread (it exits on its own).
+    /// bytes, and detach the reader thread (it exits on its own; `finish`
+    /// joins the readers of nodes that said `Done` instead).
     fn retire_link(&mut self, i: usize) {
         if let Some(stream) = self.streams[i].take() {
             let _ = stream.shutdown(Shutdown::Both);
@@ -1264,8 +1325,16 @@ impl RemoteCluster {
             }
         }
 
-        for i in 0..n {
+        for (i, &done) in done.iter().enumerate() {
+            // A reader that delivered `Done` returns right after, so it is
+            // joined rather than detached: no thread of this cluster
+            // outlives `finish`, and what the reader still held is
+            // released before the recovery state goes.
+            let reader = self.readers[i].take().filter(|_| done);
             self.retire_link(i);
+            if let Some(reader) = reader {
+                let _ = reader.join();
+            }
         }
         let node_wire_bytes = (0..n)
             .map(|i| {
@@ -1437,4 +1506,73 @@ fn write_frame(mut stream: &TcpStream, kind: FrameKind, body: &[u8]) -> std::io:
     let frame = encode_frame(kind, body);
     stream.write_all(&frame)?;
     Ok(frame.len() as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::netwire::decode_shard_payload;
+    use streamkit::batch::{Column, DictBuilder, StreamDict};
+    use streamkit::schema::{DataType, Field, Schema};
+
+    #[test]
+    fn reader_keeps_a_bounded_handle_on_small_bodies_only() {
+        let mut small = SmallBodies(VecDeque::new());
+        small.keep(&Bytes::from(vec![0u8; SMALL_BODY]));
+        assert!(small.0.is_empty(), "large bodies are the consumer's alone");
+        for i in 0..SMALL_BODIES_KEPT + 3 {
+            small.keep(&Bytes::from(vec![i as u8; 1 + i % 7]));
+        }
+        assert_eq!(small.0.len(), SMALL_BODIES_KEPT);
+        assert_eq!(small.0.front().map(|b| b[0]), Some(3), "oldest go first");
+    }
+
+    #[test]
+    fn replay_shares_the_link_bytes_unless_a_persistent_dictionary_rides() {
+        let schema = Schema::new(vec![
+            Field::new("tenant", DataType::Str),
+            Field::new("v", DataType::U64),
+        ]);
+        let mut stream = StreamDict::new();
+        let persistent = Column::Dict {
+            codes: vec![stream.intern("a"), stream.intern("b")],
+            dict: stream.snapshot(),
+        };
+        let mut local = DictBuilder::new(2);
+        local.push("a");
+        local.push("b");
+        let payload = |tenant: Column| NetPayload::ShardBatch {
+            shard: 1,
+            epoch: 0,
+            source: 0,
+            rel: 0,
+            batch: Batch {
+                schema: schema.clone(),
+                timestamps: vec![0, 1],
+                columns: vec![tenant, Column::U64(vec![7, 9])],
+            },
+        };
+        let sync = Mutex::new(DictVersions::new());
+
+        // Dictionary-free in the link's sense (a batch-local page ships
+        // whole either way): one encode, the replay copy is a refcount.
+        let p = payload(local.finish());
+        let (body, replay) = link_and_replay_forms(&p, true, &sync);
+        let replay = replay.expect("buffering keeps a replay copy");
+        assert_eq!(body, replay);
+        assert_eq!(body.as_ptr(), replay.as_ptr(), "shared, not re-encoded");
+        assert!(sync.lock().is_empty(), "the link's versions are untouched");
+        assert!(link_and_replay_forms(&p, false, &sync).1.is_none());
+
+        // Persistent dictionary: the link gets deltas against its mirror,
+        // the replay copy stays decodable with no link state at all.
+        let p = payload(persistent);
+        let (first, replay) = link_and_replay_forms(&p, true, &sync);
+        let (second, _) = link_and_replay_forms(&p, true, &sync);
+        assert!(second.len() < first.len(), "synced link ships codes only");
+        assert_eq!(sync.lock()[&stream.id()], 2);
+        let replay = replay.expect("buffering keeps a replay copy");
+        assert_eq!(decode_shard_payload(replay, &[schema.clone()]).unwrap(), p);
+        assert!(decode_shard_payload(second, &[schema]).is_err());
+    }
 }

@@ -2,7 +2,31 @@
 //!
 //! A compact, length-prefixed little-endian format standing in for the Kryo
 //! serialisation the paper's implementation uses between MiNiFi and NiFi.
-//! The encoded length is what links in `simnet` charge against bandwidth.
+//!
+//! This is what the live system *ships*; what links are *charged* is
+//! [`Batch::wire_size`] (`batch::layout`, the paper-calibrated accounting
+//! model), which this module neither reads nor moves.
+//!
+//! ```text
+//! batch    := magic u32 | rows u32 | int-page(timestamps) | column*
+//! column   := presence u8 (1 = `rows` validity bytes follow) | payload
+//! payload  := Bool: rows × u8 | F64: rows × 8 B | I64/U64: int-page
+//!           | Str: page-tag u8, then plain rows, or a dictionary / delta
+//!             page followed by int-page(codes)
+//! int-page := width u8 ∈ {0, 1, 2, 4, 8} | base 8 B (values, width < 8)
+//!           | rows × width little-endian offsets from the base
+//! ```
+//!
+//! An integer page is byte-aligned frame of reference, sized by content: the
+//! width is the narrowest that holds `max − min` of the page (wrapping, so
+//! sign-straddling `i64` and `u64 ≥ 2^63` ranges work alike), the base is the
+//! minimum, width 8 is the raw values with no base, and the encoder falls
+//! back to width 8 whenever base + offsets would not be smaller. Dictionary
+//! codes count from 0 by construction, so their pages carry no base and take
+//! their width (at most 4) from the largest code. Timestamp pages are never
+//! narrower than 1 byte, so every row of a frame is backed by at least one
+//! wire byte and a forged row count cannot size an allocation the frame
+//! does not pay for.
 
 use std::sync::Arc;
 
@@ -20,13 +44,225 @@ const MAGIC: u32 = 0x4A52_5653; // "JRVS"
 
 /// Page tag for a plain string column (per-row length-prefixed payloads).
 const STR_PAGE_PLAIN: u8 = 0;
-/// Page tag for a dictionary string column (dictionary page + u32 codes).
+/// Page tag for a dictionary string column (dictionary page + code page).
 const STR_PAGE_DICT: u8 = 1;
 /// Page tag for a persistent-dictionary delta page: dict id, base version,
-/// newly appended entries (with checksum), then u32 codes. Ships only what
-/// the receiver's mirror is missing; `base == 0` is the first-contact full
-/// page.
+/// newly appended entries (with checksum), then the code page. Ships only
+/// what the receiver's mirror is missing; `base == 0` is the first-contact
+/// full page.
 const STR_PAGE_DICT_DELTA: u8 = 2;
+
+/// An integer that travels in an integer page.
+trait PageInt: Copy + Ord {
+    /// Whether a narrowed page carries its minimum as a base. Values do;
+    /// dictionary codes count from 0 and do not.
+    const BASED: bool;
+    fn bits(self) -> u64;
+    fn from_bits(bits: u64) -> Self;
+}
+
+impl PageInt for i64 {
+    const BASED: bool = true;
+    fn bits(self) -> u64 {
+        self as u64
+    }
+    fn from_bits(bits: u64) -> i64 {
+        bits as i64
+    }
+}
+
+impl PageInt for u64 {
+    const BASED: bool = true;
+    fn bits(self) -> u64 {
+        self
+    }
+    fn from_bits(bits: u64) -> u64 {
+        bits
+    }
+}
+
+impl PageInt for u32 {
+    const BASED: bool = false;
+    fn bits(self) -> u64 {
+        u64::from(self)
+    }
+    fn from_bits(bits: u64) -> u32 {
+        bits as u32
+    }
+}
+
+/// Whether a `T` page of `width` ships an 8-byte base ahead of its offsets.
+fn has_base<T: PageInt>(width: usize) -> bool {
+    T::BASED && width < 8
+}
+
+/// The width and base the encoder chose for one integer page.
+#[derive(Debug, Clone, Copy)]
+struct IntPlan {
+    width: usize,
+    base: u64,
+}
+
+impl IntPlan {
+    /// One pass over `values`: the narrowest width (not below `floor`) that
+    /// holds `max − base`, or the raw width 8 when that would not be smaller.
+    fn of<T: PageInt>(values: &[T], floor: usize) -> IntPlan {
+        // An empty page runs through the same rule: span 0, and a base
+        // would not pay for itself, so values go raw and codes take `floor`.
+        let first = values.first().copied().unwrap_or(T::from_bits(0));
+        let (lo, hi) = values
+            .iter()
+            .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        let base = if T::BASED { lo.bits() } else { 0 };
+        let width = match hi.bits().wrapping_sub(base) {
+            0 => 0,
+            1..=0xFF => 1,
+            0x100..=0xFFFF => 2,
+            0x1_0000..=0xFFFF_FFFF => 4,
+            _ => 8,
+        }
+        .max(floor);
+        if T::BASED && 8 + values.len() * width > values.len() * 8 {
+            IntPlan { width: 8, base: 0 }
+        } else {
+            IntPlan { width, base }
+        }
+    }
+
+    /// Encoded length of the page over `rows` values of type `T`.
+    fn len<T: PageInt>(&self, rows: usize) -> usize {
+        1 + if has_base::<T>(self.width) { 8 } else { 0 } + rows * self.width
+    }
+}
+
+/// Writes `values` as `W`-byte little-endian offsets from `base`.
+fn pack<const W: usize, T: PageInt>(out: &mut [u8], base: u64, values: &[T]) {
+    for (dst, v) in out.chunks_exact_mut(W).zip(values) {
+        dst.copy_from_slice(&v.bits().wrapping_sub(base).to_le_bytes()[..W]);
+    }
+}
+
+/// Reads `W`-byte little-endian offsets from `base`.
+fn unpack<const W: usize, T: PageInt>(page: &[u8], base: u64) -> Vec<T> {
+    page.chunks_exact(W)
+        .map(|src| {
+            let mut le = [0u8; 8];
+            le[..W].copy_from_slice(src);
+            T::from_bits(base.wrapping_add(u64::from_le_bytes(le)))
+        })
+        .collect()
+}
+
+/// The integer-page writer: timestamps, `I64`, `U64` and dictionary codes
+/// all go through here.
+fn put_int_page<T: PageInt>(buf: &mut BytesMut, plan: IntPlan, values: &[T]) {
+    buf.put_u8(plan.width as u8);
+    if has_base::<T>(plan.width) {
+        buf.put_u64_le(plan.base);
+    }
+    let start = buf.len();
+    buf.resize(start + values.len() * plan.width, 0);
+    let out = &mut buf[start..];
+    match plan.width {
+        0 => {}
+        1 => pack::<1, T>(out, plan.base, values),
+        2 => pack::<2, T>(out, plan.base, values),
+        4 => pack::<4, T>(out, plan.base, values),
+        _ => pack::<8, T>(out, plan.base, values),
+    }
+}
+
+fn need(buf: &[u8], n: usize) -> Result<()> {
+    if buf.len() < n {
+        Err(Error::Decode(format!(
+            "buffer underrun: need {n}, have {}",
+            buf.len()
+        )))
+    } else {
+        Ok(())
+    }
+}
+
+/// The integer-page reader, inverse of [`put_int_page`]. The page length is
+/// checked (overflow included) before anything is allocated.
+fn get_int_page<T: PageInt>(buf: &mut &[u8], rows: usize) -> Result<Vec<T>> {
+    need(buf, 1)?;
+    let width = buf.get_u8() as usize;
+    if !matches!(width, 0 | 1 | 2 | 4 | 8) || width > std::mem::size_of::<T>() {
+        return Err(Error::Decode(format!(
+            "bad integer page width {width} for a {}-byte type",
+            std::mem::size_of::<T>()
+        )));
+    }
+    let base = if has_base::<T>(width) {
+        need(buf, 8)?;
+        buf.get_u64_le()
+    } else {
+        0
+    };
+    let len = rows
+        .checked_mul(width)
+        .ok_or_else(|| Error::Decode(format!("integer page of {rows} × {width} B overflows")))?;
+    need(buf, len)?;
+    let (page, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok(match width {
+        0 => vec![T::from_bits(base); rows],
+        1 => unpack::<1, T>(page, base),
+        2 => unpack::<2, T>(page, base),
+        4 => unpack::<4, T>(page, base),
+        _ => unpack::<8, T>(page, base),
+    })
+}
+
+/// What the planning pass decided about one column; the writing pass only
+/// writes.
+enum ColPlan {
+    /// `Bool`, `F64`, plain `Str`: nothing to choose.
+    Fixed,
+    /// `I64` / `U64`.
+    Int(IntPlan),
+    /// Self-contained dictionary page, then the code page.
+    Dict(IntPlan),
+    /// Delta page against the link's mirror, then the code page.
+    DictDelta(IntPlan, DictDelta),
+}
+
+/// Splits a column into its dense payload and validity mask.
+fn unwrap_opt(col: &Column) -> (&Column, Option<&Vec<bool>>) {
+    match col {
+        Column::Opt { valid, values } => (values.as_ref(), Some(valid)),
+        dense => (dense, None),
+    }
+}
+
+/// Encoded length of dictionary `entries` (u16 length prefix each).
+fn entries_len<'a>(entries: impl Iterator<Item = &'a str>) -> usize {
+    entries.map(|e| 2 + e.len()).sum()
+}
+
+fn put_entries<'a>(buf: &mut BytesMut, entries: impl Iterator<Item = &'a str>) {
+    for entry in entries {
+        // The u16 length prefix caps entries at 64 KiB;
+        // Column::dict_encode refuses longer values upstream.
+        debug_assert!(
+            entry.len() <= u16::MAX as usize,
+            "dict entry exceeds the u16 wire length prefix"
+        );
+        buf.put_u16_le(entry.len() as u16);
+        buf.put_slice(entry.as_bytes());
+    }
+}
+
+/// True when [`encode_batch_with`] would ship a delta page for `batch`, i.e.
+/// when its bytes depend on the link; for every other batch it produces
+/// exactly the bytes of [`encode_batch`] and leaves the link untouched.
+pub fn ships_dict_deltas(batch: &Batch) -> bool {
+    batch
+        .columns
+        .iter()
+        .any(|col| matches!(unwrap_opt(col).0, Column::Dict { dict, .. } if dict.id() != 0))
+}
 
 /// Encodes a batch. The receiver must know the schema (schemas are fixed per
 /// query edge, as in the paper's deployments).
@@ -36,7 +272,9 @@ const STR_PAGE_DICT_DELTA: u8 = 2;
 /// [`encode_batch_with`] on established links to ship persistent-dictionary
 /// deltas instead.
 pub fn encode_batch(batch: &Batch) -> Bytes {
-    encode_batch_impl(batch, None)
+    let mut buf = BytesMut::default();
+    encode_batch_into(&mut buf, batch, None);
+    buf.freeze()
 }
 
 /// Encodes a batch for a specific link, shipping persistent dictionary
@@ -46,22 +284,99 @@ pub fn encode_batch(batch: &Batch) -> Bytes {
 /// Batch-local dictionaries (id 0) still ship full pages. Decode with
 /// [`decode_batch_with`] against the receiving end's [`DictRegistry`].
 pub fn encode_batch_with(batch: &Batch, link: &mut DictVersions) -> Bytes {
-    encode_batch_impl(batch, Some(link))
+    let mut buf = BytesMut::default();
+    encode_batch_into(&mut buf, batch, Some(link));
+    buf.freeze()
 }
 
-fn encode_batch_impl(batch: &Batch, mut link: Option<&mut DictVersions>) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + batch.wire_size());
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(batch.len() as u32);
-    for ts in &batch.timestamps {
-        buf.put_i64_le(*ts);
-    }
+/// Appends the encoding of `batch` to `buf` ([`encode_batch_with`] when a
+/// `link` is given, [`encode_batch`] otherwise), so a caller's envelope and
+/// the body share one buffer. Every width is chosen first and `buf` grows
+/// once, by exactly the encoded length.
+pub fn encode_batch_into(buf: &mut BytesMut, batch: &Batch, mut link: Option<&mut DictVersions>) {
+    let rows = batch.len();
+    // Pass one: choose every width and dictionary page, summing the length.
+    let ts_plan = IntPlan::of(&batch.timestamps, 1);
+    let mut len = 8 + ts_plan.len::<i64>(rows);
+    let mut plans = Vec::with_capacity(batch.columns.len());
     for col in &batch.columns {
-        // Presence flag: 1 = a validity byte per row precedes the payload.
-        let (col, valid) = match col {
-            Column::Opt { valid, values } => (values.as_ref(), Some(valid)),
-            dense => (dense, None),
+        let (col, valid) = unwrap_opt(col);
+        len += 1 + valid.map_or(0, |_| rows);
+        let plan = match col {
+            Column::Bool(_) => {
+                len += rows;
+                ColPlan::Fixed
+            }
+            Column::F64(_) => {
+                len += rows * 8;
+                ColPlan::Fixed
+            }
+            Column::I64(v) => {
+                let plan = IntPlan::of(v, 0);
+                len += plan.len::<i64>(rows);
+                ColPlan::Int(plan)
+            }
+            Column::U64(v) => {
+                let plan = IntPlan::of(v, 0);
+                len += plan.len::<u64>(rows);
+                ColPlan::Int(plan)
+            }
+            Column::Str { offsets, .. } => {
+                let bytes = offsets.last().map_or(0, |hi| hi - offsets[0]) as usize;
+                len += 1 + 2 * rows + bytes;
+                ColPlan::Fixed
+            }
+            Column::Dict { codes, dict } => {
+                let plan = IntPlan::of(codes, 0);
+                len += 1 + plan.len::<u32>(rows);
+                match link.as_deref_mut().filter(|_| dict.id() != 0) {
+                    Some(link) => {
+                        // Persistent page on an established link: ship only
+                        // the delta past the receiver's mirrored version —
+                        // the wire shape `layout::dict_bytes_versioned`
+                        // accounts for.
+                        let sent = link.entry(dict.id()).or_insert(0);
+                        let base = (*sent).min(dict.len() as u32);
+                        let delta = if codes.is_empty() {
+                            // An empty column ships no entries and must not
+                            // advance the mirror (accounting charges
+                            // nothing).
+                            DictDelta {
+                                dict_id: dict.id(),
+                                base,
+                                entries: Vec::new(),
+                            }
+                        } else {
+                            *sent = (*sent).max(dict.len() as u32);
+                            dict.delta_since(base)
+                        };
+                        len += 24 + entries_len(delta.entries.iter().map(String::as_str));
+                        ColPlan::DictDelta(plan, delta)
+                    }
+                    None => {
+                        // Dictionary page once, then the codes — the wire
+                        // shape `layout::dict_bytes` accounts for.
+                        // Self-contained: checkpoint/replay frames stay on
+                        // this path even for persistent pages.
+                        len += 4 + entries_len(dict.iter());
+                        ColPlan::Dict(plan)
+                    }
+                }
+            }
+            Column::Opt { .. } => unreachable!("validity unwrapped above"),
         };
+        plans.push(plan);
+    }
+
+    // Pass two: write.
+    let start = buf.len();
+    buf.reserve(len);
+    buf.put_u32_le(MAGIC);
+    buf.put_u32_le(rows as u32);
+    put_int_page(buf, ts_plan, &batch.timestamps);
+    for (col, plan) in batch.columns.iter().zip(plans) {
+        // Presence flag: 1 = a validity byte per row precedes the payload.
+        let (col, valid) = unwrap_opt(col);
         match valid {
             Some(valid) => {
                 buf.put_u8(1);
@@ -71,28 +386,20 @@ fn encode_batch_impl(batch: &Batch, mut link: Option<&mut DictVersions>) -> Byte
             }
             None => buf.put_u8(0),
         }
-        match col {
-            Column::Bool(v) => {
+        match (col, plan) {
+            (Column::Bool(v), _) => {
                 for b in v {
                     buf.put_u8(u8::from(*b));
                 }
             }
-            Column::I64(v) => {
-                for x in v {
-                    buf.put_i64_le(*x);
-                }
-            }
-            Column::U64(v) => {
-                for x in v {
-                    buf.put_u64_le(*x);
-                }
-            }
-            Column::F64(v) => {
+            (Column::F64(v), _) => {
                 for x in v {
                     buf.put_f64_le(*x);
                 }
             }
-            Column::Str { offsets, data } => {
+            (Column::I64(v), ColPlan::Int(plan)) => put_int_page(buf, plan, v),
+            (Column::U64(v), ColPlan::Int(plan)) => put_int_page(buf, plan, v),
+            (Column::Str { offsets, data }, _) => {
                 buf.put_u8(STR_PAGE_PLAIN);
                 for w in offsets.windows(2) {
                     let (lo, hi) = (w[0] as usize, w[1] as usize);
@@ -100,75 +407,32 @@ fn encode_batch_impl(batch: &Batch, mut link: Option<&mut DictVersions>) -> Byte
                     buf.put_slice(&data[lo..hi]);
                 }
             }
-            Column::Dict { codes, dict } => match link.as_deref_mut().filter(|_| dict.id() != 0) {
-                Some(link) => {
-                    // Persistent page on an established link: ship only the
-                    // delta past the receiver's mirrored version — the wire
-                    // shape `layout::dict_bytes_versioned` accounts for.
-                    let sent = link.entry(dict.id()).or_insert(0);
-                    let base = (*sent).min(dict.len() as u32);
-                    let delta = if codes.is_empty() {
-                        // An empty column ships no entries and must not
-                        // advance the mirror (accounting charges nothing).
-                        DictDelta {
-                            dict_id: dict.id(),
-                            base,
-                            entries: Vec::new(),
-                        }
-                    } else {
-                        *sent = (*sent).max(dict.len() as u32);
-                        dict.delta_since(base)
-                    };
-                    buf.put_u8(STR_PAGE_DICT_DELTA);
-                    buf.put_u64_le(delta.dict_id);
-                    buf.put_u32_le(delta.base);
-                    buf.put_u32_le(delta.entries.len() as u32);
-                    buf.put_u64_le(delta.checksum());
-                    for entry in &delta.entries {
-                        debug_assert!(
-                            entry.len() <= u16::MAX as usize,
-                            "dict entry exceeds the u16 wire length prefix"
-                        );
-                        buf.put_u16_le(entry.len() as u16);
-                        buf.put_slice(entry.as_bytes());
-                    }
-                    for c in codes {
-                        buf.put_u32_le(*c);
-                    }
-                }
-                None => {
-                    // Dictionary page once, then one fixed-width code per
-                    // row — the wire shape `layout::dict_bytes` accounts
-                    // for. Self-contained: checkpoint/replay frames stay on
-                    // this path even for persistent pages.
-                    buf.put_u8(STR_PAGE_DICT);
-                    buf.put_u32_le(dict.len() as u32);
-                    for entry in dict.iter() {
-                        // The u16 length prefix caps entries at 64 KiB;
-                        // Column::dict_encode refuses longer values upstream.
-                        debug_assert!(
-                            entry.len() <= u16::MAX as usize,
-                            "dict entry exceeds the u16 wire length prefix"
-                        );
-                        buf.put_u16_le(entry.len() as u16);
-                        buf.put_slice(entry.as_bytes());
-                    }
-                    for c in codes {
-                        buf.put_u32_le(*c);
-                    }
-                }
-            },
-            Column::Opt { .. } => unreachable!("validity unwrapped above"),
+            (Column::Dict { codes, .. }, ColPlan::DictDelta(plan, delta)) => {
+                buf.put_u8(STR_PAGE_DICT_DELTA);
+                buf.put_u64_le(delta.dict_id);
+                buf.put_u32_le(delta.base);
+                buf.put_u32_le(delta.entries.len() as u32);
+                buf.put_u64_le(delta.checksum());
+                put_entries(buf, delta.entries.iter().map(String::as_str));
+                put_int_page(buf, plan, codes);
+            }
+            (Column::Dict { codes, dict }, ColPlan::Dict(plan)) => {
+                buf.put_u8(STR_PAGE_DICT);
+                buf.put_u32_le(dict.len() as u32);
+                put_entries(buf, dict.iter());
+                put_int_page(buf, plan, codes);
+            }
+            _ => unreachable!("pass one plans every column by its variant"),
         }
     }
-    buf.freeze()
+    debug_assert_eq!(buf.len() - start, len, "planned length is exact");
 }
 
 /// Decodes a batch previously produced by [`encode_batch`] for `schema`.
 /// Delta pages ([`encode_batch_with`]) are rejected with a typed error —
 /// they need the link's [`DictRegistry`] (see [`decode_batch_with`]).
 pub fn decode_batch(schema: SchemaRef, buf: Bytes) -> Result<Batch> {
-    decode_batch_impl(schema, buf, None)
+    decode_batch_impl(schema, &buf, None)
 }
 
 /// Decodes a batch from a link that ships persistent-dictionary deltas
@@ -180,73 +444,96 @@ pub fn decode_batch_with(
     buf: Bytes,
     registry: &mut DictRegistry,
 ) -> Result<Batch> {
-    decode_batch_impl(schema, buf, Some(registry))
+    decode_batch_impl(schema, &buf, Some(registry))
+}
+
+/// Reads `n` dictionary entries (u16 length prefix, UTF-8 checked each).
+fn get_entries(buf: &mut &[u8], n: usize, mut push: impl FnMut(&str)) -> Result<()> {
+    for _ in 0..n {
+        need(buf, 2)?;
+        let len = buf.get_u16_le() as usize;
+        need(buf, len)?;
+        let entry = std::str::from_utf8(&buf[..len])
+            .map_err(|e| Error::Decode(format!("invalid UTF-8 dict entry: {e}")))?;
+        push(entry);
+        buf.advance(len);
+    }
+    Ok(())
+}
+
+/// Reads a code page and checks every code against a dictionary of
+/// `entries`. Null rows carry a code-0 filler that may point at an empty
+/// dictionary; every valid row's code must land inside it.
+fn get_codes(
+    buf: &mut &[u8],
+    rows: usize,
+    entries: usize,
+    valid: Option<&[bool]>,
+) -> Result<Vec<u32>> {
+    let codes = get_int_page::<u32>(buf, rows)?;
+    for (row, &c) in codes.iter().enumerate() {
+        let null_filler = c == 0 && valid.is_some_and(|v| !v[row]);
+        if c as usize >= entries && !null_filler {
+            return Err(Error::Decode(format!(
+                "dict code {c} out of range ({entries} entries)"
+            )));
+        }
+    }
+    Ok(codes)
 }
 
 fn decode_batch_impl(
     schema: SchemaRef,
-    mut buf: Bytes,
+    mut buf: &[u8],
     mut registry: Option<&mut DictRegistry>,
 ) -> Result<Batch> {
-    let need = |buf: &Bytes, n: usize| -> Result<()> {
-        if buf.remaining() < n {
-            Err(Error::Decode(format!(
-                "buffer underrun: need {n}, have {}",
-                buf.remaining()
-            )))
-        } else {
-            Ok(())
-        }
-    };
-    need(&buf, 8)?;
+    need(buf, 8)?;
     let magic = buf.get_u32_le();
     if magic != MAGIC {
         return Err(Error::Decode(format!("bad magic {magic:#x}")));
     }
     let rows = buf.get_u32_le() as usize;
-    need(&buf, rows * 8)?;
-    let mut timestamps = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        timestamps.push(buf.get_i64_le());
-    }
+    // The timestamp page spends at least a byte a row, so a row count the
+    // frame cannot back is refused here — before any page (a width-0 one
+    // has no per-row bytes to run out of) is sized by it.
+    need(buf, rows)?;
+    let timestamps = get_int_page::<i64>(&mut buf, rows)?;
     let mut columns = Vec::with_capacity(schema.width());
     for field in schema.fields() {
-        need(&buf, 1)?;
+        need(buf, 1)?;
         let valid = if buf.get_u8() != 0 {
-            need(&buf, rows)?;
-            Some((0..rows).map(|_| buf.get_u8() != 0).collect::<Vec<_>>())
+            need(buf, rows)?;
+            let (mask, rest) = buf.split_at(rows);
+            buf = rest;
+            Some(mask.iter().map(|&b| b != 0).collect::<Vec<_>>())
         } else {
             None
         };
         let col = match field.dtype {
             DataType::Bool => {
-                need(&buf, rows)?;
-                Column::Bool((0..rows).map(|_| buf.get_u8() != 0).collect())
+                need(buf, rows)?;
+                let (page, rest) = buf.split_at(rows);
+                buf = rest;
+                Column::Bool(page.iter().map(|&b| b != 0).collect())
             }
-            DataType::I32 | DataType::I64 => {
-                need(&buf, rows * 8)?;
-                Column::I64((0..rows).map(|_| buf.get_i64_le()).collect())
-            }
-            DataType::U32 | DataType::U64 => {
-                need(&buf, rows * 8)?;
-                Column::U64((0..rows).map(|_| buf.get_u64_le()).collect())
-            }
+            DataType::I32 | DataType::I64 => Column::I64(get_int_page(&mut buf, rows)?),
+            DataType::U32 | DataType::U64 => Column::U64(get_int_page(&mut buf, rows)?),
             DataType::F64 => {
-                need(&buf, rows * 8)?;
+                need(buf, rows * 8)?;
                 Column::F64((0..rows).map(|_| buf.get_f64_le()).collect())
             }
             DataType::Str => {
-                need(&buf, 1)?;
+                need(buf, 1)?;
                 match buf.get_u8() {
                     STR_PAGE_PLAIN => {
                         let mut offsets = Vec::with_capacity(rows + 1);
                         offsets.push(0u32);
                         let mut data = Vec::new();
                         for _ in 0..rows {
-                            need(&buf, 2)?;
+                            need(buf, 2)?;
                             let len = buf.get_u16_le() as usize;
-                            need(&buf, len)?;
-                            data.extend_from_slice(&buf.chunk()[..len]);
+                            need(buf, len)?;
+                            data.extend_from_slice(&buf[..len]);
                             buf.advance(len);
                             offsets.push(data.len() as u32);
                         }
@@ -265,36 +552,13 @@ fn decode_batch_impl(
                         }
                     }
                     STR_PAGE_DICT => {
-                        need(&buf, 4)?;
+                        need(buf, 4)?;
                         let entries = buf.get_u32_le() as usize;
                         let mut dict = StrDict::new();
-                        for _ in 0..entries {
-                            need(&buf, 2)?;
-                            let len = buf.get_u16_le() as usize;
-                            need(&buf, len)?;
-                            let entry = std::str::from_utf8(&buf.chunk()[..len])
-                                .map_err(|e| {
-                                    Error::Decode(format!("invalid UTF-8 dict entry: {e}"))
-                                })?
-                                .to_string();
-                            buf.advance(len);
-                            dict.push(&entry);
-                        }
-                        need(&buf, rows * 4)?;
-                        let mut codes = Vec::with_capacity(rows);
-                        for row in 0..rows {
-                            let c = buf.get_u32_le();
-                            // Null rows carry a code-0 filler that may point
-                            // at an empty dictionary; every valid row's code
-                            // must land inside it.
-                            let null_filler = c == 0 && valid.as_ref().is_some_and(|v| !v[row]);
-                            if c as usize >= entries && !null_filler {
-                                return Err(Error::Decode(format!(
-                                    "dict code {c} out of range ({entries} entries)"
-                                )));
-                            }
-                            codes.push(c);
-                        }
+                        get_entries(&mut buf, entries, |e| {
+                            dict.push(e);
+                        })?;
+                        let codes = get_codes(&mut buf, rows, entries, valid.as_deref())?;
                         Column::Dict {
                             codes,
                             dict: Arc::new(dict),
@@ -308,24 +572,13 @@ fn decode_batch_impl(
                                     .into(),
                             ));
                         };
-                        need(&buf, 24)?;
+                        need(buf, 24)?;
                         let dict_id = buf.get_u64_le();
                         let base = buf.get_u32_le();
                         let n_entries = buf.get_u32_le() as usize;
                         let expected_sum = buf.get_u64_le();
                         let mut entries = Vec::with_capacity(n_entries.min(1024));
-                        for _ in 0..n_entries {
-                            need(&buf, 2)?;
-                            let len = buf.get_u16_le() as usize;
-                            need(&buf, len)?;
-                            let entry = std::str::from_utf8(&buf.chunk()[..len])
-                                .map_err(|e| {
-                                    Error::Decode(format!("invalid UTF-8 dict entry: {e}"))
-                                })?
-                                .to_string();
-                            buf.advance(len);
-                            entries.push(entry);
-                        }
+                        get_entries(&mut buf, n_entries, |e| entries.push(e.to_string()))?;
                         let delta = DictDelta {
                             dict_id,
                             base,
@@ -340,19 +593,7 @@ fn decode_batch_impl(
                         // Applies the delta to this link's mirror; rejects
                         // out-of-order / version-mismatched deltas.
                         let dict = registry.apply(&delta)?;
-                        need(&buf, rows * 4)?;
-                        let mut codes = Vec::with_capacity(rows);
-                        let entries = dict.len();
-                        for row in 0..rows {
-                            let c = buf.get_u32_le();
-                            let null_filler = c == 0 && valid.as_ref().is_some_and(|v| !v[row]);
-                            if c as usize >= entries && !null_filler {
-                                return Err(Error::Decode(format!(
-                                    "dict code {c} out of range ({entries} mirrored entries)"
-                                )));
-                            }
-                            codes.push(c);
-                        }
+                        let codes = get_codes(&mut buf, rows, dict.len(), valid.as_deref())?;
                         Column::Dict { codes, dict }
                     }
                     tag => {
@@ -397,7 +638,15 @@ const AGG_QUANTILE: u8 = 5;
 /// value is `+inf` — round-trip exactly (JSON-style encodings turn them
 /// into `null` and lose the state).
 pub fn encode_group_state(entries: &[GroupPartialEntry]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(32 * entries.len());
+    let mut buf = BytesMut::default();
+    encode_group_state_into(&mut buf, entries);
+    buf.freeze()
+}
+
+/// Appends the [`encode_group_state`] bytes of `entries` to `buf`, so a
+/// caller's envelope and the body share one buffer.
+pub fn encode_group_state_into(buf: &mut BytesMut, entries: &[GroupPartialEntry]) {
+    buf.reserve(32 * entries.len());
     buf.put_u32_le(entries.len() as u32);
     for entry in entries {
         buf.put_i64_le(entry.window_start);
@@ -469,7 +718,6 @@ pub fn encode_group_state(entries: &[GroupPartialEntry]) -> Bytes {
             }
         }
     }
-    buf.freeze()
 }
 
 /// Decodes group-aggregation state produced by [`encode_group_state`].
@@ -738,8 +986,9 @@ mod tests {
         let mut raw = BytesMut::with_capacity(64);
         raw.put_u32_le(super::MAGIC);
         raw.put_u32_le(2); // rows
-        raw.put_i64_le(0);
-        raw.put_i64_le(1);
+        raw.put_u8(1); // timestamp page: 1-byte offsets...
+        raw.put_i64_le(0); // ...from base 0
+        raw.put_slice(&[0, 1]);
         raw.put_u8(0); // dense
         raw.put_u8(super::STR_PAGE_PLAIN);
         raw.put_u16_le(1);
@@ -773,7 +1022,7 @@ mod tests {
         // column whose codes point into an empty dictionary: reject, or the
         // first read would index out of bounds.
         let mut dense = raw.to_vec();
-        let flag_at = 4 + 4 + 2 * 8; // magic + rows + timestamps
+        let flag_at = 4 + 4 + (1 + 8 + 2); // magic + rows + 1-byte-wide timestamp page
         assert_eq!(dense[flag_at], 1, "validity flag expected here");
         dense[flag_at] = 0;
         // Drop the two validity bytes that followed the flag.
@@ -785,20 +1034,114 @@ mod tests {
         ));
     }
 
+    /// Encoded length of a one-column `U64` batch over `values`, less the
+    /// 8-byte header, the timestamp page and the column's presence byte —
+    /// i.e. the column's integer page alone.
+    fn u64_page_len(values: &[u64]) -> usize {
+        let s = Schema::new(vec![Field::new("v", DataType::U64)]);
+        let ts: Vec<i64> = (0..values.len() as i64).collect();
+        let batch = Batch {
+            schema: s.clone(),
+            timestamps: ts.clone(),
+            columns: vec![Column::U64(values.to_vec())],
+        };
+        let wire = encode_batch(&batch);
+        assert_eq!(decode_batch(s, wire.clone()).unwrap(), batch);
+        wire.len() - 8 - IntPlan::of(&ts, 1).len::<i64>(ts.len()) - 1
+    }
+
+    #[test]
+    fn integer_pages_take_the_narrowest_width_and_never_exceed_raw() {
+        let n = 10;
+        let page = |span: u64| {
+            let values: Vec<u64> = (0..n).map(|i| (1 << 63) + (i % 2) * span).collect();
+            u64_page_len(&values)
+        };
+        // tag + base + rows × width, the width stepping with the span.
+        assert_eq!(page(0), 1 + 8);
+        assert_eq!(page(0xFF), 1 + 8 + 10);
+        assert_eq!(page(0x100), 1 + 8 + 20);
+        assert_eq!(page(0x1_0000), 1 + 8 + 40);
+        // Past 32 bits of span the page is the raw values, no base.
+        assert_eq!(page(0x1_0000_0000), 1 + 80);
+        // Too few rows for a base to pay off: raw, so a page never costs
+        // more than its width tag over the fixed-width encoding.
+        assert_eq!(u64_page_len(&[7]), 1 + 8);
+        assert_eq!(u64_page_len(&[]), 1);
+        // Timestamps: never narrower than a byte a row.
+        assert_eq!(IntPlan::of(&[5i64; 10], 1).width, 1);
+        assert_eq!(IntPlan::of(&[i64::MIN, i64::MAX], 1).width, 8);
+        assert_eq!(IntPlan::of(&[-3i64, 200, 7], 1).width, 1);
+        // Codes: no base, width from the largest code.
+        assert_eq!(IntPlan::of(&[0u32, 255], 0).len::<u32>(2), 1 + 2);
+        assert_eq!(IntPlan::of(&[0u32, 256], 0).len::<u32>(2), 1 + 4);
+        assert_eq!(IntPlan::of(&[0u32, 0], 0).len::<u32>(2), 1);
+    }
+
+    #[test]
+    fn bad_width_tags_and_unbacked_row_counts_are_typed_errors() {
+        let s = Schema::new(vec![Field::new("v", DataType::U64)]);
+        let frame = |rows: u32, ts_page: &[u8], col_page: &[u8]| {
+            let mut raw = BytesMut::default();
+            raw.put_u32_le(super::MAGIC);
+            raw.put_u32_le(rows);
+            raw.put_slice(ts_page);
+            raw.put_u8(0); // dense
+            raw.put_slice(col_page);
+            decode_batch(s.clone(), raw.freeze())
+        };
+        let ts = [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]; // width 1, base 0, offsets 0 and 1
+        let constant = [0, 9, 0, 0, 0, 0, 0, 0, 0]; // width 0, base 9
+        assert_eq!(
+            frame(2, &ts, &constant).unwrap().columns[0],
+            Column::U64(vec![9, 9])
+        );
+        // A width that is no power of two up to 8.
+        let mut bad = constant;
+        bad[0] = 3;
+        assert!(matches!(frame(2, &ts, &bad), Err(Error::Decode(_))));
+        // A page shorter than its rows.
+        assert!(matches!(
+            frame(2, &ts, &[1, 9, 0, 0, 0, 0, 0, 0, 0, 5]),
+            Err(Error::Decode(_))
+        ));
+        // A forged row count over constant pages: nothing runs short, so
+        // the count must be refused before it sizes an allocation.
+        assert!(matches!(
+            frame(u32::MAX, &constant, &constant),
+            Err(Error::Decode(_))
+        ));
+        // A code page wider than a code.
+        let t = Schema::new(vec![Field::new("t", DataType::Str)]);
+        let mut raw = BytesMut::default();
+        raw.put_u32_le(super::MAGIC);
+        raw.put_u32_le(0);
+        raw.put_slice(&[8, 0, super::STR_PAGE_DICT]);
+        raw.put_u32_le(0);
+        raw.put_u8(8);
+        assert!(matches!(
+            decode_batch(t, raw.freeze()),
+            Err(Error::Decode(_))
+        ));
+    }
+
     #[test]
     fn out_of_range_dict_code_rejected() {
         let s = Schema::new(vec![Field::new("t", DataType::Str)]);
-        let mut b = crate::batch::DictBuilder::new(1);
+        let mut b = crate::batch::DictBuilder::new(2);
         b.push("x");
+        b.push("y");
         let batch = Batch {
             schema: s.clone(),
-            timestamps: vec![0],
+            timestamps: vec![0, 1],
             columns: vec![b.finish()],
         };
         let mut raw = encode_batch(&batch).to_vec();
-        // The final u32 is the row's code; point it past the dictionary.
+        // The code page closes the frame: width tag 1, then codes 0 and 1.
+        // Point the last one past the dictionary.
         let n = raw.len();
-        raw[n - 4] = 9;
+        assert_eq!(raw[n - 3..], [1, 0, 1]);
+        raw[n - 1] = 9;
         assert!(matches!(
             decode_batch(s, Bytes::from(raw)),
             Err(Error::Decode(_))
@@ -965,8 +1308,10 @@ mod tests {
         let mut raw = w1.to_vec();
         let n = raw.len();
         // Entries sit between the 24-byte delta header and the trailing
-        // codes; flip a bit in the entry payload region.
-        raw[n - 4 * 2 - 1] ^= 0x01;
+        // code page (width tag + two 1-byte codes); flip a bit in the last
+        // entry's payload.
+        assert_eq!(raw[n - 4], b'b');
+        raw[n - 4] ^= 0x01;
         let mut fresh = DictRegistry::new();
         assert!(matches!(
             decode_batch_with(s, Bytes::from(raw), &mut fresh),

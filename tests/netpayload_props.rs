@@ -67,8 +67,23 @@ proptest! {
         }
         let payload = NetPayload::ShardBatch { shard, epoch, source, rel: 0, batch };
         let wire = encode_shard_payload(&payload);
-        let back = decode_shard_payload(wire, &[schema()]).unwrap();
+        let back = decode_shard_payload(wire.clone(), &[schema()]).unwrap();
         prop_assert_eq!(back, payload);
+        // Wire-reachable bytes never panic the decoder: the envelope's
+        // length field refuses every truncation, and a corrupted byte
+        // anywhere is a typed error or some other well-formed payload.
+        for cut in 0..wire.len() {
+            prop_assert!(decode_shard_payload(wire.slice(0..cut), &[schema()]).is_err());
+        }
+        for at in 0..wire.len() {
+            let mut raw = wire.to_vec();
+            raw[at] ^= 0xFF;
+            if let Ok(NetPayload::ShardBatch { batch, .. }) =
+                decode_shard_payload(raw.into(), &[schema()])
+            {
+                prop_assert!(batch.columns.iter().all(|c| c.len() == batch.len()));
+            }
+        }
     }
 
     /// ShardState payloads (split `StatePartial`s) survive the wire.
