@@ -11,10 +11,9 @@ pub mod figures;
 pub mod groupagg;
 pub mod measure;
 pub mod nettransport;
-pub mod nodescale;
 pub mod output;
 pub mod plancheck_cli;
-pub mod shardscale;
+pub mod throughput;
 pub mod wirecodec;
 
 pub use dictepoch::{bench_dict_epoch, DictEpochResult};
@@ -22,6 +21,5 @@ pub use faultrecovery::{bench_fault_recovery, FaultRecoveryResult};
 pub use figures::*;
 pub use groupagg::{bench_group_agg, GroupAggResult};
 pub use nettransport::{bench_net_transport, NetTransportResult};
-pub use nodescale::{bench_node_scaling, NodeScalingResult};
-pub use shardscale::{bench_shard_scaling, ShardScalingResult, ThroughputReport};
+pub use throughput::ThroughputReport;
 pub use wirecodec::{bench_wire_codec, WireCodecResult};

@@ -11,13 +11,13 @@
 //! overhead, bench.
 //!
 //! `bench` is not a paper figure: it measures the str-keyed vs dict-keyed
-//! group-aggregate kernels, the sharded SP runtime's 1/2/4-shard scaling,
-//! the multi-node SP tier's 1/2/4-node scaling, the seeded fault-recovery
-//! drill and the persistent-dictionary cross-epoch series (group-by
-//! throughput vs per-epoch rebuild plus delta vs full-page wire bytes)
-//! and the batch wire codec's encoded vs fixed-width bytes per boundary
-//! chunk, and (with `--json`) writes `BENCH_throughput.json`, the
-//! perf-trajectory artifact CI uploads. With
+//! group-aggregate kernels, the framed-TCP transport against the
+//! in-process channel, the seeded fault-recovery drill and the
+//! persistent-dictionary cross-epoch series (group-by throughput vs
+//! per-epoch rebuild plus delta vs full-page wire bytes) and the batch wire
+//! codec's encoded vs fixed-width bytes per boundary chunk, and (with
+//! `--json`) writes `BENCH_throughput.json`, the perf-trajectory artifact
+//! CI uploads. With
 //! `--check` it additionally fails (exit 1) when a measured speedup
 //! regresses more than 20% below the committed baseline, when the
 //! fault-recovery drill fails to prove exact recovery, or when the wire
@@ -329,8 +329,6 @@ fn run_bench(json: bool, check: bool) {
 
     let report = ThroughputReport {
         group_agg: bench_group_agg(15),
-        shard_scaling: bench_shard_scaling(15),
-        node_scaling: bench_node_scaling(15),
         net_transport: bench_net_transport(15),
         fault_recovery: Some(bench_fault_recovery()),
         dict_epoch: Some(bench_dict_epoch(15)),
@@ -352,40 +350,6 @@ fn run_bench(json: bool, check: bool) {
     println!(
         "  wide ints: {:.0} rows/s ({:.0} ns/row, {:.2}x a std HashMap; {} rows over 32 operators)",
         g.wide_int_rows_per_sec, g.wide_int_ns_per_row, g.wide_int_vs_std_map, g.wide_int_rows
-    );
-    let s = &report.shard_scaling;
-    println!("Sharded SP runtime: keyed shard pipelines, critical-path throughput");
-    println!("  pipeline : {}", s.pipeline);
-    println!("  rows/iter: {}", s.rows);
-    for (i, n) in s.shards.iter().enumerate() {
-        println!(
-            "  {n} shard{} : {:.0} rows/s ({:.2}x)",
-            if *n == 1 { " " } else { "s" },
-            s.rows_per_sec[i],
-            s.speedup[i]
-        );
-    }
-    println!(
-        "  speedup  : {:.2}x at {} shards (target: >= 1.5x)",
-        s.speedup_at_max(),
-        s.shards.last().unwrap_or(&1)
-    );
-    let nd = &report.node_scaling;
-    println!("Multi-node SP tier: consistent-hash dispatch, critical-path throughput");
-    println!("  pipeline : {}", nd.pipeline);
-    println!("  rows/iter: {}", nd.rows);
-    for (i, n) in nd.nodes.iter().enumerate() {
-        println!(
-            "  {n} node{}  : {:.0} rows/s ({:.2}x)",
-            if *n == 1 { " " } else { "s" },
-            nd.rows_per_sec[i],
-            nd.speedup[i]
-        );
-    }
-    println!(
-        "  speedup  : {:.2}x at {} nodes (target: >= 1.5x)",
-        nd.speedup_at_max(),
-        nd.nodes.last().unwrap_or(&1)
     );
     let t = &report.net_transport;
     println!("Framed-TCP transport: loopback sockets vs in-process channel");

@@ -27,17 +27,20 @@ use jarvis_core::engine::netwire::{decode_shard_payload_with, encode_shard_paylo
 use jarvis_core::engine::NetPayload;
 use serde::{Deserialize, Serialize};
 use streamkit::batch::{layout, Batch, Column, DictRegistry, DictVersions};
+use streamkit::ops::AggRole;
+use streamkit::physical::{build_pipeline, CostProfile};
 use streamkit::schema::SchemaRef;
 use streamkit::shard::Ring;
 use telemetry::loganalytics::{structured_log_schema, LogConfig, LogGenerator};
 use telemetry::pingmesh::{PingmeshConfig, PingmeshGenerator};
 
 use crate::measure::best_secs;
-use crate::nodescale::{suffix_schemas, NODE_RING};
-use crate::shardscale::build_sharded_chain;
 
 /// Generator seed of both parts.
 const SEED: u64 = 17;
+
+/// Virtual shards on the ring both parts are split over.
+const RING: usize = 4;
 
 /// Rows per chunk, as `live::session::Worker` drains them.
 const CHUNK_ROWS: usize = 256;
@@ -131,6 +134,27 @@ fn fixed_width_body_len(batch: &Batch, link: &DictVersions) -> usize {
         };
     }
     len
+}
+
+/// What the S2SProbe stateless prefix passes to its keyed boundary for one
+/// epoch of `batch`, the group-key columns there, and the input schemas of
+/// the suffix stages (the decode side of the wire).
+fn s2s_boundary(batch: Batch) -> (Vec<Batch>, Vec<usize>, Vec<SchemaRef>) {
+    let plan = telemetry::queries::s2s_probe();
+    let (boundary, keys) = plan.shard_boundary().expect("S2SProbe has a G+R");
+    let mut prefix =
+        build_pipeline(&plan, &CostProfile::default(), AggRole::Final).expect("valid plan");
+    prefix.truncate(boundary);
+    let mut cur = vec![batch];
+    for op in &mut prefix {
+        let mut next = Vec::new();
+        for b in cur {
+            op.process_batch(b, &mut next);
+        }
+        cur = next;
+    }
+    let schemas = plan.edge_schemas().expect("valid plan")[boundary..].to_vec();
+    (cur, keys, schemas)
 }
 
 /// Envelope bytes ahead of every `ShardBatch` body.
@@ -231,12 +255,11 @@ fn measure_part(
 /// Measures the `wire_codec` series. `iters` timed iterations per arm.
 pub fn bench_wire_codec(iters: u32) -> WireCodecResult {
     // S2S: the stateless prefix's output over one generated epoch.
-    let mut chain = build_sharded_chain(NODE_RING);
     let mut gen = PingmeshGenerator::new(PingmeshConfig {
         seed: SEED,
         ..Default::default()
     });
-    let cur = chain.run_prefix(gen.generate_epoch_batch(0, 1.0));
+    let (cur, keys, schemas) = s2s_boundary(gen.generate_epoch_batch(0, 1.0));
     let boundary = cur.first().expect("the prefix passes rows");
     let s2s_chunk = boundary
         .chunks(CHUNK_ROWS)
@@ -244,8 +267,8 @@ pub fn bench_wire_codec(iters: u32) -> WireCodecResult {
         .expect("a non-empty boundary batch");
     let s2s = measure_part(
         "S2SProbe boundary chunk, 4-shard ring",
-        &Ring::new(NODE_RING, chain.keys.clone()),
-        &suffix_schemas(),
+        &Ring::new(RING, keys),
+        &schemas,
         None,
         &s2s_chunk,
         iters,
@@ -263,7 +286,7 @@ pub fn bench_wire_codec(iters: u32) -> WireCodecResult {
     let log_chunk = chunks.next().expect("more than one chunk an epoch");
     let log = measure_part(
         "LogAnalytics structured chunk, 4-shard ring, established link",
-        &Ring::new(NODE_RING, vec![0, 1]),
+        &Ring::new(RING, vec![0, 1]),
         &[structured_log_schema()],
         Some(&warm),
         &log_chunk,

@@ -78,12 +78,11 @@ pub fn restore(engine: &mut SourceEngine, ckpt: &Checkpoint) {
 }
 
 /// Applies a failed source's checkpoint directly at the stream processor:
-/// the source's ingress node merges the state (splitting entries to the
-/// shards — and nodes — owning their keys) so the current window completes
+/// the source's replica merges the state so the current window completes
 /// from the drain path (returns the merged byte volume for traffic
 /// accounting).
 pub fn apply_at_sp(
-    sp: &mut crate::engine::cluster::SpCluster,
+    sp: &mut crate::engine::sp::SpEngine,
     source: usize,
     ckpt: &Checkpoint,
     arrival_secs: f64,
@@ -169,8 +168,7 @@ mod tests {
         }
         let ckpt = snapshot(s.source_mut(0));
         let planned = spec.plan();
-        let mut sp =
-            crate::engine::cluster::SpCluster::new(&planned, &spec.costs(), 1, 64.0, 1.0, 4, 2);
+        let mut sp = crate::engine::sp::SpEngine::new(&planned, &spec.costs(), 1, 64.0, 1.0);
         let bytes = apply_at_sp(&mut sp, 0, &ckpt, 3.0);
         assert_eq!(
             bytes,

@@ -2,7 +2,7 @@
 
 use crate::calibration;
 use crate::convergence_sim::{epochs_to_converge, SimConfig};
-use crate::deploy::report::{ExactnessDigest, RunReport};
+use crate::deploy::report::{ExactnessDigest, NodeStat, RunReport, ShardStat};
 use crate::deploy::{DeployError, DeploymentSpec};
 use crate::engine::block::{BuildingBlock, BuildingBlockConfig, EpochSource};
 use crate::engine::source::SourceConfig;
@@ -42,8 +42,6 @@ pub(crate) fn build_block(
         generators,
         BuildingBlockConfig {
             network: spec.network,
-            sp_shards: spec.sp_shards as usize,
-            sp_nodes: spec.sp_nodes as usize,
             ..Default::default()
         },
         spec.warmup_epochs,
@@ -116,11 +114,9 @@ impl EmulatedBackend {
             .iter()
             .map(|m| (m.net_bytes - m.state_bytes).max(0.0))
             .sum();
-        report.results_emitted = block.sp().results_emitted();
-        report.exactness = block
-            .sp()
-            .collected_results()
-            .map(|rows| ExactnessDigest::of_rows(&rows));
+        let sp = block.sp();
+        report.results_emitted = sp.results_emitted();
+        report.exactness = sp.collected_results().map(ExactnessDigest::of_rows);
         report.trace = block.source(0).runtime().trace().to_vec();
         report.episodes = block.source(0).runtime().episodes().to_vec();
         report.load_factors = block.source(0).load_factors();
@@ -130,29 +126,19 @@ impl EmulatedBackend {
         };
         report.deployed_chain = planned.plan.display_chain();
         report.source_ops = planned.source_ops;
-        report.sp_shards = block.sp().n_shards() as u64;
-        report.sp_nodes = block.sp().n_nodes() as u64;
-        report.shard_stats = block
-            .sp()
-            .shard_stats()
-            .iter()
-            .map(|s| crate::deploy::report::ShardStat {
-                drained_records: s.drained_records,
-                usage_us: s.usage_us,
-                wire_bytes_out: s.wire_bytes_out,
-                completeness: 1.0,
-            })
-            .collect();
-        report.node_stats = block
-            .sp()
-            .node_stats()
-            .iter()
-            .map(|n| crate::deploy::report::NodeStat {
-                drained_records: n.drained_records,
-                usage_us: n.usage_us,
-                wire_bytes_out: n.wire_bytes_out,
-            })
-            .collect();
+        // One SP: one shard row and one node row, and nothing crosses a link.
+        let (drained_records, usage_us) = (sp.drained_records(), sp.suffix_usage_us());
+        report.shard_stats = vec![ShardStat {
+            drained_records,
+            usage_us,
+            wire_bytes_out: 0,
+            completeness: 1.0,
+        }];
+        report.node_stats = vec![NodeStat {
+            drained_records,
+            usage_us,
+            wire_bytes_out: 0,
+        }];
         report
     }
 }
@@ -225,13 +211,11 @@ impl ExecBackend for LiveBackend {
                     .zip(&outcome.shard_completeness),
             )
             .map(
-                |((&drained_records, &usage_us), (&wire_bytes_out, &completeness))| {
-                    crate::deploy::report::ShardStat {
-                        drained_records,
-                        usage_us,
-                        wire_bytes_out,
-                        completeness,
-                    }
+                |((&drained_records, &usage_us), (&wire_bytes_out, &completeness))| ShardStat {
+                    drained_records,
+                    usage_us,
+                    wire_bytes_out,
+                    completeness,
                 },
             )
             .collect();
@@ -240,13 +224,13 @@ impl ExecBackend for LiveBackend {
             .iter()
             .zip(&outcome.node_usage_us)
             .zip(&outcome.node_wire_bytes)
-            .map(|((&drained_records, &usage_us), &wire_bytes_out)| {
-                crate::deploy::report::NodeStat {
+            .map(
+                |((&drained_records, &usage_us), &wire_bytes_out)| NodeStat {
                     drained_records,
                     usage_us,
                     wire_bytes_out,
-                }
-            })
+                },
+            )
             .collect();
         report.incidents = outcome.incidents;
         report.replay_bytes = outcome.replay_bytes;

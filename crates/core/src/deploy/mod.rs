@@ -557,20 +557,23 @@ impl DeploymentBuilder {
     }
 
     /// Sets the number of virtual shards on the SP tier's fixed hash ring
-    /// (default 1 = the unsharded chain). Sharded runs partition every
-    /// batch by the plan's group keys at its stateful boundary and stay
-    /// exact; see `tests/shard_parity.rs`.
+    /// (default 1 = the unsharded chain). Live backend only: the emulated
+    /// and convergence backends model the paper's single stream processor
+    /// and refuse `sp_shards > 1` with `JP305`. Sharded runs partition
+    /// every batch by the plan's group keys at its stateful boundary and
+    /// stay exact; see `tests/shard_parity.rs`.
     pub fn sp_shards(mut self, shards: u32) -> Self {
         self.sp_shards = shards;
         self
     }
 
     /// Sets the number of SP nodes the hash ring is divided over (default
-    /// 1 = a single-node SP). Each node owns a contiguous slice of the
-    /// `sp_shards` ring; remote-shard traffic crosses nodes as
-    /// `NetPayload::ShardBatch` / `ShardState` payloads. The key → shard
-    /// mapping is node-count-independent, so results are bit-identical at
-    /// any node count; see `tests/node_parity.rs`.
+    /// 1 = a single-node SP). Live backend only, like
+    /// [`DeploymentBuilder::sp_shards`] (`JP305` otherwise). Each node owns
+    /// a contiguous slice of the `sp_shards` ring; remote-shard traffic
+    /// crosses nodes as `NetPayload::ShardBatch` / `ShardState` payloads.
+    /// The key → shard mapping is node-count-independent, so results are
+    /// bit-identical at any node count; see `tests/node_parity.rs`.
     pub fn sp_nodes(mut self, nodes: u32) -> Self {
         self.sp_nodes = nodes;
         self
@@ -980,8 +983,20 @@ mod tests {
                 max: MAX_SP_SHARDS
             }
         );
-        let d = builder().sp_shards(4).build().unwrap();
+        let d = builder()
+            .sp_shards(4)
+            .backend(BackendKind::Live)
+            .build()
+            .unwrap();
         assert_eq!(d.spec().sp_shards, 4);
+    }
+
+    #[test]
+    fn scale_out_on_the_default_backend_is_refused() {
+        // The emulated backend models one SP; asking it for a ring would
+        // otherwise silently run unsharded.
+        let err = builder().sp_shards(4).build().unwrap_err();
+        assert_plancheck_code(&err, crate::plancheck::code::SCALE_OUT_NEEDS_LIVE);
     }
 
     #[test]
@@ -995,7 +1010,12 @@ mod tests {
             DeployError::InvalidNodeCount { got: 5, shards: 4 }
         );
         // One node per shard is the widest meaningful cluster.
-        let d = builder().sp_shards(4).sp_nodes(4).build().unwrap();
+        let d = builder()
+            .sp_shards(4)
+            .sp_nodes(4)
+            .backend(BackendKind::Live)
+            .build()
+            .unwrap();
         assert_eq!(d.spec().sp_nodes, 4);
     }
 
@@ -1026,17 +1046,10 @@ mod tests {
         let err = Deployment::builder()
             .workload(workload)
             .sp_shards(2)
+            .backend(BackendKind::Live)
             .build()
             .unwrap_err();
-        let DeployError::PlanCheck(diags) = err else {
-            panic!("expected PlanCheck, got {err:?}");
-        };
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.code == crate::plancheck::code::RESHARD_UNSUPPORTED),
-            "got {diags:?}"
-        );
+        assert_plancheck_code(&err, crate::plancheck::code::RESHARD_UNSUPPORTED);
     }
 
     #[test]

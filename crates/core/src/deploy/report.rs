@@ -189,11 +189,11 @@ pub struct RunReport {
     pub sp_shards: u64,
     /// SP nodes the ring was divided over (1 = single-node SP).
     pub sp_nodes: u64,
-    /// Per-shard drain/usage/wire stats of the sharded SP runtime (emulated
-    /// and live backends).
+    /// Per-shard drain/usage/wire stats of the sharded SP runtime (live
+    /// backend; the emulated backend's single SP reports one row).
     pub shard_stats: Vec<ShardStat>,
-    /// Per-node drain/usage/wire stats of the SP tier (emulated and live
-    /// backends).
+    /// Per-node drain/usage/wire stats of the SP tier (live backend; the
+    /// emulated backend's single SP reports one row).
     pub node_stats: Vec<NodeStat>,
     /// Epochs StepWise-Adapt needed to stabilise (convergence backend).
     pub converged_epochs: Option<u32>,

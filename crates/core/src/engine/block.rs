@@ -1,5 +1,7 @@
 //! The core building block (paper Fig. 4b): N data sources, an uplink
-//! network, and one stream processor, advanced in lock-step epochs.
+//! network, and one stream processor ([`SpEngine`]), advanced in lock-step
+//! epochs. Scaling the SP out over shards and nodes is the live tier's
+//! concern, not the emulator's.
 
 use simnet::link::{Delivered, FairLink, Link};
 use simnet::VirtualClock;
@@ -8,9 +10,9 @@ use streamkit::physical::CostProfile;
 use streamkit::time::Ts;
 
 use crate::calibration;
-use crate::engine::cluster::SpCluster;
 use crate::engine::metrics::RunMetrics;
 use crate::engine::source::{SourceConfig, SourceEngine};
+use crate::engine::sp::SpEngine;
 use crate::engine::NetPayload;
 use crate::planner::PlannedQuery;
 
@@ -110,10 +112,6 @@ pub struct BuildingBlockConfig {
     pub sp_cores: f64,
     /// Uplink model.
     pub network: NetworkModel,
-    /// Virtual shards on the SP tier's fixed hash ring (1 = unsharded).
-    pub sp_shards: usize,
-    /// SP nodes dividing the ring into contiguous slices (1 = single node).
-    pub sp_nodes: usize,
 }
 
 impl Default for BuildingBlockConfig {
@@ -124,19 +122,17 @@ impl Default for BuildingBlockConfig {
             network: NetworkModel::PerSource {
                 bps: calibration::per_query_per_node_bps(),
             },
-            sp_shards: 1,
-            sp_nodes: 1,
         }
     }
 }
 
-/// N sources + network + SP cluster, advanced epoch by epoch.
+/// N sources + network + one SP, advanced epoch by epoch.
 pub struct BuildingBlock {
     clock: VirtualClock,
     sources: Vec<SourceEngine>,
     generators: Vec<Box<dyn EpochSource>>,
     net: Net,
-    sp: SpCluster,
+    sp: SpEngine,
     /// Per-source metrics (measurement window).
     metrics: Vec<RunMetrics>,
     /// Epochs excluded from metrics (system warm-up, §VI-A).
@@ -192,15 +188,7 @@ impl BuildingBlock {
                 Net::Shared(link)
             }
         };
-        let sp = SpCluster::new(
-            planned,
-            costs,
-            n,
-            cfg.sp_cores,
-            cfg.epoch_secs,
-            cfg.sp_shards,
-            cfg.sp_nodes,
-        );
+        let sp = SpEngine::new(planned, costs, n, cfg.sp_cores, cfg.epoch_secs);
         BuildingBlock {
             clock: VirtualClock::new(cfg.epoch_secs),
             sources,
@@ -255,8 +243,8 @@ impl BuildingBlock {
         &self.sources[i]
     }
 
-    /// The SP cluster.
-    pub fn sp(&self) -> &SpCluster {
+    /// The stream processor.
+    pub fn sp(&self) -> &SpEngine {
         &self.sp
     }
 

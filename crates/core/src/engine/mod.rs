@@ -4,15 +4,15 @@
 //! emulated node: control proxies route records, operators charge their costs
 //! against the node's CPU budget, and drained data/state flows to the network
 //! as [`NetPayload`]s. [`sp::SpEngine`] runs the replica pipelines and state
-//! merging on one stream-processor node; [`cluster::SpCluster`] scales the
-//! SP tier out to `n_nodes` such engines over a fixed hash ring of virtual
-//! shards, shipping remote-shard traffic as the [`NetPayload`] shard
-//! variants. [`block::BuildingBlock`] wires N sources, a fair-shared link,
-//! and the SP cluster into the paper's core building block (Fig. 4b) and
-//! advances them epoch by epoch.
+//! merging on the one stream processor. [`block::BuildingBlock`] wires N
+//! sources, a fair-shared link, and the SP into the paper's core building
+//! block (Fig. 4b) and advances them epoch by epoch.
+//!
+//! The live tier reuses the payload type and owns everything multi-node:
+//! [`netwire`] encodes the shard variants of [`NetPayload`] and
+//! [`transport`] frames them over TCP.
 
 pub mod block;
-pub mod cluster;
 pub mod metrics;
 pub mod netwire;
 pub mod source;
@@ -24,16 +24,16 @@ use streamkit::batch::Batch;
 use streamkit::ops::StatePartial;
 
 pub use block::{BuildingBlock, BuildingBlockConfig, NetworkModel};
-pub use cluster::SpCluster;
 pub use metrics::{EpochMetrics, RunMetrics};
 pub use source::{SourceConfig, SourceEngine};
 pub use sp::SpEngine;
 
-/// Data shipped between nodes: source → SP uplink traffic, and — on a
-/// multi-node SP — shard traffic between SP nodes. Record traffic travels in
-/// the same columnar [`Batch`] layout the wire encoder uses; the shard
-/// variants additionally have a binary wire codec ([`netwire`]) so a remote
-/// shard is reachable through bytes alone (location transparency).
+/// Data shipped between nodes: source → SP uplink traffic, and — on the
+/// live tier's multi-node SP — shard traffic between SP nodes. Record
+/// traffic travels in the same columnar [`Batch`] layout the wire encoder
+/// uses; the shard variants additionally have a binary wire codec
+/// ([`netwire`]) so a remote shard is reachable through bytes alone
+/// (location transparency).
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetPayload {
     /// A batch drained at the proxy of operator `stage` (0-based index into

@@ -1572,7 +1572,10 @@ mod tests {
         assert!(second.len() < first.len(), "synced link ships codes only");
         assert_eq!(sync.lock()[&stream.id()], 2);
         let replay = replay.expect("buffering keeps a replay copy");
-        assert_eq!(decode_shard_payload(replay, &[schema.clone()]).unwrap(), p);
+        assert_eq!(
+            decode_shard_payload(replay, std::slice::from_ref(&schema)).unwrap(),
+            p
+        );
         assert!(decode_shard_payload(second, &[schema]).is_err());
     }
 }

@@ -164,7 +164,7 @@ struct NodeGone(usize);
 /// sender state of its links to the SP nodes.
 struct Worker {
     /// Index of this data source; its uplink terminates at SP node
-    /// `source % n_nodes` (same placement the emulated cluster uses).
+    /// `source % n_nodes`, its ingress node.
     source: usize,
     ops: Vec<Box<dyn Operator>>,
     proxies: Vec<ControlProxy>,
@@ -1059,7 +1059,7 @@ pub(crate) fn profile_on_scratch(
 mod tests {
     use super::*;
     use crate::calibration::Scale;
-    use crate::deploy::Deployment;
+    use crate::deploy::{BackendKind, Deployment};
     use crate::experiment::ScenarioSpec;
     use crate::live::host::HostError;
     use crate::strategy::StrategyKind;
@@ -1098,6 +1098,7 @@ mod tests {
             .sources(2)
             .sp_shards(4)
             .sp_nodes(2)
+            .backend(BackendKind::Live)
             .spec()
             .unwrap();
         let mut session = LiveSession::new(&spec).unwrap();
@@ -1227,6 +1228,7 @@ mod tests {
             .cpu_budget(0.6)
             .sources(2)
             .sp_shards(4)
+            .backend(BackendKind::Live)
             .spec()
             .unwrap();
         let mut s = LiveSession::new(&spec).unwrap();
@@ -1265,6 +1267,7 @@ mod tests {
             .sources(2)
             .sp_shards(4)
             .sp_nodes(2)
+            .backend(BackendKind::Live)
             .spec()
             .unwrap();
         let mut s = LiveSession::new(&spec).unwrap();

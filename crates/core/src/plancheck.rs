@@ -22,8 +22,8 @@
 //! * **Mergeability** — every aggregate reachable by the `StatePartial`
 //!   ship/merge, `ShardState`, and remote `netwire` paths must be a
 //!   commutative mergeable partial (`JP201`).
-//! * **Deployment cross-checks** — shard/node/transport knob combinations
-//!   the plan cannot satisfy (`JP301`–`JP304`).
+//! * **Deployment cross-checks** — shard/node/transport/backend knob
+//!   combinations the plan or backend cannot satisfy (`JP301`–`JP305`).
 //!
 //! [`crate::deploy::DeploymentBuilder`] runs [`check`] during validation and
 //! fails with [`crate::deploy::DeployError::PlanCheck`] when any diagnostic
@@ -72,6 +72,9 @@ pub mod code {
     pub const TCP_UNDESCRIBABLE: &str = "JP303";
     /// TCP transport on a backend other than the live one.
     pub const TCP_NEEDS_LIVE: &str = "JP304";
+    /// `sp_shards > 1` or `sp_nodes > 1` on a backend other than the live
+    /// one: the emulated backend models the paper's single SP.
+    pub const SCALE_OUT_NEEDS_LIVE: &str = "JP305";
     /// `on_node_loss = Reassign` with a non-mergeable aggregate at the SP
     /// tier: reassignment merges recovered state, so recovery is lossy.
     pub const RECOVERY_LOSSY: &str = "JP401";
@@ -633,7 +636,7 @@ fn lint_mergeability(
     }
 }
 
-/// Deployment cross-checks: JP301–JP304, JP501.
+/// Deployment cross-checks: JP301–JP305, JP501.
 fn lint_deployment(plan: &LogicalPlan, ctx: &CheckContext, diags: &mut Vec<Diagnostic>) {
     if ctx.sp_shards > 1 && plan.shard_boundary().is_none() {
         diags.push(
@@ -649,6 +652,24 @@ fn lint_deployment(plan: &LogicalPlan, ctx: &CheckContext, diags: &mut Vec<Diagn
                 ),
             )
             .with_help("add a grouped aggregation or run with sp_shards = 1"),
+        );
+    }
+    if ctx.backend != BackendKind::Live && (ctx.sp_shards > 1 || ctx.sp_nodes > 1) {
+        diags.push(
+            Diagnostic::new(
+                code::SCALE_OUT_NEEDS_LIVE,
+                Severity::Error,
+                None,
+                format!(
+                    "sp_shards = {} and sp_nodes = {} on the {} backend: it models the \
+                     paper's single stream processor, and SP scale-out runs on the live \
+                     backend",
+                    ctx.sp_shards,
+                    ctx.sp_nodes,
+                    ctx.backend.label()
+                ),
+            )
+            .with_help("use BackendKind::Live, or run with sp_shards = sp_nodes = 1"),
         );
     }
     if ctx.tcp {

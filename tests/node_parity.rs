@@ -4,10 +4,10 @@
 //! anchor: the key → shard mapping never depends on the node count, nodes
 //! own contiguous ring slices, and remote-shard traffic (keyed sub-batches
 //! and split `StatePartial`s) crosses nodes as `NetPayload::ShardBatch` /
-//! `ShardState` payloads — serialized bytes on the live backend. The union
-//! of results over nodes must therefore be **bit-identical** to the
-//! single-node run. This suite proves 1 ≡ 2 ≡ 4 nodes on a 4-shard ring,
-//! on all three paper queries, on both executing backends, under:
+//! `ShardState` payloads — serialized bytes between the live backend's
+//! nodes. The union of results over nodes must therefore be
+//! **bit-identical** to the single-node run. This suite proves 1 ≡ 2 ≡ 4
+//! nodes on a 4-shard ring, on all three paper queries, under:
 //!
 //! * **All-SP** (everything drained: the full flow, where every source
 //!   task partitions its raw row traffic over the ring);
@@ -16,6 +16,10 @@
 //!   owning its key's shard);
 //! * **Jarvis** (adaptive mixed flow: drained rows and shipped state
 //!   interleave while the runtime moves load factors).
+//!
+//! The emulated backend models the paper's single stream processor, so its
+//! digest is an independent reference: the `*_emulated_*` cases assert that
+//! the live tier at 1, 2 and 4 nodes reproduces it.
 //!
 //! Cross-node shipping cost is visible and sane: `shard_stats` /
 //! `node_stats` wire bytes are zero on one node, positive on many, and a
@@ -26,17 +30,12 @@ use jarvis::core::deploy::{BackendKind, Deployment, ExactnessDigest, RunReport};
 use jarvis::core::experiment::ScenarioSpec;
 use jarvis::core::strategy::StrategyKind;
 
-/// Virtual shards on the ring for every run — fixed, so node counts only
-/// move shard placement.
+/// Virtual shards on the ring for every live run — fixed, so node counts
+/// only move shard placement.
 const RING: u32 = 4;
 
-fn run(
-    spec: &ScenarioSpec,
-    strategy: StrategyKind,
-    backend: BackendKind,
-    nodes: u32,
-    epochs: u64,
-) -> RunReport {
+/// A live run on the `RING`-shard ring over `nodes` nodes.
+fn run(spec: &ScenarioSpec, strategy: StrategyKind, nodes: u32, epochs: u64) -> RunReport {
     Deployment::builder()
         .workload(spec.clone())
         .strategy(strategy)
@@ -44,7 +43,7 @@ fn run(
         .sources(2)
         .sp_shards(RING)
         .sp_nodes(nodes)
-        .backend(backend)
+        .backend(BackendKind::Live)
         .collect_results(true)
         .build()
         .expect("valid spec")
@@ -52,13 +51,24 @@ fn run(
         .expect("run succeeds")
 }
 
-fn assert_node_parity(
-    spec: ScenarioSpec,
-    strategy: StrategyKind,
-    backend: BackendKind,
-    epochs: u64,
-) -> RunReport {
-    let base = run(&spec, strategy, backend, 1, epochs);
+/// The same deployment on the emulated backend's single SP.
+fn emulated(spec: &ScenarioSpec, strategy: StrategyKind, epochs: u64) -> RunReport {
+    Deployment::builder()
+        .workload(spec.clone())
+        .strategy(strategy)
+        .cpu_budget(1.0)
+        .sources(2)
+        .backend(BackendKind::Emulated)
+        .collect_results(true)
+        .build()
+        .expect("valid spec")
+        .run(epochs)
+        .expect("run succeeds")
+}
+
+/// Asserts live 1 ≡ 2 ≡ 4 nodes; returns the 4-node report.
+fn assert_node_parity(spec: &ScenarioSpec, strategy: StrategyKind, epochs: u64) -> RunReport {
+    let base = run(spec, strategy, 1, epochs);
     let digest = base.exactness.clone().expect("digest collected");
     assert!(digest.rows > 0, "the run must produce results");
     assert_eq!(base.sp_nodes, 1);
@@ -73,16 +83,15 @@ fn assert_node_parity(
     );
     let mut four: Option<RunReport> = None;
     for nodes in [2u32, 4] {
-        let report = run(&spec, strategy, backend, nodes, epochs);
+        let report = run(spec, strategy, nodes, epochs);
         assert_eq!(report.sp_nodes, u64::from(nodes));
         assert_eq!(report.node_stats.len(), nodes as usize);
         assert_eq!(
             report.exactness.as_ref().expect("digest collected"),
             &digest,
-            "{} / {} / {}: {nodes}-node results must be bit-identical to single-node",
+            "{} / {}: {nodes}-node results must be bit-identical to single-node",
             spec.name(),
             strategy.label(),
-            backend.label(),
         );
         // The ring is fixed: a shard's drain share is placement-independent.
         assert_eq!(
@@ -117,6 +126,28 @@ fn assert_node_parity(
     four.expect("4-node run executed")
 }
 
+/// Asserts the live tier at 1, 2 and 4 nodes reproduces the emulated single
+/// SP's digest; returns the emulated report.
+fn assert_emulated_equals_live_nodes(
+    spec: ScenarioSpec,
+    strategy: StrategyKind,
+    epochs: u64,
+) -> RunReport {
+    let em = emulated(&spec, strategy, epochs);
+    assert!(digest_of(&em).rows > 0, "the run must produce results");
+    assert_eq!((em.sp_shards, em.sp_nodes), (1, 1));
+    assert_eq!(em.node_stats.len(), 1, "one SP, one node row");
+    let live = assert_node_parity(&spec, strategy, epochs);
+    assert_eq!(
+        digest_of(&live),
+        digest_of(&em),
+        "{} / {}: the live tier must reproduce the single SP",
+        spec.name(),
+        strategy.label(),
+    );
+    em
+}
+
 fn digest_of(r: &RunReport) -> &ExactnessDigest {
     r.exactness.as_ref().expect("digest collected")
 }
@@ -126,9 +157,8 @@ fn digest_of(r: &RunReport) -> &ExactnessDigest {
 #[test]
 fn s2s_live_full_nodes_equal_single() {
     let r = assert_node_parity(
-        ScenarioSpec::pingmesh_s2s(Scale::X1),
+        &ScenarioSpec::pingmesh_s2s(Scale::X1),
         StrategyKind::AllSp,
-        BackendKind::Live,
         8,
     );
     // With everything drained and two ingress nodes, remote slices must be
@@ -148,9 +178,8 @@ fn s2s_live_full_nodes_equal_single() {
 #[test]
 fn t2t_live_full_nodes_equal_single() {
     assert_node_parity(
-        ScenarioSpec::pingmesh_t2t(Scale::X1, 500),
+        &ScenarioSpec::pingmesh_t2t(Scale::X1, 500),
         StrategyKind::AllSp,
-        BackendKind::Live,
         8,
     );
 }
@@ -158,9 +187,8 @@ fn t2t_live_full_nodes_equal_single() {
 #[test]
 fn log_live_full_nodes_equal_single() {
     assert_node_parity(
-        ScenarioSpec::log_analytics(Scale::X1),
+        &ScenarioSpec::log_analytics(Scale::X1),
         StrategyKind::AllSp,
-        BackendKind::Live,
         8,
     );
 }
@@ -176,7 +204,7 @@ fn log_live_dict_pages_ship_as_deltas_not_per_frame() {
     // timing one.
     let spec = ScenarioSpec::log_analytics(Scale::X1);
     let wire_of = |epochs: u64| -> u64 {
-        run(&spec, StrategyKind::AllSp, BackendKind::Live, 2, epochs)
+        run(&spec, StrategyKind::AllSp, 2, epochs)
             .shard_stats
             .iter()
             .map(|s| s.wire_bytes_out)
@@ -200,9 +228,8 @@ fn log_live_dict_pages_ship_as_deltas_not_per_frame() {
 #[test]
 fn s2s_live_partitioned_state_nodes_equal_single() {
     let r = assert_node_parity(
-        ScenarioSpec::pingmesh_s2s(Scale::X1),
+        &ScenarioSpec::pingmesh_s2s(Scale::X1),
         StrategyKind::AllSrc,
-        BackendKind::Live,
         8,
     );
     assert_eq!(r.drained_records, 0, "All-Src drains no rows");
@@ -212,9 +239,8 @@ fn s2s_live_partitioned_state_nodes_equal_single() {
 #[test]
 fn t2t_live_partitioned_state_nodes_equal_single() {
     assert_node_parity(
-        ScenarioSpec::pingmesh_t2t(Scale::X1, 500),
+        &ScenarioSpec::pingmesh_t2t(Scale::X1, 500),
         StrategyKind::AllSrc,
-        BackendKind::Live,
         8,
     );
 }
@@ -222,9 +248,8 @@ fn t2t_live_partitioned_state_nodes_equal_single() {
 #[test]
 fn log_live_partitioned_state_nodes_equal_single() {
     assert_node_parity(
-        ScenarioSpec::log_analytics(Scale::X1),
+        &ScenarioSpec::log_analytics(Scale::X1),
         StrategyKind::AllSrc,
-        BackendKind::Live,
         8,
     );
 }
@@ -234,9 +259,8 @@ fn log_live_partitioned_state_nodes_equal_single() {
 #[test]
 fn s2s_live_adaptive_nodes_equal_single() {
     assert_node_parity(
-        ScenarioSpec::pingmesh_s2s(Scale::X1),
+        &ScenarioSpec::pingmesh_s2s(Scale::X1),
         StrategyKind::Jarvis,
-        BackendKind::Live,
         10,
     );
 }
@@ -244,9 +268,8 @@ fn s2s_live_adaptive_nodes_equal_single() {
 #[test]
 fn t2t_live_adaptive_nodes_equal_single() {
     assert_node_parity(
-        ScenarioSpec::pingmesh_t2t(Scale::X1, 500),
+        &ScenarioSpec::pingmesh_t2t(Scale::X1, 500),
         StrategyKind::Jarvis,
-        BackendKind::Live,
         10,
     );
 }
@@ -254,105 +277,97 @@ fn t2t_live_adaptive_nodes_equal_single() {
 #[test]
 fn log_live_adaptive_nodes_equal_single() {
     assert_node_parity(
-        ScenarioSpec::log_analytics(Scale::X1),
+        &ScenarioSpec::log_analytics(Scale::X1),
         StrategyKind::Jarvis,
-        BackendKind::Live,
         10,
     );
 }
 
-// ---- emulated backend: SpCluster of budgeted per-node engines ----
+// ---- emulated backend: the single SP is the reference the live tier
+// reproduces at every node count ----
 
 #[test]
 fn s2s_emulated_full_nodes_equal_single() {
-    let r = assert_node_parity(
+    let r = assert_emulated_equals_live_nodes(
         ScenarioSpec::pingmesh_s2s(Scale::X1),
         StrategyKind::AllSp,
-        BackendKind::Emulated,
         16,
     );
-    assert!(
-        r.shard_stats.iter().map(|s| s.wire_bytes_out).sum::<u64>() > 0,
-        "the emulated cluster charges cross-node shipping too"
+    assert_eq!(
+        r.shard_stats.iter().map(|s| s.wire_bytes_out).sum::<u64>(),
+        0,
+        "the single SP ships nothing across a link"
     );
 }
 
 #[test]
 fn t2t_emulated_full_nodes_equal_single() {
-    assert_node_parity(
+    assert_emulated_equals_live_nodes(
         ScenarioSpec::pingmesh_t2t(Scale::X1, 500),
         StrategyKind::AllSp,
-        BackendKind::Emulated,
         16,
     );
 }
 
 #[test]
 fn log_emulated_full_nodes_equal_single() {
-    assert_node_parity(
+    assert_emulated_equals_live_nodes(
         ScenarioSpec::log_analytics(Scale::X1),
         StrategyKind::AllSp,
-        BackendKind::Emulated,
         16,
     );
 }
 
 #[test]
 fn s2s_emulated_partitioned_state_nodes_equal_single() {
-    assert_node_parity(
+    assert_emulated_equals_live_nodes(
         ScenarioSpec::pingmesh_s2s(Scale::X1),
         StrategyKind::AllSrc,
-        BackendKind::Emulated,
         16,
     );
 }
 
 #[test]
 fn t2t_emulated_partitioned_state_nodes_equal_single() {
-    assert_node_parity(
+    assert_emulated_equals_live_nodes(
         ScenarioSpec::pingmesh_t2t(Scale::X1, 500),
         StrategyKind::AllSrc,
-        BackendKind::Emulated,
         16,
     );
 }
 
 #[test]
 fn log_emulated_partitioned_state_nodes_equal_single() {
-    assert_node_parity(
+    assert_emulated_equals_live_nodes(
         ScenarioSpec::log_analytics(Scale::X1),
         StrategyKind::AllSrc,
-        BackendKind::Emulated,
         16,
     );
 }
 
 #[test]
 fn s2s_emulated_adaptive_nodes_equal_single() {
-    assert_node_parity(
+    assert_emulated_equals_live_nodes(
         ScenarioSpec::pingmesh_s2s(Scale::X1),
         StrategyKind::Jarvis,
-        BackendKind::Emulated,
         20,
     );
 }
 
 #[test]
 fn t2t_emulated_adaptive_nodes_equal_single() {
-    assert_node_parity(
+    assert_emulated_equals_live_nodes(
         ScenarioSpec::pingmesh_t2t(Scale::X1, 500),
         StrategyKind::Jarvis,
-        BackendKind::Emulated,
         20,
     );
 }
 
 #[test]
 fn log_emulated_adaptive_nodes_equal_single() {
-    assert_node_parity(
+    assert_emulated_equals_live_nodes(
         ScenarioSpec::log_analytics(Scale::X1),
         StrategyKind::Jarvis,
-        BackendKind::Emulated,
         20,
     );
 }
@@ -361,10 +376,10 @@ fn log_emulated_adaptive_nodes_equal_single() {
 
 #[test]
 fn scale_out_does_not_change_cross_backend_parity() {
-    // The PR-1 invariant (emulated ≡ live) must hold on a 4-node cluster.
+    // The emulated single SP and the live tier's 4-node cluster agree.
     let spec = ScenarioSpec::pingmesh_s2s(Scale::X1);
-    let em = run(&spec, StrategyKind::AllSrc, BackendKind::Emulated, 4, 12);
-    let lv = run(&spec, StrategyKind::AllSrc, BackendKind::Live, 4, 12);
+    let em = emulated(&spec, StrategyKind::AllSrc, 12);
+    let lv = run(&spec, StrategyKind::AllSrc, 4, 12);
     assert_eq!(digest_of(&em), digest_of(&lv));
 }
 

@@ -5,7 +5,8 @@
 //! surface: `DeployError::PlanCheck` for errors, `RunReport::plan_warnings`
 //! for warnings). A final property test closes the loop the module exists
 //! for: plans the analyzer passes clean at `sp_shards = 4` really do produce
-//! digest-identical results sharded vs unsharded.
+//! digest-identical results on the emulated single SP and on a live 4-shard
+//! ring.
 
 use std::sync::Arc;
 
@@ -171,6 +172,7 @@ fn jp101_errors_when_sharded_and_the_builder_refuses() {
     let err = Deployment::builder()
         .workload(workload)
         .sp_shards(2)
+        .backend(BackendKind::Live)
         .build()
         .unwrap_err();
     let DeployError::PlanCheck(diags) = err else {
@@ -324,7 +326,7 @@ fn jp201_is_refused_by_the_builder() {
     );
 }
 
-// ---- JP301-JP304: deployment cross-checks ----
+// ---- JP301-JP305: deployment cross-checks ----
 
 #[test]
 fn jp301_shards_without_a_keyed_boundary() {
@@ -342,6 +344,7 @@ fn jp301_shards_without_a_keyed_boundary() {
     let err = Deployment::builder()
         .workload(workload)
         .sp_shards(4)
+        .backend(BackendKind::Live)
         .build()
         .unwrap_err();
     let DeployError::PlanCheck(diags) = err else {
@@ -440,6 +443,39 @@ fn jp304_tcp_needs_the_live_backend() {
     assert_eq!(find(&diags, code::TCP_NEEDS_LIVE).severity, Severity::Error);
 }
 
+#[test]
+fn jp305_scale_out_needs_the_live_backend() {
+    let lint_on = |backend: BackendKind, shards: u32, nodes: u32| {
+        let planned = plan_query(
+            jarvis::telemetry::queries::s2s_probe(),
+            &RuleConfig::default(),
+        )
+        .unwrap();
+        let mut ctx = CheckContext::local(shards, nodes, StrategyKind::Jarvis);
+        ctx.backend = backend;
+        plancheck::check(&planned, &RuleConfig::default(), &ctx)
+    };
+    // The emulated backend models one SP: a ring or a cluster is refused.
+    for (shards, nodes) in [(4, 1), (2, 2)] {
+        let diags = lint_on(BackendKind::Emulated, shards, nodes);
+        let d = find(&diags, code::SCALE_OUT_NEEDS_LIVE);
+        assert_eq!(d.severity, Severity::Error);
+        assert!(d
+            .help
+            .as_deref()
+            .unwrap_or("")
+            .contains("BackendKind::Live"));
+    }
+    // One SP on the emulated backend, and scale-out on the live one, are clean.
+    for (backend, shards, nodes) in [(BackendKind::Emulated, 1, 1), (BackendKind::Live, 4, 2)] {
+        let diags = lint_on(backend, shards, nodes);
+        assert!(
+            diags.is_empty(),
+            "{backend:?} at {shards}x{nodes}: {diags:?}"
+        );
+    }
+}
+
 // ---- the shipped plans stay clean ----
 
 #[test]
@@ -491,7 +527,13 @@ fn param_plan(key_sel: usize, agg_sel: usize, filtered: bool, err_lt: u64) -> Lo
         .unwrap()
 }
 
-fn run_digest(plan: LogicalPlan, shards: u32) -> jarvis::core::deploy::ExactnessDigest {
+/// The digest of `plan` on `backend`: the emulated single SP, or the live
+/// tier on a `shards`-wide ring.
+fn run_digest(
+    plan: LogicalPlan,
+    backend: BackendKind,
+    shards: u32,
+) -> jarvis::core::deploy::ExactnessDigest {
     let n_ops = plan.ops.len();
     let workload = CustomWorkload::new(
         "prop",
@@ -504,19 +546,20 @@ fn run_digest(plan: LogicalPlan, shards: u32) -> jarvis::core::deploy::Exactness
         .strategy(StrategyKind::AllSp)
         .sources(1)
         .sp_shards(shards)
-        .backend(BackendKind::Emulated)
+        .backend(backend)
         .collect_results(true)
         .build()
         .expect("plancheck-clean plan builds")
         .run(6)
-        .expect("emulated run");
+        .expect("run succeeds");
     report.exactness.expect("digest collected")
 }
 
 proptest! {
     /// Plans the analyzer passes clean at 4 shards produce digest-identical
-    /// results sharded vs unsharded — the static check really is a sound
-    /// precondition for the runtime parity the digest suites measure.
+    /// results on the emulated single SP and on a live 4-shard ring — the
+    /// static check really is a sound precondition for the runtime parity
+    /// the digest suites measure.
     #[test]
     fn plancheck_clean_plans_pass_shard_digest_parity(
         params in (0usize..3, 0usize..5, any::<bool>(), 0u64..3)
@@ -525,8 +568,8 @@ proptest! {
         let plan = param_plan(key_sel, agg_sel, filtered, err_lt);
         let diags = lint(plan.clone(), 4, 1, StrategyKind::AllSp);
         prop_assert!(diags.is_empty(), "generator must emit clean plans: {diags:?}");
-        let unsharded = run_digest(plan.clone(), 1);
-        let sharded = run_digest(plan, 4);
+        let unsharded = run_digest(plan.clone(), BackendKind::Emulated, 1);
+        let sharded = run_digest(plan, BackendKind::Live, 4);
         prop_assert_eq!(unsharded, sharded);
     }
 }

@@ -131,6 +131,7 @@ fn open_groups_by_epoch(spec: &ScenarioSpec, strategy: StrategyKind) -> (Vec<usi
     let spec = builder(spec, strategy)
         .sp_shards(4)
         .sp_nodes(2)
+        .backend(BackendKind::Live)
         .spec()
         .expect("valid spec");
     let mut session = LiveSession::new(&spec).expect("session");
