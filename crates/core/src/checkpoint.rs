@@ -168,7 +168,7 @@ mod tests {
         }
         let ckpt = snapshot(s.source_mut(0));
         let planned = spec.plan();
-        let mut sp = crate::engine::sp::SpEngine::new(&planned, &spec.costs(), 1, 64.0, 1.0);
+        let mut sp = crate::engine::sp::SpEngine::new(&planned, &spec.costs(), 1);
         let bytes = apply_at_sp(&mut sp, 0, &ckpt, 3.0);
         assert_eq!(
             bytes,

@@ -1,10 +1,9 @@
-//! Execution backends: one [`DeploymentSpec`], three places to run it.
+//! Execution backends: one [`DeploymentSpec`], two places to run it.
 
 use crate::calibration;
-use crate::convergence_sim::{epochs_to_converge, SimConfig};
 use crate::deploy::report::{ExactnessDigest, NodeStat, RunReport, ShardStat};
 use crate::deploy::{DeployError, DeploymentSpec};
-use crate::engine::block::{BuildingBlock, BuildingBlockConfig, EpochSource};
+use crate::engine::block::{BuildingBlock, EpochSource};
 use crate::engine::source::SourceConfig;
 use crate::live::session::LiveSession;
 use crate::planner::PlannedQuery;
@@ -35,17 +34,7 @@ pub(crate) fn build_block(
     let generators: Vec<Box<dyn EpochSource>> = (0..spec.sources)
         .map(|i| spec.workload.generator(i, spec.sources))
         .collect();
-    let mut block = BuildingBlock::new(
-        &planned,
-        &costs,
-        cfgs,
-        generators,
-        BuildingBlockConfig {
-            network: spec.network,
-            ..Default::default()
-        },
-        spec.warmup_epochs,
-    );
+    let mut block = BuildingBlock::new(&planned, &costs, cfgs, generators, spec.network);
     if let Some(factors) = &spec.fixed_load_factors {
         for i in 0..block.source_count() {
             block.source_mut(i).set_load_factors(factors);
@@ -178,7 +167,6 @@ impl ExecBackend for LiveBackend {
         let mut report = RunReport::skeleton("live", spec.workload.name(), spec.strategy);
         report.epochs = session.epoch();
         report.rt_workers = session.rt_workers();
-        report.channel_capacity = session.channel_capacity();
         report.deployed_chain = session.planned().plan.display_chain();
         report.source_ops = session.planned().source_ops;
         report.sp_shards = session.n_shards() as u64;
@@ -242,65 +230,6 @@ impl ExecBackend for LiveBackend {
     }
 }
 
-/// The §VI-C abstract convergence-cost simulator: classifies plans against
-/// an idealised budget and counts the epochs StepWise-Adapt needs to
-/// stabilise from zero load factors. Reports only adaptation metrics.
-#[derive(Default)]
-pub struct ConvergenceBackend {}
-
-impl ExecBackend for ConvergenceBackend {
-    fn name(&self) -> &'static str {
-        "convergence"
-    }
-
-    fn run(&mut self, spec: &DeploymentSpec, epochs: u64) -> Result<RunReport, DeployError> {
-        if !spec.strategy.is_stepwise() {
-            return Err(DeployError::StrategyBackendMismatch {
-                strategy: spec.strategy,
-                backend: super::BackendKind::Convergence,
-            });
-        }
-        if !spec.events.is_empty() {
-            return Err(DeployError::EventsUnsupported {
-                backend: super::BackendKind::Convergence,
-            });
-        }
-        let planned = &spec.planned;
-        let costs = spec.workload.costs();
-        // Calibrate the abstract configuration on one generated epoch,
-        // through the same scratch-profiling pass the live backend uses.
-        let sample = spec
-            .workload
-            .generator(0, spec.sources)
-            .generate_epoch_batch(0, 1.0);
-        let budget_us = spec.cpu_budget * calibration::EPOCH_SECS * 1e6;
-        let est = crate::live::session::profile_on_scratch(
-            &planned.plan,
-            &costs,
-            planned.source_ops,
-            &sample,
-            budget_us,
-        );
-        let cfg = SimConfig {
-            cost_us: est.cost_us,
-            relay: est.relay_count.iter().map(|r| r.min(1.0)).collect(),
-            records: est.records_per_epoch,
-            budget_us,
-            idle_tolerance: calibration::IDLE_THRES,
-        };
-        let sw = spec.strategy.runtime_config().stepwise;
-        let converged = epochs_to_converge(&cfg, sw, epochs.min(u64::from(u32::MAX)) as u32);
-
-        let mut report = RunReport::skeleton("convergence", spec.workload.name(), spec.strategy);
-        report.epochs = epochs;
-        report.input_mbps = spec.workload.input_mbps();
-        report.deployed_chain = planned.plan.display_chain();
-        report.source_ops = planned.source_ops;
-        report.converged_epochs = converged;
-        Ok(report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,21 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn convergence_backend_reports_stabilisation() {
-        let report = Deployment::builder()
-            .workload(ScenarioSpec::pingmesh_s2s(Scale::X10))
-            .strategy(StrategyKind::JarvisNoLpInit)
-            .cpu_budget(0.6)
-            .backend(BackendKind::Convergence)
-            .build()
-            .unwrap()
-            .run(200)
-            .unwrap();
-        let epochs = report.converged_epochs.expect("must converge");
-        assert!(epochs > 0 && epochs < 60, "epochs = {epochs}");
-    }
-
-    #[test]
     fn emulated_supports_stepping_and_fault_injection() {
         let spec = Deployment::builder()
             .workload(ScenarioSpec::pingmesh_s2s(Scale::X1))
@@ -379,5 +293,54 @@ mod tests {
         assert!(block.is_failed(0));
         block.recover_source(0, &ckpt);
         assert!(!block.is_failed(0));
+    }
+
+    #[test]
+    fn a_table_event_swaps_the_joins_of_a_source_prefix_shorter_than_the_plan() {
+        // T2TProbe with its second join marked parallel: R-4 ends the source
+        // prefix in front of it, so the sources run W, F and one join of the
+        // six operators. The swap walks the source's operators, not the plan.
+        use crate::deploy::CustomWorkload;
+        use crate::experiment::ResourceEvent;
+        use streamkit::ops::OpKind;
+
+        let t2t = ScenarioSpec::pingmesh_t2t(Scale::X1, 500);
+        let mut plan = t2t.logical_plan();
+        plan.parallel[3] = 4;
+        let workload = CustomWorkload::new(
+            "t2t-short-prefix",
+            plan,
+            t2t.costs(),
+            vec![t2t.generator(0, 1)],
+        );
+        let spec = Deployment::builder()
+            .workload(workload)
+            .strategy(StrategyKind::AllSrc)
+            .cpu_budget(1.0)
+            .events(&[ResourceEvent {
+                epoch: 2,
+                cpu_budget: None,
+                table_size: Some(5000),
+            }])
+            .spec()
+            .unwrap();
+        assert_eq!(spec.planned.source_ops, 3);
+        let mut be = EmulatedBackend::default();
+        be.prepare(&spec).unwrap();
+        let join_sizes = |be: &mut EmulatedBackend| -> Vec<usize> {
+            be.block_mut()
+                .unwrap()
+                .source_mut(0)
+                .ops_mut()
+                .filter(|op| op.kind() == OpKind::Join)
+                .map(|op| op.state_size())
+                .collect()
+        };
+        let table_len = |size| telemetry::queries::t2t_tables(size, 40, &[1]).0.len();
+        be.step(&spec);
+        be.step(&spec);
+        assert_eq!(join_sizes(&mut be), vec![table_len(500)]);
+        be.step(&spec);
+        assert_eq!(join_sizes(&mut be), vec![table_len(5000)]);
     }
 }

@@ -10,11 +10,9 @@
 //!   (`engine::block`), modelling CPU budgets, uplinks, and latency bounds.
 //! * [`LiveBackend`] — real threads and channels (`live::session`), driving
 //!   the Jarvis runtime state machine each epoch and proving exactness.
-//! * [`ConvergenceBackend`] — the §VI-C abstract convergence-cost simulator.
 //!
-//! All three consume the same spec and produce the same [`RunReport`], which
-//! is what lets tests assert backend parity and future PRs add sharded or
-//! distributed backends without another parallel code path.
+//! Both consume the same spec and produce the same [`RunReport`], which is
+//! what lets tests assert backend parity.
 //!
 //! ```
 //! use jarvis_core::calibration::Scale;
@@ -49,7 +47,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-pub use backend::{ConvergenceBackend, EmulatedBackend, ExecBackend, LiveBackend};
+pub use backend::{EmulatedBackend, ExecBackend, LiveBackend};
 pub use report::{ExactnessDigest, FaultIncident, NodeStat, RunReport, ShardStat};
 pub use workload::{CustomWorkload, SourceAdapter};
 
@@ -68,10 +66,6 @@ pub const MAX_SP_SHARDS: u32 = 64;
 /// a larger pool only adds idle parked threads.
 pub const MAX_RT_WORKERS: u32 = 1024;
 
-/// Largest supported `channel_capacity`: a wider channel than this buffers
-/// whole epochs and defeats backpressure entirely.
-pub const MAX_CHANNEL_CAPACITY: u32 = 1 << 20;
-
 /// Which built-in backend executes the deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
@@ -79,8 +73,6 @@ pub enum BackendKind {
     Emulated,
     /// Threaded execution over real channels (exactness under concurrency).
     Live,
-    /// Abstract convergence-cost simulation (adaptation analysis only).
-    Convergence,
 }
 
 impl BackendKind {
@@ -89,7 +81,6 @@ impl BackendKind {
         match self {
             BackendKind::Emulated => "emulated",
             BackendKind::Live => "live",
-            BackendKind::Convergence => "convergence",
         }
     }
 }
@@ -207,18 +198,6 @@ pub enum DeployError {
         /// The adaptive strategy.
         strategy: StrategyKind,
     },
-    /// The strategy cannot run on the chosen backend.
-    StrategyBackendMismatch {
-        /// The strategy.
-        strategy: StrategyKind,
-        /// The backend.
-        backend: BackendKind,
-    },
-    /// Scheduled resource events on a backend that cannot apply them.
-    EventsUnsupported {
-        /// The backend.
-        backend: BackendKind,
-    },
     /// Query planning failed (invalid plan, rule violation).
     Plan(String),
     /// A TCP deployment without a parseable `listen_addr`.
@@ -265,13 +244,6 @@ pub enum DeployError {
         /// Largest supported worker count.
         max: u32,
     },
-    /// `channel_capacity` zero or beyond [`MAX_CHANNEL_CAPACITY`].
-    InvalidChannelCapacity {
-        /// The rejected value.
-        got: u32,
-        /// Largest supported capacity.
-        max: u32,
-    },
 }
 
 impl fmt::Display for DeployError {
@@ -316,17 +288,6 @@ impl fmt::Display for DeployError {
                 "{} adapts load factors at runtime; pinned factors require a fixed strategy",
                 strategy.label()
             ),
-            DeployError::StrategyBackendMismatch { strategy, backend } => write!(
-                f,
-                "strategy {} cannot run on the {} backend",
-                strategy.label(),
-                backend.label()
-            ),
-            DeployError::EventsUnsupported { backend } => write!(
-                f,
-                "the {} backend cannot apply scheduled resource events",
-                backend.label()
-            ),
             DeployError::Plan(msg) => write!(f, "query planning failed: {msg}"),
             DeployError::InvalidEndpoint { got } => {
                 write!(f, "TCP transport needs a bindable listen_addr, got {got}")
@@ -353,9 +314,6 @@ impl fmt::Display for DeployError {
             }
             DeployError::InvalidRtWorkers { got, max } => {
                 write!(f, "rt_workers must be in 1..={max}, got {got}")
-            }
-            DeployError::InvalidChannelCapacity { got, max } => {
-                write!(f, "channel_capacity must be in 1..={max}, got {got}")
             }
         }
     }
@@ -394,8 +352,6 @@ pub struct DeploymentSpec {
     /// Warning-severity plancheck diagnostics (errors refuse the build);
     /// copied into [`RunReport::plan_warnings`] by [`Deployment::run`].
     pub plan_warnings: Vec<crate::plancheck::Diagnostic>,
-    /// Warm-up epochs excluded from measurement.
-    pub warmup_epochs: u64,
     /// Base RNG seed for per-source engines.
     pub seed: u64,
     /// Pinned per-proxy load factors (fixed-allocation deployments only).
@@ -431,9 +387,6 @@ pub struct DeploymentSpec {
     /// Executor worker threads of the live session's task runtime
     /// (`None` sizes to the host's available parallelism).
     pub rt_workers: Option<u32>,
-    /// Capacity of the session's async channels (one per SP node, fed by
-    /// every source task).
-    pub channel_capacity: u32,
 }
 
 impl fmt::Debug for DeploymentSpec {
@@ -446,7 +399,6 @@ impl fmt::Debug for DeploymentSpec {
             .field("sp_shards", &self.sp_shards)
             .field("sp_nodes", &self.sp_nodes)
             .field("network", &self.network)
-            .field("warmup_epochs", &self.warmup_epochs)
             .field("fixed_load_factors", &self.fixed_load_factors)
             .field("events", &self.events)
             .field("collect_results", &self.collect_results)
@@ -456,7 +408,6 @@ impl fmt::Debug for DeploymentSpec {
             .field("checkpoint_interval", &self.checkpoint_interval)
             .field("reconnect_grace", &self.reconnect_grace)
             .field("rt_workers", &self.rt_workers)
-            .field("channel_capacity", &self.channel_capacity)
             .field("fault_plan", &self.fault_plan)
             .finish()
     }
@@ -472,7 +423,6 @@ pub struct DeploymentBuilder {
     sp_nodes: u32,
     network: Option<NetworkModel>,
     rules: RuleConfig,
-    warmup_epochs: u64,
     seed: u64,
     fixed_load_factors: Option<Vec<f64>>,
     events: Vec<ResourceEvent>,
@@ -489,7 +439,6 @@ pub struct DeploymentBuilder {
     reconnect_grace: Duration,
     fault_plan: Option<FaultPlan>,
     rt_workers: Option<u32>,
-    channel_capacity: u32,
 }
 
 impl Default for DeploymentBuilder {
@@ -503,7 +452,6 @@ impl Default for DeploymentBuilder {
             sp_nodes: 1,
             network: None,
             rules: RuleConfig::default(),
-            warmup_epochs: crate::experiment::DEFAULT_WARMUP_EPOCHS,
             seed: 17,
             fixed_load_factors: None,
             events: Vec::new(),
@@ -520,7 +468,6 @@ impl Default for DeploymentBuilder {
             reconnect_grace: Duration::ZERO,
             fault_plan: None,
             rt_workers: None,
-            channel_capacity: crate::rt::DEFAULT_CHANNEL_CAPACITY,
         }
     }
 }
@@ -558,8 +505,8 @@ impl DeploymentBuilder {
 
     /// Sets the number of virtual shards on the SP tier's fixed hash ring
     /// (default 1 = the unsharded chain). Live backend only: the emulated
-    /// and convergence backends model the paper's single stream processor
-    /// and refuse `sp_shards > 1` with `JP305`. Sharded runs partition
+    /// backend models the paper's single stream processor and refuses
+    /// `sp_shards > 1` with `JP305`. Sharded runs partition
     /// every batch by the plan's group keys at its stateful boundary and
     /// stay exact; see `tests/shard_parity.rs`.
     pub fn sp_shards(mut self, shards: u32) -> Self {
@@ -589,12 +536,6 @@ impl DeploymentBuilder {
     /// Sets the operator-eligibility rules.
     pub fn rules(mut self, rules: RuleConfig) -> Self {
         self.rules = rules;
-        self
-    }
-
-    /// Sets warm-up epochs excluded from measurement.
-    pub fn warmup_epochs(mut self, epochs: u64) -> Self {
-        self.warmup_epochs = epochs;
         self
     }
 
@@ -716,15 +657,6 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Sets the capacity of the session's async channels — one per SP node,
-    /// into which every source task sends its shard payloads (default
-    /// [`crate::rt::DEFAULT_CHANNEL_CAPACITY`]). Validated into
-    /// `1..=`[`MAX_CHANNEL_CAPACITY`].
-    pub fn channel_capacity(mut self, capacity: u32) -> Self {
-        self.channel_capacity = capacity;
-        self
-    }
-
     /// Validates into a bare [`DeploymentSpec`] (advanced use: driving a
     /// backend by hand, e.g. fault-injection tests stepping the emulator).
     pub fn spec(&self) -> Result<DeploymentSpec, DeployError> {
@@ -757,12 +689,6 @@ impl DeploymentBuilder {
                 });
             }
         }
-        if !(1..=MAX_CHANNEL_CAPACITY).contains(&self.channel_capacity) {
-            return Err(DeployError::InvalidChannelCapacity {
-                got: self.channel_capacity,
-                max: MAX_CHANNEL_CAPACITY,
-            });
-        }
         // Planning validates the query and fixes the source-eligible prefix.
         let planned = crate::planner::plan_query(workload.logical_plan(), &self.rules)?;
         // Static plan analysis: key provenance across the shard boundary,
@@ -780,9 +706,6 @@ impl DeploymentBuilder {
             workload: workload.name().to_string(),
             on_node_loss: self.on_node_loss,
             checkpointing: self.checkpoint_interval > 0,
-            sources: self.sources,
-            rt_workers: crate::rt::effective_workers(self.rt_workers) as u32,
-            channel_capacity: self.channel_capacity,
         };
         let diagnostics = crate::plancheck::check(&planned, &self.rules, &ctx);
         if crate::plancheck::has_errors(&diagnostics) {
@@ -815,17 +738,6 @@ impl DeploymentBuilder {
                 }
             }
         }
-        if self.backend == BackendKind::Convergence && !self.strategy.is_stepwise() {
-            return Err(DeployError::StrategyBackendMismatch {
-                strategy: self.strategy,
-                backend: self.backend,
-            });
-        }
-        if self.backend == BackendKind::Convergence && !self.events.is_empty() {
-            return Err(DeployError::EventsUnsupported {
-                backend: self.backend,
-            });
-        }
         let mut listen_addr = None;
         if self.transport == TransportKind::Tcp {
             // Feature feasibility (live backend, no events, describable
@@ -855,7 +767,6 @@ impl DeploymentBuilder {
             rules: self.rules.clone(),
             planned,
             plan_warnings,
-            warmup_epochs: self.warmup_epochs,
             seed: self.seed,
             fixed_load_factors: self.fixed_load_factors.clone(),
             events: self.events.clone(),
@@ -871,7 +782,6 @@ impl DeploymentBuilder {
             reconnect_grace: self.reconnect_grace,
             fault_plan: self.fault_plan.clone(),
             rt_workers: self.rt_workers,
-            channel_capacity: self.channel_capacity,
         })
     }
 
@@ -881,7 +791,6 @@ impl DeploymentBuilder {
         let backend: Box<dyn ExecBackend> = match self.backend {
             BackendKind::Emulated => Box::new(EmulatedBackend::default()),
             BackendKind::Live => Box::new(LiveBackend::default()),
-            BackendKind::Convergence => Box::new(ConvergenceBackend::default()),
         };
         Ok(Deployment { spec, backend })
     }
@@ -1099,41 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn convergence_backend_requires_a_stepwise_strategy() {
-        let err = builder()
-            .strategy(StrategyKind::BestOp)
-            .backend(BackendKind::Convergence)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            DeployError::StrategyBackendMismatch {
-                strategy: StrategyKind::BestOp,
-                backend: BackendKind::Convergence,
-            }
-        );
-    }
-
-    #[test]
-    fn convergence_backend_rejects_scheduled_events() {
-        let err = builder()
-            .backend(BackendKind::Convergence)
-            .events(&[crate::experiment::ResourceEvent {
-                epoch: 3,
-                cpu_budget: Some(0.9),
-                table_size: None,
-            }])
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            DeployError::EventsUnsupported {
-                backend: BackendKind::Convergence
-            }
-        );
-    }
-
-    #[test]
     fn repeated_runs_are_independent_and_identical() {
         let mut d = builder()
             .cpu_budget(0.8)
@@ -1248,10 +1122,6 @@ mod tests {
         assert_eq!(d.spec().sources, 1);
         assert_eq!(d.spec().sp_shards, 1, "unsharded by default");
         assert_eq!(d.spec().sp_nodes, 1, "single-node SP by default");
-        assert_eq!(
-            d.spec().warmup_epochs,
-            crate::experiment::DEFAULT_WARMUP_EPOCHS
-        );
         assert_eq!(d.spec().strategy, StrategyKind::Jarvis);
     }
 }

@@ -140,8 +140,7 @@ pub struct NodeStat {
 /// Result of executing a [`crate::deploy::DeploymentSpec`] on a backend.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunReport {
-    /// Backend that produced the report (`"emulated"`, `"live"`,
-    /// `"convergence"`).
+    /// Backend that produced the report (`"emulated"` or `"live"`).
     pub backend: String,
     /// Workload name.
     pub workload: String,
@@ -195,8 +194,6 @@ pub struct RunReport {
     /// Per-node drain/usage/wire stats of the SP tier (live backend; the
     /// emulated backend's single SP reports one row).
     pub node_stats: Vec<NodeStat>,
-    /// Epochs StepWise-Adapt needed to stabilise (convergence backend).
-    pub converged_epochs: Option<u32>,
     /// Warning-severity diagnostics from the static plan analysis that ran
     /// at build time (errors refuse the build; see [`crate::plancheck`]).
     pub plan_warnings: Vec<crate::plancheck::Diagnostic>,
@@ -209,9 +206,6 @@ pub struct RunReport {
     /// Effective executor worker threads of the session's task runtime
     /// (0 for backends that do not run on it).
     pub rt_workers: u32,
-    /// Effective capacity of the session's async channels (0 for backends
-    /// that do not run on them).
-    pub channel_capacity: u32,
 }
 
 impl RunReport {
@@ -243,13 +237,11 @@ impl RunReport {
             sp_nodes: 1,
             shard_stats: Vec::new(),
             node_stats: Vec::new(),
-            converged_epochs: None,
             plan_warnings: Vec::new(),
             incidents: Vec::new(),
             replay_bytes: 0,
             heartbeats_sent: 0,
             rt_workers: 0,
-            channel_capacity: 0,
         }
     }
 }

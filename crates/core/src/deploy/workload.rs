@@ -31,9 +31,6 @@ pub trait SourceAdapter: Send + Sync {
     /// streams (the basis of backend-parity exactness checks).
     fn generator(&self, i: u32, n: u32) -> Box<dyn EpochSource>;
 
-    /// Nominal per-source input rate, paper-Mbps.
-    fn input_mbps(&self) -> f64;
-
     /// A wire-serializable descriptor a remote `jarvis-node` can rebuild
     /// this workload's plan and costs from, or `None` when the workload
     /// cannot be described (closures, ad-hoc generators). TCP deployments
@@ -60,10 +57,6 @@ impl SourceAdapter for ScenarioSpec {
         ScenarioSpec::generator(self, i, n)
     }
 
-    fn input_mbps(&self) -> f64 {
-        ScenarioSpec::input_mbps(self)
-    }
-
     fn remote_workload(&self) -> Option<crate::deploy::remote::RemoteWorkload> {
         Some(crate::deploy::remote::RemoteWorkload::of_scenario(self))
     }
@@ -81,7 +74,6 @@ pub struct CustomWorkload {
     name: String,
     plan: LogicalPlan,
     costs: CostProfile,
-    input_mbps: f64,
     generators: Mutex<Vec<Option<Box<dyn EpochSource>>>>,
 }
 
@@ -98,15 +90,8 @@ impl CustomWorkload {
             name: name.into(),
             plan,
             costs,
-            input_mbps: 0.0,
             generators: Mutex::new(generators.into_iter().map(Some).collect()),
         }
-    }
-
-    /// Sets the nominal input rate reported alongside results.
-    pub fn with_input_mbps(mut self, mbps: f64) -> CustomWorkload {
-        self.input_mbps = mbps;
-        self
     }
 
     /// Number of generators supplied.
@@ -145,10 +130,6 @@ impl SourceAdapter for CustomWorkload {
                 )
             })
     }
-
-    fn input_mbps(&self) -> f64 {
-        self.input_mbps
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +141,6 @@ mod tests {
     fn scenario_specs_are_adapters() {
         let w: Box<dyn SourceAdapter> = Box::new(ScenarioSpec::pingmesh_s2s(Scale::X1));
         assert_eq!(w.name(), "S2SProbe");
-        assert!(w.input_mbps() > 0.0);
         assert_eq!(w.logical_plan().ops.len(), 3);
     }
 

@@ -14,6 +14,7 @@ use crate::engine::metrics::RunMetrics;
 use crate::engine::source::{SourceConfig, SourceEngine};
 use crate::engine::sp::SpEngine;
 use crate::engine::NetPayload;
+use crate::experiment::{T2tTables, DEFAULT_WARMUP_EPOCHS};
 use crate::planner::PlannedQuery;
 
 /// A per-epoch batch generator (one per source). Sources produce columnar
@@ -103,29 +104,6 @@ impl Net {
     }
 }
 
-/// Building-block configuration.
-#[derive(Debug, Clone)]
-pub struct BuildingBlockConfig {
-    /// Epoch length, seconds.
-    pub epoch_secs: f64,
-    /// SP cores.
-    pub sp_cores: f64,
-    /// Uplink model.
-    pub network: NetworkModel,
-}
-
-impl Default for BuildingBlockConfig {
-    fn default() -> Self {
-        BuildingBlockConfig {
-            epoch_secs: calibration::EPOCH_SECS,
-            sp_cores: calibration::SP_CORES,
-            network: NetworkModel::PerSource {
-                bps: calibration::per_query_per_node_bps(),
-            },
-        }
-    }
-}
-
 /// N sources + network + one SP, advanced epoch by epoch.
 pub struct BuildingBlock {
     clock: VirtualClock,
@@ -135,22 +113,21 @@ pub struct BuildingBlock {
     sp: SpEngine,
     /// Per-source metrics (measurement window).
     metrics: Vec<RunMetrics>,
-    /// Epochs excluded from metrics (system warm-up, §VI-A).
-    warmup_epochs: u64,
+    /// Epochs measured so far, past the [`DEFAULT_WARMUP_EPOCHS`] warm-up.
     measured_epochs: u64,
     /// Sources currently failed (not generating or processing).
     failed: Vec<bool>,
 }
 
 impl BuildingBlock {
-    /// Builds a block running `planned` on every source.
+    /// Builds a block running `planned` on every source, its uplinks shaped
+    /// by `network`.
     pub fn new(
         planned: &PlannedQuery,
         costs: &CostProfile,
         source_cfgs: Vec<SourceConfig>,
         generators: Vec<Box<dyn EpochSource>>,
-        cfg: BuildingBlockConfig,
-        warmup_epochs: u64,
+        network: NetworkModel,
     ) -> BuildingBlock {
         assert_eq!(
             source_cfgs.len(),
@@ -167,8 +144,9 @@ impl BuildingBlock {
         // for epoch batching and SP-side processing. Stale records beyond
         // that are shed (drop-oldest), as a real agent's bounded socket
         // buffers would.
-        let buffer_secs = (calibration::LATENCY_BOUND_SECS - 2.0 * cfg.epoch_secs).max(0.5);
-        let net = match cfg.network {
+        let buffer_secs =
+            (calibration::LATENCY_BOUND_SECS - 2.0 * calibration::EPOCH_SECS).max(0.5);
+        let net = match network {
             NetworkModel::PerSource { bps } => {
                 let cap = buffer_secs * bps / 8.0;
                 Net::PerSource(
@@ -188,15 +166,13 @@ impl BuildingBlock {
                 Net::Shared(link)
             }
         };
-        let sp = SpEngine::new(planned, costs, n, cfg.sp_cores, cfg.epoch_secs);
         BuildingBlock {
-            clock: VirtualClock::new(cfg.epoch_secs),
+            clock: VirtualClock::new(calibration::EPOCH_SECS),
             sources,
             generators,
             net,
-            sp,
+            sp: SpEngine::new(planned, costs, n),
             metrics: (0..n).map(|_| RunMetrics::default()).collect(),
-            warmup_epochs,
             measured_epochs: 0,
             failed: vec![false; n],
         }
@@ -273,7 +249,7 @@ impl BuildingBlock {
         let epoch_secs = self.clock.epoch_secs();
         let now_us = self.clock.now_micros();
         let now_s = self.clock.now_secs();
-        let measuring = self.clock.epoch() >= self.warmup_epochs;
+        let measuring = self.clock.epoch() >= DEFAULT_WARMUP_EPOCHS;
 
         // 1. Sources ingest and execute (failed sources stay dark).
         let mut epoch_metrics = Vec::with_capacity(self.sources.len());
@@ -337,29 +313,12 @@ impl BuildingBlock {
     }
 
     /// Swaps the static table of every join operator on every source (the
-    /// Fig. 8b 10× table growth).
+    /// Fig. 8b 10× table growth). The SP replicas keep the tables they were
+    /// built with.
     pub fn swap_join_tables(&mut self, table_size: u32) {
-        use std::sync::Arc;
-        use streamkit::ops::{JoinOp, StaticTable};
-        let (src_table, dst_table) = telemetry::queries::t2t_tables(table_size, 40, &[1]);
-        for i in 0..self.source_count() {
-            let engine = self.source_mut(i);
-            let mut join_seen = 0;
-            for stage in 0..engine.plan_ops() {
-                if let Some(join) = engine
-                    .op_mut(stage)
-                    .as_any_mut()
-                    .and_then(|a| a.downcast_mut::<JoinOp>())
-                {
-                    let table: &Arc<StaticTable> = if join_seen == 0 {
-                        &src_table
-                    } else {
-                        &dst_table
-                    };
-                    join.set_table(table.clone());
-                    join_seen += 1;
-                }
-            }
+        let tables = T2tTables::new(table_size);
+        for source in &mut self.sources {
+            tables.install(source.ops_mut());
         }
     }
 

@@ -18,12 +18,11 @@ pub mod netwire;
 pub mod source;
 pub mod sp;
 pub mod transport;
-pub mod tree;
 
 use streamkit::batch::Batch;
 use streamkit::ops::StatePartial;
 
-pub use block::{BuildingBlock, BuildingBlockConfig, NetworkModel};
+pub use block::{BuildingBlock, NetworkModel};
 pub use metrics::{EpochMetrics, RunMetrics};
 pub use source::{SourceConfig, SourceEngine};
 pub use sp::SpEngine;

@@ -4,7 +4,8 @@
 //! batches through control proxies (per-row, so error-diffusion routing stays
 //! deterministic), charges operator costs against the node's epoch budget a
 //! sub-batch at a time, sheds or queues overflow according to the strategy,
-//! ships stateful partial-state deltas at the configured interval, and drives
+//! ships stateful partial-state deltas every
+//! [`STATE_SHIP_INTERVAL_EPOCHS`](calibration::STATE_SHIP_INTERVAL_EPOCHS), and drives
 //! the Jarvis runtime at every epoch boundary — including dedicated Profile
 //! epochs that measure per-operator cost and relay ratios.
 
@@ -40,41 +41,28 @@ impl Stage {
     }
 }
 
-/// Source engine configuration.
+/// Source engine configuration: what differs between sources. Everything
+/// else (epoch length, CPU jitter, ship cadence, queue cap, thrashing) is a
+/// [`calibration`] constant.
 #[derive(Debug, Clone)]
 pub struct SourceConfig {
     /// Node id for the emulated source.
     pub node_id: u32,
     /// Initial CPU budget, fraction of cores.
     pub cpu_budget: f64,
-    /// CPU scheduling jitter half-width.
-    pub cpu_jitter: f64,
-    /// Epoch length, seconds.
-    pub epoch_secs: f64,
     /// Partitioning strategy.
     pub strategy: StrategyKind,
-    /// State-delta shipping interval, epochs.
-    pub ship_interval: u32,
-    /// Queue cap (records) for queue-mode strategies.
-    pub queue_cap: usize,
-    /// Backlog-dependent cost inflation for queue-mode strategies.
-    pub thrash_coeff: f64,
     /// RNG seed (node jitter).
     pub seed: u64,
 }
 
 impl SourceConfig {
-    /// Defaults from the calibration module.
+    /// A source with the default seed.
     pub fn new(node_id: u32, cpu_budget: f64, strategy: StrategyKind) -> SourceConfig {
         SourceConfig {
             node_id,
             cpu_budget,
-            cpu_jitter: calibration::CPU_JITTER_FRAC,
-            epoch_secs: calibration::EPOCH_SECS,
             strategy,
-            ship_interval: calibration::STATE_SHIP_INTERVAL_EPOCHS,
-            queue_cap: calibration::QUEUE_CAP_RECORDS,
-            thrash_coeff: calibration::THRASH_COEFF,
             seed: 42,
         }
     }
@@ -97,11 +85,8 @@ pub struct SourceEngine {
     schemas: Vec<SchemaRef>,
     /// Operators in the source-eligible prefix.
     source_ops: usize,
-    /// Total operators in the plan.
-    plan_ops: usize,
     overflow: OverflowMode,
     runtime: JarvisRuntime,
-    cfg: SourceConfig,
     /// Average input record wire bytes (updated per epoch) for
     /// input-equivalent byte attribution.
     avg_input_bytes: f64,
@@ -141,7 +126,7 @@ impl SourceEngine {
         let node = Node::new(
             NodeId(cfg.node_id),
             CpuBudget::fraction(cfg.cpu_budget),
-            cfg.cpu_jitter,
+            calibration::CPU_JITTER_FRAC,
             cfg.seed,
         );
         SourceEngine {
@@ -149,10 +134,8 @@ impl SourceEngine {
             stages,
             schemas,
             source_ops: planned.source_ops,
-            plan_ops: planned.plan.ops.len(),
             overflow: cfg.strategy.overflow_mode(),
             runtime,
-            cfg,
             avg_input_bytes: 0.0,
             epochs_since_ship: 0,
             profile_next: false,
@@ -184,9 +167,14 @@ impl SourceEngine {
         &self.runtime
     }
 
-    /// Mutable operator access (e.g. swapping a join table mid-run).
+    /// Mutable operator access (checkpoint snapshot and restore).
     pub fn op_mut(&mut self, stage: usize) -> &mut dyn Operator {
         self.stages[stage].op.as_mut()
+    }
+
+    /// The source-side operators, in plan order (join-table swaps).
+    pub(crate) fn ops_mut(&mut self) -> impl Iterator<Item = &mut Box<dyn Operator>> {
+        self.stages.iter_mut().map(|s| &mut s.op)
     }
 
     /// The node (budget/consumption inspection).
@@ -204,9 +192,10 @@ impl SourceEngine {
     /// epochs), not the normal batch of the current epoch — it is computed at
     /// epoch start and held constant for the epoch.
     fn compute_thrash_multiplier(&self) -> f64 {
-        if self.overflow == OverflowMode::Queue && self.cfg.queue_cap > 0 {
-            let frac = (self.queued_records as f64 / self.cfg.queue_cap as f64).min(1.0);
-            1.0 + self.cfg.thrash_coeff * frac
+        if self.overflow == OverflowMode::Queue {
+            let frac =
+                (self.queued_records as f64 / calibration::QUEUE_CAP_RECORDS as f64).min(1.0);
+            1.0 + calibration::THRASH_COEFF * frac
         } else {
             1.0
         }
@@ -215,7 +204,7 @@ impl SourceEngine {
     /// Time within the epoch (seconds offset) at the node's current
     /// utilisation, for sub-epoch completion timestamps.
     fn now_frac(&self) -> f64 {
-        self.node.epoch_utilisation().min(1.0) * self.cfg.epoch_secs
+        self.node.epoch_utilisation().min(1.0) * calibration::EPOCH_SECS
     }
 
     /// Runs one epoch. `input` is this epoch's arrival batch;
@@ -225,7 +214,7 @@ impl SourceEngine {
         // schema the generator tagged the batch with (trace replay infers
         // column types, which would otherwise inflate byte counts).
         input.relabel(&self.schemas[0]);
-        self.node.begin_epoch(self.cfg.epoch_secs);
+        self.node.begin_epoch(calibration::EPOCH_SECS);
         let mut metrics = EpochMetrics::default();
         let mut payloads: Vec<(NetPayload, usize, f64)> = Vec::new();
 
@@ -250,7 +239,7 @@ impl SourceEngine {
         // Ship stateful partial state at the configured cadence (and always
         // right after a profile epoch, which measured via shipping).
         self.epochs_since_ship += 1;
-        if !profiling && self.epochs_since_ship >= self.cfg.ship_interval {
+        if !profiling && self.epochs_since_ship >= calibration::STATE_SHIP_INTERVAL_EPOCHS {
             self.epochs_since_ship = 0;
             self.ship_state_deltas(&mut metrics, &mut payloads);
         }
@@ -322,7 +311,7 @@ impl SourceEngine {
         // `drains[m]` holds rows that traversed the whole local prefix
         // (possible only when the prefix is shorter than the plan, or the
         // tail operator is stateless).
-        let epoch_end_us = epoch_start_us + (self.cfg.epoch_secs * 1e6) as Ts;
+        let epoch_end_us = epoch_start_us + (calibration::EPOCH_SECS * 1e6) as Ts;
         // Memory-pressure penalty from the backlog carried into this epoch.
         let thrash = self.compute_thrash_multiplier();
 
@@ -424,14 +413,14 @@ impl SourceEngine {
                     stage.proxy.note_starved(pending == 0);
                 }
                 // Memory cap: drop oldest rows from the most backlogged stage.
-                while self.queued_records > self.cfg.queue_cap {
+                while self.queued_records > calibration::QUEUE_CAP_RECORDS {
                     let longest = (0..m)
                         .max_by_key(|&i| self.stages[i].queued_rows())
                         .expect("stages exist");
                     let Some(front) = self.stages[longest].queue.pop_front() else {
                         break;
                     };
-                    let excess = self.queued_records - self.cfg.queue_cap;
+                    let excess = self.queued_records - calibration::QUEUE_CAP_RECORDS;
                     let drop_n = front.len().min(excess);
                     if drop_n < front.len() {
                         self.stages[longest]
@@ -495,7 +484,7 @@ impl SourceEngine {
                 for chunk in batch.chunks(Self::DRAIN_CHUNK_RECORDS) {
                     let bytes = chunk.wire_size();
                     metrics.net_bytes += bytes as u64;
-                    let offset = (c as f64 + 0.5) / n_chunks as f64 * self.cfg.epoch_secs;
+                    let offset = (c as f64 + 0.5) / n_chunks as f64 * calibration::EPOCH_SECS;
                     c += 1;
                     payloads.push((
                         NetPayload::Records {
@@ -526,7 +515,7 @@ impl SourceEngine {
                 payloads.push((
                     NetPayload::StateDelta { stage: i, delta },
                     bytes,
-                    self.cfg.epoch_secs,
+                    calibration::EPOCH_SECS,
                 ));
             }
         }
@@ -621,7 +610,7 @@ impl SourceEngine {
                     payloads.push((
                         NetPayload::StateDelta { stage: i, delta },
                         bytes,
-                        self.cfg.epoch_secs,
+                        calibration::EPOCH_SECS,
                     ));
                 }
             }
@@ -688,11 +677,6 @@ impl SourceEngine {
         matches!(self.runtime.phase(), Phase::Profile | Phase::Adapt)
     }
 
-    /// The number of operators in the full plan.
-    pub fn plan_ops(&self) -> usize {
-        self.plan_ops
-    }
-
     /// Observed query state last epoch, if any.
     pub fn last_query_state(&self) -> Option<QueryState> {
         self.runtime.trace().last().map(|t| t.state)
@@ -708,9 +692,11 @@ mod tests {
 
     fn engine(strategy: StrategyKind, cpu: f64) -> SourceEngine {
         let planned = plan_query(telemetry::queries::s2s_probe(), &RuleConfig::default()).unwrap();
-        let mut cfg = SourceConfig::new(1, cpu, strategy);
-        cfg.cpu_jitter = 0.0;
-        SourceEngine::new(&planned, &s2s_cost_profile(), cfg)
+        SourceEngine::new(
+            &planned,
+            &s2s_cost_profile(),
+            SourceConfig::new(1, cpu, strategy),
+        )
     }
 
     fn epoch_input(e: i64, scale: f64) -> Batch {
@@ -755,9 +741,11 @@ mod tests {
 
         let planned =
             plan_query(telemetry::queries::log_analytics(), &RuleConfig::default()).unwrap();
-        let mut cfg = SourceConfig::new(1, 1.0, StrategyKind::Jarvis);
-        cfg.cpu_jitter = 0.0;
-        let mut eng = SourceEngine::new(&planned, &crate::calibration::log_cost_profile(), cfg);
+        let mut eng = SourceEngine::new(
+            &planned,
+            &crate::calibration::log_cost_profile(),
+            SourceConfig::new(1, 1.0, StrategyKind::Jarvis),
+        );
         let n_ops = planned.plan.ops.len();
         // Run everything up to (and including) the parse locally, drain the
         // rest to the SP replica.
@@ -841,9 +829,11 @@ mod tests {
     #[test]
     fn profile_epoch_produces_biased_but_sane_estimates() {
         let planned = plan_query(telemetry::queries::s2s_probe(), &RuleConfig::default()).unwrap();
-        let mut cfg = SourceConfig::new(1, 0.9, StrategyKind::Jarvis);
-        cfg.cpu_jitter = 0.0;
-        let mut eng = SourceEngine::new(&planned, &s2s_cost_profile(), cfg);
+        let mut eng = SourceEngine::new(
+            &planned,
+            &s2s_cost_profile(),
+            SourceConfig::new(1, 0.9, StrategyKind::Jarvis),
+        );
         eng.profile_next = true;
         let result = eng.run_epoch(epoch_input(0, 10.0), 0);
         // Profiling ran: the runtime received estimates and moved to Adapt.

@@ -122,13 +122,11 @@ pub struct SpCompletion {
 }
 
 /// The stream processor: one replica of the planned query per source, on
-/// one budgeted node.
+/// one budgeted node of [`calibration::SP_CORES`] cores.
 pub struct SpEngine {
     node: Node,
     replicas: Vec<Replica>,
-    epoch_secs: f64,
     results_emitted: u64,
-    lateness_secs: f64,
     /// Retained result rows (window closes and stateless-tail completions),
     /// when result collection is enabled for exactness fingerprinting.
     collected: Option<Vec<Record>>,
@@ -145,7 +143,6 @@ fn process_stage(
     queue: &mut VecDeque<Item>,
     source: usize,
     epoch_start_s: f64,
-    epoch_secs: f64,
     completions: &mut Vec<SpCompletion>,
     routed: &mut Vec<Item>,
     progressed: &mut bool,
@@ -187,7 +184,8 @@ fn process_stage(
         stage_usage += charged;
         quota -= take;
         *progressed = true;
-        let completed_s = (epoch_start_s + node.epoch_utilisation() * epoch_secs).max(item.arrived);
+        let completed_s =
+            (epoch_start_s + node.epoch_utilisation() * calibration::EPOCH_SECS).max(item.arrived);
         let in_ts = head.timestamps.clone();
         out_buf.clear();
         stage_op.process_batch(head, &mut out_buf);
@@ -218,13 +216,7 @@ fn process_stage(
 impl SpEngine {
     /// Builds the SP hosting `n_sources` replicas of the planned query, each
     /// split at the plan's keyed boundary (a keyless plan is all prefix).
-    pub fn new(
-        planned: &PlannedQuery,
-        costs: &CostProfile,
-        n_sources: usize,
-        sp_cores: f64,
-        epoch_secs: f64,
-    ) -> SpEngine {
+    pub fn new(planned: &PlannedQuery, costs: &CostProfile, n_sources: usize) -> SpEngine {
         let g = planned
             .plan
             .shard_boundary()
@@ -245,11 +237,14 @@ impl SpEngine {
             })
             .collect();
         SpEngine {
-            node: Node::new(NodeId(0), CpuBudget::fraction(sp_cores), 0.0, 7),
+            node: Node::new(
+                NodeId(0),
+                CpuBudget::fraction(calibration::SP_CORES),
+                0.0,
+                7,
+            ),
             replicas,
-            epoch_secs,
             results_emitted: 0,
-            lateness_secs: calibration::LATENCY_BOUND_SECS,
             collected: None,
         }
     }
@@ -343,7 +338,6 @@ impl SpEngine {
             replicas,
             collected,
             results_emitted,
-            epoch_secs,
             ..
         } = self;
 
@@ -374,7 +368,6 @@ impl SpEngine {
                         &mut replica.prefix_queues[stage],
                         source,
                         epoch_start_s,
-                        *epoch_secs,
                         &mut completions,
                         &mut routed,
                         &mut progressed,
@@ -397,7 +390,6 @@ impl SpEngine {
                         &mut replica.suffix_queues[stage],
                         source,
                         epoch_start_s,
-                        *epoch_secs,
                         &mut completions,
                         &mut routed,
                         &mut progressed,
@@ -447,15 +439,15 @@ impl SpEngine {
         completions
     }
 
-    /// Advances event time with a lateness allowance so slow drained records
-    /// still find their windows open (watermark replication on the drain
-    /// path, §V). Window results cascade down the rest of their replica's
-    /// chain.
+    /// Advances event time with a [`calibration::LATENCY_BOUND_SECS`]
+    /// lateness allowance so slow drained records still find their windows
+    /// open (watermark replication on the drain path, §V). Window results
+    /// cascade down the rest of their replica's chain.
     fn advance_time(&mut self, epoch_start_us: Ts) {
-        let epoch_end_us = epoch_start_us + (self.epoch_secs * 1e6) as Ts;
-        let wm = epoch_end_us - (self.lateness_secs * 1e6) as Ts;
+        let epoch_end_us = epoch_start_us + (calibration::EPOCH_SECS * 1e6) as Ts;
+        let wm = epoch_end_us - (calibration::LATENCY_BOUND_SECS * 1e6) as Ts;
         let epoch_start_s = epoch_start_us as f64 / 1e6;
-        let arrived = epoch_start_s + self.epoch_secs;
+        let arrived = epoch_start_s + calibration::EPOCH_SECS;
         let SpEngine {
             replicas,
             collected,
@@ -517,7 +509,7 @@ impl SpEngine {
     /// queued arrivals within it, then advances event time. Returns
     /// input-record completions.
     pub fn run_epoch(&mut self, epoch_start_us: Ts) -> Vec<SpCompletion> {
-        self.node.begin_epoch(self.epoch_secs);
+        self.node.begin_epoch(calibration::EPOCH_SECS);
         let completions = self.process_queued(epoch_start_us);
         self.advance_time(epoch_start_us);
         completions

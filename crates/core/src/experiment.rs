@@ -8,7 +8,10 @@
 //! removed after their one-release deprecation window; every entry point is
 //! the unified builder now.)
 
+use std::sync::Arc;
+
 use streamkit::logical::LogicalPlan;
+use streamkit::ops::{JoinOp, Operator, StaticTable};
 use streamkit::physical::CostProfile;
 
 use crate::calibration::{self, Scale, MBPS};
@@ -95,8 +98,8 @@ impl ScenarioSpec {
         match &self.workload {
             Workload::PingmeshS2S { .. } => telemetry::queries::s2s_probe(),
             Workload::PingmeshT2T { table_size, .. } => {
-                let (src, dst) = telemetry::queries::t2t_tables(*table_size, 40, &[1]);
-                telemetry::queries::t2t_probe(src, dst)
+                let tables = T2tTables::new(*table_size);
+                telemetry::queries::t2t_probe(tables.src, tables.dst)
             }
             Workload::LogAnalytics { .. } => telemetry::queries::log_analytics(),
         }
@@ -229,6 +232,33 @@ pub struct ResourceEvent {
     pub cpu_budget: Option<f64>,
     /// New join-table size, if changing (T2TProbe only).
     pub table_size: Option<u32>,
+}
+
+/// T2TProbe's IP → ToR mapping tables over `table_size` IPs (40 servers per
+/// ToR, source IP 1 probing): what the workload plans with, and what a
+/// [`ResourceEvent::table_size`] swaps in mid-run on either backend.
+pub(crate) struct T2tTables {
+    src: Arc<StaticTable>,
+    dst: Arc<StaticTable>,
+}
+
+impl T2tTables {
+    /// Builds the source-ToR and destination-ToR tables.
+    pub(crate) fn new(table_size: u32) -> T2tTables {
+        let (src, dst) = telemetry::queries::t2t_tables(table_size, 40, &[1]);
+        T2tTables { src, dst }
+    }
+
+    /// Installs the tables into the joins of `ops`: the first join gets the
+    /// source-ToR table, every later one the destination-ToR table.
+    pub(crate) fn install<'a>(&self, ops: impl IntoIterator<Item = &'a mut Box<dyn Operator>>) {
+        let joins = ops
+            .into_iter()
+            .filter_map(|op| op.as_any_mut().and_then(|a| a.downcast_mut::<JoinOp>()));
+        for (i, join) in joins.enumerate() {
+            join.set_table(Arc::clone(if i == 0 { &self.src } else { &self.dst }));
+        }
+    }
 }
 
 /// Fig. 8: runs a strategy under a schedule of resource changes, returning

@@ -21,9 +21,10 @@
 //! * [`strategy`] — Jarvis and the five baselines of §VI-A (All-SP, All-Src,
 //!   Filter-Src, Best-OP, LB-DP) plus the two ablation variants of §VI-C
 //!   (LP-only, w/o LP-init), all expressed as load-factor policies.
-//! * [`engine`] — the per-node execution engines that charge operator costs
-//!   to `simnet` CPU budgets and route drained data over links, including
-//!   the multi-node SP cluster dispatching shard traffic over `NetPayload`.
+//! * [`engine`] — the emulated building block (sources and the one stream
+//!   processor charging operator costs to `simnet` CPU budgets, drained data
+//!   crossing modelled links), plus the `NetPayload` wire codec and framed
+//!   TCP transport the live tier's SP nodes exchange shard traffic over.
 //! * [`experiment`] — scenario harnesses regenerating the paper's figures.
 //! * [`convergence_sim`] — the §VI-C exhaustive convergence-cost simulator.
 //! * [`multiquery`] — multiple queries on one data source (§VI-F).

@@ -13,8 +13,8 @@
 //! Concurrency comes from the [`crate::rt`] cooperative task runtime, not
 //! OS threads: every epoch spawns one **task** per source and one per
 //! in-process SP node onto a work-stealing executor sized by the
-//! `rt_workers` knob, connected by one bounded async channel per node
-//! sized by `channel_capacity`. Node tasks drain through
+//! `rt_workers` knob, connected by one bounded async channel per node of
+//! [`rt::CHANNEL_CAPACITY`] messages. Node tasks drain through
 //! [`crate::rt::chan::Receiver::recv_many`], so a burst of messages costs
 //! one wakeup, not one per message — which is what lets thousands of
 //! sources run on `num_cpus` worker threads (the repo benchmark's
@@ -95,6 +95,7 @@ use crate::deploy::{DeployError, DeploymentSpec, FaultIncident, TransportKind};
 use crate::engine::block::EpochSource;
 use crate::engine::netwire::encode_shard_payload_with;
 use crate::engine::NetPayload;
+use crate::experiment::T2tTables;
 use crate::live::host::{epoch_end_watermark, ShardHost};
 use crate::live::remote::RemoteCluster;
 use crate::planner::PlannedQuery;
@@ -268,12 +269,9 @@ pub struct LiveSession {
     /// run on. Lives as long as the session, so worker threads spawn once,
     /// not per epoch.
     rt: rt::Runtime,
-    /// Capacity of the per-epoch async channels.
-    channel_capacity: usize,
     /// Scheduled resource changes, applied at epoch starts.
     events: Vec<crate::experiment::ResourceEvent>,
     epoch: u64,
-    epoch_secs: f64,
     input_records: u64,
     input_bytes: u64,
     /// High-water mark of [`LiveSession::open_groups`], sampled by the node
@@ -385,10 +383,8 @@ impl LiveSession {
             workers,
             tier,
             rt: rt::session_runtime(spec.rt_workers),
-            channel_capacity: spec.channel_capacity as usize,
             events: spec.events.clone(),
             epoch: 0,
-            epoch_secs: calibration::EPOCH_SECS,
             input_records: 0,
             input_bytes: 0,
             peak_open_groups: 0,
@@ -459,9 +455,9 @@ impl LiveSession {
         self.rt.workers() as u32
     }
 
-    /// Effective capacity of the session's async channels.
+    /// Capacity of the session's async channels ([`rt::CHANNEL_CAPACITY`]).
     pub fn channel_capacity(&self) -> u32 {
-        self.channel_capacity as u32
+        rt::CHANNEL_CAPACITY as u32
     }
 
     /// Runs one epoch as cooperative tasks on the session's runtime — one
@@ -485,7 +481,6 @@ impl LiveSession {
         assert!(!self.finished, "session already finished");
         self.apply_events();
 
-        let cap = self.channel_capacity;
         let handle = self.rt.handle();
         let wm = epoch_end_watermark(self.epoch);
 
@@ -497,7 +492,7 @@ impl LiveSession {
                 let mut node_txs = Vec::with_capacity(hosts.len());
                 let mut tasks = Vec::with_capacity(hosts.len());
                 for mut host in std::mem::take(hosts) {
-                    let (ntx, mut nrx) = rt::chan::bounded::<NodeMsg>(cap);
+                    let (ntx, mut nrx) = rt::chan::bounded::<NodeMsg>(rt::CHANNEL_CAPACITY);
                     node_txs.push(ntx);
                     tasks.push(handle.spawn(async move {
                         // Batch drain: one wakeup per burst of frames. After
@@ -538,7 +533,7 @@ impl LiveSession {
             topo: Arc::clone(&self.topo),
             sink,
             epoch: self.epoch,
-            now_us: (self.epoch as f64 * self.epoch_secs * 1e6) as i64,
+            now_us: (self.epoch as f64 * calibration::EPOCH_SECS * 1e6) as i64,
         });
         let source_tasks: Vec<_> = std::mem::take(&mut self.workers)
             .into_iter()
@@ -605,41 +600,23 @@ impl LiveSession {
     /// replica and on the shard pipelines alike.
     fn apply_events(&mut self) {
         let epoch = self.epoch;
-        let epoch_secs = self.epoch_secs;
         for ev in self.events.clone().iter().filter(|e| e.epoch == epoch) {
             if let Some(cpu) = ev.cpu_budget {
                 for worker in &mut self.workers {
-                    worker.budget_us = cpu * epoch_secs * 1e6;
+                    worker.budget_us = cpu * calibration::EPOCH_SECS * 1e6;
                 }
             }
             if let Some(size) = ev.table_size {
-                let (src_table, dst_table) = telemetry::queries::t2t_tables(size, 40, &[1]);
-                let swap = |ops: &mut [Box<dyn Operator>]| {
-                    let mut join_seen = 0;
-                    for op in ops.iter_mut() {
-                        if let Some(join) = op
-                            .as_any_mut()
-                            .and_then(|a| a.downcast_mut::<streamkit::ops::JoinOp>())
-                        {
-                            let table = if join_seen == 0 {
-                                &src_table
-                            } else {
-                                &dst_table
-                            };
-                            join.set_table(table.clone());
-                            join_seen += 1;
-                        }
-                    }
-                };
+                let tables = T2tTables::new(size);
                 for worker in &mut self.workers {
-                    swap(&mut worker.ops);
-                    swap(&mut worker.sp_prefix);
+                    tables.install(&mut worker.ops);
+                    tables.install(&mut worker.sp_prefix);
                 }
                 // TCP deployments reject scheduled events at validation, so
                 // table swaps never need to reach a remote executor.
                 if let SpTier::InProcess(hosts) = &mut self.tier {
                     for host in hosts {
-                        host.for_each_pipeline(&swap);
+                        host.for_each_pipeline(|ops| tables.install(ops));
                     }
                 }
             }
@@ -997,7 +974,7 @@ impl Worker {
 /// with this epoch's batch — the live equivalent of a Profile epoch. The
 /// scratch state starts empty, so state-dependent costs are *under*estimated
 /// exactly like the paper's one-epoch profiling (§VI-C).
-pub(crate) fn profile_on_scratch(
+fn profile_on_scratch(
     plan: &streamkit::logical::LogicalPlan,
     costs: &streamkit::physical::CostProfile,
     m: usize,
@@ -1178,6 +1155,81 @@ mod tests {
             after.iter().sum::<f64>() < before.iter().sum::<f64>(),
             "a 20x budget cut must pull load factors down: {before:?} -> {after:?}"
         );
+    }
+
+    #[test]
+    fn a_table_event_swaps_every_join_on_both_halves_and_the_shard_pipelines() {
+        // One join on each side of the keyed boundary: each source runs W, J
+        // and the partial G+R, its SP prefix W and J, and every shard
+        // pipeline the final G+R and the trailing join.
+        use streamkit::agg::AggKind;
+        use streamkit::ops::{JoinMiss, OpKind};
+        use streamkit::query::Query;
+        use telemetry::pingmesh::{pingmesh_schema, PingmeshConfig, PingmeshGenerator};
+
+        let table_len = |size| telemetry::queries::t2t_tables(size, 40, &[1]).0.len();
+        let (src, dst) = telemetry::queries::t2t_tables(500, 40, &[1]);
+        let plan = Query::stream("swap", pingmesh_schema())
+            .window_secs(10.0)
+            .join(src, "srcIp", JoinMiss::Drop)
+            .group_by(&["srcIp", "dstIp"])
+            .aggregate(&[(AggKind::Avg, "rtt", "avg_rtt")])
+            .join(dst, "dstIp", JoinMiss::Drop)
+            .build()
+            .unwrap();
+        let generators = (1..=2)
+            .map(|src_ip| {
+                Box::new(PingmeshGenerator::new(PingmeshConfig {
+                    src_ip,
+                    ..Default::default()
+                })) as Box<dyn EpochSource>
+            })
+            .collect();
+        let spec = Deployment::builder()
+            .workload(crate::deploy::CustomWorkload::new(
+                "swap",
+                plan,
+                streamkit::physical::CostProfile::uniform(4, 1.0),
+                generators,
+            ))
+            .strategy(StrategyKind::AllSp)
+            .sources(2)
+            .sp_shards(4)
+            .sp_nodes(2)
+            .backend(BackendKind::Live)
+            .events(&[crate::experiment::ResourceEvent {
+                epoch: 1,
+                cpu_budget: None,
+                table_size: Some(5000),
+            }])
+            .spec()
+            .unwrap();
+        assert_eq!(spec.planned.source_ops, 3);
+        let join_sizes = |s: &mut LiveSession| {
+            let mut sizes = Vec::new();
+            let mut record = |ops: &mut [Box<dyn Operator>]| {
+                for op in ops.iter().filter(|op| op.kind() == OpKind::Join) {
+                    sizes.push(op.state_size());
+                }
+            };
+            for worker in &mut s.workers {
+                record(&mut worker.ops);
+                record(&mut worker.sp_prefix);
+            }
+            let SpTier::InProcess(hosts) = &mut s.tier else {
+                unreachable!("in-process session")
+            };
+            for host in hosts {
+                host.for_each_pipeline(&mut record);
+            }
+            sizes
+        };
+        // Two sources × (source op + prefix op) plus 4 shards × 2 sources.
+        let mut s = LiveSession::new(&spec).unwrap();
+        s.run_epoch().unwrap();
+        assert_eq!(join_sizes(&mut s), vec![table_len(500); 12]);
+        s.run_epoch().unwrap();
+        assert_eq!(join_sizes(&mut s), vec![table_len(5000); 12]);
     }
 
     #[test]

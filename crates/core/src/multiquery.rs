@@ -7,7 +7,7 @@
 //! experiment reuses [`BuildingBlock`] with one engine per query instance.
 
 use crate::calibration;
-use crate::engine::block::{BuildingBlock, BuildingBlockConfig, EpochSource, NetworkModel};
+use crate::engine::block::{BuildingBlock, EpochSource, NetworkModel};
 use crate::engine::source::SourceConfig;
 use crate::experiment::ScenarioSpec;
 use crate::strategy::StrategyKind;
@@ -66,13 +66,9 @@ pub fn run_multi_query(
         &costs,
         cfgs,
         generators,
-        BuildingBlockConfig {
-            network: NetworkModel::Shared {
-                total_bps: calibration::node_uplink_bps(),
-            },
-            ..Default::default()
+        NetworkModel::Shared {
+            total_bps: calibration::node_uplink_bps(),
         },
-        crate::experiment::DEFAULT_WARMUP_EPOCHS,
     );
     if let Some(p) = fixed_load_factors {
         for i in 0..block.source_count() {

@@ -80,9 +80,6 @@ pub mod code {
     pub const RECOVERY_LOSSY: &str = "JP401";
     /// Checkpointing enabled on a plan with no stateful operators.
     pub const CHECKPOINT_STATELESS: &str = "JP402";
-    /// Source fan-in beyond `rt_workers ×` [`crate::rt::RT_FANIN_BOUND`]
-    /// with the async runtime's batching knobs left at defaults.
-    pub const RT_FANIN_UNTUNED: &str = "JP501";
 }
 
 /// How severe a diagnostic is.
@@ -206,12 +203,6 @@ pub struct CheckContext {
     pub on_node_loss: crate::deploy::OnNodeLoss,
     /// True when SP-tier epoch checkpointing is enabled.
     pub checkpointing: bool,
-    /// Data sources fanning into the live session's task runtime.
-    pub sources: u32,
-    /// Effective executor worker threads of the deployment.
-    pub rt_workers: u32,
-    /// Capacity of the session's async channels.
-    pub channel_capacity: u32,
 }
 
 impl CheckContext {
@@ -229,9 +220,6 @@ impl CheckContext {
             workload: String::new(),
             on_node_loss: crate::deploy::OnNodeLoss::Fail,
             checkpointing: false,
-            sources: 1,
-            rt_workers: crate::rt::effective_workers(None) as u32,
-            channel_capacity: crate::rt::DEFAULT_CHANNEL_CAPACITY,
         }
     }
 
@@ -636,7 +624,7 @@ fn lint_mergeability(
     }
 }
 
-/// Deployment cross-checks: JP301–JP305, JP501.
+/// Deployment cross-checks: JP301–JP305.
 fn lint_deployment(plan: &LogicalPlan, ctx: &CheckContext, diags: &mut Vec<Diagnostic>) {
     if ctx.sp_shards > 1 && plan.shard_boundary().is_none() {
         diags.push(
@@ -716,36 +704,6 @@ fn lint_deployment(plan: &LogicalPlan, ctx: &CheckContext, diags: &mut Vec<Diagn
                 .with_help("use a ScenarioSpec workload or the in-process transport"),
             );
         }
-    }
-    // JP501: past `rt_workers × RT_FANIN_BOUND` sources per deployment, the
-    // default channel capacity makes source tasks park on backpressure
-    // between the SP node tasks' drains; the run stays exact but throughput
-    // sags until the batching knobs are tuned.
-    let fanin_budget = u64::from(ctx.rt_workers) * u64::from(crate::rt::RT_FANIN_BOUND);
-    if u64::from(ctx.sources) > fanin_budget
-        && ctx.channel_capacity == crate::rt::DEFAULT_CHANNEL_CAPACITY
-    {
-        diags.push(
-            Diagnostic::new(
-                code::RT_FANIN_UNTUNED,
-                Severity::Info,
-                None,
-                format!(
-                    "{} sources over {} runtime worker(s) exceeds the documented \
-                     fan-in bound of {} sources per worker, and channel_capacity is \
-                     at its default ({}): source tasks will park on backpressure \
-                     between the SP node tasks' drains",
-                    ctx.sources,
-                    ctx.rt_workers,
-                    crate::rt::RT_FANIN_BOUND,
-                    crate::rt::DEFAULT_CHANNEL_CAPACITY
-                ),
-            )
-            .with_help(
-                "raise rt_workers or widen channel_capacity on Deployment::builder() \
-                 so the node tasks' batch drains keep up with the source fan-in",
-            ),
-        );
     }
 }
 

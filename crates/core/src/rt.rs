@@ -6,8 +6,9 @@
 //! the [`DeadlineQueue`] the TCP control plane bounds its blocking waits
 //! with. The live session spawns one task per source — which does the whole
 //! of its source's epoch, up to sending to the SP nodes — and one per SP
-//! node, so thousands of sources run on `num_cpus` worker threads instead
-//! of as many OS threads.
+//! node, so thousands of sources run on `rt_workers` worker threads instead
+//! of as many OS threads. Each node's channel holds [`CHANNEL_CAPACITY`]
+//! messages.
 //!
 //! **Wakeup-amortization contract.** The consumers in the session topology
 //! — the SP node tasks, each fed by every source — receive through
@@ -22,28 +23,18 @@
 //! mapping, netwire codec, and dict delta protocol are all
 //! order-independent (see `tests/source_scale_parity.rs`), and every frame
 //! of a source is encoded and sent, in order, by that source's one task
-//! (`tests/node_parity.rs` sweeps workers × channel capacities for equal
-//! digests *and* wire bytes). For debugging task-ordering bugs,
-//! [`deterministic_runtime`] (or the `JARVIS_RT_SEED` environment variable)
-//! switches to a seeded single-worker scheduler that replays one
-//! interleaving exactly.
+//! (`tests/node_parity.rs` sweeps worker counts for equal digests *and*
+//! wire bytes). For debugging task-ordering bugs, [`deterministic_runtime`]
+//! (or the `JARVIS_RT_SEED` environment variable) switches to a seeded
+//! single-worker scheduler that replays one interleaving exactly.
 
 pub use minirt::chan;
 pub use minirt::exec::{Handle, JoinHandle, Runtime};
 pub use minirt::timer::DeadlineQueue;
 
-/// Documented fan-in bound: how many source tasks one executor worker is
-/// expected to multiplex comfortably at the default channel capacity.
-/// Deployments requesting more than `rt_workers × RT_FANIN_BOUND` sources
-/// without tuning `channel_capacity` trip the `JP501` plancheck info lint —
-/// beyond this ratio, widening the node channels is what keeps source tasks
-/// from parking on backpressure between a node task's drains.
-pub const RT_FANIN_BOUND: u32 = 512;
-
-/// Default capacity of the session's async channels (one per SP node, every
-/// source task sending into each), overridable via the `channel_capacity`
-/// builder knob.
-pub const DEFAULT_CHANNEL_CAPACITY: u32 = 256;
+/// Capacity of the session's async channels: one per SP node, every source
+/// task sending into each.
+pub const CHANNEL_CAPACITY: usize = 256;
 
 /// Effective worker count for a requested `rt_workers` knob: `None` sizes
 /// to the host's available parallelism.

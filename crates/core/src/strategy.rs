@@ -101,15 +101,6 @@ impl StrategyKind {
         )
     }
 
-    /// Whether the strategy's adaptation policy is StepWise-Adapt (the
-    /// convergence-cost simulator models only this family).
-    pub fn is_stepwise(self) -> bool {
-        matches!(
-            self,
-            StrategyKind::Jarvis | StrategyKind::JarvisLpOnly | StrategyKind::JarvisNoLpInit
-        )
-    }
-
     /// Initial load factors over the planned query's source prefix.
     pub fn initial_load_factors(self, planned: &PlannedQuery) -> Vec<f64> {
         let m = planned.source_ops;

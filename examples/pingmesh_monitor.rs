@@ -25,14 +25,12 @@ fn main() {
         anomalies: AnomalySchedule::single(10.0, 50.0, 0.03, 30.0),
         ..Default::default()
     };
-    let input_mbps = cfg.bits_per_sec() / calibration::MBPS;
     let workload = CustomWorkload::new(
         "pingmesh-incident",
         queries::s2s_probe(),
         calibration::s2s_cost_profile(),
         vec![Box::new(PingmeshGenerator::new(cfg))],
-    )
-    .with_input_mbps(input_mbps);
+    );
 
     // Deploy with a pinned data-level plan: filter fully local, aggregation
     // on 70 % of records local, the rest drained to the stream processor.

@@ -17,7 +17,7 @@ fn main() {
 
     // One data source with 60% of a core available to the monitoring query,
     // attached to a stream processor over a 20.48 Mbps uplink share. The
-    // same builder drives the live and convergence backends too.
+    // same builder drives the live backend too.
     let report = Deployment::builder()
         .workload(spec)
         .strategy(StrategyKind::Jarvis)

@@ -28,8 +28,8 @@
 //! ## Quickstart
 //!
 //! One builder configures a deployment; pluggable backends execute it — the
-//! calibrated emulator, the threaded live runtime, or the convergence
-//! simulator. See `examples/quickstart.rs`; in short:
+//! calibrated emulator or the threaded live runtime. See
+//! `examples/quickstart.rs`; in short:
 //!
 //! ```
 //! use jarvis::prelude::*;

@@ -101,11 +101,7 @@ fn log_analytics_emulated_equals_live_all_sp() {
 #[test]
 fn all_three_backends_accept_one_spec() {
     let spec = ScenarioSpec::pingmesh_s2s(Scale::X10);
-    for backend in [
-        BackendKind::Emulated,
-        BackendKind::Live,
-        BackendKind::Convergence,
-    ] {
+    for backend in [BackendKind::Emulated, BackendKind::Live] {
         let report = builder(spec.clone(), StrategyKind::Jarvis, 0.6)
             .backend(backend)
             .build()
@@ -161,21 +157,25 @@ fn builder_rejects_invalid_budget_and_load_factors() {
 
 #[test]
 fn builder_rejects_strategy_backend_mismatch() {
-    let err = builder(
-        ScenarioSpec::pingmesh_s2s(Scale::X1),
-        StrategyKind::LbDp,
-        0.5,
-    )
-    .backend(BackendKind::Convergence)
-    .build()
-    .unwrap_err();
-    assert_eq!(
-        err,
-        DeployError::StrategyBackendMismatch {
-            strategy: StrategyKind::LbDp,
-            backend: BackendKind::Convergence,
-        }
-    );
+    // Pinned load factors need a strategy that leaves them alone, on
+    // either backend.
+    for backend in [BackendKind::Emulated, BackendKind::Live] {
+        let err = builder(
+            ScenarioSpec::pingmesh_s2s(Scale::X1),
+            StrategyKind::LbDp,
+            0.5,
+        )
+        .load_factors(vec![1.0, 1.0, 0.5])
+        .backend(backend)
+        .build()
+        .unwrap_err();
+        assert_eq!(
+            err,
+            DeployError::FixedFactorsWithAdaptiveStrategy {
+                strategy: StrategyKind::LbDp,
+            }
+        );
+    }
 }
 
 #[test]

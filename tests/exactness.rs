@@ -236,7 +236,7 @@ fn checkpoint_failover_completes_windows_at_sp() {
 
     // Source dies; the SP merges the checkpoint and completes the window.
     let planned = spec.plan();
-    let mut sp = jarvis::core::engine::SpEngine::new(&planned, &spec.costs(), 1, 64.0, 1.0);
+    let mut sp = jarvis::core::engine::SpEngine::new(&planned, &spec.costs(), 1);
     checkpoint::apply_at_sp(&mut sp, 0, &ckpt, 3.0);
     sp.run_epoch(20_000_000);
     assert!(sp.results_emitted() > 0);

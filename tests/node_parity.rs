@@ -389,11 +389,10 @@ fn scale_out_does_not_change_cross_backend_parity() {
 fn s2s_live_adaptive_digest_and_wire_bytes_ignore_the_schedule() {
     // Every source task splits, encodes and sends its own frames, so
     // neither the result nor a single wire byte may depend on how many
-    // workers ran the tasks or how often a narrow channel parked them. S2S
-    // under Jarvis at a budget that leaves load factors fractional puts
-    // both payload kinds on the links: drained `ShardBatch` rows and
-    // `ShardState` deltas.
-    let run = |workers: u32, capacity: u32| {
+    // workers ran the tasks. S2S under Jarvis at a budget that leaves load
+    // factors fractional puts both payload kinds on the links: drained
+    // `ShardBatch` rows and `ShardState` deltas.
+    let run = |workers: u32| {
         Deployment::builder()
             .workload(ScenarioSpec::pingmesh_s2s(Scale::X1))
             .strategy(StrategyKind::Jarvis)
@@ -403,7 +402,6 @@ fn s2s_live_adaptive_digest_and_wire_bytes_ignore_the_schedule() {
             .sp_nodes(2)
             .backend(BackendKind::Live)
             .rt_workers(workers)
-            .channel_capacity(capacity)
             .collect_results(true)
             .build()
             .expect("valid spec")
@@ -416,7 +414,7 @@ fn s2s_live_adaptive_digest_and_wire_bytes_ignore_the_schedule() {
             r.node_stats.iter().map(|n| n.wire_bytes_out).collect(),
         )
     };
-    let base = run(1, 256);
+    let base = run(1);
     assert!(
         base.load_factors.iter().any(|&p| p > 0.0 && p < 1.0),
         "the budget must leave a fractional load factor: {:?}",
@@ -430,19 +428,17 @@ fn s2s_live_adaptive_digest_and_wire_bytes_ignore_the_schedule() {
         wire_bytes(&base).1.iter().all(|&b| b > 0),
         "both ingress nodes ship across the link"
     );
-    for workers in [1u32, 2, 4] {
-        for capacity in [2u32, 256] {
-            let r = run(workers, capacity);
-            assert_eq!(
-                digest_of(&r),
-                digest_of(&base),
-                "rt_workers {workers}, channel_capacity {capacity}: digest"
-            );
-            assert_eq!(
-                wire_bytes(&r),
-                wire_bytes(&base),
-                "rt_workers {workers}, channel_capacity {capacity}: wire bytes"
-            );
-        }
+    for workers in [2u32, 4] {
+        let r = run(workers);
+        assert_eq!(
+            digest_of(&r),
+            digest_of(&base),
+            "rt_workers {workers}: digest"
+        );
+        assert_eq!(
+            wire_bytes(&r),
+            wire_bytes(&base),
+            "rt_workers {workers}: wire bytes"
+        );
     }
 }

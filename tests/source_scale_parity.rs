@@ -13,8 +13,8 @@
 //! On top of the in-process matrix: TCP remote parity at 64 sources (real
 //! sockets, task-backed link writers), a seeded node-loss run (sever at
 //! epoch 3, `Reassign`) proving the PR-8 recovery digests survive the task
-//! runtime, and a squeezed-runtime run (2 workers, narrow channels)
-//! proving the knobs reshape scheduling without touching the answer.
+//! runtime, and a squeezed-runtime run (2 workers) proving the worker count
+//! reshapes scheduling without touching the answer.
 //!
 //! The 512- and 1024-source tests are minutes of work per query even in
 //! release mode, so they carry `#[cfg_attr(debug_assertions, ignore)]`:
@@ -131,9 +131,9 @@ fn thousand_source_runs_match_the_baseline_on_all_queries() {
     }
 }
 
-/// Squeezing the runtime — 2 workers multiplexing 512 source tasks over
-/// narrow channels — reshapes every schedule and backpressure decision but
-/// may not change a bit of the answer.
+/// Squeezing the runtime — 2 workers multiplexing 512 source tasks —
+/// reshapes every schedule and backpressure decision but may not change a
+/// bit of the answer.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "512-source runs need a release build")]
 fn runtime_knobs_do_not_change_the_digest() {
@@ -146,7 +146,6 @@ fn runtime_knobs_do_not_change_the_digest() {
         .sources(512)
         .backend(BackendKind::Live)
         .rt_workers(2)
-        .channel_capacity(8)
         .collect_results(true)
         .build()
         .expect("valid spec")
@@ -164,11 +163,10 @@ fn runtime_knobs_do_not_change_the_digest() {
         squeezed.rt_workers, expect_workers,
         "report echoes the knob"
     );
-    assert_eq!(squeezed.channel_capacity, 8, "report echoes the knob");
     assert_eq!(
         baseline.exactness.expect("emulated digest"),
         squeezed.exactness.expect("live digest"),
-        "worker count and channel capacity must not affect results"
+        "the worker count must not affect results"
     );
 }
 
