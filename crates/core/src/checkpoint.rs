@@ -9,17 +9,19 @@
 //!
 //! This module covers the **source side**. The distributed SP tier has its
 //! own epoch-aligned checkpoint path: each `jarvis-node` executor cuts a
-//! cumulative snapshot at checkpoint boundaries — every stateful operator
-//! via the non-destructive `Operator::checkpoint_state` (which, unlike
-//! [`take_state_delta`](streamkit::ops::Operator::take_state_delta), also
-//! covers final-role aggregations) plus the result rows already collected
-//! past the chain — and ships it back as `Ckpt` frames. The coordinator
-//! keeps the last acked snapshot per shard and a replay buffer of
-//! post-checkpoint traffic, which recovery re-ships to a reconnecting
-//! executor or to survivors adopting the lost shards (see
-//! [`crate::deploy::OnNodeLoss`]). The same §IV-E trade-off applies: a
-//! shorter interval spends steady-state checkpoint bytes to shrink the
-//! replay a failure has to pay for.
+//! snapshot of its open windows at checkpoint boundaries — every stateful
+//! operator via the non-destructive `Operator::checkpoint_state` (which,
+//! unlike [`take_state_delta`](streamkit::ops::Operator::take_state_delta),
+//! also covers final-role aggregations) — and ships it back as `Ckpt`
+//! frames. Closed windows are not in it: their rows already left as
+//! `Results` frames at the barrier that closed them, and the ack that
+//! commits the checkpoint commits them too. The coordinator keeps the last
+//! acked snapshot per shard and a replay buffer of post-checkpoint
+//! traffic, which recovery re-ships to a reconnecting executor or to
+//! survivors adopting the lost shards (see [`crate::deploy::OnNodeLoss`]).
+//! The same §IV-E trade-off applies: a shorter interval spends
+//! steady-state checkpoint bytes to shrink the replay a failure has to pay
+//! for.
 
 use serde::{Deserialize, Serialize};
 use streamkit::ops::StatePartial;

@@ -4,7 +4,8 @@
 //! All control traffic is JSON inside [`transport`](crate::engine::transport)
 //! frames; bulk shard traffic stays binary (`FrameKind::Shard` frames whose
 //! bodies are untouched [`netwire`](crate::engine::netwire) envelopes, and
-//! `FrameKind::Results` frames in the batch wire format). A node cannot
+//! `FrameKind::Results` frames, shard-tagged `netwire` batch envelopes of
+//! closed-window rows). A node cannot
 //! receive a `LogicalPlan` or `CostProfile` directly — both carry closures
 //! and shared tables — so the spec crosses the wire as a compact
 //! [`RemoteWorkload`] descriptor naming one of the paper workloads plus the
@@ -126,7 +127,8 @@ pub struct Progress {
     /// Counterfactual compute charged to the owned shards so far, µs.
     pub usage_us: f64,
     /// Present when the node checkpointed at this epoch boundary: commits
-    /// the `Ckpt` frames that preceded this ack (per-link FIFO order).
+    /// the `Ckpt` frames that preceded this ack, and the acked shards'
+    /// `Results` (per-link FIFO order).
     pub checkpoint: Option<CheckpointAck>,
 }
 
@@ -134,7 +136,8 @@ pub struct Progress {
 /// state itself travelled just before, as binary `Ckpt` frames (one
 /// `netwire` shard-state envelope each); this ack tells the coordinator
 /// the set is complete and which counters accompany it, so the replay
-/// buffers can be truncated to post-checkpoint traffic.
+/// buffers can be truncated to post-checkpoint traffic and the result rows
+/// sent before it committed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointAck {
     /// Epoch the snapshot covers (all state up to and including it).

@@ -51,8 +51,11 @@ pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"JRVW");
 /// fault-tolerance frames (`Ping`/`Pong`/`Ckpt`/`Adopt`) and the optional
 /// checkpoint acknowledgement on `Progress`; version 3 changed the batch
 /// body inside `Shard` and `Results` frames to content-sized integer pages
-/// ([`streamkit::encode`]) — a version-2 peer is refused on its first frame.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// ([`streamkit::encode`]) — a version-2 peer is refused on its first frame;
+/// version 4 made `Results` legal mid-run, sent at the barrier that closes
+/// a window, with a shard-tagged body (a `netwire` `ShardBatch` envelope),
+/// and dropped result rows from `Ckpt` frames.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Fixed frame header length in bytes.
 pub const HEADER_LEN: usize = 15;
@@ -96,8 +99,9 @@ pub enum FrameKind {
     Progress = 8,
     /// Coordinator → node: no more traffic; close windows and report.
     Finish = 9,
-    /// Node → coordinator: one final-schema result batch (batch wire
-    /// format).
+    /// Node → coordinator: closed-window result rows of one shard (a
+    /// `netwire` `ShardBatch` envelope over an output-schema batch), sent
+    /// at the barrier that closed them and at `Finish`.
     Results = 10,
     /// Node → coordinator: per-owned-shard counters (JSON).
     NodeStats = 11,
@@ -673,13 +677,13 @@ mod tests {
                 want: PROTOCOL_VERSION
             }
         );
-        // The previous release (fixed-width integer bodies) is refused by
-        // its header, never decoded.
+        // The previous release (result rows inside checkpoints, `Results`
+        // only at finish) is refused by its header, never decoded.
         let mut old = frame.to_vec();
-        old[4..6].copy_from_slice(&2u16.to_le_bytes());
+        old[4..6].copy_from_slice(&3u16.to_le_bytes());
         assert_eq!(
             decode_frame(&old).unwrap_err(),
-            TransportError::VersionMismatch { got: 2, want: 3 }
+            TransportError::VersionMismatch { got: 3, want: 4 }
         );
         let mut bad = frame.to_vec();
         bad[6] = 200;

@@ -12,13 +12,15 @@
 //! this module. Failures a peer can cause come back as one typed
 //! [`HostError`]; the callers map it onto their own error at the edge.
 //!
-//! **Windows close on the epoch watermark.** Every epoch boundary is a
-//! barrier (all of the epoch's rows and state deltas are in), so the host's
-//! driver calls [`ShardHost::advance`] with [`epoch_end_watermark`] and zero
-//! allowed lateness. Closed windows leave operator state, cascade down the
-//! rest of their chain and accumulate columnar as collected result batches;
-//! live operator state is bounded by the windows still open
-//! ([`ShardHost::open_groups`]).
+//! **Windows close on the epoch watermark, and their rows leave at once.**
+//! Every epoch boundary is a barrier (all of the epoch's rows and state
+//! deltas are in), so the host's driver calls [`ShardHost::advance`] with
+//! [`epoch_end_watermark`] and zero allowed lateness. Closed windows leave
+//! operator state, cascade down the rest of their chain and come back from
+//! that call as shard-tagged result batches — the host keeps nothing of a
+//! closed window. What it holds is bounded by the windows still open
+//! ([`ShardHost::open_groups`]), and so is its checkpoint
+//! ([`ShardHost::snapshot`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -34,12 +36,12 @@ use streamkit::time::{Ts, TS_MAX};
 
 use crate::calibration;
 use crate::deploy::remote::{AdoptShard, ShardCounters};
-use crate::engine::netwire::{decode_shard_payload_with, encode_shard_payload};
+use crate::engine::netwire::decode_shard_payload_with;
 use crate::engine::NetPayload;
 
 /// Result batches smaller than this are appended to their predecessor in
-/// [`ShardSet::collected`], so thousands of pipelines closing a window of a
-/// few groups each do not leave thousands of few-row batches behind.
+/// [`ShardSet::emitted`], so thousands of pipelines closing a window of a
+/// few groups each do not hand back thousands of few-row batches.
 const COLLECT_ROWS: usize = 4096;
 
 /// The event-time watermark at the end of `epoch`: the barrier that closes
@@ -89,14 +91,14 @@ impl fmt::Display for HostError {
     }
 }
 
-/// One virtual shard's pipelines: a keyed chain per source plus the shard's
-/// accumulated results and counters.
+/// One virtual shard's pipelines: a keyed chain per source plus the rows
+/// that left them since the last barrier, and the shard's counters.
 struct ShardSet {
     /// `pipelines[source]` = the chain from the stateful boundary down.
     pipelines: Vec<Vec<Box<dyn Operator>>>,
-    /// Rows that traversed a full chain on this shard, columnar (result
-    /// rows of closed windows accumulate here for the whole run).
-    collected: Vec<Batch>,
+    /// Rows that traversed a full chain since the last barrier, columnar;
+    /// [`ShardSet::advance`] hands them out.
+    emitted: Vec<Batch>,
     /// Input rows routed into this shard.
     drained_records: u64,
     /// Counterfactual compute charged to this shard, µs.
@@ -108,7 +110,7 @@ impl ShardSet {
     fn new(pipelines: Vec<Vec<Box<dyn Operator>>>) -> ShardSet {
         ShardSet {
             pipelines,
-            collected: Vec::new(),
+            emitted: Vec::new(),
             drained_records: 0,
             usage_us: 0.0,
         }
@@ -116,11 +118,12 @@ impl ShardSet {
 
     /// Runs a batch through the pipeline suffix starting at `rel`, charging
     /// the shard's counterfactual budget from the calibrated cost model. A
-    /// batch entering past the end of the chain is already a result.
+    /// batch entering past the end of the chain (a keyless plan's
+    /// pass-through shard) is already a result.
     fn process(&mut self, source: usize, rel: usize, batch: Batch) {
         let ops = &mut self.pipelines[source];
         if rel >= ops.len() {
-            collect(&mut self.collected, batch);
+            collect(&mut self.emitted, batch);
             return;
         }
         self.drained_records += batch.len() as u64;
@@ -134,31 +137,33 @@ impl ShardSet {
             batches = next;
         }
         for b in batches {
-            collect(&mut self.collected, b);
+            collect(&mut self.emitted, b);
         }
     }
 
     /// Advances event time to `wm` on every pipeline: windows the watermark
-    /// closes leave operator state, cascade down the rest of their chain
-    /// ([`drain_windows`]) and land in `collected`.
-    fn advance(&mut self, wm: Ts) {
+    /// closes leave operator state and cascade down the rest of their chain
+    /// ([`drain_windows`]). Returns every row that left the chain since the
+    /// last barrier.
+    fn advance(&mut self, wm: Ts) -> Vec<Batch> {
         for pipeline in &mut self.pipelines {
             for batch in drain_windows(pipeline, wm) {
-                collect(&mut self.collected, batch);
+                collect(&mut self.emitted, batch);
             }
         }
+        std::mem::take(&mut self.emitted)
     }
 }
 
-/// Adds a batch that left a chain to the collected results, coalescing
-/// small batches (see [`COLLECT_ROWS`]).
-fn collect(collected: &mut Vec<Batch>, batch: Batch) {
+/// Adds a batch that left a chain to the emitted results, coalescing small
+/// batches (see [`COLLECT_ROWS`]).
+fn collect(emitted: &mut Vec<Batch>, batch: Batch) {
     if batch.is_empty() {
         return;
     }
-    match collected.last_mut() {
+    match emitted.last_mut() {
         Some(last) if last.len() + batch.len() <= COLLECT_ROWS => last.append(&batch),
-        _ => collected.push(batch),
+        _ => emitted.push(batch),
     }
 }
 
@@ -240,8 +245,7 @@ impl ShardHost {
     }
 
     /// Applies one shard payload: a batch runs down its shard's chain from
-    /// stage `rel` (past the end it is a collected result row being
-    /// restored), a state delta merges into the stateful operator at `rel`.
+    /// stage `rel`, a state delta merges into the stateful operator at `rel`.
     /// Shard ownership and both indices are checked here, once, so nothing
     /// below indexes on a value a peer chose.
     pub(crate) fn ingest(&mut self, payload: NetPayload) -> Result<(), HostError> {
@@ -301,14 +305,18 @@ impl ShardHost {
             .expect("presence checked above"))
     }
 
-    /// Closes every window that ends by `wm` on every owned shard.
-    /// Idempotent, so a boundary re-sent by recovery is harmless — and for
+    /// Closes every window that ends by `wm` on every owned shard and
+    /// returns their result rows as `(shard, batch)` pairs, ring order —
+    /// each row once: the host keeps no copy. A boundary re-sent by
+    /// recovery returns nothing for the windows it already closed, and for
     /// an adopter it is the moment the restored and replayed windows close,
     /// all at once.
-    pub(crate) fn advance(&mut self, wm: Ts) {
-        for set in self.sets.values_mut() {
-            set.advance(wm);
+    pub(crate) fn advance(&mut self, wm: Ts) -> Vec<(u32, Batch)> {
+        let mut closed = Vec::new();
+        for (&shard, set) in &mut self.sets {
+            closed.extend(set.advance(wm).into_iter().map(|b| (shard as u32, b)));
         }
+        closed
     }
 
     /// Groups held in open windows across the host's stateful operators.
@@ -346,12 +354,13 @@ impl ShardHost {
         Ok(())
     }
 
-    /// Full cumulative snapshot of every stateful suffix operator, as
+    /// Full snapshot of every stateful suffix operator, as
     /// `(shard, source, rel, state)`. Uses the non-destructive
     /// [`checkpoint_state`](Operator::checkpoint_state), which covers every
     /// role — `take_state_delta` would skip final-role aggregations and
-    /// silently checkpoint an empty table. Each snapshot is cumulative, so
-    /// the coordinator can store checkpoints by replacement.
+    /// silently checkpoint an empty table. Each snapshot is whole, so the
+    /// coordinator can store checkpoints by replacement; taken after the
+    /// barrier's [`ShardHost::advance`], it holds open windows only.
     pub(crate) fn snapshot(&self) -> Vec<(u32, u32, u32, StatePartial)> {
         let mut out = Vec::new();
         for (&shard, set) in &self.sets {
@@ -366,30 +375,6 @@ impl ShardHost {
         out
     }
 
-    /// The cumulative rows that already traversed a full chain — the result
-    /// rows of every window closed so far — as one past-the-end
-    /// `ShardBatch` envelope per non-empty shard (`rel` is the suffix
-    /// length, so restoring it routes the rows straight back into
-    /// `collected` without re-counting them as drained input). These rows
-    /// live outside operator state, so a checkpoint that omitted them
-    /// would silently drop every window closed before the snapshot.
-    pub(crate) fn collected_snapshot(&self, epoch: u64) -> Vec<Bytes> {
-        let final_schema = &self.suffix_schemas[self.suffix_len()];
-        self.sets
-            .iter()
-            .filter(|(_, set)| !set.collected.is_empty())
-            .map(|(&shard, set)| {
-                encode_shard_payload(&NetPayload::ShardBatch {
-                    shard: shard as u32,
-                    epoch,
-                    source: 0,
-                    rel: self.suffix_len() as u32,
-                    batch: Batch::concat(final_schema.clone(), &set.collected),
-                })
-            })
-            .collect()
-    }
-
     /// Per-shard accounting, ring order (adopted shards included).
     pub(crate) fn counters(&self) -> Vec<ShardCounters> {
         self.sets
@@ -402,14 +387,11 @@ impl ShardHost {
             .collect()
     }
 
-    /// Closes the windows still open and takes all collected result rows.
-    pub(crate) fn drain(&mut self) -> Vec<Batch> {
-        let mut results = Vec::new();
-        for set in self.sets.values_mut() {
-            set.advance(TS_MAX);
-            results.append(&mut set.collected);
-        }
-        results
+    /// Closes the windows still open and returns their result rows, as
+    /// [`ShardHost::advance`] does; every earlier window left at its own
+    /// barrier.
+    pub(crate) fn drain(&mut self) -> Vec<(u32, Batch)> {
+        self.advance(TS_MAX)
     }
 }
 
@@ -417,6 +399,7 @@ impl ShardHost {
 mod tests {
     use super::*;
     use crate::calibration::Scale;
+    use crate::engine::netwire::encode_shard_payload;
     use crate::experiment::ScenarioSpec;
     use streamkit::record::Record;
     use streamkit::schema::{DataType, Field, Schema};
@@ -544,45 +527,56 @@ mod tests {
 
     #[test]
     fn fresh_hosts_have_no_state_to_snapshot() {
-        let host = host();
+        let mut host = host();
         assert!(host.snapshot().is_empty());
-        assert!(host.collected_snapshot(0).is_empty());
         assert_eq!(host.open_groups(), 0);
+        assert!(host.drain().is_empty());
     }
 
     #[test]
-    fn checkpoints_hold_closed_windows_as_rows_and_open_ones_as_state() {
+    fn closed_windows_leave_once_and_checkpoints_hold_open_state_only() {
         let mut host = host();
         host.ingest_wire(encode_shard_payload(&batch_payload(&host, 0, 0)))
             .unwrap();
         // Epoch 8 ends at 9 s: the 10 s window stays open, as state.
-        host.advance(epoch_end_watermark(8));
+        assert!(host.advance(epoch_end_watermark(8)).is_empty());
         assert_eq!(host.snapshot().len(), 1);
         assert_eq!(host.open_groups(), 1);
-        assert!(host.collected_snapshot(8).is_empty());
-        // Epoch 9 ends at 10 s and closes it: the checkpoint taken at this
-        // boundary carries the window as a result row, not as state.
-        host.advance(epoch_end_watermark(9));
-        assert!(host.snapshot().is_empty());
+        // Epoch 9 ends at 10 s and closes it: its row comes back, tagged
+        // with its shard, and nothing of it stays behind.
+        let closed = host.advance(epoch_end_watermark(9));
+        assert_eq!(closed.len(), 1);
+        assert_eq!(closed[0].0, 0, "tagged with the shard that closed it");
+        assert_eq!(closed[0].1.len(), 1);
+        assert!(
+            host.snapshot().is_empty(),
+            "no closed window in a checkpoint"
+        );
         assert_eq!(host.open_groups(), 0);
-        let frames = host.collected_snapshot(9);
-        assert_eq!(frames.len(), 1);
         // A re-sent boundary closes nothing twice.
-        host.advance(epoch_end_watermark(9));
-        assert_eq!(host.collected_snapshot(9), frames);
+        assert!(host.advance(epoch_end_watermark(9)).is_empty());
 
-        // Restoring the frame routes the row straight back into `collected`
-        // — exactly once, and not counted as drained input.
-        let mut adopter = self::host();
-        adopter.ingest_wire(frames[0].clone()).unwrap();
-        assert!(adopter.counters().iter().all(|c| c.drained_records == 0));
-        let restored = adopter.drain();
-        assert_eq!(restored.iter().map(Batch::len).sum::<usize>(), 1);
-        assert_eq!(restored, host.drain());
+        // A row of the next window (shard 1, 15 s): `drain` returns it and
+        // only it — the closed window already left.
+        host.ingest(NetPayload::ShardBatch {
+            shard: 1,
+            epoch: 14,
+            source: 1,
+            rel: 0,
+            batch: boundary_batch(&host, 15_000_000),
+        })
+        .unwrap();
+        assert_eq!(host.snapshot().len(), 1);
+        let drained = host.drain();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].0, 1);
+        assert_eq!(drained[0].1.len(), 1);
+        assert!(host.snapshot().is_empty());
+        assert!(host.drain().is_empty());
     }
 
     #[test]
-    fn collected_results_coalesce_small_batches() {
+    fn emitted_results_coalesce_small_batches() {
         let schema = Schema::new(vec![Field::new("n", DataType::U64)]);
         let row = |ts| {
             Batch::from_records(schema.clone(), &[Record::new(ts, vec![Value::U64(1)])]).unwrap()
@@ -590,12 +584,14 @@ mod tests {
         // An empty suffix: every batch is already past the end of the chain.
         let mut set = ShardSet::new(vec![Vec::new()]);
         set.process(0, 0, Batch::empty(schema.clone()));
-        assert!(set.collected.is_empty(), "empty batches leave no trace");
+        assert!(set.emitted.is_empty(), "empty batches leave no trace");
         for ts in 0..10 {
             set.process(0, 0, row(ts));
         }
-        assert_eq!(set.collected.len(), 1, "few-row batches share one batch");
-        assert_eq!(set.collected[0].timestamps, (0..10).collect::<Vec<_>>());
+        let emitted = set.advance(TS_MAX);
+        assert_eq!(emitted.len(), 1, "few-row batches share one batch");
+        assert_eq!(emitted[0].timestamps, (0..10).collect::<Vec<_>>());
         assert_eq!(set.drained_records, 0, "past-the-end rows are not input");
+        assert!(set.advance(TS_MAX).is_empty(), "handed out once");
     }
 }

@@ -21,11 +21,18 @@
 //!   `Ping` heartbeats and expects traffic back within the configured
 //!   liveness deadline; a silent node, a broken writer, or a reader error
 //!   all surface as a typed loss instead of a wedged run.
-//! - **Epoch-aligned checkpoints.** Nodes snapshot owned-shard state every
-//!   `checkpoint_interval` epochs as `Ckpt` frames (schema-free `netwire`
-//!   state envelopes the coordinator stores verbatim) committed by the ack
-//!   riding the next `Progress`. Commit truncates per-shard replay buffers
-//!   to post-checkpoint traffic, bounding recovery cost.
+//! - **Epoch-aligned checkpoints.** Nodes snapshot owned-shard open-window
+//!   state every `checkpoint_interval` epochs as `Ckpt` frames (schema-free
+//!   `netwire` state envelopes the coordinator stores verbatim) committed
+//!   by the ack riding the next `Progress`. Commit truncates per-shard
+//!   replay buffers to post-checkpoint traffic, bounding recovery cost.
+//! - **Results, exactly once.** A node sends a window's rows as `Results`
+//!   frames at the barrier that closes it. The coordinator stages them per
+//!   node and commits a shard's staged rows on the ack that commits that
+//!   shard's checkpoint (and truncates its replay), or at `Done` when no
+//!   checkpoint comes. A loss voids the lost node's staged rows: they are
+//!   exactly the rows the recovered shard re-emits from checkpoint plus
+//!   replay, so every row is committed once with no dedupe state.
 //! - **Recovery.** On loss the coordinator first holds a reconnect window
 //!   (`reconnect_grace`): the same node may re-register (same token, same
 //!   id) and is re-seeded with its checkpoint plus replayed traffic. If the
@@ -79,7 +86,8 @@ use crate::deploy::remote::{
 };
 use crate::deploy::{DeployError, DeploymentSpec, FaultIncident, OnNodeLoss};
 use crate::engine::netwire::{
-    encode_shard_payload, encode_shard_payload_with, link_dependent, peek_envelope,
+    decode_shard_payload, encode_shard_payload, encode_shard_payload_with, link_dependent,
+    peek_envelope,
 };
 use crate::engine::transport::{encode_frame, FrameKind, FrameReader, Link, TransportError};
 use crate::engine::NetPayload;
@@ -292,9 +300,10 @@ impl Drop for Acceptor {
 /// Everything the session needs from the remote tier after `finish`.
 pub(crate) struct RemoteFinish {
     /// Per node, node order: final per-shard accounting (synthesized from
-    /// the last checkpoint for degraded nodes) and the result batches the
-    /// node streamed back.
-    pub nodes: Vec<(Vec<ShardCounters>, Vec<Batch>)>,
+    /// the last checkpoint for degraded nodes).
+    pub nodes: Vec<Vec<ShardCounters>>,
+    /// Every committed result batch, each row once.
+    pub results: Vec<Batch>,
     /// Actual socket traffic per node link, TX + RX bytes, summed across
     /// reconnects.
     pub node_wire_bytes: Vec<u64>,
@@ -366,8 +375,14 @@ pub(crate) struct RemoteCluster {
     ckpt_state: BTreeMap<(u32, u32, u32), Bytes>,
     /// Counters frozen at each shard's last committed checkpoint.
     ckpt_counters: BTreeMap<u32, ShardCounters>,
-    /// `Ckpt` frames received but not yet committed by a `Progress` ack.
-    staged: Vec<Vec<Bytes>>,
+    /// `Ckpt` frames per node, received but not yet committed by a
+    /// `Progress` ack.
+    staged_ckpt: Vec<Vec<Bytes>>,
+    /// `Results` per node as `(shard, batch)`, received but not yet
+    /// committed by a checkpoint ack covering the shard, or by `Done`.
+    staged_results: Vec<Vec<(u32, Batch)>>,
+    /// Committed result batches: no recovery re-emits these rows.
+    results: Vec<Batch>,
     /// Epochs covered (acked) per degraded shard, frozen at loss.
     degraded_covered: BTreeMap<u32, u64>,
     /// Shards degraded away per original owner node.
@@ -568,7 +583,9 @@ impl RemoteCluster {
             buffering,
             ckpt_state: BTreeMap::new(),
             ckpt_counters: BTreeMap::new(),
-            staged: vec![Vec::new(); n_nodes],
+            staged_ckpt: vec![Vec::new(); n_nodes],
+            staged_results: (0..n_nodes).map(|_| Vec::new()).collect(),
+            results: Vec::new(),
             degraded_covered: BTreeMap::new(),
             degraded_from: vec![Vec::new(); n_nodes],
             incidents: Vec::new(),
@@ -774,7 +791,8 @@ impl RemoteCluster {
     }
 
     /// Processes one reader event between epochs. Only `Progress`, `Pong`,
-    /// and `Ckpt` frames are legal here; anything else is a node failure.
+    /// `Ckpt` and `Results` frames are legal here; anything else is a node
+    /// failure.
     fn on_midrun_event(&mut self, ev: NodeEvent, epoch: u64) -> Result<(), DeployError> {
         match ev {
             NodeEvent::Frame {
@@ -792,9 +810,13 @@ impl RemoteCluster {
                     FrameKind::Progress => self.on_progress(node, &body, epoch),
                     FrameKind::Pong => Ok(()),
                     FrameKind::Ckpt => {
-                        self.staged[i].push(body);
+                        self.staged_ckpt[i].push(body);
                         Ok(())
                     }
+                    FrameKind::Results => match self.stage_results(i, body) {
+                        Ok(()) => Ok(()),
+                        Err(e) => self.handle_loss(node, epoch, &e),
+                    },
                     other => self.handle_loss(
                         node,
                         epoch,
@@ -832,15 +854,40 @@ impl RemoteCluster {
         Ok(())
     }
 
+    /// Decodes one `Results` body — a self-contained `ShardBatch` envelope
+    /// in the output schema — and stages it for `node`. A body that is not
+    /// one, or names a shard off the ring, is a node failure.
+    fn stage_results(&mut self, node: usize, body: Bytes) -> Result<(), String> {
+        match decode_shard_payload(body, std::slice::from_ref(&self.final_schema)) {
+            Ok(NetPayload::ShardBatch { shard, batch, .. })
+                if (shard as usize) < self.routes.len() =>
+            {
+                self.staged_results[node].push((shard, batch));
+                Ok(())
+            }
+            Ok(_) => Err("results frame is not a batch for a ring shard".to_string()),
+            Err(e) => Err(format!("results frame undecodable: {e}")),
+        }
+    }
+
     /// Commits the staged `Ckpt` frames a `Progress` ack vouches for:
-    /// replaces the stored snapshot for every acked shard and truncates the
-    /// replay buffers to post-checkpoint traffic. A malformed staged frame
-    /// is a node failure — never a silent truncation.
+    /// replaces the stored snapshot for every acked shard, truncates the
+    /// replay buffers to post-checkpoint traffic, and commits the acked
+    /// shards' staged `Results` — recovery from this checkpoint would never
+    /// re-emit them. A malformed staged frame is a node failure, found
+    /// before anything is replaced — never a silent truncation.
     fn commit_checkpoint(&mut self, node: usize, ack: &CheckpointAck) -> Result<(), String> {
-        let staged = std::mem::take(&mut self.staged[node]);
-        // Snapshots are full (cumulative), so the previous generation for
-        // these shards is dead weight — drop it before installing the new
-        // one, in case state shrank and some (source, rel) slot vanished.
+        let staged = std::mem::take(&mut self.staged_ckpt[node]);
+        let mut fresh = Vec::with_capacity(staged.len());
+        for body in staged {
+            let env = peek_envelope(&body)
+                .filter(|env| env.is_state)
+                .ok_or_else(|| "checkpoint frame is not a shard-state envelope".to_string())?;
+            fresh.push(((env.shard, env.source, env.rel), body));
+        }
+        // Snapshots are whole, so the previous generation for these shards
+        // is dead weight — drop it before installing the new one, in case
+        // state shrank and some (source, rel) slot vanished.
         for c in &ack.shards {
             let stale: Vec<(u32, u32, u32)> = self
                 .ckpt_state
@@ -851,23 +898,26 @@ impl RemoteCluster {
                 self.ckpt_state.remove(&k);
             }
         }
-        // Both envelope kinds are legal: operator state partials, plus the
-        // already-collected output rows as a past-the-end batch. State
-        // partials use `rel` < the suffix length and the collected batch
-        // uses `rel` == the suffix length, so the keys never collide.
-        for body in staged {
-            let env = peek_envelope(&body)
-                .ok_or_else(|| "checkpoint frame is not a shard envelope".to_string())?;
-            self.ckpt_state
-                .insert((env.shard, env.source, env.rel), body);
-        }
+        self.ckpt_state.extend(fresh);
         for c in &ack.shards {
             self.replay[c.shard as usize]
                 .lock()
                 .retain(|(e, _)| *e > ack.epoch);
             self.ckpt_counters.insert(c.shard, c.clone());
         }
+        self.commit_results(node, |shard| ack.shards.iter().any(|c| c.shard == shard));
         Ok(())
+    }
+
+    /// Commits `node`'s staged results of the shards `acked` selects; the
+    /// rest stay staged.
+    fn commit_results(&mut self, node: usize, acked: impl Fn(u32) -> bool) {
+        let (commit, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.staged_results[node])
+            .into_iter()
+            .partition(|(shard, _)| acked(*shard));
+        self.staged_results[node] = keep;
+        self.results
+            .extend(commit.into_iter().map(|(_, batch)| batch));
     }
 
     /// Handles a detected node loss: retire the link, hold the reconnect
@@ -878,7 +928,10 @@ impl RemoteCluster {
             return Ok(());
         }
         self.alive[i] = false;
-        self.staged[i].clear();
+        // Uncommitted frames die with the node: the recovered shards
+        // re-emit exactly these rows from checkpoint plus replay.
+        self.staged_ckpt[i].clear();
+        self.staged_results[i].clear();
         self.retire_link(i);
         let lost: Vec<u32> = (0..self.routes.len())
             .filter(|&s| self.routes[s] == Some(i))
@@ -1166,10 +1219,6 @@ impl RemoteCluster {
         let n = self.links.len();
         let mut done = vec![false; n];
         let mut stats: Vec<Option<NodeStatsMsg>> = vec![None; n];
-        // Results are kept per node so a node lost mid-collection can have
-        // its partial rows discarded and re-collected (reconnect) or
-        // dropped (degrade) without double-counting.
-        let mut results_per_node: Vec<Vec<Batch>> = vec![Vec::new(); n];
         let deadline = Instant::now() + self.node_timeout;
         self.reset_liveness();
         // Collection is event-driven like `await_acks`, with a periodic
@@ -1223,15 +1272,11 @@ impl RemoteCluster {
                     match kind {
                         FrameKind::Progress => self.on_progress(node, &body, last_epoch)?,
                         FrameKind::Pong => {}
-                        FrameKind::Ckpt => self.staged[i].push(body),
+                        FrameKind::Ckpt => self.staged_ckpt[i].push(body),
                         FrameKind::Results => {
-                            let batch =
-                                streamkit::encode::decode_batch(self.final_schema.clone(), body)
-                                    .map_err(|e| DeployError::NodeFailed {
-                                        node,
-                                        reason: format!("results frame undecodable: {e}"),
-                                    })?;
-                            results_per_node[i].push(batch);
+                            if let Err(e) = self.stage_results(i, body) {
+                                lost_now.push((node, e));
+                            }
                         }
                         FrameKind::NodeStats => {
                             let msg: NodeStatsMsg = from_body(&body)
@@ -1251,6 +1296,8 @@ impl RemoteCluster {
                                     reason: "Done before NodeStats".to_string(),
                                 });
                             }
+                            // Everything the node will ever send is in.
+                            self.commit_results(i, |_| true);
                             done[i] = true;
                         }
                         other => {
@@ -1269,16 +1316,16 @@ impl RemoteCluster {
             }
             for (node, reason) in lost_now {
                 let i = node as usize;
-                if !self.alive[i] {
+                // A node that said `Done` has nothing left to lose: its rows
+                // are committed.
+                if !self.alive[i] || done[i] {
                     continue;
                 }
+                // Its uncommitted rows are void: a reconnector re-finishes
+                // from its restored state, a degraded node's are gone by
+                // policy.
                 self.handle_loss(node, last_epoch, &reason)?;
-                // Whatever the node delivered so far is void: a
-                // reconnector re-finishes from its restored state, a
-                // degraded node's rows are gone by policy.
-                results_per_node[i].clear();
                 stats[i] = None;
-                done[i] = false;
             }
         }
 
@@ -1300,20 +1347,15 @@ impl RemoteCluster {
 
         let nodes = stats
             .into_iter()
-            .zip(results_per_node)
             .enumerate()
-            .map(|(i, (slot, batches))| {
-                let counters = match slot {
-                    Some(msg) => msg.shards,
-                    // Degraded (or reassigned-away) nodes report nothing;
-                    // their last checkpointed counters stand in for the
-                    // lost shards.
-                    None => self.degraded_from[i]
-                        .iter()
-                        .filter_map(|s| self.ckpt_counters.get(s).cloned())
-                        .collect(),
-                };
-                (counters, batches)
+            .map(|(i, slot)| match slot {
+                Some(msg) => msg.shards,
+                // Degraded (or reassigned-away) nodes report nothing; their
+                // last checkpointed counters stand in for the lost shards.
+                None => self.degraded_from[i]
+                    .iter()
+                    .filter_map(|s| self.ckpt_counters.get(s).cloned())
+                    .collect(),
             })
             .collect();
 
@@ -1345,6 +1387,7 @@ impl RemoteCluster {
             .collect();
         Ok(RemoteFinish {
             nodes,
+            results: std::mem::take(&mut self.results),
             node_wire_bytes,
             incidents: std::mem::take(&mut self.incidents),
             replay_bytes: self.replay_bytes,
@@ -1511,7 +1554,6 @@ fn write_frame(mut stream: &TcpStream, kind: FrameKind, body: &[u8]) -> std::io:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::netwire::decode_shard_payload;
     use streamkit::batch::{Column, DictBuilder, StreamDict};
     use streamkit::schema::{DataType, Field, Schema};
 

@@ -58,11 +58,14 @@
 //! knob, because nothing can be late (the emulated engine, whose drained
 //! records ride a modelled network, keeps `LATENCY_BOUND_SECS` instead).
 //! Windows the watermark closes leave operator state as result batches,
-//! cascade down their shard's suffix and accumulate columnar in the host;
-//! they become [`Record`]s once, in [`LiveSession::try_finish`], which has
-//! only the last window left to drain. Live operator state is thus bounded by the windows still
-//! open — [`LiveSession::open_groups`], [`LiveOutcome::peak_open_groups`] —
-//! not by how long the session has run.
+//! cascade down their shard's suffix and leave the node with the task's
+//! return value — the one sink both tiers share: the session collects them
+//! columnar here, and a `jarvis-node` sends them to the coordinator at the
+//! same barrier. They become [`Record`]s once, in
+//! [`LiveSession::try_finish`], which has only the last window left to
+//! drain. SP node state is thus bounded by the windows still open —
+//! [`LiveSession::open_groups`], [`LiveOutcome::peak_open_groups`] — not by
+//! how long the session has run.
 //!
 //! Worker threads execute operators for real (state, joins, sketches); the
 //! CPU *budget* is counterfactual, charged from the calibrated cost model:
@@ -91,6 +94,7 @@ use streamkit::record::Record;
 use streamkit::shard::{node_of_shard, shards_of_node, Ring};
 
 use crate::calibration;
+use crate::deploy::remote::ShardCounters;
 use crate::deploy::{DeployError, DeploymentSpec, FaultIncident, TransportKind};
 use crate::engine::block::EpochSource;
 use crate::engine::netwire::encode_shard_payload_with;
@@ -277,6 +281,8 @@ pub struct LiveSession {
     /// High-water mark of [`LiveSession::open_groups`], sampled by the node
     /// tasks at every epoch barrier before they close windows.
     peak_open_groups: usize,
+    /// Result batches of the windows the in-process nodes closed so far.
+    results: Vec<Batch>,
     finished: bool,
 }
 
@@ -388,6 +394,7 @@ impl LiveSession {
             input_records: 0,
             input_bytes: 0,
             peak_open_groups: 0,
+            results: Vec::new(),
             finished: false,
         })
     }
@@ -516,10 +523,10 @@ impl LiveSession {
                         }
                         // Last step of the epoch: every source is done, so
                         // every row and state delta of the epoch is in; close
-                        // what the epoch's end closes.
+                        // what the epoch's end closes and hand its rows out.
                         let open = host.open_groups();
-                        host.advance(wm);
-                        (host, open, outcome)
+                        let closed = host.advance(wm);
+                        (host, open, closed, outcome)
                     }));
                 }
                 (LinkSink::Channels(node_txs), tasks)
@@ -560,9 +567,11 @@ impl LiveSession {
         if let SpTier::InProcess(hosts) = &mut self.tier {
             let mut open_groups = 0;
             for (id, task) in node_tasks.into_iter().enumerate() {
-                let (host, open, outcome) = task.join();
+                let (host, open, closed, outcome) = task.join();
                 hosts.push(host);
                 open_groups += open;
+                self.results
+                    .extend(closed.into_iter().map(|(_, batch)| batch));
                 failure = failure.and(outcome.map_err(|e| node_failed(id, e)));
             }
             self.peak_open_groups = self.peak_open_groups.max(open_groups);
@@ -702,22 +711,24 @@ impl LiveSession {
             }
         }
         // Close the windows still open (every earlier one closed at its
-        // epoch barrier); emissions cascade through the rest of that shard's
+        // epoch barrier and is already in `results`, or committed on the
+        // coordinator); emissions cascade through the rest of that shard's
         // chain. In-process hosts drain locally; remote executors drain on
-        // their side and stream the batches back. Either way each node
-        // yields its per-shard counters and its columnar results, which
-        // become rows here, once.
+        // their side and send the batches back. Either way each node yields
+        // its per-shard counters, and the columnar results become rows
+        // here, once.
         let peak_open_groups = self.open_groups().map(|_| self.peak_open_groups);
         let mut incidents = Vec::new();
         let mut replay_bytes = 0u64;
         let mut heartbeats_sent = 0u64;
         let mut shard_completeness = vec![1.0f64; n_shards];
-        let nodes = match self.tier {
+        let mut batches = std::mem::take(&mut self.results);
+        let nodes: Vec<Vec<ShardCounters>> = match self.tier {
             SpTier::InProcess(hosts) => hosts
                 .into_iter()
                 .map(|mut host| {
-                    let batches = host.drain();
-                    (host.counters(), batches)
+                    batches.extend(host.drain().into_iter().map(|(_, batch)| batch));
+                    host.counters()
                 })
                 .collect(),
             SpTier::Remote(cluster) => {
@@ -731,6 +742,7 @@ impl LiveSession {
                 replay_bytes = fin.replay_bytes;
                 heartbeats_sent = fin.heartbeats_sent;
                 shard_completeness = fin.shard_completeness;
+                batches.extend(fin.results);
                 fin.nodes
             }
         };
@@ -739,7 +751,7 @@ impl LiveSession {
         let mut shard_usage_us = vec![0f64; n_shards];
         let mut node_drained_records = Vec::with_capacity(n_nodes);
         let mut node_usage_us = Vec::with_capacity(n_nodes);
-        for (counters, batches) in nodes {
+        for counters in nodes {
             let mut drained = 0u64;
             let mut usage = 0f64;
             for c in &counters {
@@ -750,9 +762,9 @@ impl LiveSession {
             }
             node_drained_records.push(drained);
             node_usage_us.push(usage);
-            for batch in batches {
-                results.extend(batch.to_records());
-            }
+        }
+        for batch in batches {
+            results.extend(batch.to_records());
         }
         Ok(LiveOutcome {
             results,

@@ -16,34 +16,34 @@
 //! **Window lifecycle.** That ordering makes every `EpochEnd` a barrier:
 //! all of the epoch's rows and state deltas are in, so the node advances
 //! event time to the epoch's end with zero lateness — the same
-//! `ShardHost::advance` the in-process node tasks call — *before* it acks
-//! (and before it snapshots, on a checkpoint epoch). Closed windows leave
-//! operator state and accumulate as columnar result batches; operator
-//! state never outgrows the windows still open. `Finish` drains only the
-//! last window, streams the result batches and final per-shard counters
-//! back, and exits.
+//! `ShardHost::advance` the in-process node tasks call — and sends the rows
+//! of every window that closed as shard-tagged `Results` frames (a
+//! `ShardBatch` envelope per chunk, in the output schema) *before* it
+//! checkpoints and acks. The node keeps nothing of a closed window:
+//! operator state never outgrows the windows still open. `Finish` drains
+//! only the last window, sends its rows the same way, then the final
+//! per-shard counters, and exits.
 //!
 //! Fault tolerance adds three duties on top of the fault-free loop:
 //!
 //! - **Heartbeats** — every `Ping` is answered with a `Pong` immediately,
 //!   so a coordinator waiting on a slow epoch can tell "busy" from "dead".
 //! - **Checkpoints** — when [`NodeSpec::checkpoint_interval`] is non-zero,
-//!   the node ships two kinds of `Ckpt` frame at the matching epoch
-//!   boundaries, after closing windows: the open-window state of every
-//!   stateful suffix operator, and the cumulative result rows collected
-//!   past the chain (every window closed so far), one past-the-end
-//!   `ShardBatch` envelope per shard. Both are committed by the
-//!   [`CheckpointAck`] riding on the following `Progress` (per-link
-//!   FIFO order makes the ack see exactly the frames before it).
+//!   the node ships the open-window state of every stateful suffix operator
+//!   as `Ckpt` frames at the matching epoch boundaries, after closing
+//!   windows. The [`CheckpointAck`] riding on the following `Progress`
+//!   commits them — and, for the same shards, the `Results` sent before it
+//!   (per-link FIFO order makes the ack see exactly the frames before it).
 //! - **Adoption** — an `Adopt` frame re-keys the host: each adopted
 //!   shard starts from a fresh pipeline seeded with the checkpoint's
 //!   counter bases; checkpoint state and replayed traffic then arrive as
-//!   ordinary `Shard` frames — state merges into fresh per-window tables,
-//!   collected rows route straight back into `collected` — and the
-//!   re-sent `EpochEnd` re-closes, all at once, the windows the replayed
-//!   epochs completed. The same message serves both recovery paths
-//!   (a surviving node taking over a dead peer's shards, and a
-//!   reconnecting node re-owning its previous slice).
+//!   ordinary `Shard` frames, state merging into fresh per-window tables,
+//!   and the re-sent `EpochEnd` re-closes, all at once, the windows the
+//!   replayed epochs completed — their rows go out again as `Results`,
+//!   the only copy, because the coordinator voided the uncommitted rows of
+//!   the node it lost. The same message serves both recovery paths (a
+//!   surviving node taking over a dead peer's shards, and a reconnecting
+//!   node re-owning its previous slice).
 //!
 //! With [`NodeConfig::reconnect`] set, a transport failure mid-run tears
 //! the session down and re-dials under the same node id with capped
@@ -58,6 +58,7 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use streamkit::batch::Batch;
 use streamkit::shard::shards_of_node;
 
 use crate::deploy::remote::{
@@ -71,7 +72,7 @@ use crate::fault::splitmix64;
 use crate::live::host::{epoch_end_watermark, HostError, ShardHost};
 use crate::planner::plan_query;
 
-/// Rows per `Results` frame when streaming collected rows back.
+/// Rows per `Results` frame.
 const RESULTS_CHUNK: usize = 2048;
 
 /// Reconnect poll interval while the coordinator is not yet listening.
@@ -180,7 +181,7 @@ pub struct NodeSummary {
     pub epochs: u64,
     /// Shard data frames processed (replayed frames count again).
     pub shard_frames: u64,
-    /// Result rows streamed back.
+    /// Result rows sent back over the final session's link.
     pub result_rows: u64,
     /// Mid-run reconnects that re-established the session.
     pub reconnects: u32,
@@ -299,7 +300,7 @@ fn run_session(config: &NodeConfig, state: &mut SessionState) -> Result<NodeSumm
     // Ready, then serve until Finish.
     let mut link = Link::spawn(stream);
     link.send(FrameKind::Ready, &[]);
-    let result_rows;
+    let mut result_rows = 0u64;
     loop {
         let (kind, body) = reader.read_frame()?;
         match kind {
@@ -320,11 +321,12 @@ fn run_session(config: &NodeConfig, state: &mut SessionState) -> Result<NodeSumm
             FrameKind::EpochEnd => {
                 let epoch = parse_epoch(&body)?;
                 state.epochs = state.epochs.max(epoch + 1);
-                // Close what the epoch's end closes *before* snapshotting:
-                // per-link FIFO order put every frame of the epoch ahead of
-                // this boundary, and a checkpoint must hold closed windows
-                // as result rows, not as operator state.
-                host.advance(epoch_end_watermark(epoch));
+                // Close what the epoch's end closes and send its rows
+                // *before* snapshotting: per-link FIFO order put every frame
+                // of the epoch ahead of this boundary, and the ack after the
+                // checkpoint commits the rows sent ahead of it.
+                let closed = host.advance(epoch_end_watermark(epoch));
+                result_rows += send_results(&link, epoch, closed);
                 let counters = host.counters();
                 let checkpoint = if spec.checkpoint_interval > 0
                     && (epoch + 1) % spec.checkpoint_interval == 0
@@ -340,9 +342,6 @@ fn run_session(config: &NodeConfig, state: &mut SessionState) -> Result<NodeSumm
                                 delta,
                             }),
                         );
-                    }
-                    for body in host.collected_snapshot(epoch) {
-                        link.send(FrameKind::Ckpt, &body);
                     }
                     Some(CheckpointAck {
                         epoch,
@@ -363,13 +362,7 @@ fn run_session(config: &NodeConfig, state: &mut SessionState) -> Result<NodeSumm
                 );
             }
             FrameKind::Finish => {
-                let results = host.drain();
-                result_rows = results.iter().map(|b| b.len() as u64).sum();
-                for batch in &results {
-                    for chunk in batch.chunks(RESULTS_CHUNK) {
-                        link.send(FrameKind::Results, &streamkit::encode::encode_batch(&chunk));
-                    }
-                }
+                result_rows += send_results(&link, state.epochs, host.drain());
                 let stats = NodeStatsMsg {
                     node_id,
                     shards: host.counters(),
@@ -416,6 +409,28 @@ fn connect(config: &NodeConfig) -> Result<TcpStream, NodeError> {
         }
         thread::sleep(CONNECT_POLL);
     }
+}
+
+/// Sends closed-window rows as `Results` frames of at most
+/// [`RESULTS_CHUNK`] rows, each a self-contained `ShardBatch` envelope
+/// naming its shard, so the coordinator can commit them per shard. Returns
+/// the rows sent.
+fn send_results(link: &Link, epoch: u64, closed: Vec<(u32, Batch)>) -> u64 {
+    let mut rows = 0;
+    for (shard, batch) in closed {
+        rows += batch.len() as u64;
+        for chunk in batch.chunks(RESULTS_CHUNK) {
+            let body = encode_shard_payload(&NetPayload::ShardBatch {
+                shard,
+                epoch,
+                source: 0,
+                rel: 0,
+                batch: chunk,
+            });
+            link.send(FrameKind::Results, &body);
+        }
+    }
+    rows
 }
 
 /// Writes one frame synchronously (handshake only — the serve loop replies

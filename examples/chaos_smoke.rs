@@ -2,16 +2,19 @@
 //!
 //! The coordinator side of the CI fault drill. Expects two `jarvis-node`
 //! processes, at least one dialling in through `jarvis-chaos-proxy` with a
-//! seeded kill (e.g. `--fault sever --at-epoch 3`) and `--reconnect` set,
+//! seeded kill (e.g. `--fault sever --at-epoch 10`) and `--reconnect` set,
 //! so the run loses a node mid-epoch, holds the reconnect window, re-seeds
 //! the returning executor from its checkpoint, and still produces a digest
-//! bit-identical to a fully in-process run.
+//! bit-identical to a fully in-process run. With checkpoints every 4
+//! epochs, a cut at epoch 10 lands after window 0 closed (epoch 9) and
+//! before the checkpoint that commits its rows (epoch 11): the coordinator
+//! must void the staged rows and take the re-emitted ones, exactly once.
 //!
 //! ```sh
-//! # terminal 1: the proxy that will sever connection 1 at epoch 3
+//! # terminal 1: the proxy that will sever connection 1 at epoch 10
 //! cargo run --release --bin jarvis-chaos-proxy -- \
 //!     --listen 127.0.0.1:47532 --upstream 127.0.0.1:47531 \
-//!     --fault sever --at-epoch 3 --seed 7
+//!     --fault sever --at-epoch 10 --seed 7
 //! # terminals 2 and 3: one node through the proxy, one direct
 //! cargo run --release --bin jarvis-node -- \
 //!     --coordinator 127.0.0.1:47532 --token ci-smoke --reconnect
@@ -33,7 +36,7 @@ use jarvis::core::deploy::{BackendKind, Deployment, RunReport, TransportKind};
 use jarvis::core::experiment::ScenarioSpec;
 use jarvis::core::strategy::StrategyKind;
 
-const EPOCHS: u64 = 10;
+const EPOCHS: u64 = 14;
 const RING: u32 = 4;
 
 fn main() -> ExitCode {
@@ -58,7 +61,7 @@ fn main() -> ExitCode {
         .auth_token(&token)
         .node_timeout(Duration::from_secs(60))
         .liveness_timeout(Duration::from_secs(5))
-        .checkpoint_interval(2)
+        .checkpoint_interval(4)
         .reconnect_grace(Duration::from_secs(20))
         .collect_results(true)
         .build()

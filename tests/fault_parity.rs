@@ -13,12 +13,14 @@
 //! - `Degrade`: the lost shards are dropped and the report advertises the
 //!   exact per-shard completeness (acked epochs / epochs sent).
 //!
-//! Two fault schedules run every recovery path: [`EARLY`] cuts the link
-//! inside the first window, when a checkpoint is operator state only;
-//! [`LATE`] cuts it after the first window closed, when the last checkpoint
-//! holds that window as result rows (`collected` frames) *and* the second
-//! window as open operator state, and the second window only closes after
-//! the recovery — closed-window rows must come back exactly once.
+//! Three fault schedules run every recovery path, and closed-window rows
+//! must come back exactly once under each: [`EARLY`] cuts the link inside
+//! the first window, before any row left a node; [`MID`] cuts it after the
+//! first window closed but before the checkpoint that commits its rows, so
+//! the coordinator holds them staged and must void them for the recovered
+//! shards to re-emit; [`LATE`] cuts it after those rows were committed,
+//! with the second window open in the last checkpoint and closing only
+//! after the recovery.
 
 use std::net::TcpListener;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -53,9 +55,18 @@ const EARLY: Schedule = Schedule {
     checkpoint_interval: 2,
 };
 
-/// Window 1 closes at epoch 9; the checkpoint at epoch 14 carries its rows
-/// plus window 2's open state; the cut at 17 replays three epochs; window 2
-/// closes at 19, on the far side of the recovery.
+/// Window 0 closes at epoch 9, after the checkpoint committed at epoch 7:
+/// its rows are staged, not committed, when the link dies at 10, and the
+/// recovery replays epochs 8–10 from that checkpoint to re-close it.
+const MID: Schedule = Schedule {
+    epochs: 14,
+    kill_epoch: 10,
+    checkpoint_interval: 4,
+};
+
+/// Window 0 closes at epoch 9; the checkpoint at epoch 14 commits its rows
+/// and holds window 1's open state; the cut at 17 replays three epochs;
+/// window 1 closes at 19, on the far side of the recovery.
 const LATE: Schedule = Schedule {
     epochs: 22,
     kill_epoch: 17,
@@ -283,6 +294,7 @@ fn assert_reconnect_parity(spec: ScenarioSpec, strategy: StrategyKind, schedule:
 fn reassign_keeps_s2s_exact() {
     let spec = ScenarioSpec::pingmesh_s2s(Scale::X1);
     assert_reassign_parity(spec.clone(), StrategyKind::AllSp, EARLY);
+    assert_reassign_parity(spec.clone(), StrategyKind::AllSp, MID);
     assert_reassign_parity(spec, StrategyKind::AllSp, LATE);
 }
 
@@ -290,6 +302,7 @@ fn reassign_keeps_s2s_exact() {
 fn reassign_keeps_t2t_exact() {
     let spec = ScenarioSpec::pingmesh_t2t(Scale::X1, 500);
     assert_reassign_parity(spec.clone(), StrategyKind::AllSp, EARLY);
+    assert_reassign_parity(spec.clone(), StrategyKind::AllSp, MID);
     assert_reassign_parity(spec, StrategyKind::AllSp, LATE);
 }
 
@@ -297,6 +310,7 @@ fn reassign_keeps_t2t_exact() {
 fn reassign_keeps_log_analytics_exact() {
     let spec = ScenarioSpec::log_analytics(Scale::X1);
     assert_reassign_parity(spec.clone(), StrategyKind::AllSp, EARLY);
+    assert_reassign_parity(spec.clone(), StrategyKind::AllSp, MID);
     assert_reassign_parity(spec, StrategyKind::AllSp, LATE);
 }
 
@@ -315,6 +329,7 @@ fn reassign_under_concurrent_senders_keeps_log_analytics_exact() {
 fn reconnect_keeps_s2s_exact() {
     let spec = ScenarioSpec::pingmesh_s2s(Scale::X1);
     assert_reconnect_parity(spec.clone(), StrategyKind::AllSp, EARLY);
+    assert_reconnect_parity(spec.clone(), StrategyKind::AllSp, MID);
     assert_reconnect_parity(spec, StrategyKind::AllSp, LATE);
 }
 
@@ -322,6 +337,7 @@ fn reconnect_keeps_s2s_exact() {
 fn reconnect_keeps_t2t_exact() {
     let spec = ScenarioSpec::pingmesh_t2t(Scale::X1, 500);
     assert_reconnect_parity(spec.clone(), StrategyKind::AllSp, EARLY);
+    assert_reconnect_parity(spec.clone(), StrategyKind::AllSp, MID);
     assert_reconnect_parity(spec, StrategyKind::AllSp, LATE);
 }
 
@@ -329,6 +345,7 @@ fn reconnect_keeps_t2t_exact() {
 fn reconnect_keeps_log_analytics_exact() {
     let spec = ScenarioSpec::log_analytics(Scale::X1);
     assert_reconnect_parity(spec.clone(), StrategyKind::AllSp, EARLY);
+    assert_reconnect_parity(spec.clone(), StrategyKind::AllSp, MID);
     assert_reconnect_parity(spec, StrategyKind::AllSp, LATE);
 }
 

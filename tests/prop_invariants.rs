@@ -62,6 +62,54 @@ proptest! {
         prop_assert!((0.0..=1.0 + 1e-9).contains(&sol.drained_fraction));
     }
 
+    /// The LP is optimal, not just feasible: no point of a 1/20 grid over
+    /// the chain `1 ≥ e_1 ≥ … ≥ e_m ≥ 0` that fits the budget drains less
+    /// than the solver's answer (Eq. 3's objective, evaluated directly).
+    #[test]
+    fn lp_solution_is_optimal_on_a_grid(
+        costs in proptest::collection::vec(0.01f64..50.0, 1..4),
+        relays in proptest::collection::vec(0.05f64..1.0, 3..4),
+        budget_frac in 0.0f64..1.5,
+    ) {
+        const STEPS: usize = 20;
+        let m = costs.len();
+        let relay = relays[..m].to_vec();
+        let records = 10_000.0;
+        let budget_us = budget_frac * 1e6;
+        let problem = LoadFactorProblem {
+            relay: relay.clone(),
+            cost_us: costs.clone(),
+            records,
+            budget_us,
+        };
+        let sol = solve_load_factors(&problem).unwrap();
+        // Every non-increasing grid vector, as step indices.
+        let mut idx = vec![STEPS; m];
+        loop {
+            let e: Vec<f64> = idx.iter().map(|&i| i as f64 / STEPS as f64).collect();
+            let (mut prefix, mut prev, mut usage, mut drained) = (1.0, 1.0, 0.0, 0.0);
+            for i in 0..m {
+                usage += prefix * e[i] * costs[i] * records;
+                drained += prefix * (prev - e[i]);
+                prev = e[i];
+                prefix *= relay[i];
+            }
+            if usage <= budget_us {
+                prop_assert!(
+                    sol.drained_fraction <= drained + 1e-9,
+                    "LP drains {} but grid point {:?} drains {}",
+                    sol.drained_fraction, e, drained
+                );
+            }
+            // Next vector in reverse lexicographic order, keeping the chain.
+            let Some(k) = (0..m).rev().find(|&k| idx[k] > 0) else { break };
+            idx[k] -= 1;
+            for j in k + 1..m {
+                idx[j] = idx[k];
+            }
+        }
+    }
+
     /// Aggregate merging is split-invariant: merging partials equals
     /// aggregating the whole stream. Count/Min/Max are bit-exact; Sum/Avg
     /// are exact up to float re-association across the split boundary.

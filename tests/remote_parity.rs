@@ -215,6 +215,42 @@ fn log_tcp_concurrent_senders_equal_in_process() {
 }
 
 #[test]
+fn tcp_wire_bytes_are_linear_in_run_length() {
+    // A checkpoint holds open windows only, and a closed window's rows
+    // cross the link once, at the barrier that closes them. So the second
+    // half of a run costs no more socket bytes than the first — which also
+    // paid the handshake and the first-contact dictionary pages. Socket
+    // counts are exact, so this is a byte assertion, not a timing one.
+    let spec = ScenarioSpec::pingmesh_s2s(Scale::X1);
+    let wire_of = |epochs: u64| -> u64 {
+        let _guard = port_lock();
+        let addr = free_addr();
+        let token = "remote-parity";
+        let handles = spawn_nodes(&addr, token, 1);
+        let report = tcp_builder(live_builder(&spec, StrategyKind::AllSp, 2, 1), &addr, token)
+            .checkpoint_interval(5)
+            .build()
+            .expect("valid TCP spec")
+            .run(epochs)
+            .expect("TCP run succeeds");
+        for handle in handles {
+            handle
+                .join()
+                .expect("node thread")
+                .expect("node run succeeds");
+        }
+        report.node_stats.iter().map(|n| n.wire_bytes_out).sum()
+    };
+    let first = wire_of(20);
+    let second = wire_of(40) - first;
+    assert!(
+        second as f64 <= 1.05 * first as f64,
+        "epochs 20-39 moved {second} B against {first} B for epochs 0-19: \
+         something the link carries grows with the run"
+    );
+}
+
+#[test]
 fn bad_tokens_fail_the_handshake() {
     let _guard = port_lock();
     let addr = free_addr();
