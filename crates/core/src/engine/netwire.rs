@@ -4,9 +4,13 @@
 //! in-process values: a 25-byte little-endian envelope (tag, shard, epoch,
 //! source, stage, body length) followed, in the same buffer, by the batch
 //! wire format ([`streamkit::encode`] — content-sized integer pages) for row
-//! payloads or the bit-exact group-state format ([`encode_group_state`] —
-//! floats travel as raw bits, so non-finite accumulators like an untouched
-//! `Min` at `+inf` survive the hop) for [`StatePartial`] splits. Decoding
+//! payloads or the group-state format ([`encode_group_state`]) for
+//! [`StatePartial`] splits. A state body is columnar too: runs of entries
+//! that share a shape, each one batch in the same wire format (window
+//! starts as timestamps, keys and state components as typed columns),
+//! with floats as raw bits, so non-finite accumulators like an untouched
+//! `Min` at `+inf` survive the hop. State bodies never depend on the link:
+//! their string keys ship self-contained dictionary pages. Decoding
 //! needs the suffix edge schemas (schemas are fixed per query edge, as
 //! everywhere else on the wire) — `schemas[rel]` is the input schema of
 //! suffix stage `rel`, with one extra entry for fully-processed result rows

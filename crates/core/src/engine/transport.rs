@@ -54,8 +54,11 @@ pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"JRVW");
 /// ([`streamkit::encode`]) — a version-2 peer is refused on its first frame;
 /// version 4 made `Results` legal mid-run, sent at the barrier that closes
 /// a window, with a shard-tagged body (a `netwire` `ShardBatch` envelope),
-/// and dropped result rows from `Ckpt` frames.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// and dropped result rows from `Ckpt` frames; version 5 ships group state
+/// (`ShardState` bodies, in `Shard` and `Ckpt` frames alike) as columnar
+/// runs over the batch codec's pages, and plain string pages with an
+/// integer page of lengths.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Fixed frame header length in bytes.
 pub const HEADER_LEN: usize = 15;
@@ -677,13 +680,13 @@ mod tests {
                 want: PROTOCOL_VERSION
             }
         );
-        // The previous release (result rows inside checkpoints, `Results`
-        // only at finish) is refused by its header, never decoded.
+        // The previous release (group state as per-value entries) is
+        // refused by its header, never decoded.
         let mut old = frame.to_vec();
-        old[4..6].copy_from_slice(&3u16.to_le_bytes());
+        old[4..6].copy_from_slice(&4u16.to_le_bytes());
         assert_eq!(
             decode_frame(&old).unwrap_err(),
-            TransportError::VersionMismatch { got: 3, want: 4 }
+            TransportError::VersionMismatch { got: 4, want: 5 }
         );
         let mut bad = frame.to_vec();
         bad[6] = 200;

@@ -1,4 +1,4 @@
-//! Wire encoding for batches.
+//! Wire encoding for batches and shipped group state.
 //!
 //! A compact, length-prefixed little-endian format standing in for the Kryo
 //! serialisation the paper's implementation uses between MiNiFi and NiFi.
@@ -11,10 +11,16 @@
 //! batch    := magic u32 | rows u32 | int-page(timestamps) | column*
 //! column   := presence u8 (1 = `rows` validity bytes follow) | payload
 //! payload  := Bool: rows × u8 | F64: rows × 8 B | I64/U64: int-page
-//!           | Str: page-tag u8, then plain rows, or a dictionary / delta
-//!             page followed by int-page(codes)
+//!           | Str: page-tag u8, then int-page(lengths) and the bytes, or
+//!             a dictionary / delta page followed by int-page(codes)
 //! int-page := width u8 ∈ {0, 1, 2, 4, 8} | base 8 B (values, width < 8)
 //!           | rows × width little-endian offsets from the base
+//!
+//! state    := run*
+//! run      := arity u16 | key-kind u8 × arity | aggs u16 | agg-tag u8 × aggs
+//!           | batch | sketch*
+//! sketch   := q, lo, hi as f64 | buckets u32 | buckets × u64
+//!           | underflow u64 | overflow u64 | total u64
 //! ```
 //!
 //! An integer page is byte-aligned frame of reference, sized by content: the
@@ -22,18 +28,43 @@
 //! sign-straddling `i64` and `u64 ≥ 2^63` ranges work alike), the base is the
 //! minimum, width 8 is the raw values with no base, and the encoder falls
 //! back to width 8 whenever base + offsets would not be smaller. Dictionary
-//! codes count from 0 by construction, so their pages carry no base and take
-//! their width (at most 4) from the largest code. Timestamp pages are never
-//! narrower than 1 byte, so every row of a frame is backed by at least one
-//! wire byte and a forged row count cannot size an allocation the frame
-//! does not pay for.
+//! codes and plain-string lengths count from 0, so their pages carry no base
+//! and take their width (at most 4) from the largest value. Timestamp pages
+//! are never narrower than 1 byte, so every row of a frame is backed by at
+//! least one wire byte and a forged row count cannot size an allocation the
+//! frame does not pay for.
+//!
+//! Group state ships as columns. A state body is a sequence of runs, one
+//! per maximal stretch of entries that share a shape: key arity, the
+//! variant of each key column (a `Null` fits any) and the aggregate tags.
+//! Every partial an operator builds is one run, unless its entries are
+//! wider than the slot bound below allows. A run's batch carries the
+//! window starts as its timestamps, one column per key column that is not
+//! all `Null` (nulls as validity bytes; strings dictionary-encoded per run,
+//! or as a plain page when a value outgrows the u16 entry length), then
+//! one column per state component: `Count` a `U64` page, `Sum` / `Min` /
+//! `Max` an `F64` page, `Avg` both. Floats travel as raw bit patterns, so
+//! non-finite accumulators (a `Min` that never saw a value is `+inf`)
+//! round-trip exactly. `Quantile` sketches follow the batch, entry by
+//! entry, in aggregate order.
+//!
+//! Each entry of a run holds one slot per key column and one per
+//! aggregate, and columns can ship slots for next to nothing: an all-`Null`
+//! key column has no page, a constant `Count` column a width-0 one. So a
+//! run may claim at most eight slots per byte of its shape and
+//! its entries (`rows × slots ≤ 8 × (4 + slots + rows)`), and the decoder
+//! refuses a run that claims more before anything is sized by it: a body of
+//! n bytes decodes into at most 8n slots. Entries of at most eight slots
+//! never meet the bound; the encoder cuts wider ones into runs of eight.
 
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::agg::AggState;
-use crate::batch::{Batch, Column, DictDelta, DictRegistry, DictVersions, StrDict};
+use crate::batch::{
+    Batch, Column, ColumnBuilder, DictBuilder, DictDelta, DictRegistry, DictVersions, StrDict,
+};
 use crate::error::{Error, Result};
 use crate::ops::GroupPartialEntry;
 use crate::quantile::QuantileSketch;
@@ -218,10 +249,13 @@ fn get_int_page<T: PageInt>(buf: &mut &[u8], rows: usize) -> Result<Vec<T>> {
 /// What the planning pass decided about one column; the writing pass only
 /// writes.
 enum ColPlan {
-    /// `Bool`, `F64`, plain `Str`: nothing to choose.
+    /// `Bool`, `F64`: nothing to choose.
     Fixed,
     /// `I64` / `U64`.
     Int(IntPlan),
+    /// Plain `Str`: the length page (lengths kept for the writing pass),
+    /// then the bytes.
+    Plain(IntPlan, Vec<u32>),
     /// Self-contained dictionary page, then the code page.
     Dict(IntPlan),
     /// Delta page against the link's mirror, then the code page.
@@ -293,13 +327,23 @@ pub fn encode_batch_with(batch: &Batch, link: &mut DictVersions) -> Bytes {
 /// `link` is given, [`encode_batch`] otherwise), so a caller's envelope and
 /// the body share one buffer. Every width is chosen first and `buf` grows
 /// once, by exactly the encoded length.
-pub fn encode_batch_into(buf: &mut BytesMut, batch: &Batch, mut link: Option<&mut DictVersions>) {
-    let rows = batch.len();
+pub fn encode_batch_into(buf: &mut BytesMut, batch: &Batch, link: Option<&mut DictVersions>) {
+    encode_columns_into(buf, &batch.timestamps, &batch.columns, link);
+}
+
+/// The batch writer over its parts: `timestamps` and one column per field.
+fn encode_columns_into(
+    buf: &mut BytesMut,
+    timestamps: &[i64],
+    columns: &[Column],
+    mut link: Option<&mut DictVersions>,
+) {
+    let rows = timestamps.len();
     // Pass one: choose every width and dictionary page, summing the length.
-    let ts_plan = IntPlan::of(&batch.timestamps, 1);
+    let ts_plan = IntPlan::of(timestamps, 1);
     let mut len = 8 + ts_plan.len::<i64>(rows);
-    let mut plans = Vec::with_capacity(batch.columns.len());
-    for col in &batch.columns {
+    let mut plans = Vec::with_capacity(columns.len());
+    for col in columns {
         let (col, valid) = unwrap_opt(col);
         len += 1 + valid.map_or(0, |_| rows);
         let plan = match col {
@@ -322,9 +366,11 @@ pub fn encode_batch_into(buf: &mut BytesMut, batch: &Batch, mut link: Option<&mu
                 ColPlan::Int(plan)
             }
             Column::Str { offsets, .. } => {
+                let lens: Vec<u32> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+                let plan = IntPlan::of(&lens, 0);
                 let bytes = offsets.last().map_or(0, |hi| hi - offsets[0]) as usize;
-                len += 1 + 2 * rows + bytes;
-                ColPlan::Fixed
+                len += 1 + plan.len::<u32>(rows) + bytes;
+                ColPlan::Plain(plan, lens)
             }
             Column::Dict { codes, dict } => {
                 let plan = IntPlan::of(codes, 0);
@@ -371,8 +417,8 @@ pub fn encode_batch_into(buf: &mut BytesMut, batch: &Batch, mut link: Option<&mu
     buf.reserve(len);
     buf.put_u32_le(MAGIC);
     buf.put_u32_le(rows as u32);
-    put_int_page(buf, ts_plan, &batch.timestamps);
-    for (col, plan) in batch.columns.iter().zip(plans) {
+    put_int_page(buf, ts_plan, timestamps);
+    for (col, plan) in columns.iter().zip(plans) {
         // Presence flag: 1 = a validity byte per row precedes the payload.
         let (col, valid) = unwrap_opt(col);
         match valid {
@@ -397,12 +443,11 @@ pub fn encode_batch_into(buf: &mut BytesMut, batch: &Batch, mut link: Option<&mu
             }
             (Column::I64(v), ColPlan::Int(plan)) => put_int_page(buf, plan, v),
             (Column::U64(v), ColPlan::Int(plan)) => put_int_page(buf, plan, v),
-            (Column::Str { offsets, data }, _) => {
+            (Column::Str { offsets, data }, ColPlan::Plain(plan, lens)) => {
                 buf.put_u8(STR_PAGE_PLAIN);
-                for w in offsets.windows(2) {
-                    let (lo, hi) = (w[0] as usize, w[1] as usize);
-                    buf.put_u16_le((hi - lo) as u16);
-                    buf.put_slice(&data[lo..hi]);
+                put_int_page(buf, plan, &lens);
+                if let (Some(&lo), Some(&hi)) = (offsets.first(), offsets.last()) {
+                    buf.put_slice(&data[lo as usize..hi as usize]);
                 }
             }
             (Column::Dict { codes, .. }, ColPlan::DictDelta(plan, delta)) => {
@@ -483,8 +528,25 @@ fn get_codes(
 fn decode_batch_impl(
     schema: SchemaRef,
     mut buf: &[u8],
-    mut registry: Option<&mut DictRegistry>,
+    registry: Option<&mut DictRegistry>,
 ) -> Result<Batch> {
+    let dtypes = schema.fields().iter().map(|f| f.dtype);
+    let (timestamps, columns) = decode_columns(&mut buf, dtypes, registry)?;
+    Ok(Batch {
+        schema,
+        timestamps,
+        columns,
+    })
+}
+
+/// The batch reader, inverse of [`encode_columns_into`]: the timestamps and
+/// one column per `dtypes` entry, leaving `buf` just past the batch.
+fn decode_columns(
+    cursor: &mut &[u8],
+    dtypes: impl ExactSizeIterator<Item = DataType>,
+    mut registry: Option<&mut DictRegistry>,
+) -> Result<(Vec<i64>, Vec<Column>)> {
+    let mut buf = *cursor;
     need(buf, 8)?;
     let magic = buf.get_u32_le();
     if magic != MAGIC {
@@ -496,8 +558,8 @@ fn decode_batch_impl(
     // has no per-row bytes to run out of) is sized by it.
     need(buf, rows)?;
     let timestamps = get_int_page::<i64>(&mut buf, rows)?;
-    let mut columns = Vec::with_capacity(schema.width());
-    for field in schema.fields() {
+    let mut columns = Vec::with_capacity(dtypes.len());
+    for dtype in dtypes {
         need(buf, 1)?;
         let valid = if buf.get_u8() != 0 {
             need(buf, rows)?;
@@ -507,7 +569,7 @@ fn decode_batch_impl(
         } else {
             None
         };
-        let col = match field.dtype {
+        let col = match dtype {
             DataType::Bool => {
                 need(buf, rows)?;
                 let (page, rest) = buf.split_at(rows);
@@ -524,17 +586,19 @@ fn decode_batch_impl(
                 need(buf, 1)?;
                 match buf.get_u8() {
                     STR_PAGE_PLAIN => {
+                        let lens = get_int_page::<u32>(&mut buf, rows)?;
                         let mut offsets = Vec::with_capacity(rows + 1);
                         offsets.push(0u32);
-                        let mut data = Vec::new();
-                        for _ in 0..rows {
-                            need(buf, 2)?;
-                            let len = buf.get_u16_le() as usize;
-                            need(buf, len)?;
-                            data.extend_from_slice(&buf[..len]);
-                            buf.advance(len);
-                            offsets.push(data.len() as u32);
+                        let mut end = 0u32;
+                        for len in lens {
+                            end = end.checked_add(len).ok_or_else(|| {
+                                Error::Decode("plain string page overflows u32 offsets".into())
+                            })?;
+                            offsets.push(end);
                         }
+                        need(buf, end as usize)?;
+                        let (data, rest) = buf.split_at(end as usize);
+                        buf = rest;
                         // Wire data is untrusted: enforce the Column::Str
                         // invariant per row — every payload must be valid
                         // UTF-8 on its own, not merely as a concatenation
@@ -546,7 +610,7 @@ fn decode_batch_impl(
                         }
                         Column::Str {
                             offsets,
-                            data: Bytes::from(data),
+                            data: Bytes::from(data.to_vec()),
                         }
                     }
                     STR_PAGE_DICT => {
@@ -608,22 +672,20 @@ fn decode_batch_impl(
             None => col,
         });
     }
-    Ok(Batch {
-        schema,
-        timestamps,
-        columns,
-    })
+    *cursor = buf;
+    Ok((timestamps, columns))
 }
 
-/// Value tags for the group-state wire format.
-const VAL_NULL: u8 = 0;
-const VAL_BOOL: u8 = 1;
-const VAL_I64: u8 = 2;
-const VAL_U64: u8 = 3;
-const VAL_F64: u8 = 4;
-const VAL_STR: u8 = 5;
+/// Key-column kinds of a state run. A `Null` column has no page: every
+/// entry of the run holds `Null` there.
+const KEY_NULL: u8 = 0;
+const KEY_BOOL: u8 = 1;
+const KEY_I64: u8 = 2;
+const KEY_U64: u8 = 3;
+const KEY_F64: u8 = 4;
+const KEY_STR: u8 = 5;
 
-/// Aggregate-state tags for the group-state wire format.
+/// Aggregate-state tags of a state run.
 const AGG_COUNT: u8 = 0;
 const AGG_SUM: u8 = 1;
 const AGG_MIN: u8 = 2;
@@ -631,10 +693,59 @@ const AGG_MAX: u8 = 3;
 const AGG_AVG: u8 = 4;
 const AGG_QUANTILE: u8 = 5;
 
-/// Encodes shipped group-aggregation state. Floats travel as raw bit
-/// patterns, so non-finite accumulators — a `Min` that never saw a numeric
-/// value is `+inf` — round-trip exactly (JSON-style encodings turn them
-/// into `null` and lose the state).
+/// The most slots (key values and aggregate states) a state run may claim
+/// per byte of its shape and entries; see the module doc.
+const SLOTS_PER_BYTE: usize = 8;
+
+fn key_kind(value: &Value) -> u8 {
+    match value {
+        Value::Null => KEY_NULL,
+        Value::Bool(_) => KEY_BOOL,
+        Value::I64(_) => KEY_I64,
+        Value::U64(_) => KEY_U64,
+        Value::F64(_) => KEY_F64,
+        Value::Str(_) => KEY_STR,
+    }
+}
+
+/// The column type a key kind ships as; `None` for an all-`Null` column,
+/// which ships no page.
+fn key_dtype(kind: u8) -> Result<Option<DataType>> {
+    Ok(match kind {
+        KEY_NULL => None,
+        KEY_BOOL => Some(DataType::Bool),
+        KEY_I64 => Some(DataType::I64),
+        KEY_U64 => Some(DataType::U64),
+        KEY_F64 => Some(DataType::F64),
+        KEY_STR => Some(DataType::Str),
+        _ => return Err(Error::Decode(format!("unknown key kind {kind}"))),
+    })
+}
+
+fn agg_tag(state: &AggState) -> u8 {
+    match state {
+        AggState::Count(_) => AGG_COUNT,
+        AggState::Sum(_) => AGG_SUM,
+        AggState::Min(_) => AGG_MIN,
+        AggState::Max(_) => AGG_MAX,
+        AggState::Avg { .. } => AGG_AVG,
+        AggState::Quantile { .. } => AGG_QUANTILE,
+    }
+}
+
+/// The `F64` and `U64` components a state ships in its run's columns; a
+/// `Quantile` ships neither, its sketch follows the batch.
+fn components(state: &AggState) -> (Option<f64>, Option<u64>) {
+    match state {
+        AggState::Count(c) => (None, Some(*c)),
+        AggState::Sum(x) | AggState::Min(x) | AggState::Max(x) => (Some(*x), None),
+        AggState::Avg { sum, count } => (Some(*sum), Some(*count)),
+        AggState::Quantile { .. } => (None, None),
+    }
+}
+
+/// Encodes shipped group-aggregation state as columnar runs (the module
+/// doc's `state`).
 pub fn encode_group_state(entries: &[GroupPartialEntry]) -> Bytes {
     let mut buf = BytesMut::default();
     encode_group_state_into(&mut buf, entries);
@@ -644,205 +755,301 @@ pub fn encode_group_state(entries: &[GroupPartialEntry]) -> Bytes {
 /// Appends the [`encode_group_state`] bytes of `entries` to `buf`, so a
 /// caller's envelope and the body share one buffer.
 pub fn encode_group_state_into(buf: &mut BytesMut, entries: &[GroupPartialEntry]) {
-    buf.reserve(32 * entries.len());
-    buf.put_u32_le(entries.len() as u32);
-    for entry in entries {
-        buf.put_i64_le(entry.window_start);
-        buf.put_u16_le(entry.key.len() as u16);
-        for v in &entry.key {
-            match v {
-                Value::Null => buf.put_u8(VAL_NULL),
-                Value::Bool(b) => {
-                    buf.put_u8(VAL_BOOL);
-                    buf.put_u8(*b as u8);
-                }
-                Value::I64(x) => {
-                    buf.put_u8(VAL_I64);
-                    buf.put_i64_le(*x);
-                }
-                Value::U64(x) => {
-                    buf.put_u8(VAL_U64);
-                    buf.put_u64_le(*x);
-                }
-                Value::F64(x) => {
-                    buf.put_u8(VAL_F64);
-                    buf.put_u64_le(x.to_bits());
-                }
-                Value::Str(s) => {
-                    buf.put_u8(VAL_STR);
-                    buf.put_u16_le(s.len() as u16);
-                    buf.put_slice(s.as_bytes());
-                }
+    let mut rest = entries;
+    while !rest.is_empty() {
+        let slots = rest[0].key.len() + rest[0].states.len();
+        let most = if slots > SLOTS_PER_BYTE {
+            SLOTS_PER_BYTE
+        } else {
+            rest.len()
+        };
+        let (kinds, len) = run_shape(&rest[..most.min(rest.len())]);
+        put_run(buf, &kinds, &rest[..len]);
+        rest = &rest[len..];
+    }
+}
+
+/// The key kinds of the longest non-empty prefix of `entries` that shares
+/// one shape, and that prefix's length. A key column takes the variant of
+/// its first non-`Null` value, and a `Null` fits any variant.
+fn run_shape(entries: &[GroupPartialEntry]) -> (Vec<u8>, usize) {
+    let first = &entries[0];
+    let mut kinds: Vec<u8> = first.key.iter().map(key_kind).collect();
+    let mut len = 1;
+    for entry in &entries[1..] {
+        let fits = entry.key.len() == kinds.len()
+            && entry.states.len() == first.states.len()
+            && entry
+                .states
+                .iter()
+                .zip(&first.states)
+                .all(|(a, b)| agg_tag(a) == agg_tag(b))
+            && entry.key.iter().zip(&kinds).all(|(v, &kind)| {
+                let k = key_kind(v);
+                k == KEY_NULL || kind == KEY_NULL || k == kind
+            });
+        if !fits {
+            break;
+        }
+        for (v, kind) in entry.key.iter().zip(&mut kinds) {
+            if *kind == KEY_NULL {
+                *kind = key_kind(v);
             }
         }
-        buf.put_u16_le(entry.states.len() as u16);
+        len += 1;
+    }
+    (kinds, len)
+}
+
+/// Writes one run: its shape, its batch, then its sketches.
+fn put_run(buf: &mut BytesMut, kinds: &[u8], run: &[GroupPartialEntry]) {
+    let aggs = &run[0].states;
+    buf.put_u16_le(kinds.len() as u16);
+    buf.put_slice(kinds);
+    buf.put_u16_le(aggs.len() as u16);
+    for state in aggs {
+        buf.put_u8(agg_tag(state));
+    }
+    let window_starts: Vec<i64> = run.iter().map(|e| e.window_start).collect();
+    let mut columns = Vec::with_capacity(kinds.len() + aggs.len());
+    for (c, &kind) in kinds.iter().enumerate() {
+        if let Ok(Some(dtype)) = key_dtype(kind) {
+            columns.push(key_column(dtype, run.iter().map(|e| &e.key[c])));
+        }
+    }
+    for (a, state) in aggs.iter().enumerate() {
+        let (float, int) = components(state);
+        if float.is_some() {
+            let v = run
+                .iter()
+                .map(|e| components(&e.states[a]).0.unwrap_or(0.0));
+            columns.push(Column::F64(v.collect()));
+        }
+        if int.is_some() {
+            let v = run.iter().map(|e| components(&e.states[a]).1.unwrap_or(0));
+            columns.push(Column::U64(v.collect()));
+        }
+    }
+    encode_columns_into(buf, &window_starts, &columns, None);
+    for entry in run {
         for state in &entry.states {
-            match state {
-                AggState::Count(c) => {
-                    buf.put_u8(AGG_COUNT);
+            if let AggState::Quantile { q, sketch } = state {
+                let (lo, hi, counts, underflow, overflow, total) = sketch.to_parts();
+                for x in [*q, lo, hi] {
+                    buf.put_f64_le(x);
+                }
+                buf.put_u32_le(counts.len() as u32);
+                for c in counts.iter().chain(&[underflow, overflow, total]) {
                     buf.put_u64_le(*c);
-                }
-                AggState::Sum(s) => {
-                    buf.put_u8(AGG_SUM);
-                    buf.put_u64_le(s.to_bits());
-                }
-                AggState::Min(m) => {
-                    buf.put_u8(AGG_MIN);
-                    buf.put_u64_le(m.to_bits());
-                }
-                AggState::Max(m) => {
-                    buf.put_u8(AGG_MAX);
-                    buf.put_u64_le(m.to_bits());
-                }
-                AggState::Avg { sum, count } => {
-                    buf.put_u8(AGG_AVG);
-                    buf.put_u64_le(sum.to_bits());
-                    buf.put_u64_le(*count);
-                }
-                AggState::Quantile { q, sketch } => {
-                    let (lo, hi, counts, underflow, overflow, total) = sketch.to_parts();
-                    buf.put_u8(AGG_QUANTILE);
-                    buf.put_u64_le(q.to_bits());
-                    buf.put_u64_le(lo.to_bits());
-                    buf.put_u64_le(hi.to_bits());
-                    buf.put_u32_le(counts.len() as u32);
-                    for c in counts {
-                        buf.put_u64_le(*c);
-                    }
-                    buf.put_u64_le(underflow);
-                    buf.put_u64_le(overflow);
-                    buf.put_u64_le(total);
                 }
             }
         }
     }
 }
 
+/// One key column of a run, whose `values` are each of `dtype` or `Null`:
+/// nulls become validity bytes, and strings are dictionary-encoded by the
+/// rule of [`Column::dict_encode`], unless a value outgrows a dictionary
+/// entry.
+fn key_column<'a>(dtype: DataType, values: impl Iterator<Item = &'a Value> + Clone) -> Column {
+    let fits = |v: &Value| v.as_str().is_none_or(|s| s.len() <= u16::MAX as usize);
+    if dtype == DataType::Str && values.clone().all(fits) {
+        let mut col = DictBuilder::new(values.size_hint().0);
+        for v in values {
+            match v.as_str() {
+                Some(s) => col.push(s),
+                None => col.push_null(),
+            }
+        }
+        return col.finish();
+    }
+    let mut col = ColumnBuilder::new(dtype, values.size_hint().0);
+    for v in values {
+        col.push(v)
+            .expect("a run's key column holds one variant and nulls");
+    }
+    col.finish()
+}
+
 /// Decodes group-aggregation state produced by [`encode_group_state`].
-pub fn decode_group_state(mut buf: Bytes) -> Result<Vec<GroupPartialEntry>> {
-    let need = |buf: &Bytes, n: usize| -> Result<()> {
-        if buf.remaining() < n {
-            Err(Error::Decode(format!(
-                "state underrun: need {n}, have {}",
-                buf.remaining()
-            )))
-        } else {
-            Ok(())
+pub fn decode_group_state(buf: Bytes) -> Result<Vec<GroupPartialEntry>> {
+    let mut buf: &[u8] = &buf;
+    let mut entries = Vec::new();
+    while !buf.is_empty() {
+        get_run(&mut buf, &mut entries)?;
+    }
+    Ok(entries)
+}
+
+/// One aggregate's columns in a decoded run.
+enum StateCol {
+    Count(Vec<u64>),
+    Float(fn(f64) -> AggState, Vec<f64>),
+    Avg(Vec<f64>, Vec<u64>),
+    Quantile,
+}
+
+/// Reads one run, inverse of [`put_run`], appending its entries to `out`.
+fn get_run(buf: &mut &[u8], out: &mut Vec<GroupPartialEntry>) -> Result<()> {
+    need(buf, 2)?;
+    let arity = buf.get_u16_le() as usize;
+    need(buf, arity + 2)?;
+    let (kinds, rest) = buf.split_at(arity);
+    *buf = rest;
+    let n_aggs = buf.get_u16_le() as usize;
+    need(buf, n_aggs)?;
+    let (tags, rest) = buf.split_at(n_aggs);
+    *buf = rest;
+    // The batch's rows u32 sits after its magic. Bound the run's slots by
+    // the bytes its shape and timestamp page spend (the module doc's
+    // slot bound) before the batch is decoded, as its pages may be width 0.
+    need(buf, 8)?;
+    let rows = u64::from(u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes")));
+    let slots = (arity + n_aggs) as u64;
+    if rows * slots > SLOTS_PER_BYTE as u64 * (4 + slots + rows) {
+        return Err(Error::Decode(format!(
+            "state run of {rows} entries × {slots} slots outgrows its bytes"
+        )));
+    }
+    let mut dtypes = Vec::with_capacity(arity + 2 * n_aggs);
+    for &kind in kinds {
+        dtypes.extend(key_dtype(kind)?);
+    }
+    for &tag in tags {
+        match tag {
+            AGG_COUNT => dtypes.push(DataType::U64),
+            AGG_SUM | AGG_MIN | AGG_MAX => dtypes.push(DataType::F64),
+            AGG_AVG => dtypes.extend([DataType::F64, DataType::U64]),
+            AGG_QUANTILE => {}
+            _ => return Err(Error::Decode(format!("unknown agg-state tag {tag}"))),
         }
-    };
-    need(&buf, 4)?;
-    let n_entries = buf.get_u32_le() as usize;
-    let mut entries = Vec::with_capacity(n_entries.min(1024));
-    for _ in 0..n_entries {
-        need(&buf, 10)?;
-        let window_start = buf.get_i64_le();
-        let key_len = buf.get_u16_le() as usize;
-        let mut key = Vec::with_capacity(key_len);
-        for _ in 0..key_len {
-            need(&buf, 1)?;
-            key.push(match buf.get_u8() {
-                VAL_NULL => Value::Null,
-                VAL_BOOL => {
-                    need(&buf, 1)?;
-                    Value::Bool(buf.get_u8() != 0)
-                }
-                VAL_I64 => {
-                    need(&buf, 8)?;
-                    Value::I64(buf.get_i64_le())
-                }
-                VAL_U64 => {
-                    need(&buf, 8)?;
-                    Value::U64(buf.get_u64_le())
-                }
-                VAL_F64 => {
-                    need(&buf, 8)?;
-                    Value::F64(f64::from_bits(buf.get_u64_le()))
-                }
-                VAL_STR => {
-                    need(&buf, 2)?;
-                    let len = buf.get_u16_le() as usize;
-                    need(&buf, len)?;
-                    let s = std::str::from_utf8(&buf.chunk()[..len])
-                        .map_err(|e| Error::Decode(format!("invalid UTF-8 key: {e}")))?
-                        .into();
-                    buf.advance(len);
-                    Value::Str(s)
-                }
-                tag => return Err(Error::Decode(format!("unknown value tag {tag}"))),
+    }
+    // The batch's timestamp page backs every entry with a wire byte, so the
+    // entry count is checked before any page is sized by it.
+    let (window_starts, columns) = decode_columns(buf, dtypes.into_iter(), None)?;
+    if window_starts.is_empty() {
+        return Err(Error::Decode("empty state run".into()));
+    }
+    let mut columns = columns.into_iter();
+    let mut keys = Vec::with_capacity(arity);
+    for &kind in kinds {
+        keys.push(match kind {
+            KEY_NULL => None,
+            _ => Some(key_values(next_column(&mut columns)?).into_iter()),
+        });
+    }
+    let mut aggs = Vec::with_capacity(n_aggs);
+    for &tag in tags {
+        aggs.push(match tag {
+            AGG_COUNT => StateCol::Count(dense_u64(next_column(&mut columns)?)?),
+            AGG_SUM => StateCol::Float(AggState::Sum, dense_f64(next_column(&mut columns)?)?),
+            AGG_MIN => StateCol::Float(AggState::Min, dense_f64(next_column(&mut columns)?)?),
+            AGG_MAX => StateCol::Float(AggState::Max, dense_f64(next_column(&mut columns)?)?),
+            AGG_AVG => StateCol::Avg(
+                dense_f64(next_column(&mut columns)?)?,
+                dense_u64(next_column(&mut columns)?)?,
+            ),
+            _ => StateCol::Quantile,
+        });
+    }
+    out.reserve(window_starts.len());
+    for (row, window_start) in window_starts.into_iter().enumerate() {
+        let key = keys
+            .iter_mut()
+            .map(|col| col.as_mut().and_then(Iterator::next).unwrap_or(Value::Null))
+            .collect();
+        let mut states = Vec::with_capacity(n_aggs);
+        for agg in &aggs {
+            states.push(match agg {
+                StateCol::Count(c) => AggState::Count(c[row]),
+                StateCol::Float(make, v) => make(v[row]),
+                StateCol::Avg(sum, count) => AggState::Avg {
+                    sum: sum[row],
+                    count: count[row],
+                },
+                StateCol::Quantile => get_sketch(buf)?,
             });
         }
-        need(&buf, 2)?;
-        let n_states = buf.get_u16_le() as usize;
-        let mut states = Vec::with_capacity(n_states);
-        for _ in 0..n_states {
-            need(&buf, 1)?;
-            states.push(match buf.get_u8() {
-                AGG_COUNT => {
-                    need(&buf, 8)?;
-                    AggState::Count(buf.get_u64_le())
-                }
-                AGG_SUM => {
-                    need(&buf, 8)?;
-                    AggState::Sum(f64::from_bits(buf.get_u64_le()))
-                }
-                AGG_MIN => {
-                    need(&buf, 8)?;
-                    AggState::Min(f64::from_bits(buf.get_u64_le()))
-                }
-                AGG_MAX => {
-                    need(&buf, 8)?;
-                    AggState::Max(f64::from_bits(buf.get_u64_le()))
-                }
-                AGG_AVG => {
-                    need(&buf, 16)?;
-                    AggState::Avg {
-                        sum: f64::from_bits(buf.get_u64_le()),
-                        count: buf.get_u64_le(),
-                    }
-                }
-                AGG_QUANTILE => {
-                    need(&buf, 28)?;
-                    let q = f64::from_bits(buf.get_u64_le());
-                    let lo = f64::from_bits(buf.get_u64_le());
-                    let hi = f64::from_bits(buf.get_u64_le());
-                    let buckets = buf.get_u32_le() as usize;
-                    // NaN bounds compare as incomparable and must be
-                    // rejected along with an empty or inverted range.
-                    if hi.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) || buckets == 0 {
-                        return Err(Error::Decode(format!(
-                            "bad sketch geometry: lo {lo}, hi {hi}, {buckets} buckets"
-                        )));
-                    }
-                    need(&buf, 8 * (buckets + 3))?;
-                    let counts = (0..buckets).map(|_| buf.get_u64_le()).collect();
-                    AggState::Quantile {
-                        q,
-                        sketch: Box::new(QuantileSketch::from_parts(
-                            lo,
-                            hi,
-                            counts,
-                            buf.get_u64_le(),
-                            buf.get_u64_le(),
-                            buf.get_u64_le(),
-                        )),
-                    }
-                }
-                tag => return Err(Error::Decode(format!("unknown agg-state tag {tag}"))),
-            });
-        }
-        entries.push(GroupPartialEntry {
+        out.push(GroupPartialEntry {
             window_start,
             key,
             states,
         });
     }
-    if buf.remaining() > 0 {
+    Ok(())
+}
+
+fn next_column(columns: &mut impl Iterator<Item = Column>) -> Result<Column> {
+    columns
+        .next()
+        .ok_or_else(|| Error::Decode("state run is missing a column".into()))
+}
+
+fn dense_u64(col: Column) -> Result<Vec<u64>> {
+    match col {
+        Column::U64(v) => Ok(v),
+        _ => Err(Error::Decode("state column carries validity".into())),
+    }
+}
+
+fn dense_f64(col: Column) -> Result<Vec<f64>> {
+    match col {
+        Column::F64(v) => Ok(v),
+        _ => Err(Error::Decode("state column carries validity".into())),
+    }
+}
+
+/// The values of a decoded key column, row by row. Rows that share a
+/// dictionary entry share one string allocation.
+fn key_values(col: Column) -> Vec<Value> {
+    let (dense, valid) = unwrap_opt(&col);
+    let mut values: Vec<Value> = match dense {
+        Column::Dict { codes, dict } => {
+            let entries: Vec<Value> = dict.iter().map(Value::str).collect();
+            codes
+                .iter()
+                .map(|&c| entries.get(c as usize).cloned().unwrap_or(Value::Null))
+                .collect()
+        }
+        _ => (0..dense.len()).map(|row| dense.value(row)).collect(),
+    };
+    if let Some(valid) = valid {
+        for (v, &ok) in values.iter_mut().zip(valid) {
+            if !ok {
+                *v = Value::Null;
+            }
+        }
+    }
+    values
+}
+
+/// Reads one quantile sketch that follows a run's batch.
+fn get_sketch(buf: &mut &[u8]) -> Result<AggState> {
+    need(buf, 28)?;
+    let q = buf.get_f64_le();
+    let lo = buf.get_f64_le();
+    let hi = buf.get_f64_le();
+    let buckets = buf.get_u32_le() as usize;
+    // NaN bounds compare as incomparable and must be rejected along with
+    // an empty or inverted range.
+    if hi.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) || buckets == 0 {
         return Err(Error::Decode(format!(
-            "{} trailing bytes after group state",
-            buf.remaining()
+            "bad sketch geometry: lo {lo}, hi {hi}, {buckets} buckets"
         )));
     }
-    Ok(entries)
+    need(buf, 8 * (buckets + 3))?;
+    let counts = (0..buckets).map(|_| buf.get_u64_le()).collect();
+    Ok(AggState::Quantile {
+        q,
+        sketch: Box::new(QuantileSketch::from_parts(
+            lo,
+            hi,
+            counts,
+            buf.get_u64_le(),
+            buf.get_u64_le(),
+            buf.get_u64_le(),
+        )),
+    })
 }
 
 #[cfg(test)]
@@ -989,9 +1196,8 @@ mod tests {
         raw.put_slice(&[0, 1]);
         raw.put_u8(0); // dense
         raw.put_u8(super::STR_PAGE_PLAIN);
-        raw.put_u16_le(1);
+        raw.put_slice(&[1, 1, 1]); // length page: width 1, lengths 1 and 1
         raw.put_u8(0xC3);
-        raw.put_u16_le(1);
         raw.put_u8(0xA9);
         assert!(matches!(
             decode_batch(s, raw.freeze()),
@@ -1030,6 +1236,151 @@ mod tests {
             decode_batch(s, Bytes::from(dense)),
             Err(Error::Decode(_))
         ));
+    }
+
+    #[test]
+    fn plain_strings_past_the_u16_length_round_trip() {
+        let s = Schema::new(vec![Field::new("t", DataType::Str)]);
+        for (len, width) in [(65_535, 2), (65_536, 4), (1 << 20, 4)] {
+            let long = "x".repeat(len);
+            let recs = vec![
+                Record::new(0, vec![Value::str(&long)]),
+                Record::new(1, vec![Value::str("é")]),
+            ];
+            let batch = Batch::from_records(s.clone(), &recs).unwrap();
+            assert!(matches!(batch.columns[0], Column::Str { .. }));
+            let wire = encode_batch(&batch);
+            // magic + rows, a 1-byte timestamp page from base 0, presence,
+            // page tag, then the length page: width, two lengths, no base.
+            let at = 8 + (1 + 8 + 2) + 1 + 1;
+            assert_eq!(wire[at] as usize, width, "length page width at {len} B");
+            assert_eq!(wire.len(), at + 1 + 2 * width + len + 2);
+            assert_eq!(decode_batch(s.clone(), wire).unwrap().to_records(), recs);
+        }
+    }
+
+    /// One entry of every state shape the columns carry.
+    fn state_entry(window_start: i64, key: Vec<Value>) -> GroupPartialEntry {
+        GroupPartialEntry {
+            window_start,
+            key,
+            states: vec![
+                AggState::Count(3),
+                AggState::Sum(f64::NAN),
+                AggState::Min(f64::INFINITY),
+                AggState::Max(-0.0),
+                AggState::Avg {
+                    sum: 2.5,
+                    count: u64::MAX,
+                },
+            ],
+        }
+    }
+
+    /// Equality through `Debug`, so NaN states compare equal to themselves
+    /// and `-0.0` differs from `0.0`.
+    fn same_state(a: &[GroupPartialEntry], b: &[GroupPartialEntry]) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    #[test]
+    fn group_state_ships_one_run_per_shape() {
+        let entries = vec![
+            state_entry(10, vec![Value::Null, Value::str("a"), Value::I64(i64::MIN)]),
+            state_entry(10, vec![Value::U64(7), Value::Null, Value::I64(i64::MAX)]),
+            state_entry(20, vec![Value::U64(8), Value::str("a"), Value::Null]),
+            // A different variant in column 1 opens a second run...
+            state_entry(20, vec![Value::U64(8), Value::Bool(true), Value::Null]),
+            // ...and a different arity a third.
+            state_entry(30, vec![Value::F64(f64::NAN)]),
+        ];
+        let wire = encode_group_state(&entries);
+        let back = decode_group_state(wire.clone()).unwrap();
+        assert!(same_state(&back, &entries), "{back:?}");
+        assert_eq!(run_lens(&wire), [3, 1, 1]);
+        // An empty partial is an empty body.
+        assert!(encode_group_state(&[]).is_empty());
+        assert!(decode_group_state(Bytes::new()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn group_state_keys_past_the_dictionary_entry_length_go_plain() {
+        let long = "k".repeat(70_000);
+        let entries = vec![
+            state_entry(0, vec![Value::str(&long)]),
+            state_entry(0, vec![Value::str("short")]),
+            state_entry(0, vec![Value::Null]),
+        ];
+        let back = decode_group_state(encode_group_state(&entries)).unwrap();
+        assert!(same_state(&back, &entries));
+    }
+
+    /// Entries per run of a state body.
+    fn run_lens(wire: &[u8]) -> Vec<usize> {
+        let mut buf = wire;
+        let mut runs = Vec::new();
+        while !buf.is_empty() {
+            let mut out = Vec::new();
+            get_run(&mut buf, &mut out).unwrap();
+            runs.push(out.len());
+        }
+        runs
+    }
+
+    #[test]
+    fn state_runs_claim_no_more_slots_than_their_bytes_pay_for() {
+        // Entries of 11 slots go in runs of eight: one run of all 50 would
+        // claim more slots than its bytes pay for.
+        let wide: Vec<GroupPartialEntry> = (0..50)
+            .map(|i| GroupPartialEntry {
+                window_start: i,
+                key: (0..10)
+                    .map(|c| [Value::Null, Value::I64(i + c)][c as usize % 2].clone())
+                    .collect(),
+                states: vec![AggState::Count(1)],
+            })
+            .collect();
+        let wire = encode_group_state(&wide);
+        assert_eq!(run_lens(&wire), [8, 8, 8, 8, 8, 8, 2]);
+        assert_eq!(decode_group_state(wire).unwrap(), wide);
+
+        // 10,000 entries of 65,535 slots in about 75 KB (all-`Null` keys)
+        // and 655 KB (width-0 `Count` pages): refused before any entry or
+        // page is sized.
+        let rows = 10_000usize;
+        let forged = |kinds: &[u8], tags: &[u8], pages: &[u8]| {
+            let mut buf = BytesMut::default();
+            buf.put_u16_le(kinds.len() as u16);
+            buf.put_slice(kinds);
+            buf.put_u16_le(tags.len() as u16);
+            buf.put_slice(tags);
+            buf.put_u32_le(MAGIC);
+            buf.put_u32_le(rows as u32);
+            buf.put_u8(1);
+            buf.put_u64_le(0);
+            buf.put_slice(&vec![0; rows]);
+            buf.put_slice(pages);
+            decode_group_state(buf.freeze())
+        };
+        let null_kinds = vec![KEY_NULL; u16::MAX as usize];
+        let counts = vec![AGG_COUNT; u16::MAX as usize];
+        // Per column: no validity, then a width-0 page's width and base.
+        let width_0 = [[0u8; 10]; u16::MAX as usize].concat();
+        for got in [
+            forged(&null_kinds, &[], &[]),
+            forged(&[], &counts, &width_0),
+        ] {
+            assert!(
+                matches!(&got, Err(Error::Decode(m)) if m.contains("outgrows its bytes")),
+                "{got:?}"
+            );
+        }
+
+        // A run of no entries is refused too.
+        let mut empty = BytesMut::default();
+        empty.put_u32_le(0);
+        encode_columns_into(&mut empty, &[], &[], None);
+        assert!(decode_group_state(empty.freeze()).is_err());
     }
 
     /// Encoded length of a one-column `U64` batch over `values`, less the

@@ -9,6 +9,8 @@
 //! epochs, a cut at epoch 10 lands after window 0 closed (epoch 9) and
 //! before the checkpoint that commits its rows (epoch 11): the coordinator
 //! must void the staged rows and take the re-emitted ones, exactly once.
+//! The run uses the Jarvis strategy, so the sources ship partial group
+//! state beside their raw rows and the recovery replays both.
 //!
 //! ```sh
 //! # terminal 1: the proxy that will sever connection 1 at epoch 10
@@ -50,7 +52,7 @@ fn main() -> ExitCode {
 
     let remote = Deployment::builder()
         .workload(spec.clone())
-        .strategy(StrategyKind::AllSp)
+        .strategy(StrategyKind::Jarvis)
         .cpu_budget(1.0)
         .sources(2)
         .sp_shards(RING)
@@ -77,7 +79,7 @@ fn main() -> ExitCode {
 
     let local = Deployment::builder()
         .workload(spec)
-        .strategy(StrategyKind::AllSp)
+        .strategy(StrategyKind::Jarvis)
         .cpu_budget(1.0)
         .sources(2)
         .sp_shards(RING)

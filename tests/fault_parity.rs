@@ -21,6 +21,10 @@
 //! shards to re-emit; [`LATE`] cuts it after those rows were committed,
 //! with the second window open in the last checkpoint and closing only
 //! after the recovery.
+//!
+//! Under `AllSp` only raw rows cross the ring. The `Jarvis` cases at
+//! [`MID`] also replay the sources' partial group state (`ShardState`
+//! frames) after the fault.
 
 use std::net::TcpListener;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -184,8 +188,12 @@ fn assert_exact(report: &RunReport, baseline: &RunReport, label: &str) {
 
 /// Kills node 1 under `Reassign`: the survivor adopts its shards and the
 /// digest matches the fault-free run bit-for-bit.
-fn assert_reassign_parity(spec: ScenarioSpec, strategy: StrategyKind, schedule: Schedule) {
-    assert_reassign_parity_on(spec, strategy, schedule, None);
+fn assert_reassign_parity(
+    spec: ScenarioSpec,
+    strategy: StrategyKind,
+    schedule: Schedule,
+) -> RunReport {
+    assert_reassign_parity_on(spec, strategy, schedule, None)
 }
 
 /// [`assert_reassign_parity`] with the coordinator's executor pinned to
@@ -195,7 +203,7 @@ fn assert_reassign_parity_on(
     strategy: StrategyKind,
     schedule: Schedule,
     rt_workers: Option<u32>,
-) {
+) -> RunReport {
     let _guard = port_lock();
     let addr = free_addr();
     let token = "fault-parity";
@@ -244,11 +252,16 @@ fn assert_reassign_parity_on(
     );
     let baseline = in_process_run(&spec, strategy, schedule.epochs);
     assert_exact(&report, &baseline, spec.name());
+    report
 }
 
 /// Kills node 1 with a reconnect grace window: the node re-dials, is
 /// re-seeded from the last acked checkpoint, and the digest still matches.
-fn assert_reconnect_parity(spec: ScenarioSpec, strategy: StrategyKind, schedule: Schedule) {
+fn assert_reconnect_parity(
+    spec: ScenarioSpec,
+    strategy: StrategyKind,
+    schedule: Schedule,
+) -> RunReport {
     let _guard = port_lock();
     let addr = free_addr();
     let token = "fault-parity";
@@ -288,6 +301,7 @@ fn assert_reconnect_parity(spec: ScenarioSpec, strategy: StrategyKind, schedule:
     );
     let baseline = in_process_run(&spec, strategy, schedule.epochs);
     assert_exact(&report, &baseline, spec.name());
+    report
 }
 
 #[test]
@@ -347,6 +361,41 @@ fn reconnect_keeps_log_analytics_exact() {
     assert_reconnect_parity(spec.clone(), StrategyKind::AllSp, EARLY);
     assert_reconnect_parity(spec.clone(), StrategyKind::AllSp, MID);
     assert_reconnect_parity(spec, StrategyKind::AllSp, LATE);
+}
+
+/// Under `Jarvis`, sources ship partial group state (`ShardState` frames)
+/// beside their raw rows; the recoveries replay those frames, and the
+/// survivor merges them into the adopted shards exactly once.
+#[test]
+fn reassign_replays_source_state_exactly() {
+    for spec in [
+        ScenarioSpec::pingmesh_s2s(Scale::X1),
+        ScenarioSpec::log_analytics(Scale::X1),
+    ] {
+        let report = assert_reassign_parity(spec.clone(), StrategyKind::Jarvis, MID);
+        assert!(
+            report.state_deltas > 0,
+            "{}: the sources must ship partial state",
+            spec.name()
+        );
+    }
+}
+
+/// [`reassign_replays_source_state_exactly`] over a reconnect: the
+/// returning node is re-seeded with the checkpointed and replayed state.
+#[test]
+fn reconnect_replays_source_state_exactly() {
+    for spec in [
+        ScenarioSpec::pingmesh_s2s(Scale::X1),
+        ScenarioSpec::log_analytics(Scale::X1),
+    ] {
+        let report = assert_reconnect_parity(spec.clone(), StrategyKind::Jarvis, MID);
+        assert!(
+            report.state_deltas > 0,
+            "{}: the sources must ship partial state",
+            spec.name()
+        );
+    }
 }
 
 #[test]

@@ -438,3 +438,86 @@ proptest! {
         }
     }
 }
+
+// ---- state body size on the paper's queries ----
+
+use jarvis::streamkit::logical::LogicalPlan;
+use jarvis::streamkit::ops::AggRole;
+use jarvis::streamkit::physical::{build_pipeline, CostProfile};
+use jarvis::streamkit::shard::Ring;
+use jarvis::telemetry::loganalytics::{LogConfig, LogGenerator};
+use jarvis::telemetry::pingmesh::{PingmeshConfig, PingmeshGenerator};
+use jarvis::telemetry::queries;
+
+/// Bytes per entry of the partial state that `plan`'s source-side G+R
+/// builds over one generator epoch, shipped to a ring of `shards` as
+/// `ShardState` frames (envelopes included), as a Jarvis source ships it.
+fn state_bytes_per_entry(plan: &LogicalPlan, epoch: Batch, shards: usize) -> f64 {
+    let (boundary, keys) = plan.shard_boundary().expect("the query has a G+R");
+    let mut ops =
+        build_pipeline(plan, &CostProfile::default(), AggRole::Partial).expect("valid plan");
+    ops.truncate(boundary + 1);
+    let mut batches = vec![epoch];
+    for op in &mut ops {
+        let mut next = Vec::new();
+        for b in batches {
+            op.process_batch(b, &mut next);
+        }
+        batches = next;
+    }
+    let delta = ops[boundary]
+        .take_state_delta()
+        .expect("the partial G+R holds state");
+    let entries = delta.entry_count();
+    assert!(entries > 100, "{entries} entries");
+    let bytes: usize = Ring::new(shards, keys)
+        .split_state(delta)
+        .into_iter()
+        .map(|(shard, delta)| {
+            let payload = NetPayload::ShardState {
+                shard: shard as u32,
+                epoch: 0,
+                source: 0,
+                rel: 0,
+                delta,
+            };
+            let wire = encode_shard_payload(&payload);
+            assert_eq!(
+                decode_shard_payload(wire.clone(), &[schema()]).unwrap(),
+                payload
+            );
+            wire.len()
+        })
+        .sum();
+    bytes as f64 / entries as f64
+}
+
+/// Columnar state bodies stay narrow on the two queries whose sources ship
+/// partials: the per-value format spent 65 B an S2S entry and 55 B a
+/// LogAnalytics one. The rings are the repo benchmark's: 4 shards for the
+/// S2S TCP workload, 2 for the LogAnalytics one. Every frame carries its
+/// own dictionary pages, so the string-keyed LogAnalytics cost grows with
+/// the shard count.
+#[test]
+fn source_partials_ship_narrow_state_bodies() {
+    let mut pingmesh = PingmeshGenerator::new(PingmeshConfig {
+        seed: 17,
+        ..Default::default()
+    });
+    let s2s = state_bytes_per_entry(
+        &queries::s2s_probe(),
+        pingmesh.generate_epoch_batch(0, 1.0),
+        4,
+    );
+    assert!(s2s <= 30.0, "S2S state: {s2s:.2} B/entry");
+    let mut logs = LogGenerator::new(LogConfig {
+        seed: 17,
+        ..Default::default()
+    });
+    let log = state_bytes_per_entry(
+        &queries::log_analytics(),
+        logs.generate_epoch_batch(0, 1.0),
+        2,
+    );
+    assert!(log <= 8.0, "LogAnalytics state: {log:.2} B/entry");
+}

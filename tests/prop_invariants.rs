@@ -331,6 +331,64 @@ proptest! {
         }
     }
 
+    /// Group-state bodies over every shape their columns carry — nullable
+    /// and all-null key columns, strings, extreme `i64` / `u64`, NaN and
+    /// ±inf states, quantile sketches, bodies of several shapes, and
+    /// entries too wide for one run — round-trip bit-exactly. Every
+    /// truncation decodes to a typed error or to the runs before the cut,
+    /// every single-byte corruption to a typed error or to no more entries
+    /// than the body has bytes and no more than eight slots (key values and
+    /// states) a byte, never a panic; and a forged entry count is refused
+    /// before it sizes an allocation.
+    #[test]
+    fn state_bodies_round_trip_exactly_and_hardened(
+        shape in 0u8..4,
+        seeds in proptest::collection::vec(any::<u64>(), 1..20),
+        nulls in proptest::collection::vec(any::<bool>(), 20..21),
+    ) {
+        use jarvis::streamkit::encode::{decode_group_state, encode_group_state};
+
+        let entries = state_entries(shape, &seeds, &nulls);
+        let wire = encode_group_state(&entries);
+        let decode = |raw: &[u8]| decode_group_state(raw.to_vec().into());
+        let back = decode(&wire).unwrap();
+        prop_assert_eq!(entry_bits(&back), entry_bits(&entries));
+
+        let bits = entry_bits(&entries);
+        for cut in 0..wire.len() {
+            if let Ok(prefix) = decode(&wire[..cut]) {
+                prop_assert_eq!(
+                    &entry_bits(&prefix)[..],
+                    &bits[..prefix.len()],
+                    "truncation at {} is no run prefix", cut
+                );
+            }
+        }
+        for at in 0..wire.len() {
+            for flip in [0x01u8, 0xFF] {
+                let mut raw = wire.to_vec();
+                raw[at] ^= flip;
+                if let Ok(got) = decode(&raw) {
+                    let slots: usize = got.iter().map(|e| e.key.len() + e.states.len()).sum();
+                    prop_assert!(
+                        got.len() <= raw.len() && slots <= 8 * raw.len(),
+                        "corruption at {} forged entries", at
+                    );
+                }
+            }
+        }
+
+        // The first run's entry count sits after its shape and the batch
+        // magic: a forged one must fail on the bytes, not allocate.
+        let arity = u16::from_le_bytes([wire[0], wire[1]]) as usize;
+        let aggs_at = 2 + arity;
+        let aggs = u16::from_le_bytes([wire[aggs_at], wire[aggs_at + 1]]) as usize;
+        let rows_at = aggs_at + 2 + aggs + 4;
+        let mut forged = wire.to_vec();
+        forged[rows_at..rows_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        prop_assert!(decode(&forged).is_err());
+    }
+
     /// Grouping on dictionary keys is indistinguishable from grouping on
     /// the same strings in plain columns, for arbitrary key/value streams
     /// split arbitrarily into batches.
@@ -568,6 +626,121 @@ proptest! {
             prop_assert_eq!(merger.merged(), expected_min);
         }
     }
+}
+
+/// Group-state entries for the state-body property: `shape` 0 keeps
+/// values narrow, 1 takes them to the integer extremes, 2 interleaves a
+/// second key shape and aggregate list, so bodies carry several runs, and
+/// 3 widens the keys past what one run of more than eight entries holds.
+fn state_entries(
+    shape: u8,
+    seeds: &[u64],
+    nulls: &[bool],
+) -> Vec<jarvis::streamkit::ops::GroupPartialEntry> {
+    use jarvis::streamkit::ops::GroupPartialEntry;
+    use jarvis::streamkit::quantile::QuantileSketch;
+
+    let special = |x: u64| match x % 5 {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        _ => x as f64 * 0.5,
+    };
+    seeds
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| {
+            if shape == 2 && i % 3 == 2 {
+                return GroupPartialEntry {
+                    window_start: s as i64,
+                    key: vec![Value::Bool(s % 2 == 0), Value::F64(f64::from_bits(s))],
+                    states: vec![AggState::Count(s)],
+                };
+            }
+            let extreme = shape == 1;
+            let signed = if extreme {
+                [i64::MIN, i64::MAX, -1][(s % 3) as usize]
+            } else {
+                (s % 100) as i64 - 50
+            };
+            let tenant = match s % 7 {
+                0 => "é".to_string(),
+                1 => String::new(),
+                t => format!("tenant-{t}"),
+            };
+            let mut sketch = QuantileSketch::new(0.0, 100.0, 4);
+            for v in 0..s % 6 {
+                sketch.insert((s.rotate_left(v as u32) % 120) as f64);
+            }
+            let mut key = vec![
+                if nulls[i] {
+                    Value::Null
+                } else {
+                    Value::I64(signed)
+                },
+                Value::Null,
+                if nulls[(i + 1) % nulls.len()] {
+                    Value::Null
+                } else {
+                    Value::Str(tenant.into())
+                },
+                Value::U64(if extreme { u64::MAX - s % 3 } else { s % 1000 }),
+            ];
+            if shape == 3 {
+                key.extend((0..5).map(|c| match c % 2 {
+                    0 => Value::Null,
+                    _ => Value::U64(s >> c),
+                }));
+            }
+            GroupPartialEntry {
+                window_start: if extreme { signed } else { 10_000_000 },
+                key,
+                states: vec![
+                    AggState::Count(if extreme { u64::MAX } else { s % 50 }),
+                    AggState::Sum(special(s)),
+                    AggState::Min(special(s >> 8)),
+                    AggState::Max(special(s >> 16)),
+                    AggState::Avg {
+                        sum: special(s >> 24),
+                        count: s >> 3,
+                    },
+                    AggState::Quantile {
+                        q: special(s >> 32),
+                        sketch: Box::new(sketch),
+                    },
+                ],
+            }
+        })
+        .collect()
+}
+
+/// Group-state entries with every float as its bit pattern, so NaN states
+/// compare exactly.
+fn entry_bits(
+    entries: &[jarvis::streamkit::ops::GroupPartialEntry],
+) -> Vec<(i64, Vec<Value>, Vec<u64>)> {
+    entries
+        .iter()
+        .map(|e| {
+            let mut states = Vec::new();
+            for state in &e.states {
+                match state {
+                    AggState::Count(c) => states.extend([0, *c]),
+                    AggState::Sum(x) => states.extend([1, x.to_bits()]),
+                    AggState::Min(x) => states.extend([2, x.to_bits()]),
+                    AggState::Max(x) => states.extend([3, x.to_bits()]),
+                    AggState::Avg { sum, count } => states.extend([4, sum.to_bits(), *count]),
+                    AggState::Quantile { q, sketch } => {
+                        let (lo, hi, counts, under, over, total) = sketch.to_parts();
+                        states.extend([5, q.to_bits(), lo.to_bits(), hi.to_bits()]);
+                        states.extend(counts.iter().chain(&[under, over, total]));
+                    }
+                }
+            }
+            (e.window_start, e.key.clone(), states)
+        })
+        .collect()
 }
 
 fn finalize_bits(state: &AggState) -> u64 {
