@@ -1,14 +1,14 @@
 //! Group-aggregate throughput by key shape for the perf trajectory.
 //!
-//! Same workloads as the `group_agg` criterion group. The `str` and `dict`
-//! arms run the LogAnalytics-style windowed group-by (tenant × stat name
-//! keys, Sum/Avg/Max over the stat column) over structured telemetry epochs,
-//! keyed off plain string columns and off native dictionary columns. The
-//! `wide_int` arm is the `s2s` keyed-boundary shape, where the table's
-//! memory layout rather than its arithmetic sets the rate: two 64-bit keys,
-//! 160 k groups that see two rows each, spread by the SP tier's `Ring` over
-//! 32 operators that take turns on ~55-row batches. This runner produces
-//! the machine-readable `group_agg` series in `BENCH_throughput.json`.
+//! The `str` and `dict` arms run the LogAnalytics-style windowed group-by
+//! (tenant × stat name keys, Sum/Avg/Max over the stat column) over
+//! structured telemetry epochs, keyed off plain string columns and off
+//! native dictionary columns. The `wide_int` arm is the `s2s` keyed-boundary
+//! shape, where the table's memory layout rather than its arithmetic sets
+//! the rate: two 64-bit keys, 160 k groups that see two rows each, spread by
+//! the SP tier's `Ring` over 32 operators that take turns on ~55-row
+//! batches. This runner produces the machine-readable `group_agg` series in
+//! `BENCH_throughput.json`.
 
 use std::collections::HashMap;
 use std::time::Instant;

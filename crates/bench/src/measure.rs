@@ -1,11 +1,9 @@
-//! Shared measurement harness for the throughput runners and criterion
-//! benches — one copy of the drive loops and the timing estimator, so the
-//! JSON-trajectory numbers and the interactive benches always measure the
-//! same thing.
+//! Shared measurement harness for the throughput runners — one copy of the
+//! drive loops and the timing estimator behind every series in
+//! `BENCH_throughput.json`.
 
 use streamkit::batch::Batch;
 use streamkit::ops::Operator;
-use streamkit::physical::drain_windows;
 
 /// Drives one operator over the batches, closes every window, resets the
 /// operator, and returns the emitted row count.
@@ -33,31 +31,6 @@ pub fn run_op_set(ops: &mut [Box<dyn Operator>], traffic: &[(usize, Batch)]) -> 
         op.reset();
     }
     sink.iter().map(Batch::len).sum()
-}
-
-/// Drives a whole operator chain over the batches, drains all windows,
-/// resets every operator, and returns the emitted row count.
-pub fn run_chain(ops: &mut [Box<dyn Operator>], batches: &[Batch]) -> usize {
-    let mut emitted = 0;
-    for batch in batches {
-        let mut cur = vec![batch.clone()];
-        for op in ops.iter_mut() {
-            let mut next = Vec::new();
-            for b in cur {
-                op.process_batch(b, &mut next);
-            }
-            cur = next;
-        }
-        emitted += cur.iter().map(Batch::len).sum::<usize>();
-    }
-    emitted += drain_windows(ops, streamkit::time::TS_MAX)
-        .iter()
-        .map(Batch::len)
-        .sum::<usize>();
-    for op in ops.iter_mut() {
-        op.reset();
-    }
-    emitted
 }
 
 /// Best-of-N timing: scheduler noise and cache pollution only ever slow an

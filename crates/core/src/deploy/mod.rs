@@ -206,7 +206,9 @@ pub enum DeployError {
         got: String,
     },
     /// A peer connected but failed the versioned handshake (wrong protocol
-    /// version, bad auth token, or a malformed registration).
+    /// version, bad auth token, or a node id out of range or taken). A peer
+    /// whose registration does not parse is dropped instead, like any other
+    /// connection that does not speak the protocol.
     HandshakeFailed {
         /// The peer's address.
         peer: String,

@@ -1473,10 +1473,14 @@ fn admit(
         // connection and keep admitting.
         Err(_) => return Ok(false),
     };
+    // A `Register` frame whose body does not parse is a stranger as well:
+    // it cannot carry the token that would make its failure ours.
     if kind != FrameKind::Register {
         return Ok(false);
     }
-    let reg: Register = from_body(&body).map_err(fail)?;
+    let Ok(reg) = from_body::<Register>(&body) else {
+        return Ok(false);
+    };
     let mut handshake_tx = 0u64;
     if reg.token != spec.auth_token {
         let _ = write_frame(

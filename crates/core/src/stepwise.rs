@@ -201,14 +201,11 @@ impl StepWiseAdapt {
             records: est.records_per_epoch,
             budget_us: est.budget_us,
         };
-        match solve_load_factors(&problem) {
-            Ok(sol) => sol
-                .load_factors
-                .iter()
-                .map(|p| quantize(*p, self.cfg.granularity))
-                .collect(),
-            Err(_) => vec![0.0; est.len()],
-        }
+        solve_load_factors(&problem)
+            .load_factors
+            .iter()
+            .map(|p| quantize(*p, self.cfg.granularity))
+            .collect()
     }
 
     /// One fine-tuning step. Mutates `p` in place and returns `true` when a

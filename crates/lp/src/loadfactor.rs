@@ -11,11 +11,24 @@
 //!      0 ≤ e_i ≤ e_{i−1},  e_0 = 1
 //! ```
 //!
+//! Substituting `d_j = e_j − e_{j+1}` (with `e_{m+1} = 0`, so
+//! `e_i = Σ_{j≥i} d_j`) turns the chain into `d ≥ 0` and `Σ_j d_j ≤ 1`:
+//!
+//! ```text
+//! min  1 + Σ_j W_j · d_j       W_j = R_{j+1} − 1,  R_j = Π_{i<j} r_i,  R_{m+1} = 0
+//! s.t. Σ_j d_j ≤ 1
+//!      Σ_j A_j · d_j ≤ C / Nr   A_j = Σ_{i≤j} R_i · c_i
+//!      d ≥ 0
+//! ```
+//!
+//! A vertex of that polytope makes `m` of its `m + 2` constraints tight, so
+//! at most two `d_j` are non-zero. The optimum is therefore `d = 0`, a single
+//! `d_j = min(1, (C/Nr) / A_j)`, or a pair `A_j < C/Nr < A_k` with both
+//! constraints tight — `m² + m + 1` candidates, enumerated exactly.
+//!
 //! The solution is mapped back to per-proxy load factors `p_i = e_i / e_{i−1}`.
 
 use serde::{Deserialize, Serialize};
-
-use crate::simplex::{LinearProgram, LpError, LpsolveStatus};
 
 /// Inputs to the load-factor LP, all in per-epoch units.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -46,20 +59,12 @@ pub struct LoadFactorSolution {
     pub budget_use: f64,
 }
 
-/// Solves the LP. Returns an error only on malformed input; an infeasibly
-/// small budget simply yields all-zero load factors (everything drains to the
-/// stream processor — the paper's Startup state).
-pub fn solve_load_factors(problem: &LoadFactorProblem) -> Result<LoadFactorSolution, LpError> {
+/// Solves the LP by vertex enumeration (see the module docs). An infeasibly
+/// small budget simply yields all-zero load factors (everything drains to
+/// the stream processor — the paper's Startup state).
+pub fn solve_load_factors(problem: &LoadFactorProblem) -> LoadFactorSolution {
     let m = problem.relay.len();
     assert_eq!(m, problem.cost_us.len(), "relay/cost length mismatch");
-    if m == 0 {
-        return Ok(LoadFactorSolution {
-            effective: Vec::new(),
-            load_factors: Vec::new(),
-            drained_fraction: 0.0,
-            budget_use: 0.0,
-        });
-    }
 
     // R[i] = Π_{j<i} r_j for i in 0..m (R[0] = 1).
     let mut relay_prefix = Vec::with_capacity(m);
@@ -69,65 +74,58 @@ pub fn solve_load_factors(problem: &LoadFactorProblem) -> Result<LoadFactorSolut
         acc *= r.clamp(0.0, 1.0);
     }
 
-    // Objective: Σ R[i-1]·(e_{i-1} − e_i) telescopes to
-    //   R[0]·e_0 + Σ_{i=1..m-1} (R[i] − R[i-1])·e_i − R[m-1]·e_m.
-    // e_0 = 1 is constant; minimise the e-dependent part.
-    let mut objective = vec![0.0; m];
-    for i in 0..m {
-        // Weight of e_{i+1-th variable} (variable index i corresponds to e_{i+1}).
-        let r_before = relay_prefix[i];
-        let r_after = if i + 1 < m { relay_prefix[i + 1] } else { 0.0 };
-        // Coefficient of e_{i+1}: (R[i+1] − R[i]) for interior, −R[m−1] for last.
-        objective[i] = if i + 1 < m {
-            r_after - r_before
-        } else {
-            -r_before
-        };
-        // Tiny tie-break favouring higher load factors: when several vertices
-        // drain the same byte volume (e.g. an operator with relay ratio 1
-        // makes its own e coefficient zero), prefer processing locally — the
-        // choice the paper's deployments make for cheap upstream operators.
-        objective[i] -= 1e-6;
+    // W[j] = R[j+1] − 1 − 1e-6·(j+1) with R[m] = 0. The 1e-6 per e_i is a
+    // tie-break favouring higher load factors: when several vertices drain
+    // the same byte volume (e.g. an operator with relay ratio 1 makes its own
+    // e coefficient zero), prefer processing locally — the choice the
+    // paper's deployments make for cheap upstream operators.
+    let weight: Vec<f64> = (0..m)
+        .map(|j| relay_prefix.get(j + 1).copied().unwrap_or(0.0) - 1.0 - 1e-6 * (j + 1) as f64)
+        .collect();
+    // A[j] = Σ_{i≤j} R[i]·max(c_i, 0), the budget one unit of d[j] spends.
+    let mut spend = Vec::with_capacity(m);
+    let mut acc = 0.0;
+    for (r, c) in relay_prefix.iter().zip(&problem.cost_us) {
+        acc += r * c.max(0.0);
+        spend.push(acc);
     }
-
-    let budget_rhs = if problem.records > 0.0 {
+    let budget = if problem.records > 0.0 {
         (problem.budget_us / problem.records).max(0.0)
     } else {
         f64::INFINITY
     };
 
-    let mut lp = LinearProgram::minimize(objective.clone());
-    // Chain: e_1 ≤ 1; e_{i+1} − e_i ≤ 0.
-    let mut first = vec![0.0; m];
-    first[0] = 1.0;
-    lp = lp.leq(first, 1.0);
-    for i in 1..m {
-        let mut row = vec![0.0; m];
-        row[i] = 1.0;
-        row[i - 1] = -1.0;
-        lp = lp.leq(row, 0.0);
-    }
-    // Knapsack: Σ R[i]·c_i·e_i ≤ C/Nr (skip when the budget is unlimited).
-    if budget_rhs.is_finite() {
-        let coeffs: Vec<f64> = (0..m)
-            .map(|i| relay_prefix[i] * problem.cost_us[i].max(0.0))
-            .collect();
-        lp = lp.leq(coeffs, budget_rhs);
-    }
-
-    let sol = lp.solve()?;
-    debug_assert_eq!(
-        sol.status,
-        LpsolveStatus::Optimal,
-        "bounded by construction"
-    );
-
-    let mut effective: Vec<f64> = sol.x.iter().map(|v| v.clamp(0.0, 1.0)).collect();
-    // Enforce the chain exactly despite float noise.
-    for i in 1..m {
-        if effective[i] > effective[i - 1] {
-            effective[i] = effective[i - 1];
+    // Candidates in order — d = 0, the singles, the pairs — and the first
+    // with a strictly lower objective wins.
+    let mut d = vec![0.0; m];
+    let mut best = 0.0;
+    let mut consider = |[(j, dj), (k, dk)]: [(usize, f64); 2]| {
+        let objective = weight[j] * dj + weight[k] * dk;
+        if objective < best {
+            best = objective;
+            d.fill(0.0);
+            d[j] += dj;
+            d[k] += dk;
         }
+    };
+    for (j, &a) in spend.iter().enumerate() {
+        consider([(j, if a <= budget { 1.0 } else { budget / a }), (j, 0.0)]);
+    }
+    for (j, &aj) in spend.iter().enumerate() {
+        for (k, &ak) in spend.iter().enumerate() {
+            if aj < budget && budget < ak {
+                let dk = (budget - aj) / (ak - aj);
+                consider([(j, 1.0 - dk), (k, dk)]);
+            }
+        }
+    }
+
+    // e[i] = Σ_{j≥i} d[j].
+    let mut effective = vec![0.0; m];
+    let mut acc = 0.0;
+    for (e, dj) in effective.iter_mut().zip(&d).rev() {
+        acc += dj;
+        *e = acc;
     }
 
     let mut load_factors = Vec::with_capacity(m);
@@ -159,12 +157,12 @@ pub fn solve_load_factors(problem: &LoadFactorProblem) -> Result<LoadFactorSolut
         0.0
     };
 
-    Ok(LoadFactorSolution {
+    LoadFactorSolution {
         effective,
         load_factors,
         drained_fraction: drained,
         budget_use,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -183,7 +181,7 @@ mod tests {
             records: 40_000.0,
             budget_us: 2_000_000.0, // two cores: plenty
         };
-        let sol = solve_load_factors(&p).unwrap();
+        let sol = solve_load_factors(&p);
         assert!(
             sol.load_factors.iter().all(|&lf| close(lf, 1.0, 1e-6)),
             "{sol:?}"
@@ -199,9 +197,25 @@ mod tests {
             records: 40_000.0,
             budget_us: 0.0,
         };
-        let sol = solve_load_factors(&p).unwrap();
+        let sol = solve_load_factors(&p);
         assert!(sol.effective.iter().all(|&e| close(e, 0.0, 1e-9)));
         assert!(close(sol.drained_fraction, 1.0, 1e-9));
+    }
+
+    #[test]
+    fn free_relay_one_operator_runs_fully_at_source() {
+        // W (relay 1, cost 0) drains the same bytes at any e_1, so only the
+        // 1e-6 tie-break chooses between e_1 = e_3 and e_1 = 1; it must pick
+        // e_1 = 1 while the budget still binds further down the chain.
+        let p = LoadFactorProblem {
+            relay: vec![1.0, 0.86, 0.3],
+            cost_us: vec![0.0, 3.0, 20.0],
+            records: 10_000.0,
+            budget_us: 15_000.0,
+        };
+        let sol = solve_load_factors(&p);
+        assert_eq!(sol.load_factors[0], 1.0, "{sol:?}");
+        assert!(close(sol.budget_use, 1.0, 1e-9), "{sol:?}");
     }
 
     #[test]
@@ -222,7 +236,7 @@ mod tests {
             records,
             budget_us: 800_000.0,
         };
-        let sol = solve_load_factors(&p).unwrap();
+        let sol = solve_load_factors(&p);
         assert!(close(sol.drained_fraction, 0.1416, 0.003), "{sol:?}");
         assert!(
             close(sol.budget_use, 1.0, 1e-6),
@@ -243,7 +257,7 @@ mod tests {
             records: 40_000.0,
             budget_us: 400_000.0,
         };
-        let sol = solve_load_factors(&p).unwrap();
+        let sol = solve_load_factors(&p);
         assert!(close(sol.load_factors[0], 1.0, 1e-6), "{sol:?}");
         assert!(close(sol.load_factors[1], 1.0, 1e-6), "{sol:?}");
         assert!(sol.load_factors[2] < 1.0);
@@ -257,7 +271,7 @@ mod tests {
             records: 10_000.0,
             budget_us: 50_000.0,
         };
-        let sol = solve_load_factors(&p).unwrap();
+        let sol = solve_load_factors(&p);
         let mut prev = 1.0;
         for &e in &sol.effective {
             assert!(e <= prev + 1e-9);
@@ -275,7 +289,7 @@ mod tests {
             records: 40_000.0,
             budget_us: 400_000.0,
         };
-        let sol = solve_load_factors(&p).unwrap();
+        let sol = solve_load_factors(&p);
         // Uniform heuristic: one scalar u = p₁ = p₂ = p₃, so e = (u, u², u³).
         // Its compute cost is Nr·(c₁·u + R₁·c₂·u² + R₂·c₃·u³) with R₁ = r₁,
         // R₂ = r₁·r₂; binary-search the largest feasible u.

@@ -22,7 +22,7 @@
 //! * [`simnet`] — the deterministic multi-node emulator (CPU budgets,
 //!   bandwidth-limited links).
 //! * [`telemetry`] — synthetic Pingmesh and LogAnalytics workloads.
-//! * [`lp`] (`jarvis-lp`) — the simplex solver behind the load-factor LP.
+//! * [`lp`] (`jarvis-lp`) — the load-factor LP (Eq. 3), solved in closed form.
 //! * [`synopsis`] — the window-sampling baseline used in the accuracy study.
 //!
 //! ## Quickstart

@@ -11,15 +11,17 @@
 //! the typed failure paths: bad tokens, absent nodes, and connections that
 //! never speak the protocol.
 
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
 use std::time::Duration;
 
 use jarvis::core::calibration::Scale;
 use jarvis::core::deploy::{
-    BackendKind, DeployError, Deployment, DeploymentBuilder, TransportKind,
+    BackendKind, DeployError, Deployment, DeploymentBuilder, RunReport, TransportKind,
 };
+use jarvis::core::engine::transport::{encode_frame, FrameKind};
 use jarvis::core::experiment::ScenarioSpec;
 use jarvis::core::node::{run_node, NodeConfig, NodeError, NodeSummary};
 use jarvis::core::strategy::StrategyKind;
@@ -315,50 +317,82 @@ fn absent_nodes_time_out_registration() {
     }
 }
 
-#[test]
-fn garbage_connections_do_not_block_admission() {
+/// Runs the S2S All-SP deployment over two real nodes that only dial once
+/// a stranger has connected first and written `bytes`, so the coordinator
+/// must survive the stranger to ever admit them. Returns the report and
+/// whatever the coordinator sent the stranger before closing on it.
+fn run_after_stranger(bytes: Vec<u8>) -> (RunReport, Vec<u8>) {
     let _guard = port_lock();
     let addr = free_addr();
     let token = "remote-parity";
-    // A peer that connects first and writes garbage: dropped, not fatal.
-    // The real nodes only dial once the garbage is on the wire, so the
-    // coordinator must survive it to ever admit them.
-    let (garbage_sent, spawn_gate) = std::sync::mpsc::channel::<()>();
-    let garbage_addr = addr.clone();
-    let garbage = thread::spawn(move || {
-        use std::io::Write;
+    let (stranger_sent, spawn_gate) = std::sync::mpsc::channel::<()>();
+    let stranger_addr = addr.clone();
+    let stranger = thread::spawn(move || {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            match std::net::TcpStream::connect(&garbage_addr) {
-                Ok(mut s) => {
-                    s.write_all(b"GET / HTTP/1.1\r\n\r\n")
-                        .expect("garbage write");
-                    let _ = s.flush();
-                    garbage_sent.send(()).expect("gate alive");
-                    break;
-                }
+        let mut s = loop {
+            match TcpStream::connect(&stranger_addr) {
+                Ok(s) => break s,
                 Err(_) if std::time::Instant::now() < deadline => {
                     thread::sleep(Duration::from_millis(10));
                 }
-                Err(e) => panic!("garbage peer cannot connect: {e}"),
+                Err(e) => panic!("stranger cannot connect: {e}"),
             }
-        }
+        };
+        s.write_all(&bytes).expect("stranger write");
+        stranger_sent.send(()).expect("gate alive");
+        let mut reply = Vec::new();
+        // Ends at EOF or at a reset: either way the coordinator is done.
+        let _ = s.read_to_end(&mut reply);
+        reply
     });
     let node_addr = addr.clone();
     let nodes = thread::spawn(move || {
-        spawn_gate.recv().expect("garbage peer connected");
+        spawn_gate.recv().expect("stranger wrote");
         spawn_nodes(&node_addr, token, 2)
     });
     let spec = ScenarioSpec::pingmesh_s2s(Scale::X1);
     let report = tcp_deployment(&spec, StrategyKind::AllSp, 2, &addr, token)
         .run(4)
         .expect("real nodes still admitted");
-    garbage.join().expect("garbage thread");
+    let reply = stranger.join().expect("stranger thread");
     for handle in nodes.join().expect("spawner thread") {
         handle
             .join()
             .expect("node thread")
             .expect("node run succeeds");
     }
+    (report, reply)
+}
+
+#[test]
+fn garbage_connections_do_not_block_admission() {
+    let (report, _) = run_after_stranger(b"GET / HTTP/1.1\r\n\r\n".to_vec());
     assert!(report.results_emitted > 0);
+}
+
+#[test]
+fn nested_register_bodies_are_refused_before_the_token_check() {
+    // A well-framed `Register` whose body is 1 MiB of `[`. The coordinator
+    // parses it before it can check a token, so the parser's depth bound is
+    // all that stands between this stranger and a stack overflow. It must
+    // be dropped unanswered, and the results must not change.
+    let body = "[".repeat(1 << 20);
+    let frame = encode_frame(FrameKind::Register, body.as_bytes());
+    let (report, reply) = run_after_stranger(frame.to_vec());
+    assert!(reply.is_empty(), "the stranger gets no reply");
+    let baseline = live_builder(
+        &ScenarioSpec::pingmesh_s2s(Scale::X1),
+        StrategyKind::AllSp,
+        2,
+        4,
+    )
+    .build()
+    .expect("valid spec")
+    .run(4)
+    .expect("run succeeds");
+    assert_eq!(
+        report.exactness.as_ref().expect("digest collected"),
+        baseline.exactness.as_ref().expect("digest collected"),
+        "the stranger must not change the results"
+    );
 }
