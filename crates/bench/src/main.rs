@@ -399,7 +399,7 @@ fn run_bench(json: bool, check: bool) {
     }
     if let Some(wc) = &report.wire_codec {
         println!("Batch wire codec: content-sized integer pages vs the fixed-width format");
-        for p in [&wc.s2s, &wc.log] {
+        for p in [&wc.s2s, &wc.log, &wc.state] {
             println!(
                 "  part     : {} ({} rows, {} frames)",
                 p.part, p.rows, p.frames

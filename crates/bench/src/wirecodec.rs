@@ -2,7 +2,7 @@
 //!
 //! Two boundary parts, the way a live source task produces them — a 256-row
 //! chunk split over a 4-shard [`Ring`], every part encoded as a
-//! `NetPayload::ShardBatch`:
+//! `NetPayload::ShardBatch` — and one state part:
 //!
 //! - **S2S** — the S2SProbe stateless prefix over one Pingmesh epoch
 //!   (generator seed 17): six integer fields and a timestamp per row, the
@@ -11,10 +11,15 @@
 //!   over an established link: persistent-dictionary delta pages plus code
 //!   pages. The chunk before the measured one makes first contact, so the
 //!   measured chunk is the steady state.
+//! - **S2S state** — the partial state one Jarvis source builds over one
+//!   Pingmesh epoch (generator seed 17), split over the same ring and
+//!   encoded as `NetPayload::ShardState` payloads: integer keys and the
+//!   `Avg` / `Max` / `Min` components of an integer `rtt`.
 //!
 //! Beside each encoded size stands the size the fixed-width format this
-//! codec replaced (8 B a timestamp and integer, 4 B a code) would have
-//! written for the same parts, computed arithmetically from the batches.
+//! codec replaced (8 B a timestamp, integer, key and state component, 4 B a
+//! code) would have written for the same parts, computed arithmetically
+//! from the batches and entries.
 //! Both are deterministic byte counts and are gated *exactly* against the
 //! committed baseline; the encode/decode timings are context, not gated.
 //!
@@ -26,8 +31,9 @@ use bytes::Bytes;
 use jarvis_core::engine::netwire::{decode_shard_payload_with, encode_shard_payload_with};
 use jarvis_core::engine::NetPayload;
 use serde::{Deserialize, Serialize};
+use streamkit::agg::AggState;
 use streamkit::batch::{layout, Batch, Column, DictRegistry, DictVersions};
-use streamkit::ops::AggRole;
+use streamkit::ops::{AggRole, GroupPartialEntry, Operator, StatePartial};
 use streamkit::physical::{build_pipeline, CostProfile};
 use streamkit::schema::SchemaRef;
 use streamkit::shard::Ring;
@@ -50,9 +56,9 @@ const CHUNK_ROWS: usize = 256;
 pub struct WireCodecPart {
     /// What was encoded.
     pub part: String,
-    /// Rows in the chunk.
+    /// Rows in the chunk (group entries, for the state part).
     pub rows: u64,
-    /// `ShardBatch` frames the ring split produced.
+    /// Frames the ring split produced.
     pub frames: u64,
     /// Bytes of those frames as encoded (25-byte envelopes included).
     pub encoded_bytes: u64,
@@ -73,6 +79,8 @@ pub struct WireCodecResult {
     pub s2s: WireCodecPart,
     /// The LogAnalytics structured chunk on an established link.
     pub log: WireCodecPart,
+    /// One S2S source's epoch partial.
+    pub state: WireCodecPart,
 }
 
 impl WireCodecResult {
@@ -85,6 +93,7 @@ impl WireCodecResult {
         let pairs = [
             (&self.s2s, baseline.map(|b| &b.s2s)),
             (&self.log, baseline.map(|b| &b.log)),
+            (&self.state, baseline.map(|b| &b.state)),
         ];
         for (part, committed) in pairs {
             if part.encoded_bytes >= part.fixed_width_bytes {
@@ -136,6 +145,51 @@ fn fixed_width_body_len(batch: &Batch, link: &DictVersions) -> usize {
     len
 }
 
+/// Bytes of a one-run state body of non-null integer keys under the
+/// fixed-width format: the run's shape and batch header, then a presence
+/// byte per column and 8 B a window start, key value and state component
+/// (sketches, which follow the batch, are not counted).
+fn fixed_width_state_len(entries: &[GroupPartialEntry]) -> usize {
+    let (rows, first) = (entries.len(), &entries[0]);
+    let components: usize = first
+        .states
+        .iter()
+        .map(|s| match s {
+            AggState::Avg { .. } => 2,
+            AggState::Quantile { .. } => 0,
+            _ => 1,
+        })
+        .sum();
+    let columns = first.key.len() + components;
+    2 + first.key.len() + 2 + first.states.len() + 8 + 8 * rows + columns * (1 + 8 * rows)
+}
+
+/// Bytes `payload`'s body would take under the fixed-width format, with
+/// `link` the sender's dictionary state before it ships.
+fn fixed_width_len(payload: &NetPayload, link: &DictVersions) -> usize {
+    match payload {
+        NetPayload::ShardBatch { batch, .. } => fixed_width_body_len(batch, link),
+        NetPayload::ShardState {
+            delta: StatePartial::Group(entries),
+            ..
+        } => fixed_width_state_len(entries),
+        _ => unreachable!("the ring split makes shard payloads only"),
+    }
+}
+
+/// Runs `ops` in order over `batch`, returning what the last passes on.
+fn run_ops(ops: &mut [Box<dyn Operator>], batch: Batch) -> Vec<Batch> {
+    let mut cur = vec![batch];
+    for op in ops {
+        let mut next = Vec::new();
+        for b in cur {
+            op.process_batch(b, &mut next);
+        }
+        cur = next;
+    }
+    cur
+}
+
 /// What the S2SProbe stateless prefix passes to its keyed boundary for one
 /// epoch of `batch`, the group-key columns there, and the input schemas of
 /// the suffix stages (the decode side of the wire).
@@ -145,19 +199,26 @@ fn s2s_boundary(batch: Batch) -> (Vec<Batch>, Vec<usize>, Vec<SchemaRef>) {
     let mut prefix =
         build_pipeline(&plan, &CostProfile::default(), AggRole::Final).expect("valid plan");
     prefix.truncate(boundary);
-    let mut cur = vec![batch];
-    for op in &mut prefix {
-        let mut next = Vec::new();
-        for b in cur {
-            op.process_batch(b, &mut next);
-        }
-        cur = next;
-    }
+    let cur = run_ops(&mut prefix, batch);
     let schemas = plan.edge_schemas().expect("valid plan")[boundary..].to_vec();
     (cur, keys, schemas)
 }
 
-/// Envelope bytes ahead of every `ShardBatch` body.
+/// The partial state a Jarvis source's S2SProbe operators build over one
+/// epoch of `batch`.
+fn s2s_partial(batch: Batch) -> StatePartial {
+    let plan = telemetry::queries::s2s_probe();
+    let (boundary, _) = plan.shard_boundary().expect("S2SProbe has a G+R");
+    let mut ops =
+        build_pipeline(&plan, &CostProfile::default(), AggRole::Partial).expect("valid plan");
+    ops.truncate(boundary + 1);
+    run_ops(&mut ops, batch);
+    ops[boundary]
+        .take_state_delta()
+        .expect("the partial G+R holds state")
+}
+
+/// Envelope bytes ahead of every shard payload's body.
 const ENVELOPE_LEN: usize = 25;
 
 /// The ring split of `chunk`, each part a `ShardBatch` payload.
@@ -190,18 +251,18 @@ fn decode_all(frames: &[Bytes], schemas: &[SchemaRef], registry: &mut DictRegist
     }
 }
 
-/// Measures one chunk: `warm` (if any) ships first over the same link.
+/// Measures the `parts` of one chunk of `rows` rows (or entries): `warm`
+/// ships first over the same link.
 fn measure_part(
     part: &str,
-    ring: &Ring,
     schemas: &[SchemaRef],
-    warm: Option<&Batch>,
-    chunk: &Batch,
+    warm: &[NetPayload],
+    parts: &[NetPayload],
+    rows: usize,
     iters: u32,
 ) -> WireCodecPart {
     let mut established = DictVersions::new();
-    let warm_frames = warm.map_or_else(Vec::new, |w| encode_all(&split(ring, w), &mut established));
-    let parts = split(ring, chunk);
+    let warm_frames = encode_all(warm, &mut established);
     // One pass over the link as each part finds it: the frames, and beside
     // them what the fixed-width format would have written.
     let mut link = established.clone();
@@ -209,10 +270,7 @@ fn measure_part(
     let frames: Vec<Bytes> = parts
         .iter()
         .map(|p| {
-            let NetPayload::ShardBatch { batch, .. } = p else {
-                unreachable!("split makes row payloads only");
-            };
-            fixed += ENVELOPE_LEN + fixed_width_body_len(batch, &link);
+            fixed += ENVELOPE_LEN + fixed_width_len(p, &link);
             encode_shard_payload_with(p, &mut link)
         })
         .collect();
@@ -223,7 +281,7 @@ fn measure_part(
             .map(|_| {
                 let mut link = established.clone();
                 let start = Instant::now();
-                std::hint::black_box(encode_all(&parts, &mut link));
+                std::hint::black_box(encode_all(parts, &mut link));
                 start.elapsed().as_secs_f64()
             })
             .collect(),
@@ -239,16 +297,15 @@ fn measure_part(
             })
             .collect(),
     );
-    let rows = chunk.len() as f64;
     WireCodecPart {
         part: part.to_string(),
-        rows: chunk.len() as u64,
+        rows: rows as u64,
         frames: frames.len() as u64,
         encoded_bytes: encoded as u64,
         fixed_width_bytes: fixed as u64,
-        encoded_bytes_per_row: encoded as f64 / rows,
-        encode_ns_per_row: encode * 1e9 / rows,
-        decode_ns_per_row: decode * 1e9 / rows,
+        encoded_bytes_per_row: encoded as f64 / rows as f64,
+        encode_ns_per_row: encode * 1e9 / rows as f64,
+        decode_ns_per_row: decode * 1e9 / rows as f64,
     }
 }
 
@@ -259,7 +316,9 @@ pub fn bench_wire_codec(iters: u32) -> WireCodecResult {
         seed: SEED,
         ..Default::default()
     });
-    let (cur, keys, schemas) = s2s_boundary(gen.generate_epoch_batch(0, 1.0));
+    let epoch = gen.generate_epoch_batch(0, 1.0);
+    let (cur, keys, schemas) = s2s_boundary(epoch.clone());
+    let ring = Ring::new(RING, keys);
     let boundary = cur.first().expect("the prefix passes rows");
     let s2s_chunk = boundary
         .chunks(CHUNK_ROWS)
@@ -267,10 +326,34 @@ pub fn bench_wire_codec(iters: u32) -> WireCodecResult {
         .expect("a non-empty boundary batch");
     let s2s = measure_part(
         "S2SProbe boundary chunk, 4-shard ring",
-        &Ring::new(RING, keys),
         &schemas,
-        None,
-        &s2s_chunk,
+        &[],
+        &split(&ring, &s2s_chunk),
+        s2s_chunk.len(),
+        iters,
+    );
+
+    // S2S state: one source's partial over the same epoch, split by key
+    // ownership over the same ring.
+    let partial = s2s_partial(epoch);
+    let entries = partial.entry_count();
+    let parts: Vec<NetPayload> = ring
+        .split_state(partial)
+        .into_iter()
+        .map(|(shard, delta)| NetPayload::ShardState {
+            shard: shard as u32,
+            epoch: 0,
+            source: 0,
+            rel: 0,
+            delta,
+        })
+        .collect();
+    let state = measure_part(
+        "S2SProbe source partial, 4-shard ring",
+        &schemas,
+        &[],
+        &parts,
+        entries,
         iters,
     );
 
@@ -284,15 +367,16 @@ pub fn bench_wire_codec(iters: u32) -> WireCodecResult {
     let mut chunks = epoch.chunks(CHUNK_ROWS);
     let warm = chunks.next().expect("a non-empty structured epoch");
     let log_chunk = chunks.next().expect("more than one chunk an epoch");
+    let ring = Ring::new(RING, vec![0, 1]);
     let log = measure_part(
         "LogAnalytics structured chunk, 4-shard ring, established link",
-        &Ring::new(RING, vec![0, 1]),
         &[structured_log_schema()],
-        Some(&warm),
-        &log_chunk,
+        &split(&ring, &warm),
+        &split(&ring, &log_chunk),
+        log_chunk.len(),
         iters,
     );
-    WireCodecResult { s2s, log }
+    WireCodecResult { s2s, log, state }
 }
 
 #[cfg(test)]
@@ -303,8 +387,8 @@ mod tests {
     fn byte_counts_repeat_and_beat_the_fixed_width_format() {
         let a = bench_wire_codec(1);
         let b = bench_wire_codec(1);
-        for (x, y) in [(&a.s2s, &b.s2s), (&a.log, &b.log)] {
-            assert_eq!(x.rows, CHUNK_ROWS as u64);
+        assert_eq!([a.s2s.rows, a.log.rows], [CHUNK_ROWS as u64; 2]);
+        for (x, y) in [(&a.s2s, &b.s2s), (&a.log, &b.log), (&a.state, &b.state)] {
             assert_eq!(
                 (x.encoded_bytes, x.fixed_width_bytes),
                 (y.encoded_bytes, y.fixed_width_bytes),
@@ -314,6 +398,21 @@ mod tests {
         assert!(a.failures_vs(Some(&b)).is_empty());
         let mut moved = b.clone();
         moved.s2s.encoded_bytes += 1;
-        assert_eq!(a.failures_vs(Some(&moved)).len(), 1);
+        moved.state.fixed_width_bytes += 1;
+        assert_eq!(a.failures_vs(Some(&moved)).len(), 2);
+    }
+
+    #[test]
+    fn the_fixed_width_state_figure_counts_8_bytes_a_component() {
+        // Two entries of key arity 2 and `Avg` + `Max`: shape 2 + 2 + 2 + 2,
+        // batch header 8, window starts 2 × 8, then five columns (two keys,
+        // `Avg`'s sum and count, `Max`) of a presence byte and 2 × 8 B.
+        let entry = GroupPartialEntry {
+            window_start: 0,
+            key: vec![streamkit::value::Value::U64(1); 2],
+            states: vec![AggState::Avg { sum: 1.0, count: 1 }, AggState::Max(1.0)],
+        };
+        let len = fixed_width_state_len(&[entry.clone(), entry]);
+        assert_eq!(len, 8 + 8 + 16 + 5 * 17);
     }
 }

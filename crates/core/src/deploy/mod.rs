@@ -591,7 +591,9 @@ impl DeploymentBuilder {
     }
 
     /// Sets the shared-secret token remote nodes must present at
-    /// registration (default empty = auth disabled).
+    /// registration (default empty = auth disabled). The coordinator reads
+    /// at most 4 KiB of a connection's first frame, so keep the token well
+    /// under that.
     pub fn auth_token(mut self, token: impl Into<String>) -> Self {
         self.auth_token = token.into();
         self

@@ -7,9 +7,10 @@
 //! payloads or the group-state format ([`encode_group_state`]) for
 //! [`StatePartial`] splits. A state body is columnar too: runs of entries
 //! that share a shape, each one batch in the same wire format (window
-//! starts as timestamps, keys and state components as typed columns),
-//! with floats as raw bits, so non-finite accumulators like an untouched
-//! `Min` at `+inf` survive the hop. State bodies never depend on the link:
+//! starts as timestamps, keys and state components as typed columns).
+//! A float page of integers ships as an integer page and any other as raw
+//! bits, so non-finite accumulators like an untouched `Min` at `+inf`
+//! survive the hop bit for bit. State bodies never depend on the link:
 //! their string keys ship self-contained dictionary pages. Decoding
 //! needs the suffix edge schemas (schemas are fixed per query edge, as
 //! everywhere else on the wire) — `schemas[rel]` is the input schema of
@@ -452,5 +453,100 @@ mod tests {
         };
         let wire = encode_shard_payload(&p);
         assert!(decode_shard_payload(wire, &[schema()]).is_err());
+    }
+
+    /// Length of the integer page at the front of `page` over `rows`
+    /// values: width, a base unless the width is 8, the offsets.
+    fn int_page_len(page: &[u8], rows: usize) -> usize {
+        let width = page[0] as usize;
+        1 + if width < 8 { 8 } else { 0 } + rows * width
+    }
+
+    /// Walks an S2SProbe state body, run by run: per run two `U64` key
+    /// pages, then `Avg` (an `F64` and a `U64` page), `Max` and `Min`.
+    /// Returns the `F64` pages seen, those shipped as integer pages, and the
+    /// body's length had every `F64` page gone raw (8 B a value).
+    fn s2s_float_pages(body: &[u8]) -> (usize, usize, usize) {
+        const SHAPE: [u8; 13] = [2, 0, 3, 3, 3, 0, 4, 3, 2, 0x53, 0x56, 0x52, 0x4A];
+        let (mut pages, mut int_pages, mut raw_len) = (0, 0, body.len());
+        let mut at = 0;
+        while at < body.len() {
+            assert_eq!(body[at..at + 13], SHAPE, "an S2S run and the batch magic");
+            let rows = u32::from_le_bytes(body[at + 13..at + 17].try_into().unwrap()) as usize;
+            at += 17;
+            at += int_page_len(&body[at..], rows);
+            for is_float in [false, false, true, false, true, true] {
+                let flags = body[at];
+                at += 1;
+                assert_eq!(flags & 1, 0, "state columns carry no validity");
+                let len = if !is_float {
+                    int_page_len(&body[at..], rows)
+                } else if flags & 2 != 0 {
+                    int_pages += 1;
+                    let len = int_page_len(&body[at..], rows);
+                    raw_len = raw_len - len + rows * 8;
+                    len
+                } else {
+                    rows * 8
+                };
+                pages += usize::from(is_float);
+                at += len;
+            }
+        }
+        assert_eq!(at, body.len());
+        (pages, int_pages, raw_len)
+    }
+
+    #[test]
+    fn s2s_source_partials_ship_every_float_page_as_integers() {
+        use streamkit::ops::AggRole;
+        use streamkit::physical::{build_pipeline, CostProfile};
+        use streamkit::shard::Ring;
+        use telemetry::pingmesh::{PingmeshConfig, PingmeshGenerator};
+
+        // One source's partial over one Pingmesh epoch (seed 17), split
+        // over a 4-shard ring as a Jarvis source ships it.
+        let plan = telemetry::queries::s2s_probe();
+        let (boundary, keys) = plan.shard_boundary().expect("S2SProbe has a G+R");
+        let mut ops =
+            build_pipeline(&plan, &CostProfile::default(), AggRole::Partial).expect("valid plan");
+        ops.truncate(boundary + 1);
+        let mut gen = PingmeshGenerator::new(PingmeshConfig {
+            seed: 17,
+            ..Default::default()
+        });
+        let mut batches = vec![gen.generate_epoch_batch(0, 1.0)];
+        for op in &mut ops {
+            let mut next = Vec::new();
+            for b in batches {
+                op.process_batch(b, &mut next);
+            }
+            batches = next;
+        }
+        let delta = ops[boundary].take_state_delta().expect("partial state");
+        let (mut pages, mut int_pages, mut body, mut raw) = (0, 0, 0, 0);
+        for (shard, delta) in Ring::new(4, keys).split_state(delta) {
+            let payload = NetPayload::ShardState {
+                shard: shard as u32,
+                epoch: 0,
+                source: 0,
+                rel: 0,
+                delta,
+            };
+            let wire = encode_shard_payload(&payload);
+            assert_eq!(decode_shard_payload(wire.clone(), &[]).unwrap(), payload);
+            let (p, i, r) = s2s_float_pages(&wire[ENVELOPE_LEN..]);
+            pages += p;
+            int_pages += i;
+            body += wire.len() - ENVELOPE_LEN;
+            raw += r;
+        }
+        // `Avg`'s sum, `Max` and `Min` of the integer `rtt` are integers.
+        assert!(pages >= 12, "{pages} float pages");
+        assert_eq!(int_pages, pages, "every float page ships as integers");
+        assert!(
+            body * 100 <= raw * 45,
+            "state body {body} B against {raw} B with raw float pages"
+        );
     }
 }

@@ -57,8 +57,10 @@ pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"JRVW");
 /// and dropped result rows from `Ckpt` frames; version 5 ships group state
 /// (`ShardState` bodies, in `Shard` and `Ckpt` frames alike) as columnar
 /// runs over the batch codec's pages, and plain string pages with an
-/// integer page of lengths.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// integer page of lengths; version 6 ships every `F64` page of integers
+/// (state components and result columns alike) as an integer page, flagged
+/// in bit 1 of the column's presence byte.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Fixed frame header length in bytes.
 pub const HEADER_LEN: usize = 15;
@@ -184,7 +186,9 @@ pub enum TransportError {
         /// Bytes actually available.
         got: usize,
     },
-    /// The declared body length exceeds [`MAX_FRAME_LEN`].
+    /// The declared body length exceeds the reader's cap:
+    /// [`MAX_FRAME_LEN`], or the limit of
+    /// [`FrameReader::read_frame_within`].
     Oversized {
         /// Declared length.
         len: usize,
@@ -284,8 +288,12 @@ pub fn encode_frame(kind: FrameKind, body: &[u8]) -> Bytes {
     buf.freeze()
 }
 
-/// Parses a frame header, returning `(kind, body_len, declared_crc)`.
-fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, usize, u32), TransportError> {
+/// Parses a frame header whose body may be at most `max` bytes, returning
+/// `(kind, body_len, declared_crc)`.
+fn parse_header(
+    header: &[u8; HEADER_LEN],
+    max: usize,
+) -> Result<(FrameKind, usize, u32), TransportError> {
     let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
     if magic != WIRE_MAGIC {
         return Err(TransportError::BadMagic { got: magic });
@@ -299,11 +307,8 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, usize, u32), Tr
     }
     let kind = FrameKind::from_u8(header[6]).ok_or(TransportError::BadKind { got: header[6] })?;
     let len = u32::from_le_bytes([header[7], header[8], header[9], header[10]]) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(TransportError::Oversized {
-            len,
-            max: MAX_FRAME_LEN,
-        });
+    if len > max {
+        return Err(TransportError::Oversized { len, max });
     }
     let crc = u32::from_le_bytes([header[11], header[12], header[13], header[14]]);
     Ok((kind, len, crc))
@@ -320,7 +325,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(FrameKind, Bytes, usize), TransportEr
     }
     let mut header = [0u8; HEADER_LEN];
     header.copy_from_slice(&buf[..HEADER_LEN]);
-    let (kind, len, declared) = parse_header(&header)?;
+    let (kind, len, declared) = parse_header(&header, MAX_FRAME_LEN)?;
     if buf.len() < HEADER_LEN + len {
         return Err(TransportError::Truncated {
             needed: HEADER_LEN + len,
@@ -381,6 +386,17 @@ impl<R: Read> FrameReader<R> {
     /// [`TransportError::Closed`]; mid-frame end of stream is
     /// [`TransportError::Truncated`].
     pub fn read_frame(&mut self) -> Result<(FrameKind, Bytes), TransportError> {
+        self.read_frame_within(MAX_FRAME_LEN)
+    }
+
+    /// [`FrameReader::read_frame`] for a frame whose body may be at most
+    /// `limit` bytes (capped at [`MAX_FRAME_LEN`]): a header declaring more
+    /// is [`TransportError::Oversized`] before any body byte is read. For
+    /// frames from a peer that has not authenticated yet.
+    pub fn read_frame_within(
+        &mut self,
+        limit: usize,
+    ) -> Result<(FrameKind, Bytes), TransportError> {
         let mut header = [0u8; HEADER_LEN];
         let got = read_full(&mut self.inner, &mut header)?;
         if got == 0 {
@@ -392,8 +408,8 @@ impl<R: Read> FrameReader<R> {
                 got,
             });
         }
-        let (kind, len, declared) = parse_header(&header)?;
-        // `parse_header` already rejected lengths past MAX_FRAME_LEN, but a
+        let (kind, len, declared) = parse_header(&header, limit.min(MAX_FRAME_LEN))?;
+        // `parse_header` already rejected lengths past the limit, but a
         // forged header can still advertise up to the 64 MiB cap. Grow the
         // buffer in RECV_CHUNK steps as bytes arrive instead of allocating
         // the advertised length eagerly, so a hostile header costs at most
@@ -680,13 +696,13 @@ mod tests {
                 want: PROTOCOL_VERSION
             }
         );
-        // The previous release (group state as per-value entries) is
-        // refused by its header, never decoded.
+        // The previous release (every float page as raw bits) is refused
+        // by its header, never decoded.
         let mut old = frame.to_vec();
-        old[4..6].copy_from_slice(&4u16.to_le_bytes());
+        old[4..6].copy_from_slice(&5u16.to_le_bytes());
         assert_eq!(
             decode_frame(&old).unwrap_err(),
-            TransportError::VersionMismatch { got: 4, want: 5 }
+            TransportError::VersionMismatch { got: 5, want: 6 }
         );
         let mut bad = frame.to_vec();
         bad[6] = 200;
@@ -749,6 +765,29 @@ mod tests {
             }
         );
         assert_eq!(reader.bytes_received(), 0);
+    }
+
+    #[test]
+    fn bounded_reads_refuse_a_body_past_the_limit_unread() {
+        let limit = 4096;
+        let at = encode_frame(FrameKind::Register, &vec![b'x'; limit]);
+        let mut reader = FrameReader::new(&at[..]);
+        let (kind, body) = reader.read_frame_within(limit).unwrap();
+        assert_eq!((kind, body.len()), (FrameKind::Register, limit));
+        // One byte past the limit: refused from the header, with no body
+        // byte taken off the stream.
+        let past = encode_frame(FrameKind::Register, &vec![b'x'; limit + 1]);
+        let mut stream = io::Cursor::new(&past[..]);
+        let mut reader = FrameReader::new(&mut stream);
+        assert_eq!(
+            reader.read_frame_within(limit).unwrap_err(),
+            TransportError::Oversized {
+                len: limit + 1,
+                max: limit
+            }
+        );
+        assert_eq!(reader.bytes_received(), 0);
+        assert_eq!(stream.position(), HEADER_LEN as u64);
     }
 
     #[test]

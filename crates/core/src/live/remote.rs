@@ -109,6 +109,12 @@ const ACCEPT_QUEUE: usize = 64;
 /// chunked node-side).
 const EVENT_QUEUE: usize = 4096;
 
+/// Largest body of a connection's first frame, read before any token is
+/// checked. A `Register` is a token and a node id, well under 1 KiB for
+/// any sensible token; a stranger declaring more is dropped from its
+/// header, before the coordinator reads a byte of its body.
+const MAX_REGISTER_LEN: usize = 4 << 10;
+
 /// Heartbeat cadence while blocked on epoch acks.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(500);
 
@@ -1082,7 +1088,7 @@ impl RemoteCluster {
         };
         let mut reader =
             FrameReader::with_counter(reader_stream, Arc::clone(&self.rx_counters[node]));
-        let Ok((kind, body)) = reader.read_frame() else {
+        let Ok((kind, body)) = reader.read_frame_within(MAX_REGISTER_LEN) else {
             return false;
         };
         if kind != FrameKind::Register {
@@ -1462,7 +1468,7 @@ fn admit(
     let clone = stream.try_clone().map_err(io_fail("clone stream"))?;
     let mut reader = FrameReader::new(clone);
 
-    let (kind, body) = match reader.read_frame() {
+    let (kind, body) = match reader.read_frame_within(MAX_REGISTER_LEN) {
         Ok(frame) => frame,
         Err(TransportError::VersionMismatch { got, want }) => {
             return Err(fail(format!(

@@ -9,8 +9,11 @@
 //!
 //! ```text
 //! batch    := magic u32 | rows u32 | int-page(timestamps) | column*
-//! column   := presence u8 (1 = `rows` validity bytes follow) | payload
-//! payload  := Bool: rows × u8 | F64: rows × 8 B | I64/U64: int-page
+//! column   := flags u8 | validity (flag bit 0: rows × u8) | payload
+//! flags    := bit 0 validity follows | bit 1 the F64 payload is an int-page
+//!             (other bits, and bit 1 on any other type, are refused)
+//! payload  := Bool: rows × u8 | I64/U64: int-page
+//!           | F64: rows × 8 B raw bits, or (flag bit 1) int-page of i64
 //!           | Str: page-tag u8, then int-page(lengths) and the bytes, or
 //!             a dictionary / delta page followed by int-page(codes)
 //! int-page := width u8 ∈ {0, 1, 2, 4, 8} | base 8 B (values, width < 8)
@@ -34,6 +37,14 @@
 //! least one wire byte and a forged row count cannot size an allocation the
 //! frame does not pay for.
 //!
+//! An `F64` page ships as an `i64` integer page when every value `x` is an
+//! integer that survives `x as i64 as f64` bit for bit, and that page comes
+//! out smaller than the raw one; the decoder maps each `i` back to
+//! `i as f64`. The one test leaves out `−0.0`, NaN, ±inf and fractions by
+//! construction (`2^63`, which saturates to `i64::MAX`, maps back to
+//! itself), so the round trip is bit-exact. Every other page is the raw
+//! 8-byte bits, unchanged from before integer pages existed.
+//!
 //! Group state ships as columns. A state body is a sequence of runs, one
 //! per maximal stretch of entries that share a shape: key arity, the
 //! variant of each key column (a `Null` fits any) and the aggregate tags.
@@ -43,10 +54,11 @@
 //! all `Null` (nulls as validity bytes; strings dictionary-encoded per run,
 //! or as a plain page when a value outgrows the u16 entry length), then
 //! one column per state component: `Count` a `U64` page, `Sum` / `Min` /
-//! `Max` an `F64` page, `Avg` both. Floats travel as raw bit patterns, so
-//! non-finite accumulators (a `Min` that never saw a value is `+inf`)
-//! round-trip exactly. `Quantile` sketches follow the batch, entry by
-//! entry, in aggregate order.
+//! `Max` an `F64` page, `Avg` both. Integer inputs make integer
+//! accumulators, whose pages narrow like any other integer page; a page
+//! holding a non-finite accumulator (a `Min` that never saw a value is
+//! `+inf`) goes raw and round-trips exactly all the same. `Quantile`
+//! sketches follow the batch, entry by entry, in aggregate order.
 //!
 //! Each entry of a run holds one slot per key column and one per
 //! aggregate, and columns can ship slots for next to nothing: an all-`Null`
@@ -82,6 +94,11 @@ const STR_PAGE_DICT: u8 = 1;
 /// what the receiver's mirror is missing; `base == 0` is the first-contact
 /// full page.
 const STR_PAGE_DICT_DELTA: u8 = 2;
+
+/// Column flag: a validity byte per row precedes the payload.
+const FLAG_VALID: u8 = 1;
+/// Column flag: the `F64` payload is an integer page of `i64`s.
+const FLAG_INT_F64: u8 = 2;
 
 /// An integer that travels in an integer page.
 trait PageInt: Copy + Ord {
@@ -135,8 +152,7 @@ struct IntPlan {
 }
 
 impl IntPlan {
-    /// One pass over `values`: the narrowest width (not below `floor`) that
-    /// holds `max − base`, or the raw width 8 when that would not be smaller.
+    /// One pass over `values`, then [`IntPlan::over`] their range.
     fn of<T: PageInt>(values: &[T], floor: usize) -> IntPlan {
         // An empty page runs through the same rule: span 0, and a base
         // would not pay for itself, so values go raw and codes take `floor`.
@@ -144,6 +160,13 @@ impl IntPlan {
         let (lo, hi) = values
             .iter()
             .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        IntPlan::over::<T>(lo, hi, values.len(), floor)
+    }
+
+    /// The narrowest width (not below `floor`) that holds `hi − base` for
+    /// `rows` values in `lo..=hi`, or the raw width 8 when that would not be
+    /// smaller.
+    fn over<T: PageInt>(lo: T, hi: T, rows: usize, floor: usize) -> IntPlan {
         let base = if T::BASED { lo.bits() } else { 0 };
         let width = match hi.bits().wrapping_sub(base) {
             0 => 0,
@@ -153,7 +176,7 @@ impl IntPlan {
             _ => 8,
         }
         .max(floor);
-        if T::BASED && 8 + values.len() * width > values.len() * 8 {
+        if T::BASED && 8 + rows * width > rows * 8 {
             IntPlan { width: 8, base: 0 }
         } else {
             IntPlan { width, base }
@@ -167,7 +190,7 @@ impl IntPlan {
 }
 
 /// Writes `values` as `W`-byte little-endian offsets from `base`.
-fn pack<const W: usize, T: PageInt>(out: &mut [u8], base: u64, values: &[T]) {
+fn pack<const W: usize, T: PageInt>(out: &mut [u8], base: u64, values: impl Iterator<Item = T>) {
     for (dst, v) in out.chunks_exact_mut(W).zip(values) {
         dst.copy_from_slice(&v.bits().wrapping_sub(base).to_le_bytes()[..W]);
     }
@@ -184,9 +207,13 @@ fn unpack<const W: usize, T: PageInt>(page: &[u8], base: u64) -> Vec<T> {
         .collect()
 }
 
-/// The integer-page writer: timestamps, `I64`, `U64` and dictionary codes
-/// all go through here.
-fn put_int_page<T: PageInt>(buf: &mut BytesMut, plan: IntPlan, values: &[T]) {
+/// The integer-page writer: timestamps, `I64`, `U64`, integral `F64`s and
+/// dictionary codes all go through here.
+fn put_int_page<T: PageInt>(
+    buf: &mut BytesMut,
+    plan: IntPlan,
+    values: impl ExactSizeIterator<Item = T>,
+) {
     buf.put_u8(plan.width as u8);
     if has_base::<T>(plan.width) {
         buf.put_u64_le(plan.base);
@@ -246,12 +273,26 @@ fn get_int_page<T: PageInt>(buf: &mut &[u8], rows: usize) -> Result<Vec<T>> {
     })
 }
 
+/// The `i64` range of an `F64` page whose every value survives
+/// `x as i64 as f64` bit for bit, or `None`; see the module doc.
+fn integral_range(values: &[f64]) -> Option<(i64, i64)> {
+    let mut range = (i64::MAX, i64::MIN);
+    for &x in values {
+        let i = x as i64;
+        if (i as f64).to_bits() != x.to_bits() {
+            return None;
+        }
+        range = (range.0.min(i), range.1.max(i));
+    }
+    Some(range)
+}
+
 /// What the planning pass decided about one column; the writing pass only
 /// writes.
 enum ColPlan {
-    /// `Bool`, `F64`: nothing to choose.
+    /// `Bool`, and `F64` pages that go raw: nothing to choose.
     Fixed,
-    /// `I64` / `U64`.
+    /// `I64` / `U64`, and `F64` pages of integers.
     Int(IntPlan),
     /// Plain `Str`: the length page (lengths kept for the writing pass),
     /// then the bytes.
@@ -351,9 +392,18 @@ fn encode_columns_into(
                 len += rows;
                 ColPlan::Fixed
             }
-            Column::F64(_) => {
-                len += rows * 8;
-                ColPlan::Fixed
+            Column::F64(v) => {
+                let plan = integral_range(v).map(|(lo, hi)| IntPlan::over(lo, hi, rows, 0));
+                match plan.filter(|p| p.len::<i64>(rows) < rows * 8) {
+                    Some(plan) => {
+                        len += plan.len::<i64>(rows);
+                        ColPlan::Int(plan)
+                    }
+                    None => {
+                        len += rows * 8;
+                        ColPlan::Fixed
+                    }
+                }
             }
             Column::I64(v) => {
                 let plan = IntPlan::of(v, 0);
@@ -417,18 +467,15 @@ fn encode_columns_into(
     buf.reserve(len);
     buf.put_u32_le(MAGIC);
     buf.put_u32_le(rows as u32);
-    put_int_page(buf, ts_plan, timestamps);
+    put_int_page(buf, ts_plan, timestamps.iter().copied());
     for (col, plan) in columns.iter().zip(plans) {
-        // Presence flag: 1 = a validity byte per row precedes the payload.
         let (col, valid) = unwrap_opt(col);
-        match valid {
-            Some(valid) => {
-                buf.put_u8(1);
-                for v in valid {
-                    buf.put_u8(u8::from(*v));
-                }
-            }
-            None => buf.put_u8(0),
+        let int_f64 = matches!((col, &plan), (Column::F64(_), ColPlan::Int(_)));
+        buf.put_u8(
+            if valid.is_some() { FLAG_VALID } else { 0 } | if int_f64 { FLAG_INT_F64 } else { 0 },
+        );
+        for v in valid.into_iter().flatten() {
+            buf.put_u8(u8::from(*v));
         }
         match (col, plan) {
             (Column::Bool(v), _) => {
@@ -436,16 +483,19 @@ fn encode_columns_into(
                     buf.put_u8(u8::from(*b));
                 }
             }
+            (Column::F64(v), ColPlan::Int(plan)) => {
+                put_int_page(buf, plan, v.iter().map(|&x| x as i64));
+            }
             (Column::F64(v), _) => {
                 for x in v {
                     buf.put_f64_le(*x);
                 }
             }
-            (Column::I64(v), ColPlan::Int(plan)) => put_int_page(buf, plan, v),
-            (Column::U64(v), ColPlan::Int(plan)) => put_int_page(buf, plan, v),
+            (Column::I64(v), ColPlan::Int(plan)) => put_int_page(buf, plan, v.iter().copied()),
+            (Column::U64(v), ColPlan::Int(plan)) => put_int_page(buf, plan, v.iter().copied()),
             (Column::Str { offsets, data }, ColPlan::Plain(plan, lens)) => {
                 buf.put_u8(STR_PAGE_PLAIN);
-                put_int_page(buf, plan, &lens);
+                put_int_page(buf, plan, lens.into_iter());
                 if let (Some(&lo), Some(&hi)) = (offsets.first(), offsets.last()) {
                     buf.put_slice(&data[lo as usize..hi as usize]);
                 }
@@ -457,13 +507,13 @@ fn encode_columns_into(
                 buf.put_u32_le(delta.entries.len() as u32);
                 buf.put_u64_le(delta.checksum());
                 put_entries(buf, delta.entries.iter().map(String::as_str));
-                put_int_page(buf, plan, codes);
+                put_int_page(buf, plan, codes.iter().copied());
             }
             (Column::Dict { codes, dict }, ColPlan::Dict(plan)) => {
                 buf.put_u8(STR_PAGE_DICT);
                 buf.put_u32_le(dict.len() as u32);
                 put_entries(buf, dict.iter());
-                put_int_page(buf, plan, codes);
+                put_int_page(buf, plan, codes.iter().copied());
             }
             _ => unreachable!("pass one plans every column by its variant"),
         }
@@ -561,7 +611,14 @@ fn decode_columns(
     let mut columns = Vec::with_capacity(dtypes.len());
     for dtype in dtypes {
         need(buf, 1)?;
-        let valid = if buf.get_u8() != 0 {
+        let flags = buf.get_u8();
+        let int_f64 = flags & FLAG_INT_F64 != 0;
+        if flags & !(FLAG_VALID | FLAG_INT_F64) != 0 || (int_f64 && dtype != DataType::F64) {
+            return Err(Error::Decode(format!(
+                "bad column flags {flags:#04x} on a {dtype:?} column"
+            )));
+        }
+        let valid = if flags & FLAG_VALID != 0 {
             need(buf, rows)?;
             let (mask, rest) = buf.split_at(rows);
             buf = rest;
@@ -578,6 +635,12 @@ fn decode_columns(
             }
             DataType::I32 | DataType::I64 => Column::I64(get_int_page(&mut buf, rows)?),
             DataType::U32 | DataType::U64 => Column::U64(get_int_page(&mut buf, rows)?),
+            DataType::F64 if int_f64 => Column::F64(
+                get_int_page::<i64>(&mut buf, rows)?
+                    .into_iter()
+                    .map(|i| i as f64)
+                    .collect(),
+            ),
             DataType::F64 => {
                 need(buf, rows * 8)?;
                 Column::F64((0..rows).map(|_| buf.get_f64_le()).collect())
@@ -1425,6 +1488,68 @@ mod tests {
         assert_eq!(IntPlan::of(&[0u32, 255], 0).len::<u32>(2), 1 + 2);
         assert_eq!(IntPlan::of(&[0u32, 256], 0).len::<u32>(2), 1 + 4);
         assert_eq!(IntPlan::of(&[0u32, 0], 0).len::<u32>(2), 1);
+    }
+
+    /// The flags byte and the page length of a one-column `F64` batch over
+    /// `values`, after checking that every value comes back bit for bit.
+    fn f64_page(values: &[f64]) -> (u8, usize) {
+        let s = Schema::new(vec![Field::new("x", DataType::F64)]);
+        let ts: Vec<i64> = (0..values.len() as i64).collect();
+        let batch = Batch {
+            schema: s.clone(),
+            timestamps: ts.clone(),
+            columns: vec![Column::F64(values.to_vec())],
+        };
+        let wire = encode_batch(&batch);
+        let Column::F64(back) = &decode_batch(s, wire.clone()).unwrap().columns[0] else {
+            panic!("an F64 column decodes as F64");
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(back), bits(values), "{values:?}");
+        let at = 8 + IntPlan::of(&ts, 1).len::<i64>(ts.len());
+        (wire[at], wire.len() - at - 1)
+    }
+
+    #[test]
+    fn integral_float_pages_ship_as_integer_pages_and_the_rest_raw() {
+        let ints: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(f64_page(&ints), (FLAG_INT_F64, 1 + 8 + 10));
+        // `2^63` saturates to `i64::MAX` and maps back to itself.
+        let top = 2f64.powi(63);
+        assert_eq!(f64_page(&[top; 10]), (FLAG_INT_F64, 1 + 8));
+        assert_eq!(
+            f64_page(&[top, top - 1024.0, top - 2048.0]),
+            (FLAG_INT_F64, 1 + 8 + 3 * 2)
+        );
+        assert_eq!(
+            f64_page(&[-top, -top + 1024.0, -top + 2048.0]),
+            (FLAG_INT_F64, 1 + 8 + 3 * 2)
+        );
+        let exact = 2f64.powi(53);
+        assert_eq!(
+            f64_page(&[exact - 1.0, exact, exact + 2.0]),
+            (FLAG_INT_F64, 1 + 8 + 3)
+        );
+        // One value the integer page cannot carry sends the page raw.
+        for odd in [
+            -0.0,
+            f64::NAN,
+            f64::from_bits(0xFFF0_0000_0000_BEEF),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            0.5,
+            1e300,
+        ] {
+            let mut page = ints.clone();
+            page.push(odd);
+            assert_eq!(f64_page(&page), (0, 11 * 8), "{odd:?}");
+        }
+        // Integers whose page would not be smaller go raw too: a tie, a
+        // lone value, an empty page.
+        assert_eq!(f64_page(&[0.0, 70_000.0]), (0, 2 * 8));
+        assert_eq!(f64_page(&[5.0]), (0, 8));
+        assert_eq!(f64_page(&[]), (0, 0));
     }
 
     #[test]

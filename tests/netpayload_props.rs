@@ -494,7 +494,7 @@ fn state_bytes_per_entry(plan: &LogicalPlan, epoch: Batch, shards: usize) -> f64
 
 /// Columnar state bodies stay narrow on the two queries whose sources ship
 /// partials: the per-value format spent 65 B an S2S entry and 55 B a
-/// LogAnalytics one. The rings are the repo benchmark's: 4 shards for the
+/// LogAnalytics one, and raw float pages 28 B an S2S entry. The rings are the repo benchmark's: 4 shards for the
 /// S2S TCP workload, 2 for the LogAnalytics one. Every frame carries its
 /// own dictionary pages, so the string-keyed LogAnalytics cost grows with
 /// the shard count.
@@ -509,7 +509,7 @@ fn source_partials_ship_narrow_state_bodies() {
         pingmesh.generate_epoch_batch(0, 1.0),
         4,
     );
-    assert!(s2s <= 30.0, "S2S state: {s2s:.2} B/entry");
+    assert!(s2s <= 12.0, "S2S state: {s2s:.2} B/entry");
     let mut logs = LogGenerator::new(LogConfig {
         seed: 17,
         ..Default::default()
@@ -520,4 +520,247 @@ fn source_partials_ship_narrow_state_bodies() {
         2,
     );
     assert!(log <= 8.0, "LogAnalytics state: {log:.2} B/entry");
+}
+
+// ---- integral float pages ----
+//
+// An `F64` page whose every value survives `x as i64 as f64` bit for bit
+// ships as an integer page, flagged in bit 1 of the column's presence byte;
+// every other page is the raw 8-byte bits. The contract: every float comes
+// back bit for bit, an integer page is never larger than the raw page, a
+// page with any other value is byte for byte the raw page, and a flag the
+// format does not define is a typed error.
+
+use jarvis::streamkit::encode::{
+    decode_batch, decode_group_state, encode_batch, encode_group_state,
+};
+
+/// One float of the corpus, picked by `kind` and built from raw `bits` or
+/// a fraction `frac`: signed zero, infinities, the edges of exact integers
+/// and of `i64`, NaNs with payloads and subnormals (either sign), integers
+/// anywhere, and fractions. Kinds 3–7, 10 and 11 are integers.
+fn corpus_value(kind: u8, bits: u64, frac: f64) -> f64 {
+    match kind {
+        0 => -0.0,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => ((1i64 << 53) - 1) as f64,
+        4 => ((1i64 << 53) + 1) as f64,
+        5 => 2f64.powi(63),
+        6 => -(2f64.powi(63)),
+        7 => i64::MAX as f64,
+        8 => f64::from_bits(bits | 0x7FF0_0000_0000_0001),
+        9 => f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF | 1),
+        10 => (bits as i64 % 1000) as f64,
+        11 => bits as i64 as f64,
+        _ => frac,
+    }
+}
+
+/// Raw draws for one page: narrow or not, a base, narrow offsets and
+/// corpus picks.
+type PageDraws = (bool, i32, Vec<i64>, Vec<(u8, u64, f64)>);
+
+fn page_draws() -> impl Strategy<Value = PageDraws> {
+    (
+        any::<bool>(),
+        any::<i32>(),
+        proptest::collection::vec(0i64..300, 0..64),
+        proptest::collection::vec((0u8..13, any::<u64>(), -1e6f64..1e6), 0..64),
+    )
+}
+
+/// A page of floats: integers within 300 of a random base, or corpus picks.
+fn page((narrow, base, offsets, picks): &PageDraws) -> Vec<f64> {
+    if *narrow {
+        offsets
+            .iter()
+            .map(|o| (i64::from(*base) + o) as f64)
+            .collect()
+    } else {
+        picks
+            .iter()
+            .map(|&(k, b, f)| corpus_value(k, b, f))
+            .collect()
+    }
+}
+
+fn is_integral(x: f64) -> bool {
+    (x as i64 as f64).to_bits() == x.to_bits()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A batch of one `F64` column over `values`, with validity when given.
+fn float_batch(values: &[f64], valid: Option<Vec<bool>>) -> Batch {
+    let col = Column::F64(values.to_vec());
+    Batch {
+        schema: Schema::new(vec![Field::new("x", DataType::F64)]),
+        timestamps: (0..values.len() as i64).collect(),
+        columns: vec![match valid {
+            Some(valid) => Column::Opt {
+                valid,
+                values: Box::new(col),
+            },
+            None => col,
+        }],
+    }
+}
+
+/// Encoded length of `batch`'s header and timestamp page: the encoding of
+/// the same rows with no columns.
+fn head_len(batch: &Batch) -> usize {
+    encode_batch(&Batch {
+        schema: Schema::new(vec![]),
+        timestamps: batch.timestamps.clone(),
+        columns: vec![],
+    })
+    .len()
+}
+
+/// One state entry carrying four floats: `Sum`, `Min`, `Max` and `Avg`'s sum.
+fn float_entry(i: u64, x: [f64; 4]) -> GroupPartialEntry {
+    GroupPartialEntry {
+        window_start: 0,
+        key: vec![Value::U64(i)],
+        states: vec![
+            AggState::Sum(x[0]),
+            AggState::Min(x[1]),
+            AggState::Max(x[2]),
+            AggState::Avg {
+                sum: x[3],
+                count: i,
+            },
+        ],
+    }
+}
+
+fn state_float_bits(entries: &[GroupPartialEntry]) -> Vec<u64> {
+    entries
+        .iter()
+        .flat_map(|e| &e.states)
+        .map(|s| match s {
+            AggState::Sum(x) | AggState::Min(x) | AggState::Max(x) => x.to_bits(),
+            AggState::Avg { sum, .. } => sum.to_bits(),
+            other => panic!("unexpected state {other:?}"),
+        })
+        .collect()
+}
+
+/// A float column over `values` (with validity when given) comes back bit
+/// for bit; its page is never larger than the raw page, and is the raw page
+/// itself when any value is one the integer page cannot carry.
+fn check_float_page(values: &[f64], valid: Option<Vec<bool>>) {
+    let batch = float_batch(values, valid.clone());
+    let wire = encode_batch(&batch);
+    let back = decode_batch(batch.schema.clone(), wire.clone()).unwrap();
+    let (back_valid, back_values) = match &back.columns[0] {
+        Column::Opt { valid, values } => (Some(valid.clone()), values.as_ref()),
+        dense => (None, dense),
+    };
+    assert_eq!(back_valid, valid);
+    let Column::F64(back_values) = back_values else {
+        panic!("an F64 column decodes as F64, got {back_values:?}");
+    };
+    assert_eq!(bits(back_values), bits(values), "{values:?}");
+
+    let mut raw = wire[..head_len(&batch)].to_vec();
+    raw.push(u8::from(valid.is_some()));
+    raw.extend(valid.iter().flatten().map(|&v| u8::from(v)));
+    raw.extend(values.iter().flat_map(|x| x.to_le_bytes()));
+    assert!(
+        wire.len() <= raw.len(),
+        "{} B over the raw {} B",
+        wire.len(),
+        raw.len()
+    );
+    if !values.iter().all(|&x| is_integral(x)) {
+        assert_eq!(&wire[..], &raw[..], "{values:?}");
+    }
+}
+
+proptest! {
+    /// Dense and `Opt` float pages, as drawn and with one value swapped
+    /// for each kind of the corpus in turn.
+    #[test]
+    fn float_pages_round_trip_bit_exactly(
+        draws in page_draws(),
+        nulls in proptest::collection::vec(any::<bool>(), 64..65),
+        with_validity in any::<bool>(),
+        swap in (any::<u64>(), -1e6f64..1e6),
+    ) {
+        let values = page(&draws);
+        let valid = with_validity.then(|| nulls[..values.len()].to_vec());
+        check_float_page(&values, valid.clone());
+        if !values.is_empty() {
+            let at = draws.1.unsigned_abs() as usize % values.len();
+            for kind in 0..13 {
+                let mut swapped = values.clone();
+                swapped[at] = corpus_value(kind, swap.0, swap.1);
+                check_float_page(&swapped, valid.clone());
+            }
+        }
+    }
+
+    /// State runs carry their float components bit for bit.
+    #[test]
+    fn float_state_components_round_trip_bit_exactly(
+        draws in (page_draws(), page_draws(), page_draws(), page_draws()),
+    ) {
+        let columns = [page(&draws.0), page(&draws.1), page(&draws.2), page(&draws.3)];
+        let n = columns.iter().map(Vec::len).min().unwrap_or(0);
+        let entries: Vec<GroupPartialEntry> = (0..n)
+            .map(|i| float_entry(i as u64, [0, 1, 2, 3].map(|c| columns[c][i])))
+            .collect();
+        let back = decode_group_state(encode_group_state(&entries)).unwrap();
+        prop_assert_eq!(format!("{back:?}"), format!("{entries:?}"));
+        prop_assert_eq!(state_float_bits(&back), state_float_bits(&entries));
+    }
+}
+
+/// A flag bit the format does not define, and the integer-page bit on any
+/// column but `F64`, are typed errors.
+#[test]
+fn undefined_column_flags_are_typed_errors() {
+    let schema = |dtype| Schema::new(vec![Field::new("c", dtype)]);
+    let cases = [
+        (DataType::Bool, Value::Bool(true), Value::Bool(false)),
+        (DataType::I64, Value::I64(-2), Value::I64(3)),
+        (DataType::U64, Value::U64(2), Value::U64(3)),
+        (DataType::Str, Value::str("a"), Value::str("b")),
+        (DataType::F64, Value::F64(2.0), Value::F64(3.0)),
+        (DataType::F64, Value::F64(0.5), Value::F64(3.0)),
+    ];
+    for (dtype, a, b) in cases {
+        let recs = [
+            Record::new(0, vec![a]),
+            Record::new(1, vec![b]),
+            Record::new(2, vec![Value::Null]),
+        ];
+        for recs in [&recs[..2], &recs[..]] {
+            let batch = Batch::from_records(schema(dtype), recs).unwrap();
+            let wire = encode_batch(&batch);
+            let at = head_len(&batch);
+            assert_eq!(decode_batch(schema(dtype), wire.clone()).unwrap(), batch);
+            let flags = wire[at];
+            let mut forged = Vec::new();
+            for bit in 2..8 {
+                forged.push(flags | 1 << bit);
+            }
+            if dtype != DataType::F64 {
+                forged.push(flags | 2);
+            }
+            for bad in forged {
+                let mut raw = wire.to_vec();
+                raw[at] = bad;
+                let got = decode_batch(schema(dtype), raw.into());
+                assert!(
+                    matches!(&got, Err(Error::Decode(m)) if m.contains("column flags")),
+                    "{dtype:?} with flags {bad:#04x}: {got:?}"
+                );
+            }
+        }
+    }
 }

@@ -21,7 +21,7 @@ use jarvis::core::calibration::Scale;
 use jarvis::core::deploy::{
     BackendKind, DeployError, Deployment, DeploymentBuilder, RunReport, TransportKind,
 };
-use jarvis::core::engine::transport::{encode_frame, FrameKind};
+use jarvis::core::engine::transport::{encode_frame, FrameKind, HEADER_LEN};
 use jarvis::core::experiment::ScenarioSpec;
 use jarvis::core::node::{run_node, NodeConfig, NodeError, NodeSummary};
 use jarvis::core::strategy::StrategyKind;
@@ -317,10 +317,17 @@ fn absent_nodes_time_out_registration() {
     }
 }
 
+/// How long a stranger waits for the coordinator to close on it: half the
+/// default 10 s handshake timeout, so a coordinator that holds the stranger
+/// until the timeout fails the wait.
+const STRANGER_PATIENCE: Duration = Duration::from_secs(5);
+
 /// Runs the S2S All-SP deployment over two real nodes that only dial once
 /// a stranger has connected first and written `bytes`, so the coordinator
-/// must survive the stranger to ever admit them. Returns the report and
-/// whatever the coordinator sent the stranger before closing on it.
+/// must survive the stranger to ever admit them. The stranger then stalls
+/// until the coordinator closes on it, which must happen within
+/// [`STRANGER_PATIENCE`]. Returns the report and whatever the coordinator
+/// sent the stranger before closing on it.
 fn run_after_stranger(bytes: Vec<u8>) -> (RunReport, Vec<u8>) {
     let _guard = port_lock();
     let addr = free_addr();
@@ -340,9 +347,20 @@ fn run_after_stranger(bytes: Vec<u8>) -> (RunReport, Vec<u8>) {
         };
         s.write_all(&bytes).expect("stranger write");
         stranger_sent.send(()).expect("gate alive");
+        s.set_read_timeout(Some(STRANGER_PATIENCE))
+            .expect("read timeout");
         let mut reply = Vec::new();
-        // Ends at EOF or at a reset: either way the coordinator is done.
-        let _ = s.read_to_end(&mut reply);
+        // Ends at EOF or at a reset: either way the coordinator is done. A
+        // timeout means it still holds the connection open.
+        if let Err(e) = s.read_to_end(&mut reply) {
+            assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "the coordinator held the stranger for {STRANGER_PATIENCE:?}"
+            );
+        }
         reply
     });
     let node_addr = addr.clone();
@@ -370,15 +388,10 @@ fn garbage_connections_do_not_block_admission() {
     assert!(report.results_emitted > 0);
 }
 
-#[test]
-fn nested_register_bodies_are_refused_before_the_token_check() {
-    // A well-framed `Register` whose body is 1 MiB of `[`. The coordinator
-    // parses it before it can check a token, so the parser's depth bound is
-    // all that stands between this stranger and a stack overflow. It must
-    // be dropped unanswered, and the results must not change.
-    let body = "[".repeat(1 << 20);
-    let frame = encode_frame(FrameKind::Register, body.as_bytes());
-    let (report, reply) = run_after_stranger(frame.to_vec());
+/// Asserts that a stranger sent `bytes` got no reply and left the results
+/// of [`run_after_stranger`] as they are without it.
+fn assert_stranger_dropped_unanswered(bytes: Vec<u8>) {
+    let (report, reply) = run_after_stranger(bytes);
     assert!(reply.is_empty(), "the stranger gets no reply");
     let baseline = live_builder(
         &ScenarioSpec::pingmesh_s2s(Scale::X1),
@@ -395,4 +408,23 @@ fn nested_register_bodies_are_refused_before_the_token_check() {
         baseline.exactness.as_ref().expect("digest collected"),
         "the stranger must not change the results"
     );
+}
+
+#[test]
+fn nested_register_bodies_are_refused_before_the_token_check() {
+    // A well-framed `Register` whose body is 4,000 `[`, under the cap on a
+    // first frame. The coordinator parses it before it can check a token,
+    // so the parser's depth bound is all that stands between this stranger
+    // and a stack overflow.
+    let body = "[".repeat(4000);
+    assert_stranger_dropped_unanswered(encode_frame(FrameKind::Register, body.as_bytes()).to_vec());
+}
+
+#[test]
+fn oversized_register_headers_are_refused_before_the_body() {
+    // Only the header of a 1 MiB `Register`, then a stall. Reading the body
+    // would hold the stranger until the handshake timeout; the cap on a
+    // first frame drops it from the header.
+    let frame = encode_frame(FrameKind::Register, &vec![b' '; 1 << 20]);
+    assert_stranger_dropped_unanswered(frame[..HEADER_LEN].to_vec());
 }
