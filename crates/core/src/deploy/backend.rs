@@ -187,7 +187,7 @@ impl ExecBackend for LiveBackend {
         report.drained_records = outcome.drained_records;
         report.drained_bytes = outcome.drained_bytes;
         report.state_deltas = outcome.state_deltas;
-        report.results_emitted = outcome.results.len() as u64;
+        report.results_emitted = outcome.result_rows() as u64;
         report.shard_stats = outcome
             .shard_drained_records
             .iter()

@@ -48,7 +48,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use backend::{EmulatedBackend, ExecBackend, LiveBackend};
-pub use report::{ExactnessDigest, FaultIncident, NodeStat, RunReport, ShardStat};
+pub use report::{
+    CanonicalRows, ExactnessDigest, FaultIncident, NodeStat, ResultRows, RunReport, ShardStat,
+};
 pub use workload::{CustomWorkload, SourceAdapter};
 
 use crate::calibration;
@@ -246,6 +248,16 @@ pub enum DeployError {
         /// Largest supported worker count.
         max: u32,
     },
+    /// An `auth_token` no node can present: the `Register` carrying it
+    /// encodes past the coordinator's first-frame limit, so every
+    /// registration would be dropped unread.
+    AuthTokenTooLong {
+        /// Encoded `Register` body carrying the token, bytes
+        /// ([`remote::Register::max_body_len`]).
+        register_len: usize,
+        /// The first-frame limit, bytes ([`remote::MAX_REGISTER_LEN`]).
+        max: usize,
+    },
 }
 
 impl fmt::Display for DeployError {
@@ -317,6 +329,11 @@ impl fmt::Display for DeployError {
             DeployError::InvalidRtWorkers { got, max } => {
                 write!(f, "rt_workers must be in 1..={max}, got {got}")
             }
+            DeployError::AuthTokenTooLong { register_len, max } => write!(
+                f,
+                "auth_token too long: a node's Register carrying it encodes to {register_len} B, \
+                 past the coordinator's {max} B first-frame limit"
+            ),
         }
     }
 }
@@ -592,8 +609,10 @@ impl DeploymentBuilder {
 
     /// Sets the shared-secret token remote nodes must present at
     /// registration (default empty = auth disabled). The coordinator reads
-    /// at most 4 KiB of a connection's first frame, so keep the token well
-    /// under that.
+    /// at most [`remote::MAX_REGISTER_LEN`] bytes of a connection's first
+    /// frame, so [`DeploymentBuilder::spec`] refuses a TCP deployment whose
+    /// token's encoded `Register` would not fit ([`DeployError::AuthTokenTooLong`]): a
+    /// little under 4 KiB of plain ASCII, less where JSON escapes it.
     pub fn auth_token(mut self, token: impl Into<String>) -> Self {
         self.auth_token = token.into();
         self
@@ -746,7 +765,7 @@ impl DeploymentBuilder {
         if self.transport == TransportKind::Tcp {
             // Feature feasibility (live backend, no events, describable
             // workload) was checked by plancheck above; what remains is the
-            // endpoint itself.
+            // endpoint and the token.
             let raw = self
                 .listen_addr
                 .clone()
@@ -757,6 +776,15 @@ impl DeploymentBuilder {
                 raw.parse::<SocketAddr>()
                     .map_err(|_| DeployError::InvalidEndpoint { got: raw.clone() })?,
             );
+            // The token rides in a node's first frame, which the
+            // coordinator reads only up to a limit.
+            let register_len = remote::Register::max_body_len(&self.auth_token);
+            if register_len > remote::MAX_REGISTER_LEN {
+                return Err(DeployError::AuthTokenTooLong {
+                    register_len,
+                    max: remote::MAX_REGISTER_LEN,
+                });
+            }
         }
         Ok(DeploymentSpec {
             workload,
@@ -1101,6 +1129,47 @@ mod tests {
             .build()
             .unwrap_err();
         assert_plancheck_code(&err, crate::plancheck::code::TCP_UNDESCRIBABLE);
+    }
+
+    #[test]
+    fn auth_tokens_must_fit_the_first_frame() {
+        let tcp = |token: String| {
+            builder()
+                .backend(BackendKind::Live)
+                .transport(TransportKind::Tcp)
+                .listen_addr("127.0.0.1:0")
+                .auth_token(token)
+                .build()
+        };
+        // The largest accepted token fills the encoded `Register` exactly.
+        let overhead = remote::Register::max_body_len("");
+        let largest = "t".repeat(remote::MAX_REGISTER_LEN - overhead);
+        assert_eq!(
+            remote::Register::max_body_len(&largest),
+            remote::MAX_REGISTER_LEN
+        );
+        tcp(largest.clone()).expect("a token whose Register fits is accepted");
+        let err = tcp(largest + "t").unwrap_err();
+        assert_eq!(
+            err,
+            DeployError::AuthTokenTooLong {
+                register_len: remote::MAX_REGISTER_LEN + 1,
+                max: remote::MAX_REGISTER_LEN,
+            }
+        );
+        assert!(err.to_string().contains("4096 B"), "{err}");
+        // The bound is the encoding's, not the token's length: a quote
+        // escapes to two bytes.
+        let quotes = "\"".repeat((remote::MAX_REGISTER_LEN - overhead) / 2 + 1);
+        assert!(matches!(
+            tcp(quotes).unwrap_err(),
+            DeployError::AuthTokenTooLong { .. }
+        ));
+        // Inert on the in-process transport, like every remote knob.
+        builder()
+            .auth_token("t".repeat(2 * remote::MAX_REGISTER_LEN))
+            .build()
+            .expect("in-process specs ignore the token");
     }
 
     #[test]

@@ -81,6 +81,25 @@ pub struct Register {
     pub node_id: Option<u32>,
 }
 
+/// Largest body of a connection's first frame, read before any token is
+/// checked. A stranger declaring more is dropped from its header, before
+/// the coordinator reads a byte of its body; the builder refuses an
+/// `auth_token` whose [`Register`] would not fit
+/// ([`Register::max_body_len`]).
+pub const MAX_REGISTER_LEN: usize = 4 << 10;
+
+impl Register {
+    /// Encoded body length of the largest `Register` that carries `token`:
+    /// its node id at the widest a node can request.
+    pub fn max_body_len(token: &str) -> usize {
+        to_body(&Register {
+            token: token.to_string(),
+            node_id: Some(u32::MAX),
+        })
+        .len()
+    }
+}
+
 /// Coordinator → node: registration accepted.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Admit {

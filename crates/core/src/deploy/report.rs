@@ -7,8 +7,14 @@
 //! the rest at their empty defaults. Reports serialize to JSON so the bench
 //! harness's output stays machine-readable.
 
+use std::fmt::{self, Write};
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
+use streamkit::batch::{Batch, Column};
 use streamkit::record::Record;
+use streamkit::time::Ts;
+use streamkit::value::Value;
 
 use crate::runtime::EpochTrace;
 use crate::strategy::StrategyKind;
@@ -18,7 +24,9 @@ use crate::strategy::StrategyKind;
 /// Rows are canonicalised (floats rounded to 7 significant digits so that
 /// re-association across different record splits washes out), sorted, and
 /// FNV-1a hashed. Two backends executing the same deployment losslessly must
-/// produce equal digests — the paper's exactness property (§VI-D).
+/// produce equal digests — the paper's exactness property (§VI-D). Rows are
+/// read where they are: a `[Batch]` digests straight from its columns, to
+/// the same value as its rows as [`Record`]s, however they are batched.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExactnessDigest {
     /// Number of result rows.
@@ -28,13 +36,17 @@ pub struct ExactnessDigest {
 }
 
 impl ExactnessDigest {
-    /// Digests a result-row multiset.
-    pub fn of_rows(rows: &[Record]) -> ExactnessDigest {
-        let mut canon: Vec<String> = rows.iter().map(canonical_row).collect();
-        canon.sort_unstable();
+    /// Digests a result-row multiset: `[Record]`, `[Batch]`, or a `Vec` of
+    /// either.
+    pub fn of_rows<R: ResultRows + ?Sized>(rows: &R) -> ExactnessDigest {
+        let mut canon = CanonicalRows::default();
+        rows.write_canonical(&mut canon);
+        let CanonicalRows { text, mut rows } = canon;
+        let text = text.as_bytes();
+        rows.sort_unstable_by(|a, b| text[a.clone()].cmp(&text[b.clone()]));
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for row in &canon {
-            for b in row.bytes() {
+        for row in &rows {
+            for &b in &text[row.clone()] {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);
             }
@@ -49,21 +61,86 @@ impl ExactnessDigest {
     }
 }
 
-fn canonical_row(rec: &Record) -> String {
-    use std::fmt::Write;
-    let mut s = String::with_capacity(64);
-    let _ = write!(s, "{}|", rec.ts);
-    for v in &rec.values {
-        match v {
-            streamkit::value::Value::F64(f) => {
-                let _ = write!(s, "f{f:.6e};");
+/// Canonical rows written end to end into one buffer: `ts|` followed by
+/// `cell;` per value, a float as `f{:.6e}` and any other value as its
+/// [`Value`] `Debug` text.
+#[derive(Default)]
+pub struct CanonicalRows {
+    text: String,
+    rows: Vec<Range<usize>>,
+}
+
+impl CanonicalRows {
+    fn begin(&mut self, ts: Ts) -> usize {
+        let start = self.text.len();
+        let _ = write!(self.text, "{ts}|");
+        start
+    }
+
+    fn end(&mut self, start: usize) {
+        self.rows.push(start..self.text.len());
+    }
+}
+
+/// Result rows [`ExactnessDigest::of_rows`] can read.
+pub trait ResultRows {
+    /// Appends every row's canonical form to `out`.
+    fn write_canonical(&self, out: &mut CanonicalRows);
+}
+
+impl ResultRows for [Record] {
+    fn write_canonical(&self, out: &mut CanonicalRows) {
+        for rec in self {
+            let start = out.begin(rec.ts);
+            for v in &rec.values {
+                let _ = match v {
+                    Value::F64(f) => write!(out.text, "f{f:.6e};"),
+                    other => write!(out.text, "{other:?};"),
+                };
             }
-            other => {
-                let _ = write!(s, "{other:?};");
+            out.end(start);
+        }
+    }
+}
+
+impl ResultRows for [Batch] {
+    fn write_canonical(&self, out: &mut CanonicalRows) {
+        for batch in self {
+            for (row, &ts) in batch.timestamps.iter().enumerate() {
+                let start = out.begin(ts);
+                for col in &batch.columns {
+                    let _ = write_cell(&mut out.text, col, row);
+                    out.text.push(';');
+                }
+                out.end(start);
             }
         }
     }
-    s
+}
+
+impl<T> ResultRows for Vec<T>
+where
+    [T]: ResultRows,
+{
+    fn write_canonical(&self, out: &mut CanonicalRows) {
+        self.as_slice().write_canonical(out);
+    }
+}
+
+/// Writes `col`'s cell at `row` as the [`Value`] that [`Column::value`]
+/// would return prints in a [`Record`]'s canonical row, without building it.
+fn write_cell(text: &mut String, col: &Column, row: usize) -> fmt::Result {
+    match col {
+        Column::Bool(v) => write!(text, "Bool({:?})", v[row]),
+        Column::I64(v) => write!(text, "I64({:?})", v[row]),
+        Column::U64(v) => write!(text, "U64({:?})", v[row]),
+        Column::F64(v) => write!(text, "f{:.6e}", v[row]),
+        Column::Str { .. } | Column::Dict { .. } => {
+            write!(text, "Str({:?})", col.str_at(row).unwrap_or(""))
+        }
+        Column::Opt { valid, values } if valid[row] => write_cell(text, values, row),
+        Column::Opt { .. } => text.write_str("Null"),
+    }
 }
 
 /// Per-shard drain/usage/wire counters of a sharded SP runtime.
@@ -249,7 +326,6 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamkit::value::Value;
 
     fn row(ts: i64, vals: Vec<Value>) -> Record {
         Record::new(ts, vals)

@@ -26,7 +26,6 @@ use simnet::{CpuBudget, Node, NodeId};
 use streamkit::batch::Batch;
 use streamkit::ops::{absorbed_timestamps, AggRole, Operator};
 use streamkit::physical::{build_pipeline, CostProfile};
-use streamkit::record::Record;
 use streamkit::time::Ts;
 
 use crate::calibration;
@@ -110,9 +109,10 @@ pub struct SpEngine {
     /// plan).
     boundary: usize,
     results_emitted: u64,
-    /// Retained result rows (window closes and stateless-tail completions),
-    /// when result collection is enabled for exactness fingerprinting.
-    collected: Option<Vec<Record>>,
+    /// Retained result batches (window closes and stateless-tail
+    /// completions), when result collection is enabled for exactness
+    /// fingerprinting.
+    collected: Option<Vec<Batch>>,
 }
 
 /// Processes one stage queue under the execution quantum, charging `node`
@@ -249,14 +249,14 @@ impl SpEngine {
         self.collected = if on { Some(Vec::new()) } else { None };
     }
 
-    /// Retained result rows, when collection is enabled.
-    pub fn collected_results(&self) -> Option<&[Record]> {
+    /// Retained result batches, when collection is enabled.
+    pub fn collected_results(&self) -> Option<&[Batch]> {
         self.collected.as_deref()
     }
 
-    fn collect_batch(collected: &mut Option<Vec<Record>>, batch: &Batch) {
-        if let Some(rows) = collected {
-            rows.extend(batch.to_records());
+    fn collect_batch(collected: &mut Option<Vec<Batch>>, batch: Batch) {
+        if let Some(batches) = collected {
+            batches.push(batch);
         }
     }
 
@@ -356,8 +356,8 @@ impl SpEngine {
                 while let Some(item) = replica.queues[n_stages].pop_front() {
                     match item.kind {
                         ItemKind::WindowResult => {
-                            Self::collect_batch(collected, &item.batch);
                             *results_emitted += item.batch.len() as u64;
+                            Self::collect_batch(collected, item.batch);
                         }
                         ItemKind::DeltaResult => {
                             *results_emitted += item.batch.len() as u64;
@@ -373,8 +373,8 @@ impl SpEngine {
                                     completed_s: item.arrived.max(epoch_start_s),
                                 });
                             }
-                            Self::collect_batch(collected, &item.batch);
                             *results_emitted += item.batch.len() as u64;
+                            Self::collect_batch(collected, item.batch);
                         }
                     }
                     progressed = true;
@@ -421,10 +421,10 @@ impl SpEngine {
                     for out in wm_out.drain(..) {
                         if stage >= *boundary && stage + 1 == n_stages {
                             // Final-stage emissions are query results.
-                            if kind == ItemKind::WindowResult {
-                                Self::collect_batch(collected, &out);
-                            }
                             *results_emitted += out.len() as u64;
+                            if kind == ItemKind::WindowResult {
+                                Self::collect_batch(collected, out);
+                            }
                         } else {
                             replica.forward(
                                 *boundary,
@@ -486,10 +486,10 @@ impl SpEngine {
                 }
             }
             while let Some(item) = replica.queues[n].pop_front() {
-                if item.kind != ItemKind::DeltaResult {
-                    Self::collect_batch(collected, &item.batch);
-                }
                 *results_emitted += item.batch.len() as u64;
+                if item.kind != ItemKind::DeltaResult {
+                    Self::collect_batch(collected, item.batch);
+                }
             }
         }
         // Window close, after every replica's queues have drained.
@@ -498,8 +498,8 @@ impl SpEngine {
                 &mut replica.ops[*boundary..],
                 streamkit::time::TS_MAX,
             ) {
-                Self::collect_batch(collected, &batch);
                 *results_emitted += batch.len() as u64;
+                Self::collect_batch(collected, batch);
             }
         }
     }

@@ -82,7 +82,7 @@ use streamkit::shard::node_of_shard;
 
 use crate::deploy::remote::{
     from_body, to_body, Admit, AdoptMsg, AdoptShard, CheckpointAck, NodeSpec, NodeStatsMsg,
-    Progress, Register, Reject, RemoteWorkload, ShardCounters,
+    Progress, Register, Reject, RemoteWorkload, ShardCounters, MAX_REGISTER_LEN,
 };
 use crate::deploy::{DeployError, DeploymentSpec, FaultIncident, OnNodeLoss};
 use crate::engine::netwire::{
@@ -108,12 +108,6 @@ const ACCEPT_QUEUE: usize = 64;
 /// Events-channel depth (progress frames are tiny; results frames are
 /// chunked node-side).
 const EVENT_QUEUE: usize = 4096;
-
-/// Largest body of a connection's first frame, read before any token is
-/// checked. A `Register` is a token and a node id, well under 1 KiB for
-/// any sensible token; a stranger declaring more is dropped from its
-/// header, before the coordinator reads a byte of its body.
-const MAX_REGISTER_LEN: usize = 4 << 10;
 
 /// Heartbeat cadence while blocked on epoch acks.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(500);

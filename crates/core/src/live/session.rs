@@ -61,9 +61,9 @@
 //! cascade down their shard's suffix and leave the node with the task's
 //! return value — the one sink both tiers share: the session collects them
 //! columnar here, and a `jarvis-node` sends them to the coordinator at the
-//! same barrier. They become [`Record`]s once, in
-//! [`LiveSession::try_finish`], which has only the last window left to
-//! drain. SP node state is thus bounded by the windows still open —
+//! same barrier. They stay batches all the way to the caller
+//! ([`LiveOutcome::results`]); [`LiveSession::try_finish`] has only the last
+//! window left to drain. SP node state is thus bounded by the windows still open —
 //! [`LiveSession::open_groups`], [`LiveOutcome::peak_open_groups`] — not by
 //! how long the session has run.
 //!
@@ -90,7 +90,6 @@ use bytes::Bytes;
 use streamkit::batch::{Batch, DictVersions};
 use streamkit::ops::{AggRole, Operator};
 use streamkit::physical::build_pipeline;
-use streamkit::record::Record;
 use streamkit::shard::{node_of_shard, shards_of_node, Ring};
 
 use crate::calibration;
@@ -221,8 +220,11 @@ enum SpTier {
 /// Final outcome of a live session.
 #[derive(Debug)]
 pub struct LiveOutcome {
-    /// Merged result rows across all sources' replicas.
-    pub results: Vec<Record>,
+    /// Merged result rows across all sources' replicas, as the columnar
+    /// batches the windows closed into (read a row with
+    /// [`Batch::to_records`], digest them with
+    /// [`ExactnessDigest::of_rows`](crate::deploy::ExactnessDigest::of_rows)).
+    pub results: Vec<Batch>,
     /// Rows drained over the channels.
     pub drained_records: u64,
     /// Drained batch bytes.
@@ -261,6 +263,13 @@ pub struct LiveOutcome {
     /// (just before the barrier closed what it could); see
     /// [`LiveSession::open_groups`]. `None` on the TCP tier.
     pub peak_open_groups: Option<usize>,
+}
+
+impl LiveOutcome {
+    /// Result rows across [`LiveOutcome::results`]' batches.
+    pub fn result_rows(&self) -> usize {
+        self.results.iter().map(Batch::len).sum()
+    }
 }
 
 /// A threaded deployment advanced epoch by epoch.
@@ -715,19 +724,18 @@ impl LiveSession {
         // coordinator); emissions cascade through the rest of that shard's
         // chain. In-process hosts drain locally; remote executors drain on
         // their side and send the batches back. Either way each node yields
-        // its per-shard counters, and the columnar results become rows
-        // here, once.
+        // its per-shard counters, and the results stay columnar.
         let peak_open_groups = self.open_groups().map(|_| self.peak_open_groups);
         let mut incidents = Vec::new();
         let mut replay_bytes = 0u64;
         let mut heartbeats_sent = 0u64;
         let mut shard_completeness = vec![1.0f64; n_shards];
-        let mut batches = std::mem::take(&mut self.results);
+        let mut results = std::mem::take(&mut self.results);
         let nodes: Vec<Vec<ShardCounters>> = match self.tier {
             SpTier::InProcess(hosts) => hosts
                 .into_iter()
                 .map(|mut host| {
-                    batches.extend(host.drain().into_iter().map(|(_, batch)| batch));
+                    results.extend(host.drain().into_iter().map(|(_, batch)| batch));
                     host.counters()
                 })
                 .collect(),
@@ -742,11 +750,10 @@ impl LiveSession {
                 replay_bytes = fin.replay_bytes;
                 heartbeats_sent = fin.heartbeats_sent;
                 shard_completeness = fin.shard_completeness;
-                batches.extend(fin.results);
+                results.extend(fin.results);
                 fin.nodes
             }
         };
-        let mut results = Vec::new();
         let mut shard_drained_records = vec![0u64; n_shards];
         let mut shard_usage_us = vec![0f64; n_shards];
         let mut node_drained_records = Vec::with_capacity(n_nodes);
@@ -762,9 +769,6 @@ impl LiveSession {
             }
             node_drained_records.push(drained);
             node_usage_us.push(usage);
-        }
-        for batch in batches {
-            results.extend(batch.to_records());
         }
         Ok(LiveOutcome {
             results,
@@ -1264,7 +1268,7 @@ mod tests {
         let out = s.finish();
         assert_eq!(out.drained_records, 0, "All-Src drains nothing");
         assert!(out.state_deltas > 0, "state still ships");
-        assert!(!out.results.is_empty());
+        assert!(out.result_rows() > 0);
     }
 
     #[test]
@@ -1276,7 +1280,7 @@ mod tests {
         let mut all_sp = LiveSession::new(&spec(StrategyKind::AllSp, 0.6)).unwrap();
         all_sp.run_epochs(10).unwrap();
         let b = all_sp.finish();
-        let digest = |rows: &[Record]| crate::deploy::ExactnessDigest::of_rows(rows);
+        let digest = |rows: &[Batch]| crate::deploy::ExactnessDigest::of_rows(rows);
         assert_eq!(digest(&a.results), digest(&b.results));
         assert!(a.drained_records < b.drained_records);
     }
@@ -1316,7 +1320,7 @@ mod tests {
             0,
             "a single-node pool never crosses a link"
         );
-        assert!(!out.results.is_empty());
+        assert!(out.result_rows() > 0);
     }
 
     #[test]
@@ -1354,6 +1358,6 @@ mod tests {
             "both ingress nodes ship toward the other's slice: {:?}",
             out.node_wire_bytes
         );
-        assert!(!out.results.is_empty());
+        assert!(out.result_rows() > 0);
     }
 }

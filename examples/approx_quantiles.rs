@@ -81,7 +81,13 @@ fn main() {
     session.run_epochs(20).expect("epochs run");
     let outcome = session.finish();
     println!("--- merged p99 estimates ---");
-    for row in outcome.results.iter().take(6) {
+    // Results are columnar batches; the few rows shown become records.
+    let shown = outcome
+        .results
+        .iter()
+        .flat_map(|b| b.slice(0..b.len().min(6)).to_records())
+        .take(6);
+    for row in shown {
         println!(
             "window {:>3}s cluster {:>3}: p99 rtt = {:>8.0} us",
             row.values[0].as_i64().unwrap_or(0) / 1_000_000,
@@ -89,11 +95,14 @@ fn main() {
             row.values[2].as_f64().unwrap_or(f64::NAN),
         );
     }
-    assert!(!outcome.results.is_empty());
+    assert!(outcome.result_rows() > 0);
     let worst = outcome
         .results
         .iter()
-        .filter_map(|r| r.values[2].as_f64())
+        .flat_map(|b| {
+            let p99 = &b.columns[b.schema.index_of("p99_rtt").expect("p99_rtt column")];
+            (0..b.len()).filter_map(|row| p99.f64_at(row))
+        })
         .fold(0.0f64, f64::max);
     println!("worst cluster p99: {worst:.0} us (anomaly window drives the tail)");
     assert!(

@@ -35,10 +35,16 @@ fn main() {
     let outcome = session.finish();
     println!(
         "result rows (tenant × stat × bucket): {}",
-        outcome.results.len()
+        outcome.result_rows()
     );
+    // Results are columnar batches; the few rows shown become records.
     // Rows: [window_start, tenant, stat_name, bucket, count].
-    for row in outcome.results.iter().take(5) {
+    let shown = outcome
+        .results
+        .iter()
+        .flat_map(|b| b.slice(0..b.len().min(5)).to_records())
+        .take(5);
+    for row in shown {
         println!(
             "  window {:>3}s  {:<12} {:<18} bucket {:>2}: {}",
             row.values[0].as_i64().unwrap_or(0) / 1_000_000,
@@ -48,7 +54,7 @@ fn main() {
             row.values[4]
         );
     }
-    assert!(!outcome.results.is_empty());
+    assert!(outcome.result_rows() > 0);
 
     // Part 2 — adaptation on the emulated node at 30% CPU, same builder.
     let r = Deployment::builder()

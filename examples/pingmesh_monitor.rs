@@ -53,18 +53,23 @@ fn main() {
         "live run: {} drained records, {} state deltas, {} result rows",
         outcome.drained_records,
         outcome.state_deltas,
-        outcome.results.len()
+        outcome.result_rows()
     );
 
-    // Alert evaluation on merged results: result rows are
-    // [window_start, srcIp, dstIp, avg_rtt, max_rtt, min_rtt].
+    // Alert evaluation on merged results, read by column: result batches
+    // are [window_start, srcIp, dstIp, avg_rtt, max_rtt, min_rtt].
     let mut pairs = 0u64;
     let mut alerting = 0u64;
-    for row in &outcome.results {
-        pairs += 1;
-        if row.values[4].as_f64().unwrap_or(0.0) > 5_000.0 {
-            alerting += 1;
-        }
+    for batch in &outcome.results {
+        let at = batch
+            .schema
+            .index_of("max_rtt")
+            .expect("S2SProbe emits max_rtt");
+        let max_rtt = &batch.columns[at];
+        pairs += batch.len() as u64;
+        alerting += (0..batch.len())
+            .filter(|&row| max_rtt.f64_at(row).unwrap_or(0.0) > 5_000.0)
+            .count() as u64;
     }
     let frac = alerting as f64 / pairs.max(1) as f64;
     println!(

@@ -11,6 +11,7 @@ use jarvis::core::deploy::{CustomWorkload, Deployment};
 use jarvis::core::engine::block::EpochSource;
 use jarvis::core::live::{LiveOutcome, LiveSession};
 use jarvis::core::strategy::StrategyKind;
+use jarvis::streamkit::batch::Batch;
 use jarvis::streamkit::logical::LogicalPlan;
 use jarvis::streamkit::physical::CostProfile;
 use jarvis::streamkit::record::Record;
@@ -67,7 +68,14 @@ fn with_anomalies(anomalies: AnomalySchedule) -> PingmeshConfig {
     }
 }
 
-fn sorted(mut rows: Vec<Record>) -> Vec<Record> {
+/// A run's result batches flattened to rows, the one place this suite
+/// leaves the columnar form.
+fn rows(batches: &[Batch]) -> Vec<Record> {
+    batches.iter().flat_map(Batch::to_records).collect()
+}
+
+fn sorted(batches: &[Batch]) -> Vec<Record> {
+    let mut rows = rows(batches);
     rows.sort_by_key(|r| format!("{:?}", r.values));
     rows
 }
@@ -76,8 +84,8 @@ fn sorted(mut rows: Vec<Record>) -> Vec<Record> {
 fn any_load_factor_split_yields_identical_results() {
     let config = PingmeshConfig::default();
     let reference = s2s_live(&config, 12, &[0.0, 0.0, 0.0], 2);
-    assert!(!reference.results.is_empty());
-    let reference_rows = sorted(reference.results);
+    assert!(reference.result_rows() > 0);
+    let reference_rows = sorted(&reference.results);
     for factors in [
         [1.0, 1.0, 1.0],
         [1.0, 0.5, 0.25],
@@ -89,7 +97,7 @@ fn any_load_factor_split_yields_identical_results() {
         assert!(split.drained_records < reference.drained_records);
         assert_eq!(
             reference_rows,
-            sorted(split.results),
+            sorted(&split.results),
             "partitioning with factors {factors:?} must be exact"
         );
     }
@@ -100,7 +108,7 @@ fn all_local_ships_only_state() {
     let out = s2s_live(&PingmeshConfig::default(), 4, &[1.0, 1.0, 1.0], 1);
     assert_eq!(out.drained_records, 0);
     assert!(out.state_deltas > 0);
-    assert!(!out.results.is_empty());
+    assert!(out.result_rows() > 0);
 }
 
 #[test]
@@ -114,8 +122,9 @@ fn partitioning_preserves_every_alert_unlike_sampling() {
     // Ground truth + partitioned run.
     let full = s2s_live(&config, 10, &[0.0; 3], 3).results;
     let split = s2s_live(&config, 10, &[1.0, 0.7, 0.4], 3).results;
-    let alerts = |rows: &[Record]| {
-        rows.iter()
+    let alerts = |batches: &[Batch]| {
+        rows(batches)
+            .iter()
             .filter(|r| r.values[4].as_f64().unwrap_or(0.0) > 5_000.0)
             .count()
     };
@@ -166,9 +175,9 @@ fn t2t_partitioned_execution_is_exact() {
         .results
     };
     let reference = t2t(&[0.0; 6], 2);
-    assert!(!reference.is_empty());
+    assert!(!rows(&reference).is_empty());
     let split = t2t(&[1.0, 1.0, 0.6, 1.0, 1.0, 0.5], 2);
-    assert_eq!(sorted(reference), sorted(split));
+    assert_eq!(sorted(&reference), sorted(&split));
 }
 
 #[test]
@@ -200,10 +209,10 @@ fn planner_excluded_suffix_still_executes_at_sp() {
         2,
     );
     assert!(
-        !report.results.is_empty(),
+        report.result_rows() > 0,
         "SP-side filter must emit alert rows"
     );
-    for row in &report.results {
+    for row in rows(&report.results) {
         assert!(
             row.values[3].as_f64().unwrap() > 5_000.0,
             "filter applied at SP"
@@ -247,5 +256,5 @@ fn many_sources_split_their_streams_exactly() {
     let config = PingmeshConfig::default();
     let reference = s2s_live(&config, 6, &[0.0; 3], 8).results;
     let wide = s2s_live(&config, 6, &[1.0, 0.9, 0.6], 8).results;
-    assert_eq!(sorted(reference), sorted(wide));
+    assert_eq!(sorted(&reference), sorted(&wide));
 }

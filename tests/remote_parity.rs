@@ -18,6 +18,7 @@ use std::thread;
 use std::time::Duration;
 
 use jarvis::core::calibration::Scale;
+use jarvis::core::deploy::remote::{Register, MAX_REGISTER_LEN};
 use jarvis::core::deploy::{
     BackendKind, DeployError, Deployment, DeploymentBuilder, RunReport, TransportKind,
 };
@@ -282,6 +283,30 @@ fn bad_tokens_fail_the_handshake() {
             ),
             "got {node_err:?}"
         );
+    }
+}
+
+#[test]
+fn the_largest_accepted_token_registers() {
+    // The builder bounds a token by its encoded `Register`, the frame the
+    // coordinator reads within `MAX_REGISTER_LEN`: nodes presenting the
+    // largest token it accepts are admitted and the run completes.
+    let _guard = port_lock();
+    let addr = free_addr();
+    let token = "t".repeat(MAX_REGISTER_LEN - Register::max_body_len(""));
+    let handles = spawn_nodes(&addr, &token, 2);
+    let report = tcp_deployment(
+        &ScenarioSpec::pingmesh_s2s(Scale::X1),
+        StrategyKind::AllSp,
+        2,
+        &addr,
+        &token,
+    )
+    .run(4)
+    .expect("nodes with the largest accepted token register");
+    assert!(report.exactness.expect("collected").rows > 0);
+    for handle in handles {
+        handle.join().expect("node thread").expect("node admitted");
     }
 }
 
