@@ -1,8 +1,9 @@
 //! Encoded bytes per row of the batch wire codec, for the perf trajectory.
 //!
-//! Two boundary parts, the way a live source task produces them — a 256-row
-//! chunk split over a 4-shard [`Ring`], every part encoded as a
-//! `NetPayload::ShardBatch` — and one state part:
+//! Two boundary parts, the way a live source task produces them — a chunk
+//! of [`CHUNK`] rows (the live session's own chunk) split over a
+//! 4-shard [`Ring`], every part encoded as a `NetPayload::ShardBatch` — and
+//! one state part:
 //!
 //! - **S2S** — the S2SProbe stateless prefix over one Pingmesh epoch
 //!   (generator seed 17): six integer fields and a timestamp per row, the
@@ -30,6 +31,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use jarvis_core::engine::netwire::{decode_shard_payload_with, encode_shard_payload_with};
 use jarvis_core::engine::NetPayload;
+use jarvis_core::live::session::CHUNK;
 use serde::{Deserialize, Serialize};
 use streamkit::agg::AggState;
 use streamkit::batch::{layout, Batch, Column, DictRegistry, DictVersions};
@@ -47,9 +49,6 @@ const SEED: u64 = 17;
 
 /// Virtual shards on the ring both parts are split over.
 const RING: usize = 4;
-
-/// Rows per chunk, as `live::session::Worker` drains them.
-const CHUNK_ROWS: usize = 256;
 
 /// One measured boundary chunk.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -321,7 +320,7 @@ pub fn bench_wire_codec(iters: u32) -> WireCodecResult {
     let ring = Ring::new(RING, keys);
     let boundary = cur.first().expect("the prefix passes rows");
     let s2s_chunk = boundary
-        .chunks(CHUNK_ROWS)
+        .chunks(CHUNK)
         .next()
         .expect("a non-empty boundary batch");
     let s2s = measure_part(
@@ -364,7 +363,7 @@ pub fn bench_wire_codec(iters: u32) -> WireCodecResult {
         ..Default::default()
     });
     let epoch = gen.generate_structured_epoch_batch(0, 1.0);
-    let mut chunks = epoch.chunks(CHUNK_ROWS);
+    let mut chunks = epoch.chunks(CHUNK);
     let warm = chunks.next().expect("a non-empty structured epoch");
     let log_chunk = chunks.next().expect("more than one chunk an epoch");
     let ring = Ring::new(RING, vec![0, 1]);
@@ -387,7 +386,7 @@ mod tests {
     fn byte_counts_repeat_and_beat_the_fixed_width_format() {
         let a = bench_wire_codec(1);
         let b = bench_wire_codec(1);
-        assert_eq!([a.s2s.rows, a.log.rows], [CHUNK_ROWS as u64; 2]);
+        assert_eq!([a.s2s.rows, a.log.rows], [CHUNK as u64; 2]);
         for (x, y) in [(&a.s2s, &b.s2s), (&a.log, &b.log), (&a.state, &b.state)] {
             assert_eq!(
                 (x.encoded_bytes, x.fixed_width_bytes),

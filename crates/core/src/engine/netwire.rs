@@ -462,6 +462,23 @@ mod tests {
         1 + if width < 8 { 8 } else { 0 } + rows * width
     }
 
+    /// Length of the timestamp page at the front of `page` over `rows`
+    /// values: an integer page, or (width byte `0x80`) the first value and
+    /// a LEB128 step per later row.
+    fn ts_page_len(page: &[u8], rows: usize) -> usize {
+        if page[0] != 0x80 {
+            return int_page_len(page, rows);
+        }
+        let mut at = 1 + 8;
+        for _ in 1..rows {
+            while page[at] & 0x80 != 0 {
+                at += 1;
+            }
+            at += 1;
+        }
+        at
+    }
+
     /// Walks an S2SProbe state body, run by run: per run two `U64` key
     /// pages, then `Avg` (an `F64` and a `U64` page), `Max` and `Min`.
     /// Returns the `F64` pages seen, those shipped as integer pages, and the
@@ -474,7 +491,7 @@ mod tests {
             assert_eq!(body[at..at + 13], SHAPE, "an S2S run and the batch magic");
             let rows = u32::from_le_bytes(body[at + 13..at + 17].try_into().unwrap()) as usize;
             at += 17;
-            at += int_page_len(&body[at..], rows);
+            at += ts_page_len(&body[at..], rows);
             for is_float in [false, false, true, false, true, true] {
                 let flags = body[at];
                 at += 1;

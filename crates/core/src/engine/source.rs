@@ -476,7 +476,7 @@ impl SourceEngine {
                 .sum();
             let mut c = 0usize;
             for batch in batches {
-                for chunk in batch.chunks(Self::DRAIN_CHUNK_RECORDS) {
+                for chunk in batch.into_chunks(Self::DRAIN_CHUNK_RECORDS) {
                     let bytes = chunk.wire_size();
                     metrics.net_bytes += bytes as u64;
                     let offset = (c as f64 + 0.5) / n_chunks as f64 * calibration::EPOCH_SECS;

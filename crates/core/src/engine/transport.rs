@@ -59,15 +59,18 @@ pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"JRVW");
 /// runs over the batch codec's pages, and plain string pages with an
 /// integer page of lengths; version 6 ships every `F64` page of integers
 /// (state components and result columns alike) as an integer page, flagged
-/// in bit 1 of the column's presence byte.
-pub const PROTOCOL_VERSION: u16 = 6;
+/// in bit 1 of the column's presence byte; version 7 lets a batch's
+/// timestamp page (drained rows, window starts, results) ship as its first
+/// timestamp and LEB128 steps, behind width byte `0x80`, when the
+/// timestamps never decrease and that is shorter.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Fixed frame header length in bytes.
 pub const HEADER_LEN: usize = 15;
 
-/// Largest admissible frame body. An epoch's shard sub-batch is chunked at
-/// a few hundred rows, so anything near this bound is a corrupt or hostile
-/// length field, not data.
+/// Largest admissible frame body. A source ships a shard at most
+/// [`crate::live::session::CHUNK`] rows at a time, so anything near this
+/// bound is a corrupt or hostile length field, not data.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// Frames queued per link before senders block (the same channel-shaped
@@ -696,13 +699,13 @@ mod tests {
                 want: PROTOCOL_VERSION
             }
         );
-        // The previous release (every float page as raw bits) is refused
-        // by its header, never decoded.
+        // The previous release (every timestamp page frame-of-reference)
+        // is refused by its header, never decoded.
         let mut old = frame.to_vec();
-        old[4..6].copy_from_slice(&5u16.to_le_bytes());
+        old[4..6].copy_from_slice(&6u16.to_le_bytes());
         assert_eq!(
             decode_frame(&old).unwrap_err(),
-            TransportError::VersionMismatch { got: 5, want: 6 }
+            TransportError::VersionMismatch { got: 6, want: 7 }
         );
         let mut bad = frame.to_vec();
         bad[6] = 200;

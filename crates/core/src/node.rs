@@ -419,7 +419,7 @@ fn send_results(link: &Link, epoch: u64, closed: Vec<(u32, Batch)>) -> u64 {
     let mut rows = 0;
     for (shard, batch) in closed {
         rows += batch.len() as u64;
-        for chunk in batch.chunks(RESULTS_CHUNK) {
+        for chunk in batch.into_chunks(RESULTS_CHUNK) {
             let body = encode_shard_payload(&NetPayload::ShardBatch {
                 shard,
                 epoch,

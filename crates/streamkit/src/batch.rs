@@ -1109,9 +1109,26 @@ impl Batch {
         true
     }
 
+    /// [`Batch::chunks`] of a batch the caller owns: one that fits in a
+    /// single chunk is moved out whole, neither cloned nor re-sliced.
+    pub fn into_chunks(self, rows: usize) -> impl Iterator<Item = Batch> {
+        let rows = rows.max(1);
+        let n = self.len();
+        let (whole, split) = if n <= rows {
+            (Some(self).filter(|b| !b.is_empty()), None)
+        } else {
+            (None, Some(self))
+        };
+        whole
+            .into_iter()
+            .chain(split.into_iter().flat_map(move |batch| {
+                (0..n.div_ceil(rows)).map(move |c| batch.slice(c * rows..(c * rows + rows).min(n)))
+            }))
+    }
+
     /// Splits the batch into row chunks of at most `rows` each (the last
     /// chunk may be shorter). A batch that fits in one chunk is cloned
-    /// whole without re-slicing.
+    /// whole without re-slicing; see [`Batch::into_chunks`] to move it.
     pub fn chunks(&self, rows: usize) -> impl Iterator<Item = Batch> + '_ {
         let rows = rows.max(1);
         let n = self.len();
@@ -1554,6 +1571,17 @@ mod tests {
         // Whole batch in one chunk; empty batch yields no chunks.
         assert_eq!(batch.chunks(10).count(), 1);
         assert_eq!(batch.slice(0..0).chunks(4).count(), 0);
+        // The owning form yields the same chunks, and moves a batch that
+        // fits one chunk: its columns keep their allocations.
+        for rows in [1, 2, 3, 10] {
+            let owned: Vec<Batch> = batch.clone().into_chunks(rows).collect();
+            assert_eq!(owned, batch.chunks(rows).collect::<Vec<_>>());
+        }
+        assert_eq!(batch.slice(0..0).into_chunks(4).count(), 0);
+        let whole = batch.clone();
+        let at = whole.timestamps.as_ptr();
+        let moved: Vec<Batch> = whole.into_chunks(3).collect();
+        assert_eq!(moved[0].timestamps.as_ptr(), at);
     }
 
     fn dict_col(entries: &[&str], codes: &[u32]) -> Column {

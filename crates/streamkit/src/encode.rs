@@ -8,7 +8,9 @@
 //! model), which this module neither reads nor moves.
 //!
 //! ```text
-//! batch    := magic u32 | rows u32 | int-page(timestamps) | column*
+//! batch    := magic u32 | rows u32 | ts-page | column*
+//! ts-page  := int-page(timestamps), never narrower than 1 B a row
+//!           | 0x80 | first timestamp i64 | (rows − 1) × LEB128 u64 step
 //! column   := flags u8 | validity (flag bit 0: rows × u8) | payload
 //! flags    := bit 0 validity follows | bit 1 the F64 payload is an int-page
 //!             (other bits, and bit 1 on any other type, are refused)
@@ -32,10 +34,21 @@
 //! minimum, width 8 is the raw values with no base, and the encoder falls
 //! back to width 8 whenever base + offsets would not be smaller. Dictionary
 //! codes and plain-string lengths count from 0, so their pages carry no base
-//! and take their width (at most 4) from the largest value. Timestamp pages
-//! are never narrower than 1 byte, so every row of a frame is backed by at
-//! least one wire byte and a forged row count cannot size an allocation the
-//! frame does not pay for.
+//! and take their width (at most 4) from the largest value.
+//!
+//! A timestamp page has a second form, and only a timestamp page: when the
+//! timestamps never decrease, the first ships as 8 bytes and every later one
+//! as its step from the one before, an unsigned LEB128 varint — a byte for a
+//! step under 128, so pages that a chunk of source-ordered rows makes cost a
+//! byte or two a row whatever their span. The encoder takes it only when it
+//! is strictly shorter than the frame-of-reference page, so no page grows.
+//! Either form spends at least a byte a row (the frame-of-reference page is
+//! never narrower than 1 byte; the delta page spends 8 on its first row), so
+//! every row of a frame is backed by a wire byte and a forged row count
+//! cannot size an allocation the frame does not pay for. The decoder checks
+//! the base and a byte per step before it allocates, and refuses a varint
+//! that is truncated, longer than ten bytes, past `u64` or ends in a
+//! redundant zero group, and steps whose sum leaves `i64`.
 //!
 //! An `F64` page ships as an `i64` integer page when every value `x` is an
 //! integer that survives `x as i64 as f64` bit for bit, and that page comes
@@ -273,6 +286,136 @@ fn get_int_page<T: PageInt>(buf: &mut &[u8], rows: usize) -> Result<Vec<T>> {
     })
 }
 
+/// Width byte of a timestamp page in delta form. No integer page has this
+/// width, so it is refused everywhere but in front of a batch's timestamps.
+const TS_DELTA: u8 = 0x80;
+
+/// Longest LEB128 varint of a `u64`: ten 7-bit groups, the last holding 1 bit.
+const VARINT_MAX: usize = 10;
+
+/// The form the encoder chose for one timestamp page.
+#[derive(Debug, Clone, Copy)]
+enum TsPlan {
+    /// Frame of reference, never narrower than a byte a row.
+    Int(IntPlan),
+    /// [`TS_DELTA`], the first timestamp, then a varint step per later row;
+    /// the page's encoded length.
+    Delta(usize),
+}
+
+impl TsPlan {
+    /// The delta form when the timestamps never decrease and it is strictly
+    /// shorter, else the frame-of-reference page; see the module doc.
+    fn of(timestamps: &[i64]) -> TsPlan {
+        let int = IntPlan::of(timestamps, 1);
+        match delta_page_len(timestamps) {
+            Some(len) if len < int.len::<i64>(timestamps.len()) => TsPlan::Delta(len),
+            _ => TsPlan::Int(int),
+        }
+    }
+
+    /// Encoded length of the page over `rows` timestamps.
+    fn len(&self, rows: usize) -> usize {
+        match self {
+            TsPlan::Int(plan) => plan.len::<i64>(rows),
+            TsPlan::Delta(len) => *len,
+        }
+    }
+}
+
+/// Bytes of `v` as a LEB128 varint.
+fn varint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
+}
+
+/// Length of `timestamps` as a delta page, or `None` when there are none or
+/// they ever decrease.
+fn delta_page_len(timestamps: &[i64]) -> Option<usize> {
+    let (&first, rest) = timestamps.split_first()?;
+    let mut len = 1 + 8;
+    let mut prev = first;
+    for &t in rest {
+        if t < prev {
+            return None;
+        }
+        len += varint_len(t.wrapping_sub(prev) as u64);
+        prev = t;
+    }
+    Some(len)
+}
+
+/// The timestamp-page writer, in the form `plan` chose.
+fn put_ts_page(buf: &mut BytesMut, plan: TsPlan, timestamps: &[i64]) {
+    let len = match plan {
+        TsPlan::Int(plan) => return put_int_page(buf, plan, timestamps.iter().copied()),
+        TsPlan::Delta(len) => len,
+    };
+    buf.put_u8(TS_DELTA);
+    buf.put_i64_le(timestamps[0]);
+    let start = buf.len();
+    buf.resize(start + len - (1 + 8), 0);
+    let mut at = start;
+    for step in timestamps.windows(2) {
+        let mut v = step[1].wrapping_sub(step[0]) as u64;
+        while v >= 0x80 {
+            buf[at] = v as u8 | 0x80;
+            v >>= 7;
+            at += 1;
+        }
+        buf[at] = v as u8;
+        at += 1;
+    }
+    debug_assert_eq!(at, buf.len(), "planned delta page length is exact");
+}
+
+/// Reads one LEB128 varint, refusing one that runs past the buffer, past
+/// ten bytes or past `u64`, or that ends in a redundant zero group, so each
+/// step has exactly one encoding.
+fn get_varint(buf: &mut &[u8]) -> Result<u64> {
+    let mut v = 0u64;
+    for i in 0..VARINT_MAX {
+        let Some((&byte, rest)) = buf.split_first() else {
+            return Err(Error::Decode("truncated timestamp delta".into()));
+        };
+        *buf = rest;
+        if i == VARINT_MAX - 1 && byte > 1 {
+            return Err(Error::Decode("timestamp delta overflows u64".into()));
+        }
+        v |= u64::from(byte & 0x7F) << (7 * i);
+        if byte & 0x80 == 0 {
+            if byte == 0 && i > 0 {
+                return Err(Error::Decode("overlong timestamp delta".into()));
+            }
+            return Ok(v);
+        }
+    }
+    unreachable!("the tenth byte either ends the varint or is refused")
+}
+
+/// The timestamp-page reader, inverse of [`put_ts_page`]. A delta page's
+/// base and one byte per step are checked before anything is allocated.
+fn get_ts_page(buf: &mut &[u8], rows: usize) -> Result<Vec<i64>> {
+    if buf.first() != Some(&TS_DELTA) {
+        return get_int_page::<i64>(buf, rows);
+    }
+    let steps = rows
+        .checked_sub(1)
+        .ok_or_else(|| Error::Decode("delta timestamp page of no rows".into()))?;
+    need(buf, 1 + 8 + steps)?;
+    buf.advance(1);
+    let mut t = buf.get_i64_le();
+    let mut out = Vec::with_capacity(rows);
+    out.push(t);
+    for _ in 0..steps {
+        let step = get_varint(buf)?;
+        t = t
+            .checked_add_unsigned(step)
+            .ok_or_else(|| Error::Decode("timestamp deltas overflow i64".into()))?;
+        out.push(t);
+    }
+    Ok(out)
+}
+
 /// The `i64` range of an `F64` page whose every value survives
 /// `x as i64 as f64` bit for bit, or `None`; see the module doc.
 fn integral_range(values: &[f64]) -> Option<(i64, i64)> {
@@ -381,8 +524,8 @@ fn encode_columns_into(
 ) {
     let rows = timestamps.len();
     // Pass one: choose every width and dictionary page, summing the length.
-    let ts_plan = IntPlan::of(timestamps, 1);
-    let mut len = 8 + ts_plan.len::<i64>(rows);
+    let ts_plan = TsPlan::of(timestamps);
+    let mut len = 8 + ts_plan.len(rows);
     let mut plans = Vec::with_capacity(columns.len());
     for col in columns {
         let (col, valid) = unwrap_opt(col);
@@ -467,7 +610,7 @@ fn encode_columns_into(
     buf.reserve(len);
     buf.put_u32_le(MAGIC);
     buf.put_u32_le(rows as u32);
-    put_int_page(buf, ts_plan, timestamps.iter().copied());
+    put_ts_page(buf, ts_plan, timestamps);
     for (col, plan) in columns.iter().zip(plans) {
         let (col, valid) = unwrap_opt(col);
         let int_f64 = matches!((col, &plan), (Column::F64(_), ColPlan::Int(_)));
@@ -607,7 +750,7 @@ fn decode_columns(
     // frame cannot back is refused here — before any page (a width-0 one
     // has no per-row bytes to run out of) is sized by it.
     need(buf, rows)?;
-    let timestamps = get_int_page::<i64>(&mut buf, rows)?;
+    let timestamps = get_ts_page(&mut buf, rows)?;
     let mut columns = Vec::with_capacity(dtypes.len());
     for dtype in dtypes {
         need(buf, 1)?;
@@ -1289,7 +1432,7 @@ mod tests {
         // column whose codes point into an empty dictionary: reject, or the
         // first read would index out of bounds.
         let mut dense = raw.to_vec();
-        let flag_at = 4 + 4 + (1 + 8 + 2); // magic + rows + 1-byte-wide timestamp page
+        let flag_at = 4 + 4 + (1 + 8 + 1); // magic + rows + a one-step delta timestamp page
         assert_eq!(dense[flag_at], 1, "validity flag expected here");
         dense[flag_at] = 0;
         // Drop the two validity bytes that followed the flag.
@@ -1313,9 +1456,9 @@ mod tests {
             let batch = Batch::from_records(s.clone(), &recs).unwrap();
             assert!(matches!(batch.columns[0], Column::Str { .. }));
             let wire = encode_batch(&batch);
-            // magic + rows, a 1-byte timestamp page from base 0, presence,
-            // page tag, then the length page: width, two lengths, no base.
-            let at = 8 + (1 + 8 + 2) + 1 + 1;
+            // magic + rows, a one-step delta timestamp page, presence, page
+            // tag, then the length page: width, two lengths, no base.
+            let at = 8 + (1 + 8 + 1) + 1 + 1;
             assert_eq!(wire[at] as usize, width, "length page width at {len} B");
             assert_eq!(wire.len(), at + 1 + 2 * width + len + 2);
             assert_eq!(decode_batch(s.clone(), wire).unwrap().to_records(), recs);
@@ -1459,7 +1602,7 @@ mod tests {
         };
         let wire = encode_batch(&batch);
         assert_eq!(decode_batch(s, wire.clone()).unwrap(), batch);
-        wire.len() - 8 - IntPlan::of(&ts, 1).len::<i64>(ts.len()) - 1
+        wire.len() - 8 - TsPlan::of(&ts).len(ts.len()) - 1
     }
 
     #[test]
@@ -1506,7 +1649,7 @@ mod tests {
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(back), bits(values), "{values:?}");
-        let at = 8 + IntPlan::of(&ts, 1).len::<i64>(ts.len());
+        let at = 8 + TsPlan::of(&ts).len(ts.len());
         (wire[at], wire.len() - at - 1)
     }
 
@@ -1791,6 +1934,161 @@ mod tests {
             decode_batch_with(s, Bytes::from(raw), &mut fresh),
             Err(Error::Decode(_))
         ));
+    }
+
+    /// The form tag and length of `ts`'s timestamp page in a batch of no
+    /// columns, after checking that the timestamps come back unchanged.
+    fn ts_page(ts: &[i64]) -> (u8, usize) {
+        let s = Schema::new(vec![]);
+        let batch = Batch {
+            schema: s.clone(),
+            timestamps: ts.to_vec(),
+            columns: vec![],
+        };
+        let wire = encode_batch(&batch);
+        assert_eq!(decode_batch(s, wire.clone()).unwrap().timestamps, ts);
+        assert_eq!(
+            wire.len() - 8,
+            TsPlan::of(ts).len(ts.len()),
+            "planned length"
+        );
+        (wire[8], wire.len() - 8)
+    }
+
+    #[test]
+    fn timestamp_pages_round_trip_in_either_form() {
+        // No rows, one row: the delta form would not be shorter.
+        assert_eq!(ts_page(&[]), (8, 1));
+        assert_eq!(ts_page(&[42]), (8, 1 + 8));
+        // All equal: a zero byte a step against the 1-byte floor a row.
+        assert_eq!(ts_page(&[7; 10]), (TS_DELTA, 1 + 8 + 9));
+        // Strictly increasing, steps of one and two bytes.
+        let ts: Vec<i64> = (0..100).map(|i| 1_000_000 + 100 * i).collect();
+        assert_eq!(ts_page(&ts), (TS_DELTA, 1 + 8 + 99));
+        let ts: Vec<i64> = (0..100).map(|i| 1_000_000 + 1_000 * i).collect();
+        assert_eq!(ts_page(&ts), (TS_DELTA, 1 + 8 + 2 * 99));
+        // The `i64` endpoints, as first timestamp and as the running sum.
+        assert_eq!(ts_page(&[i64::MAX; 3]), (TS_DELTA, 1 + 8 + 2));
+        assert_eq!(ts_page(&[i64::MIN; 3]), (TS_DELTA, 1 + 8 + 2));
+        let top: Vec<i64> = (0..5).map(|i| i64::MAX - 4 + i).collect();
+        assert_eq!(ts_page(&top).0, TS_DELTA);
+        let bottom: Vec<i64> = (0..5).map(|i| i64::MIN + i).collect();
+        assert_eq!(ts_page(&bottom).0, TS_DELTA);
+    }
+
+    #[test]
+    fn timestamps_that_decrease_or_step_past_i64_go_frame_of_reference() {
+        // A step past `i64::MAX` (up to the whole `u64` range) is a legal
+        // varint of nine or ten bytes, so a page of such steps is longer
+        // than the raw one and goes raw ...
+        assert_eq!(ts_page(&[i64::MIN, i64::MAX]), (8, 1 + 16));
+        assert_eq!(ts_page(&[i64::MIN, 0, i64::MAX]), (8, 1 + 24));
+        // ... unless short steps pay for it: then it round-trips as a delta.
+        assert_eq!(
+            ts_page(&[i64::MIN, i64::MAX, i64::MAX]),
+            (TS_DELTA, 1 + 8 + 10 + 1)
+        );
+        // One decreasing step sends the page frame-of-reference.
+        let mut ts: Vec<i64> = (0..100).collect();
+        ts.swap(40, 41);
+        assert_eq!(ts_page(&ts), (1, 1 + 8 + 100));
+        assert_eq!(ts_page(&[5, 4]), (1, 1 + 8 + 2));
+    }
+
+    #[test]
+    fn the_chosen_timestamp_page_is_never_longer_than_frame_of_reference() {
+        let mut x = 17u64;
+        let mut next = || {
+            // xorshift64*: deterministic and spread over every bit.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for case in 0..2_000 {
+            let rows = (next() % 300) as usize;
+            let shift = next() % 64;
+            let base = next() as i64;
+            let mut ts: Vec<i64> = (0..rows)
+                .map(|_| base.wrapping_add((next() >> shift) as i64))
+                .collect();
+            if case % 2 == 0 {
+                ts.sort_unstable();
+            }
+            let rows = ts.len();
+            let int = IntPlan::of(&ts, 1).len::<i64>(rows);
+            let chosen = TsPlan::of(&ts);
+            assert!(chosen.len(rows) <= int, "case {case}");
+            let delta = delta_page_len(&ts);
+            assert_eq!(
+                matches!(chosen, TsPlan::Delta(_)),
+                delta.is_some_and(|d| d < int),
+                "case {case}"
+            );
+            ts_page(&ts);
+        }
+    }
+
+    #[test]
+    fn hostile_delta_timestamp_pages_are_typed_errors() {
+        // magic, `rows`, then `page` as the timestamp page of a batch of no
+        // columns.
+        let frame = |rows: u32, page: &[u8]| {
+            let mut raw = BytesMut::default();
+            raw.put_u32_le(super::MAGIC);
+            raw.put_u32_le(rows);
+            raw.put_slice(page);
+            decode_batch(Schema::new(vec![]), raw.freeze())
+        };
+        let delta = |base: i64, steps: &[u8]| {
+            let mut page = vec![TS_DELTA];
+            page.extend(base.to_le_bytes());
+            page.extend(steps);
+            page
+        };
+        let decode_err = |r: Result<Batch>| matches!(r, Err(Error::Decode(_)));
+        assert_eq!(
+            frame(3, &delta(9, &[0x01, 0x80, 0x01])).unwrap().timestamps,
+            vec![9, 10, 138]
+        );
+        // A varint cut short by the end of the frame.
+        assert!(decode_err(frame(2, &delta(0, &[0x80]))));
+        assert!(decode_err(frame(3, &delta(0, &[0x01, 0xFF]))));
+        // Eleven bytes, and ten whose last group passes `u64`.
+        let mut long = [0x80; 11];
+        long[10] = 0x01;
+        assert!(decode_err(frame(2, &delta(0, &long))));
+        let mut wide = [0xFF; 10];
+        wide[9] = 0x02;
+        assert!(decode_err(frame(2, &delta(0, &wide))));
+        // The widest legal step, and the same value with a zero group on.
+        let mut max = [0xFF; 10];
+        max[9] = 0x01;
+        assert_eq!(
+            frame(2, &delta(i64::MIN, &max)).unwrap().timestamps,
+            vec![i64::MIN, i64::MAX]
+        );
+        assert!(decode_err(frame(2, &delta(0, &[0x81, 0x00]))));
+        // Steps whose sum passes `i64::MAX`, singly and together.
+        assert!(decode_err(frame(2, &delta(i64::MAX, &[0x01]))));
+        assert!(decode_err(frame(3, &delta(i64::MAX - 1, &[0x01, 0x01]))));
+        assert!(decode_err(frame(2, &delta(1, &max))));
+        // A page of no rows has no first timestamp.
+        assert!(decode_err(frame(0, &delta(0, &[]))));
+        // Forged row counts above the body's bytes are refused before
+        // `rows` sizes anything: a `u32::MAX`-row page would otherwise
+        // reserve 32 GiB.
+        assert!(decode_err(frame(u32::MAX, &delta(0, &[0; 64]))));
+        assert!(decode_err(frame(4, &delta(0, &[0, 0]))));
+        // The delta tag is a timestamp form only, not an integer page width.
+        let s = Schema::new(vec![Field::new("v", DataType::U64)]);
+        let mut raw = BytesMut::default();
+        raw.put_u32_le(super::MAGIC);
+        raw.put_u32_le(1);
+        raw.put_slice(&[8, 0, 0, 0, 0, 0, 0, 0, 0]); // a raw timestamp
+        raw.put_u8(0); // dense
+        raw.put_slice(&delta(0, &[]));
+        assert!(decode_err(decode_batch(s, raw.freeze())));
     }
 
     #[test]

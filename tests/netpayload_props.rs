@@ -36,12 +36,57 @@ fn row_strategy() -> impl Strategy<Value = (i64, u8, i64, f64, bool)> {
     )
 }
 
+/// A timestamp column to lay over the rows, or
+/// `None` to keep the rows' own unsorted small timestamps. `kind` picks a
+/// sorted run from `base` by `steps` (each a magnitude class, then bits:
+/// zero, under 128, under 2^20 or any `u64`, saturating at `i64::MAX`),
+/// the same run rotated by `seed` and maybe reversed (out of order, same
+/// values), or the step bits themselves as values over the whole `i64`
+/// range.
+fn timestamp_column(kind: u8, base: i64, steps: &[(u8, u64)], seed: u64) -> Option<Vec<i64>> {
+    let sorted = || -> Vec<i64> {
+        steps
+            .iter()
+            .scan(base, |t, &(class, bits)| {
+                let now = *t;
+                let step = match class {
+                    0 => 0,
+                    1 => bits % 128,
+                    2 => bits % (1 << 20),
+                    _ => bits,
+                };
+                *t = t.saturating_add_unsigned(step);
+                Some(now)
+            })
+            .collect()
+    };
+    match kind {
+        0 => None,
+        1 => Some(sorted()),
+        2 => {
+            let mut ts = sorted();
+            let at = (seed % ts.len() as u64) as usize;
+            ts.rotate_left(at);
+            if seed & 1 == 1 {
+                ts.reverse();
+            }
+            Some(ts)
+        }
+        _ => Some(steps.iter().map(|&(_, bits)| bits as i64).collect()),
+    }
+}
+
 proptest! {
     /// ShardBatch payloads survive the wire byte-identically — plain string
-    /// columns, dictionary pages, and null validity alike.
+    /// columns, dictionary pages, null validity, and timestamps sorted (a
+    /// delta page when that is shorter) or not (frame of reference) alike.
     #[test]
     fn shard_batch_wire_round_trips(
         rows in proptest::collection::vec(row_strategy(), 0..80),
+        ts_kind in 0u8..4,
+        ts_base in any::<i64>(),
+        ts_steps in proptest::collection::vec((0u8..4, any::<u64>()), 1..80),
+        ts_seed in any::<u64>(),
         dict in any::<bool>(),
         shard in 0u32..64,
         epoch in 0u64..1000,
@@ -62,6 +107,13 @@ proptest! {
             })
             .collect();
         let mut batch = Batch::from_records(schema(), &recs).unwrap();
+        if let Some(mut ts) = timestamp_column(ts_kind, ts_base, &ts_steps, ts_seed) {
+            // Fit the column to the rows, repeating its last value (a zero
+            // step) rather than breaking a sorted run.
+            let last = ts[ts.len() - 1];
+            ts.resize(batch.len(), last);
+            batch.timestamps = ts;
+        }
         if dict {
             let _ = batch.dict_encode(16);
         }
