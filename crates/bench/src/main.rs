@@ -415,6 +415,9 @@ fn run_bench(json: bool, check: bool) {
                 "  cost     : encode {:.1} ns/row, decode {:.1} ns/row (context only)",
                 p.encode_ns_per_row, p.decode_ns_per_row
             );
+            if let Some(merge) = p.merge_ns_per_row {
+                println!("  merge    : {merge:.1} ns/entry into final-role G+Rs (context only)");
+            }
         }
     }
     maybe_json(json, "BENCH_throughput", &report);

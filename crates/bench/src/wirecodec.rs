@@ -15,7 +15,9 @@
 //! - **S2S state** — the partial state one Jarvis source builds over one
 //!   Pingmesh epoch (generator seed 17), split over the same ring and
 //!   encoded as `NetPayload::ShardState` payloads: integer keys and the
-//!   `Avg` / `Max` / `Min` components of an integer `rtt`.
+//!   `Avg` / `Max` / `Min` components of an integer `rtt`. Beside encode
+//!   and decode, this part times merging the decoded parts into final-role
+//!   operators, one per shard, the way a shard host folds shipped state.
 //!
 //! Beside each encoded size stands the size the fixed-width format this
 //! codec replaced (8 B a timestamp, integer, key and state component, 4 B a
@@ -69,6 +71,9 @@ pub struct WireCodecPart {
     pub encode_ns_per_row: f64,
     /// Decode cost, ns/row (best over iterations; not gated).
     pub decode_ns_per_row: f64,
+    /// Cost of merging the decoded state into fresh final-role operators,
+    /// ns/entry (state part only; best over iterations; not gated).
+    pub merge_ns_per_row: Option<f64>,
 }
 
 /// Result of the wire-codec measurement.
@@ -147,7 +152,8 @@ fn fixed_width_body_len(batch: &Batch, link: &DictVersions) -> usize {
 /// Bytes of a one-run state body of non-null integer keys under the
 /// fixed-width format: the run's shape and batch header, then a presence
 /// byte per column and 8 B a window start, key value and state component
-/// (sketches, which follow the batch, are not counted).
+/// (sketches, which follow the batch, are not counted). Key columns count
+/// by the key's arity, not its encoded length.
 fn fixed_width_state_len(entries: &[GroupPartialEntry]) -> usize {
     let (rows, first) = (entries.len(), &entries[0]);
     let components: usize = first
@@ -159,8 +165,9 @@ fn fixed_width_state_len(entries: &[GroupPartialEntry]) -> usize {
             _ => 1,
         })
         .sum();
-    let columns = first.key.len() + components;
-    2 + first.key.len() + 2 + first.states.len() + 8 + 8 * rows + columns * (1 + 8 * rows)
+    let arity = first.key.arity();
+    let columns = arity + components;
+    2 + arity + 2 + first.states.len() + 8 + 8 * rows + columns * (1 + 8 * rows)
 }
 
 /// Bytes `payload`'s body would take under the fixed-width format, with
@@ -241,13 +248,45 @@ fn encode_all(parts: &[NetPayload], link: &mut DictVersions) -> Vec<Bytes> {
         .collect()
 }
 
-fn decode_all(frames: &[Bytes], schemas: &[SchemaRef], registry: &mut DictRegistry) {
-    for frame in frames {
-        std::hint::black_box(
+fn decode_all(
+    frames: &[Bytes],
+    schemas: &[SchemaRef],
+    registry: &mut DictRegistry,
+) -> Vec<NetPayload> {
+    frames
+        .iter()
+        .map(|frame| {
             decode_shard_payload_with(frame.clone(), schemas, registry)
-                .expect("encoded parts decode on the receiving mirror"),
-        );
+                .expect("encoded parts decode on the receiving mirror")
+        })
+        .collect()
+}
+
+/// A fresh final-role S2SProbe G+R, the operator a shard host merges a
+/// source's shipped state into.
+fn s2s_final_group() -> Box<dyn Operator> {
+    let plan = telemetry::queries::s2s_probe();
+    let (boundary, _) = plan.shard_boundary().expect("S2SProbe has a G+R");
+    let mut ops =
+        build_pipeline(&plan, &CostProfile::default(), AggRole::Final).expect("valid plan");
+    ops.swap_remove(boundary)
+}
+
+/// Seconds to merge every decoded `ShardState` of `frames` into a fresh
+/// operator of its own, the decode left out of the timing.
+fn merge_secs(frames: &[Bytes], schemas: &[SchemaRef]) -> f64 {
+    let decoded = decode_all(frames, schemas, &mut DictRegistry::new());
+    let mut ops: Vec<Box<dyn Operator>> = decoded.iter().map(|_| s2s_final_group()).collect();
+    let start = Instant::now();
+    for (payload, op) in decoded.into_iter().zip(&mut ops) {
+        let NetPayload::ShardState { delta, .. } = payload else {
+            unreachable!("state parts decode to state payloads");
+        };
+        op.merge_state(delta);
     }
+    let secs = start.elapsed().as_secs_f64();
+    std::hint::black_box(ops);
+    secs
 }
 
 /// Measures the `parts` of one chunk of `rows` rows (or entries): `warm`
@@ -291,11 +330,21 @@ fn measure_part(
                 let mut registry = DictRegistry::new();
                 decode_all(&warm_frames, schemas, &mut registry);
                 let start = Instant::now();
-                decode_all(&frames, schemas, &mut registry);
+                std::hint::black_box(decode_all(&frames, schemas, &mut registry));
                 start.elapsed().as_secs_f64()
             })
             .collect(),
     );
+    let merges_state = parts
+        .iter()
+        .all(|p| matches!(p, NetPayload::ShardState { .. }));
+    let merge = merges_state.then(|| {
+        best_secs(
+            (0..iters.max(1))
+                .map(|_| merge_secs(&frames, schemas))
+                .collect(),
+        )
+    });
     WireCodecPart {
         part: part.to_string(),
         rows: rows as u64,
@@ -305,6 +354,7 @@ fn measure_part(
         encoded_bytes_per_row: encoded as f64 / rows as f64,
         encode_ns_per_row: encode * 1e9 / rows as f64,
         decode_ns_per_row: decode * 1e9 / rows as f64,
+        merge_ns_per_row: merge.map(|secs| secs * 1e9 / rows as f64),
     }
 }
 
@@ -381,6 +431,7 @@ pub fn bench_wire_codec(iters: u32) -> WireCodecResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamkit::ops::GroupKey;
 
     #[test]
     fn byte_counts_repeat_and_beat_the_fixed_width_format() {
@@ -408,7 +459,7 @@ mod tests {
         // `Avg`'s sum and count, `Max`) of a presence byte and 2 × 8 B.
         let entry = GroupPartialEntry {
             window_start: 0,
-            key: vec![streamkit::value::Value::U64(1); 2],
+            key: GroupKey::from_values(&vec![streamkit::value::Value::U64(1); 2]),
             states: vec![AggState::Avg { sum: 1.0, count: 1 }, AggState::Max(1.0)],
         };
         let len = fixed_width_state_len(&[entry.clone(), entry]);

@@ -246,7 +246,7 @@ mod tests {
     use super::*;
     use streamkit::agg::AggState;
     use streamkit::batch::Batch;
-    use streamkit::ops::GroupPartialEntry;
+    use streamkit::ops::{GroupKey, GroupPartialEntry};
     use streamkit::record::Record;
     use streamkit::schema::{DataType, Field, Schema};
     use streamkit::value::Value;
@@ -289,7 +289,7 @@ mod tests {
             rel: 0,
             delta: StatePartial::Group(vec![GroupPartialEntry {
                 window_start: 10_000_000,
-                key: vec![Value::str("t0"), Value::I64(-3)],
+                key: GroupKey::from_values(&[Value::str("t0"), Value::I64(-3)]),
                 states: vec![AggState::Count(5), AggState::Sum(1.25)],
             }]),
         };
@@ -310,7 +310,7 @@ mod tests {
             rel: 0,
             delta: StatePartial::Group(vec![GroupPartialEntry {
                 window_start: 0,
-                key: vec![Value::F64(f64::NAN)],
+                key: GroupKey::from_values(&[Value::F64(f64::NAN)]),
                 states: vec![
                     AggState::Min(f64::INFINITY),
                     AggState::Max(f64::NEG_INFINITY),
@@ -327,7 +327,7 @@ mod tests {
         else {
             panic!("state payload expected");
         };
-        let Value::F64(k) = entries[0].key[0] else {
+        let [Value::F64(k)] = entries[0].key.values()[..] else {
             panic!("f64 key expected");
         };
         assert!(k.is_nan());

@@ -73,6 +73,14 @@
 //! `+inf`) goes raw and round-trips exactly all the same. `Quantile`
 //! sketches follow the batch, entry by entry, in aggregate order.
 //!
+//! An entry's key is a [`GroupKey`], the canonical encoding
+//! ([`crate::shard`]), and a key kind is the canonical variant tag. The
+//! encoder reads a run's shape off the key bytes and builds all its key
+//! columns in one pass over them, a fixed-width value copied as its
+//! payload word; the decoder writes each entry's key straight off the
+//! decoded columns with [`encode_col_value`]. No key becomes a `Value` on
+//! either side, and the bytes are those `Value` keys produced.
+//!
 //! Each entry of a run holds one slot per key column and one per
 //! aggregate, and columns can ship slots for next to nothing: an all-`Null`
 //! key column has no page, a constant `Count` column a width-0 one. So a
@@ -91,10 +99,13 @@ use crate::batch::{
     Batch, Column, ColumnBuilder, DictBuilder, DictDelta, DictRegistry, DictVersions, StrDict,
 };
 use crate::error::{Error, Result};
-use crate::ops::GroupPartialEntry;
+use crate::ops::{GroupKey, GroupPartialEntry};
 use crate::quantile::QuantileSketch;
 use crate::schema::{DataType, SchemaRef};
-use crate::value::Value;
+use crate::shard::{
+    decode_value, encode_col_value, Decoded, BOOL_TAG, F64_TAG, I64_TAG, NULL_TAG, STR_HEADER,
+    STR_TAG, U64_TAG,
+};
 
 const MAGIC: u32 = 0x4A52_5653; // "JRVS"
 
@@ -882,14 +893,15 @@ fn decode_columns(
     Ok((timestamps, columns))
 }
 
-/// Key-column kinds of a state run. A `Null` column has no page: every
-/// entry of the run holds `Null` there.
-const KEY_NULL: u8 = 0;
-const KEY_BOOL: u8 = 1;
-const KEY_I64: u8 = 2;
-const KEY_U64: u8 = 3;
-const KEY_F64: u8 = 4;
-const KEY_STR: u8 = 5;
+/// Key-column kinds of a state run: the canonical encoding's variant tags
+/// ([`crate::shard`]), so a key's fragment names its column's kind. A
+/// `Null` column has no page: every entry of the run holds `Null` there.
+const KEY_NULL: u8 = NULL_TAG;
+const KEY_BOOL: u8 = BOOL_TAG;
+const KEY_I64: u8 = I64_TAG;
+const KEY_U64: u8 = U64_TAG;
+const KEY_F64: u8 = F64_TAG;
+const KEY_STR: u8 = STR_TAG;
 
 /// Aggregate-state tags of a state run.
 const AGG_COUNT: u8 = 0;
@@ -902,17 +914,6 @@ const AGG_QUANTILE: u8 = 5;
 /// The most slots (key values and aggregate states) a state run may claim
 /// per byte of its shape and entries; see the module doc.
 const SLOTS_PER_BYTE: usize = 8;
-
-fn key_kind(value: &Value) -> u8 {
-    match value {
-        Value::Null => KEY_NULL,
-        Value::Bool(_) => KEY_BOOL,
-        Value::I64(_) => KEY_I64,
-        Value::U64(_) => KEY_U64,
-        Value::F64(_) => KEY_F64,
-        Value::Str(_) => KEY_STR,
-    }
-}
 
 /// The column type a key kind ships as; `None` for an all-`Null` column,
 /// which ships no page.
@@ -963,7 +964,7 @@ pub fn encode_group_state(entries: &[GroupPartialEntry]) -> Bytes {
 pub fn encode_group_state_into(buf: &mut BytesMut, entries: &[GroupPartialEntry]) {
     let mut rest = entries;
     while !rest.is_empty() {
-        let slots = rest[0].key.len() + rest[0].states.len();
+        let slots = rest[0].key.arity() + rest[0].states.len();
         let most = if slots > SLOTS_PER_BYTE {
             SLOTS_PER_BYTE
         } else {
@@ -980,26 +981,28 @@ pub fn encode_group_state_into(buf: &mut BytesMut, entries: &[GroupPartialEntry]
 /// its first non-`Null` value, and a `Null` fits any variant.
 fn run_shape(entries: &[GroupPartialEntry]) -> (Vec<u8>, usize) {
     let first = &entries[0];
-    let mut kinds: Vec<u8> = first.key.iter().map(key_kind).collect();
+    let mut kinds: Vec<u8> = first.key.fragments().map(|f| f[0]).collect();
     let mut len = 1;
     for entry in &entries[1..] {
-        let fits = entry.key.len() == kinds.len()
+        let fits = entry.key.arity() == kinds.len()
             && entry.states.len() == first.states.len()
             && entry
                 .states
                 .iter()
                 .zip(&first.states)
                 .all(|(a, b)| agg_tag(a) == agg_tag(b))
-            && entry.key.iter().zip(&kinds).all(|(v, &kind)| {
-                let k = key_kind(v);
+            && entry.key.fragments().zip(&kinds).all(|(f, &kind)| {
+                let k = f[0];
                 k == KEY_NULL || kind == KEY_NULL || k == kind
             });
         if !fits {
             break;
         }
-        for (v, kind) in entry.key.iter().zip(&mut kinds) {
-            if *kind == KEY_NULL {
-                *kind = key_kind(v);
+        if kinds.contains(&KEY_NULL) {
+            for (f, kind) in entry.key.fragments().zip(&mut kinds) {
+                if *kind == KEY_NULL {
+                    *kind = f[0];
+                }
             }
         }
         len += 1;
@@ -1018,11 +1021,7 @@ fn put_run(buf: &mut BytesMut, kinds: &[u8], run: &[GroupPartialEntry]) {
     }
     let window_starts: Vec<i64> = run.iter().map(|e| e.window_start).collect();
     let mut columns = Vec::with_capacity(kinds.len() + aggs.len());
-    for (c, &kind) in kinds.iter().enumerate() {
-        if let Ok(Some(dtype)) = key_dtype(kind) {
-            columns.push(key_column(dtype, run.iter().map(|e| &e.key[c])));
-        }
-    }
+    key_columns(kinds, run, &mut columns);
     for (a, state) in aggs.iter().enumerate() {
         let (float, int) = components(state);
         if float.is_some() {
@@ -1053,36 +1052,105 @@ fn put_run(buf: &mut BytesMut, kinds: &[u8], run: &[GroupPartialEntry]) {
     }
 }
 
-/// One key column of a run, whose `values` are each of `dtype` or `Null`:
-/// nulls become validity bytes, and strings are dictionary-encoded by the
-/// rule of [`Column::dict_encode`], unless a value outgrows a dictionary
-/// entry.
-fn key_column<'a>(dtype: DataType, values: impl Iterator<Item = &'a Value> + Clone) -> Column {
-    let fits = |v: &Value| v.as_str().is_none_or(|s| s.len() <= u16::MAX as usize);
-    if dtype == DataType::Str && values.clone().all(fits) {
-        let mut col = DictBuilder::new(values.size_hint().0);
-        for v in values {
-            match v.as_str() {
-                Some(s) => col.push(s),
-                None => col.push_null(),
+/// Appends a run's key columns to `columns`, one per kind that has a type,
+/// reading each key's fragments once, in key order. A fixed-width value
+/// is kept as its payload word until the column is built; nulls become
+/// validity bytes; strings are dictionary-encoded by the rule of
+/// [`Column::dict_encode`], unless a value outgrows a dictionary entry.
+fn key_columns(kinds: &[u8], run: &[GroupPartialEntry], columns: &mut Vec<Column>) {
+    enum Builder {
+        Words {
+            kind: u8,
+            words: Vec<u64>,
+            valid: Option<Vec<bool>>,
+        },
+        Dict(DictBuilder),
+        Plain(ColumnBuilder),
+    }
+    let mut dict = vec![true; kinds.len()];
+    if kinds.contains(&KEY_STR) {
+        for entry in run {
+            for (fits, f) in dict.iter_mut().zip(entry.key.fragments()) {
+                *fits &= f.len() <= STR_HEADER + u16::MAX as usize;
             }
         }
-        return col.finish();
     }
-    let mut col = ColumnBuilder::new(dtype, values.size_hint().0);
-    for v in values {
-        col.push(v)
-            .expect("a run's key column holds one variant and nulls");
+    let mut builders: Vec<Option<Builder>> = kinds
+        .iter()
+        .zip(dict)
+        .map(|(&kind, dict)| match kind {
+            KEY_NULL => None,
+            KEY_STR if dict => Some(Builder::Dict(DictBuilder::new(run.len()))),
+            KEY_STR => Some(Builder::Plain(ColumnBuilder::new(DataType::Str, run.len()))),
+            _ => Some(Builder::Words {
+                kind,
+                words: Vec::with_capacity(run.len()),
+                valid: None,
+            }),
+        })
+        .collect();
+    for entry in run {
+        for (builder, mut f) in builders.iter_mut().zip(entry.key.fragments()) {
+            match builder {
+                Some(Builder::Words { words, valid, .. }) => {
+                    let word = match f[0] {
+                        KEY_NULL => None,
+                        KEY_BOOL => Some(u64::from(f[1])),
+                        _ => Some(u64::from_le_bytes(
+                            f[1..].try_into().expect("8-byte payload"),
+                        )),
+                    };
+                    match valid {
+                        Some(valid) => valid.push(word.is_some()),
+                        None if word.is_none() => {
+                            let mut v = vec![true; words.len()];
+                            v.push(false);
+                            *valid = Some(v);
+                        }
+                        None => {}
+                    }
+                    words.push(word.unwrap_or(0));
+                }
+                Some(Builder::Dict(col)) => match decode_value(&mut f) {
+                    Decoded::Str(s) => col.push(s),
+                    Decoded::Scalar(_) => col.push_null(),
+                },
+                Some(Builder::Plain(col)) => match decode_value(&mut f) {
+                    Decoded::Str(s) => col.push_str(s).expect("a string column"),
+                    Decoded::Scalar(_) => col.push_null(),
+                },
+                None => {}
+            }
+        }
     }
-    col.finish()
+    columns.extend(builders.into_iter().flatten().map(|b| match b {
+        Builder::Words { kind, words, valid } => {
+            let dense = match kind {
+                KEY_BOOL => Column::Bool(words.iter().map(|&w| w != 0).collect()),
+                KEY_I64 => Column::I64(words.into_iter().map(|w| w as i64).collect()),
+                KEY_U64 => Column::U64(words),
+                _ => Column::F64(words.into_iter().map(f64::from_bits).collect()),
+            };
+            match valid {
+                Some(valid) => Column::Opt {
+                    valid,
+                    values: Box::new(dense),
+                },
+                None => dense,
+            }
+        }
+        Builder::Dict(col) => col.finish(),
+        Builder::Plain(col) => col.finish(),
+    }));
 }
 
 /// Decodes group-aggregation state produced by [`encode_group_state`].
 pub fn decode_group_state(buf: Bytes) -> Result<Vec<GroupPartialEntry>> {
     let mut buf: &[u8] = &buf;
     let mut entries = Vec::new();
+    let mut key = Vec::new();
     while !buf.is_empty() {
-        get_run(&mut buf, &mut entries)?;
+        get_run(&mut buf, &mut entries, &mut key)?;
     }
     Ok(entries)
 }
@@ -1096,7 +1164,9 @@ enum StateCol {
 }
 
 /// Reads one run, inverse of [`put_run`], appending its entries to `out`.
-fn get_run(buf: &mut &[u8], out: &mut Vec<GroupPartialEntry>) -> Result<()> {
+/// Each entry's key is written into `key`, the canonical encoding straight
+/// off the decoded columns, and copied into its [`GroupKey`].
+fn get_run(buf: &mut &[u8], out: &mut Vec<GroupPartialEntry>, key: &mut Vec<u8>) -> Result<()> {
     need(buf, 2)?;
     let arity = buf.get_u16_le() as usize;
     need(buf, arity + 2)?;
@@ -1141,7 +1211,7 @@ fn get_run(buf: &mut &[u8], out: &mut Vec<GroupPartialEntry>) -> Result<()> {
     for &kind in kinds {
         keys.push(match kind {
             KEY_NULL => None,
-            _ => Some(key_values(next_column(&mut columns)?).into_iter()),
+            _ => Some(next_column(&mut columns)?),
         });
     }
     let mut aggs = Vec::with_capacity(n_aggs);
@@ -1160,10 +1230,13 @@ fn get_run(buf: &mut &[u8], out: &mut Vec<GroupPartialEntry>) -> Result<()> {
     }
     out.reserve(window_starts.len());
     for (row, window_start) in window_starts.into_iter().enumerate() {
-        let key = keys
-            .iter_mut()
-            .map(|col| col.as_mut().and_then(Iterator::next).unwrap_or(Value::Null))
-            .collect();
+        key.clear();
+        for col in &keys {
+            match col {
+                Some(col) => encode_col_value(key, col, row),
+                None => key.push(KEY_NULL),
+            }
+        }
         let mut states = Vec::with_capacity(n_aggs);
         for agg in &aggs {
             states.push(match agg {
@@ -1178,7 +1251,7 @@ fn get_run(buf: &mut &[u8], out: &mut Vec<GroupPartialEntry>) -> Result<()> {
         }
         out.push(GroupPartialEntry {
             window_start,
-            key,
+            key: GroupKey::from_canonical(key),
             states,
         });
     }
@@ -1203,30 +1276,6 @@ fn dense_f64(col: Column) -> Result<Vec<f64>> {
         Column::F64(v) => Ok(v),
         _ => Err(Error::Decode("state column carries validity".into())),
     }
-}
-
-/// The values of a decoded key column, row by row. Rows that share a
-/// dictionary entry share one string allocation.
-fn key_values(col: Column) -> Vec<Value> {
-    let (dense, valid) = unwrap_opt(&col);
-    let mut values: Vec<Value> = match dense {
-        Column::Dict { codes, dict } => {
-            let entries: Vec<Value> = dict.iter().map(Value::str).collect();
-            codes
-                .iter()
-                .map(|&c| entries.get(c as usize).cloned().unwrap_or(Value::Null))
-                .collect()
-        }
-        _ => (0..dense.len()).map(|row| dense.value(row)).collect(),
-    };
-    if let Some(valid) = valid {
-        for (v, &ok) in values.iter_mut().zip(valid) {
-            if !ok {
-                *v = Value::Null;
-            }
-        }
-    }
-    values
 }
 
 /// Reads one quantile sketch that follows a run's batch.
@@ -1469,7 +1518,7 @@ mod tests {
     fn state_entry(window_start: i64, key: Vec<Value>) -> GroupPartialEntry {
         GroupPartialEntry {
             window_start,
-            key,
+            key: GroupKey::from_values(&key),
             states: vec![
                 AggState::Count(3),
                 AggState::Sum(f64::NAN),
@@ -1527,7 +1576,7 @@ mod tests {
         let mut runs = Vec::new();
         while !buf.is_empty() {
             let mut out = Vec::new();
-            get_run(&mut buf, &mut out).unwrap();
+            get_run(&mut buf, &mut out, &mut Vec::new()).unwrap();
             runs.push(out.len());
         }
         runs
@@ -1540,9 +1589,11 @@ mod tests {
         let wide: Vec<GroupPartialEntry> = (0..50)
             .map(|i| GroupPartialEntry {
                 window_start: i,
-                key: (0..10)
-                    .map(|c| [Value::Null, Value::I64(i + c)][c as usize % 2].clone())
-                    .collect(),
+                key: GroupKey::from_values(
+                    &(0..10)
+                        .map(|c| [Value::Null, Value::I64(i + c)][c as usize % 2].clone())
+                        .collect::<Vec<_>>(),
+                ),
                 states: vec![AggState::Count(1)],
             })
             .collect();

@@ -28,10 +28,10 @@
 //! * an open-addressed **index** of `hash tag << 32 | slot` words, linearly
 //!   probed, at most 3/4 full;
 //! * a **key arena** holding each group's canonical encoding (the bytes
-//!   [`encode_col_value`] / [`encode_value`] produce) back to back in slot
-//!   order — at a fixed stride while every key has had the same length (wide
-//!   integer keys), behind an offsets vector from the first key that differs
-//!   (strings, nulls);
+//!   [`encode_col_value`] / [`crate::shard::encode_value`] produce) back to
+//!   back in slot order — at a fixed stride while every key has had the
+//!   same length (wide integer keys), behind an offsets vector from the
+//!   first key that differs (strings, nulls);
 //! * a **state arena** of `aggs.len()` [`AggState`]s per slot;
 //! * a **changed bitset** for per-epoch delta emission.
 //!
@@ -40,11 +40,13 @@
 //! checkpoints — is in window order then insertion order: deterministic, a
 //! requirement for reproducible experiments.
 //!
-//! Nothing on the row path builds a `Value`: keys are encoded straight off
-//! column slices, compared as bytes, and aggregate inputs are read natively.
-//! `Vec<Value>` keys exist only where state leaves the operator as
-//! [`StatePartial`] (`take_state_delta`, `checkpoint_state`), decoded from
-//! the arena; result batches are built column by column from the arenas.
+//! Nothing on the row path or the state path builds a `Value`: keys are
+//! encoded straight off column slices, compared as bytes, and aggregate
+//! inputs are read natively. State leaves the operator as [`StatePartial`]
+//! entries whose [`GroupKey`]s copy the arena's bytes (`take_state_delta`,
+//! `checkpoint_state`), and shipped entries merge by probing with their
+//! key bytes, folded like a batch ([`Operator::merge_state`]); result
+//! batches are built column by column from the arenas.
 //!
 //! The index hash is a seeded word-wise mixer over the canonical encoding,
 //! *not* the FNV-1a [`crate::shard`] routes by: every key that reaches a
@@ -57,15 +59,14 @@ use std::hash::{BuildHasher, RandomState};
 
 use crate::agg::{AggKind, AggSpec, AggState};
 use crate::batch::{Batch, Column, ColumnBuilder, StrDict};
-use crate::ops::{CostModel, GroupPartialEntry, OpKind, Operator, StatePartial};
+use crate::ops::{CostModel, GroupKey, GroupPartialEntry, OpKind, Operator, StatePartial};
 use crate::schema::{DataType, Field, Schema, SchemaRef};
 // The canonical key encoding lives in `crate::shard`: the shard router
 // hashes the same bytes this table stores, which is what lets a sharded
 // runtime route rows and shipped `StatePartial` entries to the shard owning
 // their group key.
-use crate::shard::{decode_value, encode_col_value, encode_value, Decoded};
+use crate::shard::{decode_value, encode_col_value, Decoded};
 use crate::time::Ts;
-use crate::value::Value;
 use crate::window::TumblingWindow;
 
 /// When results are emitted (Final role only).
@@ -160,17 +161,6 @@ impl WindowTable {
             Some(b) => &self.keys[b[0] as usize..b[1] as usize],
             None => &self.keys[slot * self.stride..][..self.stride],
         }
-    }
-
-    /// The group's key as values — what leaves the operator in a
-    /// [`StatePartial`].
-    fn key_values(&self, slot: usize) -> Vec<Value> {
-        let mut key = self.key(slot);
-        let mut values = Vec::new();
-        while !key.is_empty() {
-            values.push(decode_value(&mut key).into_value());
-        }
-        values
     }
 
     #[inline]
@@ -290,7 +280,8 @@ pub struct GroupAggregateOp {
     /// dozen rows: a handful of allocations per call would show): the rows'
     /// canonical keys back to back, their boundaries, their hashes, the
     /// slots they resolved to, and the key columns' `(dict id, cardinality)`
-    /// signature while they are all persistent dictionaries.
+    /// signature while they are all persistent dictionaries. `merge_state`
+    /// reuses `hashes` and `slots` for shipped entries.
     scratch: Vec<u8>,
     key_bounds: Vec<usize>,
     hashes: Vec<u64>,
@@ -884,7 +875,7 @@ impl Operator for GroupAggregateOp {
             let mut states = std::mem::take(&mut table.states).into_iter();
             entries.extend((0..table.len).map(|slot| GroupPartialEntry {
                 window_start,
-                key: table.key_values(slot),
+                key: GroupKey::from_canonical(table.key(slot)),
                 states: states.by_ref().take(n_aggs).collect(),
             }));
         }
@@ -900,38 +891,67 @@ impl Operator for GroupAggregateOp {
         for (&window_start, table) in &self.windows {
             entries.extend((0..table.len).map(|slot| GroupPartialEntry {
                 window_start,
-                key: table.key_values(slot),
+                key: GroupKey::from_canonical(table.key(slot)),
                 states: table.states[slot * n_aggs..][..n_aggs].to_vec(),
             }));
         }
         Some(StatePartial::Group(entries))
     }
 
+    /// Folds shipped entries the way `process_batch` folds a batch's rows:
+    /// each stretch of consecutive entries of one window takes one table
+    /// lookup, every entry's key bytes are hashed and its slot guessed
+    /// before any guess is confirmed, and the states merge last. A group
+    /// the table lacks adopts the entry's states as shipped.
     fn merge_state(&mut self, state: StatePartial) {
-        let StatePartial::Group(entries) = state;
-        let n_aggs = self.aggs.len();
-        for entry in entries {
-            self.scratch.clear();
-            for v in &entry.key {
-                encode_value(&mut self.scratch, v);
+        let StatePartial::Group(mut entries) = state;
+        let GroupAggregateOp {
+            aggs,
+            windows,
+            seed,
+            hashes,
+            slots,
+            ..
+        } = self;
+        let n_aggs = aggs.len();
+        let mut rest = entries.as_mut_slice();
+        while let Some(first) = rest.first() {
+            let ws = first.window_start;
+            let len = rest
+                .iter()
+                .position(|e| e.window_start != ws)
+                .unwrap_or(rest.len());
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            let table = windows.entry(ws).or_default();
+            hashes.clear();
+            hashes.extend(run.iter().map(|e| hash_key(*seed, e.key.as_bytes())));
+            slots.clear();
+            slots.extend(hashes.iter().map(|&hash| table.guess(hash)));
+            for ((entry, slot), &hash) in run.iter_mut().zip(slots.iter_mut()).zip(&*hashes) {
+                let key = entry.key.as_bytes();
+                if *slot != u32::MAX && table.key(*slot as usize) == key {
+                    continue;
+                }
+                let (found, created) = table.slot_of(hash, key, n_aggs);
+                *slot = found as u32;
+                if created {
+                    // Adopted as shipped; a short entry is padded so the
+                    // arena keeps its stride. Taking the states leaves
+                    // nothing to merge below.
+                    let mut incoming = std::mem::take(&mut entry.states).into_iter();
+                    table.states.extend(
+                        aggs.iter()
+                            .map(|spec| incoming.next().unwrap_or_else(|| spec.init())),
+                    );
+                }
             }
-            let hash = hash_key(self.seed, &self.scratch);
-            let table = self.windows.entry(entry.window_start).or_default();
-            let (slot, created) = table.slot_of(hash, &self.scratch, n_aggs);
-            table.mark_changed(slot);
-            let mut incoming = entry.states.into_iter();
-            if created {
-                // Adopted as shipped; a short entry is padded so the arena
-                // keeps its stride.
-                table.states.extend(
-                    self.aggs
-                        .iter()
-                        .map(|spec| incoming.next().unwrap_or_else(|| spec.init())),
-                );
-            } else {
+            for (entry, &slot) in run.iter().zip(slots.iter()) {
+                let slot = slot as usize;
+                table.mark_changed(slot);
                 let states = &mut table.states[slot * n_aggs..][..n_aggs];
-                for (state, inc) in states.iter_mut().zip(incoming) {
-                    state.merge(&inc);
+                for (state, inc) in states.iter_mut().zip(&entry.states) {
+                    state.merge(inc);
                 }
             }
         }
@@ -948,6 +968,7 @@ mod tests {
     use crate::agg::AggKind;
     use crate::record::Record;
     use crate::time::secs;
+    use crate::value::Value;
 
     fn input_schema() -> SchemaRef {
         Schema::new(vec![
@@ -1526,7 +1547,12 @@ mod tests {
         let mut g = op(AggRole::Final, EmitMode::OnWindowClose);
         g.seed = 17;
         let recs: Vec<Record> = (0..40_000u64)
-            .filter(|&i| shard_of_values(&[Value::U64(7), Value::U64(i * 257)], 4) == 0)
+            .filter(|&i| {
+                shard_of_values(
+                    &GroupKey::from_values(&[Value::U64(7), Value::U64(i * 257)]),
+                    4,
+                ) == 0
+            })
             .take(5000)
             .map(|i| rec(1.0, 7, i * 257, 10))
             .collect();

@@ -53,6 +53,7 @@ pub mod cost;
 pub mod filter;
 pub mod group;
 pub mod join;
+pub mod key;
 pub mod map;
 pub mod project;
 pub mod window_op;
@@ -62,13 +63,14 @@ use serde::{Deserialize, Serialize};
 use crate::agg::AggState;
 use crate::batch::{layout, Batch};
 use crate::schema::SchemaRef;
+use crate::shard::{BOOL_TAG, STR_HEADER, STR_TAG};
 use crate::time::Ts;
-use crate::value::Value;
 
 pub use cost::CostModel;
 pub use filter::FilterOp;
 pub use group::{AggRole, EmitMode, GroupAggregateOp};
 pub use join::{JoinMiss, JoinOp, StaticTable};
+pub use key::GroupKey;
 pub use map::{MapFn, MapOp};
 pub use project::ProjectOp;
 pub use window_op::WindowAssignOp;
@@ -109,22 +111,24 @@ impl OpKind {
 pub struct GroupPartialEntry {
     /// Start of the window the state belongs to.
     pub window_start: Ts,
-    /// Group key values.
-    pub key: Vec<Value>,
+    /// Group key, as its canonical encoding.
+    pub key: GroupKey,
     /// One state per aggregate spec.
     pub states: Vec<AggState>,
 }
 
 impl GroupPartialEntry {
     /// Encoded size used for network accounting: window start + key values +
-    /// aggregate states (string sizing shared with the batch layout).
+    /// aggregate states (string sizing shared with the batch layout). Read
+    /// off the key's bytes: a string costs its layout size, a bool 1 byte,
+    /// any other value 8.
     pub fn wire_bytes(&self) -> usize {
         let key_bytes: usize = self
             .key
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => layout::str_bytes(s.len()),
-                Value::Bool(_) => 1,
+            .fragments()
+            .map(|f| match f[0] {
+                STR_TAG => layout::str_bytes(f.len() - STR_HEADER),
+                BOOL_TAG => 1,
                 _ => 8,
             })
             .sum();
@@ -267,6 +271,7 @@ pub fn absorbed_timestamps(input_ts: &[Ts], outputs: &[Batch]) -> Vec<Ts> {
 mod tests {
     use super::*;
     use crate::schema::{DataType, Field, Schema};
+    use crate::value::Value;
 
     fn batch_of(ts: &[Ts]) -> Batch {
         let schema = Schema::new(vec![Field::new("x", DataType::I64)]);

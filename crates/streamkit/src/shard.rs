@@ -7,7 +7,8 @@
 //!
 //! * [`Batch::shard_by_key`] — rows, hashed straight off column storage;
 //! * [`shard_of_values`] — [`StatePartial`] group entries, whose keys are
-//!   already materialised `Value`s;
+//!   canonical encodings ([`GroupKey`]). It hashes each value's fragment
+//!   in the key's own bytes, so routing an entry allocates nothing;
 //! * window results — never re-sharded: a group's whole lifetime (updates,
 //!   merged partials, close) happens on the shard that owns its key.
 //!
@@ -38,11 +39,22 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::batch::{Batch, Column, StrDict};
-use crate::ops::{GroupPartialEntry, StatePartial};
+use crate::ops::{GroupKey, GroupPartialEntry, StatePartial};
 use crate::value::Value;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Variant tags of the canonical encoding, one byte ahead of each value's
+/// payload.
+pub(crate) const NULL_TAG: u8 = 0;
+pub(crate) const BOOL_TAG: u8 = 1;
+pub(crate) const I64_TAG: u8 = 2;
+pub(crate) const U64_TAG: u8 = 3;
+pub(crate) const F64_TAG: u8 = 4;
+pub(crate) const STR_TAG: u8 = 5;
+/// Bytes ahead of a string's payload: the tag and a `u32` length.
+pub(crate) const STR_HEADER: usize = 5;
 
 /// Appends the canonical byte encoding of one `Value` (variant tag +
 /// payload). Must stay in lockstep with [`encode_col_value`]: the group
@@ -50,25 +62,25 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 /// identical bytes for logically equal values.
 pub fn encode_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => buf.push(0),
+        Value::Null => buf.push(NULL_TAG),
         Value::Bool(b) => {
-            buf.push(1);
+            buf.push(BOOL_TAG);
             buf.push(u8::from(*b));
         }
         Value::I64(x) => {
-            buf.push(2);
+            buf.push(I64_TAG);
             buf.extend_from_slice(&x.to_le_bytes());
         }
         Value::U64(x) => {
-            buf.push(3);
+            buf.push(U64_TAG);
             buf.extend_from_slice(&x.to_le_bytes());
         }
         Value::F64(x) => {
-            buf.push(4);
+            buf.push(F64_TAG);
             buf.extend_from_slice(&x.to_bits().to_le_bytes());
         }
         Value::Str(s) => {
-            buf.push(5);
+            buf.push(STR_TAG);
             buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
             buf.extend_from_slice(s.as_bytes());
         }
@@ -80,19 +92,19 @@ pub fn encode_value(buf: &mut Vec<u8>, v: &Value) {
 pub fn encode_col_value(buf: &mut Vec<u8>, col: &Column, row: usize) {
     match col {
         Column::Bool(v) => {
-            buf.push(1);
+            buf.push(BOOL_TAG);
             buf.push(u8::from(v[row]));
         }
         Column::I64(v) => {
-            buf.push(2);
+            buf.push(I64_TAG);
             buf.extend_from_slice(&v[row].to_le_bytes());
         }
         Column::U64(v) => {
-            buf.push(3);
+            buf.push(U64_TAG);
             buf.extend_from_slice(&v[row].to_le_bytes());
         }
         Column::F64(v) => {
-            buf.push(4);
+            buf.push(F64_TAG);
             buf.extend_from_slice(&v[row].to_bits().to_le_bytes());
         }
         Column::Str { .. } | Column::Dict { .. } => {
@@ -100,7 +112,7 @@ pub fn encode_col_value(buf: &mut Vec<u8>, col: &Column, row: usize) {
             // column: group tables and shard routing persist across batches
             // whose dictionaries may differ.
             let s = col.str_at(row).unwrap_or("");
-            buf.push(5);
+            buf.push(STR_TAG);
             buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
             buf.extend_from_slice(s.as_bytes());
         }
@@ -108,7 +120,7 @@ pub fn encode_col_value(buf: &mut Vec<u8>, col: &Column, row: usize) {
             if valid[row] {
                 encode_col_value(buf, values, row);
             } else {
-                buf.push(0);
+                buf.push(NULL_TAG);
             }
         }
     }
@@ -134,31 +146,36 @@ impl Decoded<'_> {
     }
 }
 
+/// Byte length of the value whose canonical fragment starts `bytes`. The
+/// bytes must be ones [`encode_value`] / [`encode_col_value`] wrote.
+#[inline]
+pub(crate) fn fragment_len(bytes: &[u8]) -> usize {
+    match bytes[0] {
+        NULL_TAG => 1,
+        BOOL_TAG => 2,
+        STR_TAG => {
+            let len = bytes[1..STR_HEADER].try_into().expect("4-byte length");
+            STR_HEADER + u32::from_le_bytes(len) as usize
+        }
+        _ => 9,
+    }
+}
+
 /// Reads one value off the front of a canonical encoding, advancing `bytes`
 /// past it — the inverse of [`encode_value`] / [`encode_col_value`], exact
 /// down to `F64` bit patterns. The bytes must be ones those two wrote.
 pub fn decode_value<'a>(bytes: &mut &'a [u8]) -> Decoded<'a> {
-    let (&tag, rest) = bytes.split_first().expect("one tag byte per value");
-    let width = match tag {
-        0 => 0,
-        1 => 1,
-        5 => 4,
-        _ => 8,
-    };
-    let (payload, rest) = rest.split_at(width);
-    let word = || u64::from_le_bytes(payload.try_into().expect("8-byte payload"));
+    let (fragment, rest) = bytes.split_at(fragment_len(bytes));
     *bytes = rest;
-    Decoded::Scalar(match tag {
-        0 => Value::Null,
-        1 => Value::Bool(payload[0] != 0),
-        2 => Value::I64(word() as i64),
-        3 => Value::U64(word()),
-        4 => Value::F64(f64::from_bits(word())),
+    let word = || u64::from_le_bytes(fragment[1..].try_into().expect("8-byte payload"));
+    Decoded::Scalar(match fragment[0] {
+        NULL_TAG => Value::Null,
+        BOOL_TAG => Value::Bool(fragment[1] != 0),
+        I64_TAG => Value::I64(word() as i64),
+        U64_TAG => Value::U64(word()),
+        F64_TAG => Value::F64(f64::from_bits(word())),
         _ => {
-            let len = u32::from_le_bytes(payload.try_into().expect("4-byte length")) as usize;
-            let (s, rest) = rest.split_at(len);
-            *bytes = rest;
-            let s = std::str::from_utf8(s);
+            let s = std::str::from_utf8(&fragment[STR_HEADER..]);
             debug_assert!(s.is_ok(), "canonical encodings hold UTF-8 strings");
             return Decoded::Str(s.unwrap_or(""));
         }
@@ -167,7 +184,13 @@ pub fn decode_value<'a>(bytes: &mut &'a [u8]) -> Decoded<'a> {
 
 /// FNV-1a over a canonical encoding.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a continued from `h` over `bytes`: hashing a value's fragment in
+/// pieces gives the hash of the whole fragment.
+#[inline]
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -175,19 +198,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// FNV-1a of a string's canonical fragment, hashed in place.
+fn hash_str(s: &str) -> u64 {
+    let header = fnv1a_from(fnv1a(&[STR_TAG]), &(s.len() as u32).to_le_bytes());
+    fnv1a_from(header, s.as_bytes())
+}
+
 /// Combines per-column value hashes into one row hash (order-sensitive).
 #[inline]
 fn combine(h: u64, col_hash: u64) -> u64 {
     (h ^ col_hash).wrapping_mul(FNV_PRIME)
-}
-
-/// Hash of one dictionary entry's canonical fragment.
-fn hash_dict_entry(buf: &mut Vec<u8>, entry: &str) -> u64 {
-    buf.clear();
-    buf.push(5);
-    buf.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-    buf.extend_from_slice(entry.as_bytes());
-    fnv1a(buf)
 }
 
 thread_local! {
@@ -212,10 +232,7 @@ fn dict_code_hashes(dict: &StrDict) -> Arc<Vec<u64>> {
     let compute_from = |start: usize, prefix: &[u64]| {
         let mut hashes = Vec::with_capacity(dict.len());
         hashes.extend_from_slice(prefix);
-        let mut buf = Vec::with_capacity(32);
-        for c in start..dict.len() {
-            hashes.push(hash_dict_entry(&mut buf, dict.get(c as u32)));
-        }
+        hashes.extend((start..dict.len()).map(|c| hash_str(dict.get(c as u32))));
         hashes
     };
     if dict.id() == 0 {
@@ -274,20 +291,17 @@ impl<'a> ColHasher<'a> {
     }
 }
 
-/// Shard owning a group key given as materialised values — the routing used
-/// for [`StatePartial`] entries and window-result ownership checks. Matches [`Batch::shard_by_key`] row assignment for the
-/// same key values by construction.
-pub fn shard_of_values(key: &[Value], n: usize) -> usize {
+/// Shard owning a group key — the routing used for [`StatePartial`]
+/// entries and window-result ownership checks. Matches
+/// [`Batch::shard_by_key`] row assignment for the same key values by
+/// construction, and allocates nothing.
+pub fn shard_of_values(key: &GroupKey, n: usize) -> usize {
     if n <= 1 {
         return 0;
     }
-    let mut buf = Vec::with_capacity(32);
-    let mut h = FNV_OFFSET;
-    for v in key {
-        buf.clear();
-        encode_value(&mut buf, v);
-        h = combine(h, fnv1a(&buf));
-    }
+    let h = key
+        .fragments()
+        .fold(FNV_OFFSET, |h, f| combine(h, fnv1a(f)));
     (h % n as u64) as usize
 }
 
@@ -403,9 +417,18 @@ impl Ring {
             return vec![(0, delta)];
         }
         let StatePartial::Group(entries) = delta;
-        let mut per_shard: Vec<Vec<GroupPartialEntry>> = vec![Vec::new(); self.n_shards];
-        for entry in entries {
-            per_shard[shard_of_values(&entry.key, self.n_shards)].push(entry);
+        let shards: Vec<usize> = entries
+            .iter()
+            .map(|entry| shard_of_values(&entry.key, self.n_shards))
+            .collect();
+        let mut sizes = vec![0; self.n_shards];
+        for &s in &shards {
+            sizes[s] += 1;
+        }
+        let mut per_shard: Vec<Vec<GroupPartialEntry>> =
+            sizes.into_iter().map(Vec::with_capacity).collect();
+        for (entry, s) in entries.into_iter().zip(shards) {
+            per_shard[s].push(entry);
         }
         per_shard
             .into_iter()
@@ -511,7 +534,7 @@ mod tests {
         let n = 5;
         let assign = shard_assignment(&b, &[0, 1], n);
         for (row, &shard) in assign.iter().enumerate() {
-            let key = vec![b.columns[0].value(row), b.columns[1].value(row)];
+            let key = GroupKey::from_values(&[b.columns[0].value(row), b.columns[1].value(row)]);
             assert_eq!(shard_of_values(&key, n), shard);
         }
     }
@@ -541,8 +564,14 @@ mod tests {
         let n = 3;
         let assign = shard_assignment(&b, &[0], n);
         assert_eq!(assign[0], assign[2]);
-        assert_eq!(shard_of_values(&[Value::Null], n), assign[1]);
-        assert_eq!(shard_of_values(&[Value::str("a")], n), assign[0]);
+        assert_eq!(
+            shard_of_values(&GroupKey::from_values(&[Value::Null]), n),
+            assign[1]
+        );
+        assert_eq!(
+            shard_of_values(&GroupKey::from_values(&[Value::str("a")]), n),
+            assign[0]
+        );
     }
 
     #[test]

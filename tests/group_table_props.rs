@@ -17,7 +17,8 @@ use proptest::prelude::*;
 use jarvis::streamkit::agg::{AggKind, AggSpec, AggState};
 use jarvis::streamkit::batch::{Batch, ColumnBuilder, DictBuilder, StreamDict};
 use jarvis::streamkit::ops::{
-    AggRole, CostModel, EmitMode, GroupAggregateOp, GroupPartialEntry, Operator, StatePartial,
+    AggRole, CostModel, EmitMode, GroupAggregateOp, GroupKey, GroupPartialEntry, Operator,
+    StatePartial,
 };
 use jarvis::streamkit::record::Record;
 use jarvis::streamkit::schema::{DataType, Field, Schema, SchemaRef};
@@ -174,7 +175,7 @@ impl Model {
 
     fn merge(&mut self, entries: &[GroupPartialEntry]) {
         for e in entries {
-            let key = e.key.iter().map(K::of).collect();
+            let key = e.key.values().iter().map(K::of).collect();
             for (state, inc) in self.states(e.window_start, key).iter_mut().zip(&e.states) {
                 state.merge(inc);
             }
@@ -196,7 +197,7 @@ impl Model {
             .into_iter()
             .map(|(window_start, _, key, states)| GroupPartialEntry {
                 window_start,
-                key: key.iter().map(K::value).collect(),
+                key: GroupKey::from_values(&key.iter().map(K::value).collect::<Vec<_>>()),
                 states,
             })
             .collect()
@@ -217,7 +218,7 @@ fn results(entries: &[GroupPartialEntry]) -> Vec<Record> {
         .iter()
         .map(|e| {
             let mut values = vec![Value::I64(e.window_start)];
-            values.extend(e.key.iter().cloned());
+            values.extend(e.key.values());
             values.extend(e.states.iter().map(AggState::finalize));
             Record::new(e.window_start + SIZE, values)
         })

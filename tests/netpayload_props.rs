@@ -9,11 +9,14 @@ use jarvis::core::engine::netwire::{decode_shard_payload, encode_shard_payload};
 use jarvis::core::engine::NetPayload;
 use jarvis::streamkit::agg::AggState;
 use jarvis::streamkit::batch::Batch;
-use jarvis::streamkit::ops::{GroupPartialEntry, StatePartial};
+use jarvis::streamkit::ops::{GroupKey, GroupPartialEntry, StatePartial};
 use jarvis::streamkit::record::Record;
 use jarvis::streamkit::schema::{DataType, Field, Schema, SchemaRef};
 use jarvis::streamkit::shard::{node_of_shard, shards_of_node};
 use jarvis::streamkit::value::Value;
+
+mod common;
+use common::key_value;
 
 fn schema() -> SchemaRef {
     Schema::new(vec![
@@ -150,7 +153,7 @@ proptest! {
             .iter()
             .map(|(win, key, sum, count)| GroupPartialEntry {
                 window_start: win * 10_000_000,
-                key: vec![Value::str(format!("k{key}")), Value::U64(*key)],
+                key: GroupKey::from_values(&[Value::str(format!("k{key}")), Value::U64(*key)]),
                 states: vec![
                     AggState::Count(*count),
                     AggState::Sum(*sum),
@@ -167,6 +170,39 @@ proptest! {
         };
         let wire = encode_shard_payload(&payload);
         let back = decode_shard_payload(wire, &[schema()]).unwrap();
+        prop_assert_eq!(back, payload);
+    }
+
+    /// Keys of every value kind — nulls, both bools, integer extremes,
+    /// signed zeros, infinities, NaN payloads, empty, multi-byte and long
+    /// strings, keys inline and boxed — cross the wire byte for byte,
+    /// however the kinds fall into runs.
+    #[test]
+    fn state_keys_of_every_kind_cross_the_wire(
+        keys in proptest::collection::vec(
+            proptest::collection::vec((0u8..8, any::<u64>(), 0usize..40), 0..4),
+            1..30,
+        ),
+    ) {
+        let entries: Vec<GroupPartialEntry> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, draws)| GroupPartialEntry {
+                window_start: i as i64 % 3,
+                key: GroupKey::from_values(
+                    &draws.iter().map(|&(k, b, l)| key_value(k, b, l)).collect::<Vec<_>>(),
+                ),
+                states: vec![AggState::Count(i as u64), AggState::Max(i as f64)],
+            })
+            .collect();
+        let payload = NetPayload::ShardState {
+            shard: 1,
+            epoch: 2,
+            source: 3,
+            rel: 0,
+            delta: StatePartial::Group(entries),
+        };
+        let back = decode_shard_payload(encode_shard_payload(&payload), &[schema()]).unwrap();
         prop_assert_eq!(back, payload);
     }
 
@@ -676,7 +712,7 @@ fn head_len(batch: &Batch) -> usize {
 fn float_entry(i: u64, x: [f64; 4]) -> GroupPartialEntry {
     GroupPartialEntry {
         window_start: 0,
-        key: vec![Value::U64(i)],
+        key: GroupKey::from_values(&[Value::U64(i)]),
         states: vec![
             AggState::Sum(x[0]),
             AggState::Min(x[1]),

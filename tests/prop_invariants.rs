@@ -1,15 +1,20 @@
 //! Property-based tests over the system's core invariants (DESIGN.md §7).
 
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
 
 use jarvis::core::proxy::{ControlProxy, Route};
 use jarvis::lp::loadfactor::{solve_load_factors, LoadFactorProblem};
 use jarvis::streamkit::agg::{AggKind, AggSpec, AggState};
 use jarvis::streamkit::batch::Batch;
 use jarvis::streamkit::encode::{decode_batch, encode_batch};
+use jarvis::streamkit::ops::GroupKey;
 use jarvis::streamkit::record::Record;
 use jarvis::streamkit::schema::{DataType, Field, Schema};
 use jarvis::streamkit::value::Value;
+
+mod common;
+use common::key_value;
 use jarvis::streamkit::watermark::WatermarkMerger;
 use jarvis::streamkit::window::TumblingWindow;
 
@@ -325,7 +330,7 @@ proptest! {
                 let mut raw = wire.to_vec();
                 raw[at] ^= flip;
                 if let Ok(got) = decode(&raw) {
-                    let slots: usize = got.iter().map(|e| e.key.len() + e.states.len()).sum();
+                    let slots: usize = got.iter().map(|e| e.key.arity() + e.states.len()).sum();
                     prop_assert!(
                         got.len() <= raw.len() && slots <= 8 * raw.len(),
                         "corruption at {} forged entries", at
@@ -461,7 +466,7 @@ proptest! {
         for (k, shard) in shards.iter().enumerate() {
             let mut last_pos = 0usize;
             for row in 0..shard.len() {
-                let key = vec![shard.columns[0].value(row), shard.columns[1].value(row)];
+                let key = GroupKey::from_values(&[shard.columns[0].value(row), shard.columns[1].value(row)]);
                 prop_assert_eq!(shard_of_values(&key, n), k);
                 let rec = Record::new(
                     shard.timestamps[row],
@@ -582,7 +587,98 @@ proptest! {
             prop_assert_eq!(merger.merged(), expected_min);
         }
     }
+
+    /// A `GroupKey` of values of every kind gives its values back bit for
+    /// bit, and so does the serde data model; the JSON round trip is exact
+    /// too wherever JSON can hold the floats. (The state codec's round trip
+    /// of the same keys is `netpayload_props`'s
+    /// `state_keys_of_every_kind_cross_the_wire`.)
+    #[test]
+    fn group_keys_round_trip_bit_exactly(
+        draws in proptest::collection::vec((0u8..8, any::<u64>(), 0usize..40), 0..6),
+    ) {
+        let values: Vec<Value> = draws.iter().map(|&(k, b, l)| key_value(k, b, l)).collect();
+        let key = GroupKey::from_values(&values);
+        prop_assert_eq!(key.values(), values.clone());
+        prop_assert_eq!(key.arity(), values.len());
+        prop_assert_eq!(format!("{key:?}"), format!("{values:?}"));
+
+        // The data model holds a key as its values (`Debug`, so NaNs
+        // compare), and gives the key back byte for byte.
+        let content = key.to_content();
+        prop_assert_eq!(format!("{content:?}"), format!("{:?}", values.to_content()));
+        prop_assert_eq!(GroupKey::from_content(&content).unwrap(), key.clone());
+        let finite = values.iter().all(|v| !matches!(v, Value::F64(x) if !x.is_finite()));
+        if finite {
+            let json = serde_json::to_string(&key).unwrap();
+            prop_assert_eq!(serde_json::from_str::<GroupKey>(&json).unwrap(), key.clone());
+        }
+    }
 }
+
+/// Keys of 22 to 25 bytes — the inline capacity is 23 — round-trip through
+/// their values, the state codec and serde alike.
+#[test]
+fn group_keys_at_and_past_the_inline_capacity_round_trip() {
+    use jarvis::streamkit::encode::{decode_group_state, encode_group_state};
+    use jarvis::streamkit::ops::GroupPartialEntry;
+
+    for len in 22..=25 {
+        // A string of n bytes encodes in 5 + n, a `U64` in 9.
+        for values in [
+            vec![Value::str("s".repeat(len - 5))],
+            vec![
+                Value::U64(u64::MAX),
+                Value::str("é".repeat((len - 14) / 2) + &"s".repeat(len % 2)),
+            ],
+        ] {
+            let key = GroupKey::from_values(&values);
+            assert_eq!(key.as_bytes().len(), len, "{values:?}");
+            assert_eq!(key.values(), values);
+            let json = serde_json::to_string(&key).unwrap();
+            assert_eq!(serde_json::from_str::<GroupKey>(&json).unwrap(), key);
+            let entries = vec![GroupPartialEntry {
+                window_start: 0,
+                key,
+                states: vec![AggState::Count(1)],
+            }];
+            assert_eq!(
+                decode_group_state(encode_group_state(&entries)).unwrap(),
+                entries
+            );
+        }
+    }
+}
+
+/// The JSON shape of a checkpoint: a key serialises as the values it
+/// encodes, as a `Vec<Value>` key did.
+#[test]
+fn checkpoint_json_shape_is_pinned() {
+    use jarvis::core::checkpoint::Checkpoint;
+    use jarvis::streamkit::ops::{GroupPartialEntry, StatePartial};
+
+    let ckpt = Checkpoint {
+        states: vec![(
+            2,
+            StatePartial::Group(vec![GroupPartialEntry {
+                window_start: 10,
+                key: GroupKey::from_values(&[Value::U64(7), Value::str("a"), Value::Null]),
+                states: vec![AggState::Count(3), AggState::Avg { sum: 1.5, count: 2 }],
+            }]),
+        )],
+        load_factors: vec![0.5],
+    };
+    let json = serde_json::to_string(&ckpt).unwrap();
+    assert_eq!(json, PINNED_CHECKPOINT_JSON);
+    let back: Checkpoint = serde_json::from_str(&json).unwrap();
+    assert_eq!(back.states, ckpt.states);
+}
+
+const PINNED_CHECKPOINT_JSON: &str = concat!(
+    r#"{"states":[[2,{"Group":[{"window_start":10,"#,
+    r#""key":[{"U64":7},{"Str":"a"},"Null"],"#,
+    r#""states":[{"Count":3},{"Avg":{"sum":1.5,"count":2}}]}]}]],"load_factors":[0.5]}"#,
+);
 
 /// Group-state entries for the state-body property: `shape` 0 keeps
 /// values narrow, 1 takes them to the integer extremes, 2 interleaves a
@@ -610,7 +706,10 @@ fn state_entries(
             if shape == 2 && i % 3 == 2 {
                 return GroupPartialEntry {
                     window_start: s as i64,
-                    key: vec![Value::Bool(s % 2 == 0), Value::F64(f64::from_bits(s))],
+                    key: GroupKey::from_values(&[
+                        Value::Bool(s % 2 == 0),
+                        Value::F64(f64::from_bits(s)),
+                    ]),
                     states: vec![AggState::Count(s)],
                 };
             }
@@ -651,7 +750,7 @@ fn state_entries(
             }
             GroupPartialEntry {
                 window_start: if extreme { signed } else { 10_000_000 },
-                key,
+                key: GroupKey::from_values(&key),
                 states: vec![
                     AggState::Count(if extreme { u64::MAX } else { s % 50 }),
                     AggState::Sum(special(s)),
@@ -694,7 +793,7 @@ fn entry_bits(
                     }
                 }
             }
-            (e.window_start, e.key.clone(), states)
+            (e.window_start, e.key.values(), states)
         })
         .collect()
 }

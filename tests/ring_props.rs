@@ -9,11 +9,14 @@ use proptest::prelude::*;
 
 use jarvis::streamkit::agg::AggState;
 use jarvis::streamkit::batch::Batch;
-use jarvis::streamkit::ops::{GroupPartialEntry, StatePartial};
+use jarvis::streamkit::ops::{GroupKey, GroupPartialEntry, StatePartial};
 use jarvis::streamkit::record::Record;
 use jarvis::streamkit::schema::{DataType, Field, Schema};
-use jarvis::streamkit::shard::{shard_assignment, Ring};
+use jarvis::streamkit::shard::{shard_assignment, shard_of_values, Ring};
 use jarvis::streamkit::value::Value;
+
+mod common;
+use common::key_value;
 
 /// A `(tenant: Str, stat: U32, v: U32)` batch; the first two columns key it.
 fn batch_of(rows: &[(u32, u32, u32, i64)]) -> (Vec<Record>, Batch) {
@@ -120,7 +123,11 @@ proptest! {
             .collect();
         let entries: Vec<GroupPartialEntry> = keys
             .into_values()
-            .map(|key| GroupPartialEntry { window_start: 0, key, states: vec![AggState::Count(1)] })
+            .map(|key| GroupPartialEntry {
+                window_start: 0,
+                key: GroupKey::from_values(&key),
+                states: vec![AggState::Count(1)],
+            })
             .collect();
         let total = entries.len();
         let parts = ring.split_state(StatePartial::Group(entries));
@@ -135,5 +142,49 @@ proptest! {
             }
         }
         prop_assert_eq!(seen, total);
+    }
+
+    /// Over key columns of every kind, nulls among them, a row's shard is
+    /// the shard of its key whether routed by `shard_by_key` or by its
+    /// `GroupKey` — with string columns plain or dictionary pages.
+    #[test]
+    fn keys_of_every_kind_route_like_their_rows(
+        rows in proptest::collection::vec(
+            (any::<u64>(), 0u8..32, 0usize..40),
+            1..80,
+        ),
+        n in 2usize..9,
+    ) {
+        let schema = Schema::new(vec![
+            Field::new("b", DataType::Bool),
+            Field::new("i", DataType::I64),
+            Field::new("u", DataType::U64),
+            Field::new("f", DataType::F64),
+            Field::new("s", DataType::Str),
+        ]);
+        let records: Vec<Record> = rows
+            .iter()
+            .enumerate()
+            .map(|(ts, &(bits, nulls, len))| {
+                let values = (0..5)
+                    .map(|c| match c {
+                        _ if nulls >> c & 1 == 1 => Value::Null,
+                        4 => key_value(5 + (bits % 3) as u8, bits, len),
+                        _ => key_value(c as u8 + 1, bits, len),
+                    })
+                    .collect();
+                Record::new(ts as i64, values)
+            })
+            .collect();
+        let plain = Batch::from_records(schema, &records).unwrap();
+        let mut dict = plain.clone();
+        dict.dict_encode(1024);
+        let keys = [0, 1, 2, 3, 4];
+        for batch in [&plain, &dict] {
+            let assigned = shard_assignment(batch, &keys, n);
+            for (record, &s) in records.iter().zip(&assigned) {
+                prop_assert_eq!(shard_of_values(&GroupKey::from_values(&record.values), n), s);
+            }
+        }
     }
 }
