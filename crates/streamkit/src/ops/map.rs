@@ -5,15 +5,21 @@
 //! functions are described as data (`MapFn`) so the optimiser can reason about
 //! them (schema effects, fusion, filter pushdown) — with a `Custom` escape
 //! hatch for arbitrary user logic.
+//!
+//! [`MapFn::apply`] is the record-at-a-time definition of every function.
+//! The operator runs the text functions on a column's bytes — no `String`
+//! per row, no substring searcher per key — and agrees with `apply` row for
+//! row.
 
 use std::sync::Arc;
 
-use crate::batch::{Batch, Column, ColumnBuilder, DictBuilder, StreamDict};
+use bytes::Bytes;
+
+use crate::batch::{Batch, Column, StreamDict};
 use crate::error::{Error, Result};
 use crate::ops::{CostModel, OpKind, Operator};
 use crate::record::Record;
 use crate::schema::{DataType, Field, Schema, SchemaRef};
-use crate::time::Ts;
 use crate::value::Value;
 
 /// A describable record transformation.
@@ -31,7 +37,8 @@ pub enum MapFn {
         stats: Vec<String>,
     },
     /// Replace a numeric column with its histogram bucket index:
-    /// `width_bucket(v, lo, hi, buckets)` (schema type becomes I64).
+    /// `width_bucket(v, lo, hi, buckets)` (schema type becomes I64). Rows
+    /// without a number — non-numeric, null or NaN — are dropped.
     WidthBucket {
         /// Column to bucketise.
         col: usize,
@@ -156,7 +163,7 @@ impl MapFn {
                 buckets,
             } => {
                 let mut rec = rec.clone();
-                let v = rec.values.get(*col)?.as_f64()?;
+                let v = rec.values.get(*col)?.as_f64().filter(|v| !v.is_nan())?;
                 let b = width_bucket(v, *lo, *hi, *buckets);
                 rec.values[*col] = Value::I64(b);
                 Some(rec)
@@ -164,124 +171,11 @@ impl MapFn {
             MapFn::Custom { f, .. } => f(rec),
         }
     }
-
-    /// Applies the transformation over a whole batch, column-wise where the
-    /// function shape allows it. Row-identical to mapping [`MapFn::apply`]
-    /// over the batch's records.
-    pub fn apply_batch(&self, batch: &Batch, out_schema: &SchemaRef) -> Option<Batch> {
-        if batch.is_empty() {
-            return None;
-        }
-        match self {
-            MapFn::TrimLower(col) => {
-                let source = &batch.columns[*col];
-                let mut cleaned = ColumnBuilder::new(DataType::Str, source.len());
-                for row in 0..source.len() {
-                    match source.str_at(row) {
-                        Some(s) => cleaned
-                            .push_str(&s.trim().to_lowercase())
-                            .expect("str builder"),
-                        // Row path leaves non-string values untouched.
-                        None => cleaned.push(&source.value(row)).ok()?,
-                    }
-                }
-                let mut columns = batch.columns.clone();
-                columns[*col] = cleaned.finish();
-                Some(Batch {
-                    schema: out_schema.clone(),
-                    timestamps: batch.timestamps.clone(),
-                    columns,
-                })
-            }
-            MapFn::ParseJobStats { col, stats } => {
-                let source = &batch.columns[*col];
-                let n = source.len();
-                let mut timestamps: Vec<Ts> = Vec::with_capacity(n);
-                // Tenant and stat names are low-cardinality: emit them as
-                // native dictionary columns so downstream grouping and
-                // predicate kernels run on codes.
-                let mut tenants = DictBuilder::new(n);
-                let mut names = DictBuilder::new(n);
-                let mut values = ColumnBuilder::new(DataType::F64, n);
-                for row in 0..n {
-                    let Some(line) = source.str_at(row) else {
-                        continue;
-                    };
-                    let Some(tenant) = extract_kv(line, "tenant name") else {
-                        continue;
-                    };
-                    for stat in stats {
-                        if let Some(v) = extract_kv(line, stat) {
-                            if let Ok(value) = v.trim().parse::<f64>() {
-                                timestamps.push(batch.timestamps[row]);
-                                tenants.push(tenant.trim());
-                                names.push(stat);
-                                values.push(&Value::F64(value)).expect("f64 builder");
-                            }
-                            break;
-                        }
-                    }
-                }
-                if timestamps.is_empty() {
-                    return None;
-                }
-                Some(Batch {
-                    schema: out_schema.clone(),
-                    timestamps,
-                    columns: vec![tenants.finish(), names.finish(), values.finish()],
-                })
-            }
-            MapFn::WidthBucket {
-                col,
-                lo,
-                hi,
-                buckets,
-            } => {
-                let source = &batch.columns[*col];
-                let n = source.len();
-                // Rows whose value is non-numeric are dropped, as in the row
-                // path (`apply` returns None).
-                let mask: Vec<bool> = (0..n).map(|r| source.f64_at(r).is_some()).collect();
-                let kept = mask.iter().filter(|&&k| k).count();
-                if kept == 0 {
-                    return None;
-                }
-                let mut bucketed: Vec<i64> = Vec::with_capacity(kept);
-                for row in 0..n {
-                    if let Some(v) = source.f64_at(row) {
-                        bucketed.push(width_bucket(v, *lo, *hi, *buckets));
-                    }
-                }
-                let mut out = if kept == n {
-                    batch.clone()
-                } else {
-                    batch.select(&mask)
-                };
-                out.schema = out_schema.clone();
-                out.columns[*col] = Column::I64(bucketed);
-                Some(out)
-            }
-            MapFn::Custom { f, .. } => {
-                let mut rows = Vec::with_capacity(batch.len());
-                for rec in batch.to_records() {
-                    if let Some(mapped) = f(&rec) {
-                        rows.push(mapped);
-                    }
-                }
-                if rows.is_empty() {
-                    return None;
-                }
-                Some(
-                    Batch::from_records(out_schema.clone(), &rows)
-                        .expect("custom map output must match its declared schema"),
-                )
-            }
-        }
-    }
 }
 
 /// SQL-style `width_bucket`: 0 below range, `buckets+1` above, else 1-based
-/// bucket index.
+/// bucket index. NaN belongs to no bucket; [`MapFn::WidthBucket`] drops a
+/// NaN row before it gets here.
 pub fn width_bucket(v: f64, lo: f64, hi: f64, buckets: u32) -> i64 {
     if v < lo {
         0
@@ -302,25 +196,292 @@ fn extract_kv<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&rest[..end])
 }
 
+/// [`extract_kv`] on bytes, with the same first-occurrence rule: only the
+/// key's first occurrence counts, and it must be followed by `=`.
+fn extract_kv_bytes<'a>(line: &'a [u8], key: &[u8]) -> Option<&'a [u8]> {
+    let start = find_bytes(line, key)? + key.len();
+    let rest = line[start..].strip_prefix(b"=")?;
+    let end = rest
+        .iter()
+        .position(|&b| b == b',' || b == b';')
+        .unwrap_or(rest.len());
+    Some(&rest[..end])
+}
+
+/// Offset of the first occurrence of `needle` in `hay`. For UTF-8 inputs
+/// this is `str::find`'s answer (a UTF-8 needle can only match at a char
+/// boundary), without building a searcher per call.
+fn find_bytes(hay: &[u8], needle: &[u8]) -> Option<usize> {
+    let Some((&first, tail)) = needle.split_first() else {
+        return Some(0);
+    };
+    let last = hay.len().checked_sub(needle.len())?;
+    let mut at = 0;
+    while at <= last {
+        at += hay[at..=last].iter().position(|&b| b == first)?;
+        if hay[at + 1..at + needle.len()] == *tail {
+            return Some(at);
+        }
+        at += 1;
+    }
+    None
+}
+
+/// The bytes of a string row; `None` for a null or a non-string column.
+fn row_bytes(col: &Column, row: usize) -> Option<&[u8]> {
+    match col {
+        Column::Str { offsets, data } => {
+            Some(&data[offsets[row] as usize..offsets[row + 1] as usize])
+        }
+        Column::Dict { codes, dict } => Some(dict.get(codes[row]).as_bytes()),
+        Column::Opt { valid, values } if valid[row] => row_bytes(values, row),
+        _ => None,
+    }
+}
+
+/// True for a column of strings, nullable or not.
+fn is_str_column(col: &Column) -> bool {
+    match col {
+        Column::Str { .. } | Column::Dict { .. } => true,
+        Column::Opt { values, .. } => is_str_column(values),
+        _ => false,
+    }
+}
+
+/// Whitespace as `char::is_whitespace` sees it, within ASCII (vertical tab
+/// included, unlike `u8::is_ascii_whitespace`).
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// `row`'s bounds without its leading and trailing ASCII whitespace.
+fn ascii_trimmed(row: &[u8]) -> (usize, usize) {
+    let start = row
+        .iter()
+        .position(|&b| !is_ascii_space(b))
+        .unwrap_or(row.len());
+    let stop = row
+        .iter()
+        .rposition(|&b| !is_ascii_space(b))
+        .map_or(start, |p| p + 1);
+    (start, stop)
+}
+
+/// Appends `line` trimmed and lowercased — `apply`'s `trim().to_lowercase()`
+/// — to `out`. An ASCII line is handled as bytes; any other goes through
+/// `str`, since Unicode case mapping can change a string's length.
+fn push_trim_lower(out: &mut Vec<u8>, line: &[u8]) {
+    if line.is_ascii() {
+        let (start, stop) = ascii_trimmed(line);
+        out.extend(line[start..stop].iter().map(u8::to_ascii_lowercase));
+    } else if let Ok(s) = std::str::from_utf8(line) {
+        out.extend_from_slice(s.trim().to_lowercase().as_bytes());
+    }
+}
+
+/// [`MapFn::TrimLower`] over a batch. A non-string column is left as it is.
+fn trim_lower(mut batch: Batch, schema: &SchemaRef, col: usize) -> Batch {
+    batch.schema = schema.clone();
+    let column = &mut batch.columns[col];
+    if is_str_column(column) {
+        *column = trim_lower_rows(column);
+    }
+    batch
+}
+
+/// A string column trimmed and lowercased row by row into one output
+/// buffer; nulls stay null.
+fn trim_lower_rows(source: &Column) -> Column {
+    let n = source.len();
+    let mut data = Vec::with_capacity(match source {
+        Column::Str { data, .. } => data.len(),
+        _ => 0,
+    });
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    // Filled in at the first null, so a column without one allocates none.
+    let mut valid = Vec::new();
+    for row in 0..n {
+        if let Some(line) = row_bytes(source, row) {
+            push_trim_lower(&mut data, line);
+        } else {
+            if valid.is_empty() {
+                valid = vec![true; n];
+            }
+            valid[row] = false;
+        }
+        offsets.push(data.len() as u32);
+    }
+    let dense = Column::Str {
+        offsets,
+        data: Bytes::from(data),
+    };
+    if valid.is_empty() {
+        dense
+    } else {
+        Column::Opt {
+            valid,
+            values: Box::new(dense),
+        }
+    }
+}
+
+/// [`MapFn::ParseJobStats`] on one line's bytes: the trimmed tenant, the
+/// index of the first stat the line carries, and that stat's value. `None`
+/// exactly where `apply` drops the line. The line is a column's row, so it
+/// is UTF-8, and every cut below falls on a char boundary.
+fn parse_job_stats<'a>(line: &'a [u8], stats: &[String]) -> Option<(&'a str, usize, f64)> {
+    let tenant = extract_kv_bytes(line, b"tenant name")?;
+    let (stat, value) = stats
+        .iter()
+        .enumerate()
+        .find_map(|(i, stat)| Some((i, extract_kv_bytes(line, stat.as_bytes())?)))?;
+    Some((
+        std::str::from_utf8(tenant).ok()?.trim(),
+        stat,
+        parse_stat(value)?,
+    ))
+}
+
+/// `value.trim().parse::<f64>()` on a field's bytes.
+fn parse_stat(value: &[u8]) -> Option<f64> {
+    std::str::from_utf8(value).ok()?.trim().parse().ok()
+}
+
+/// [`MapFn::WidthBucket`] over a batch: each value is read once, and the
+/// batch is only re-gathered when a row has no number to bucket.
+fn width_buckets(
+    mut batch: Batch,
+    schema: &SchemaRef,
+    col: usize,
+    (lo, hi, buckets): (f64, f64, u32),
+) -> Option<Batch> {
+    let source = &batch.columns[col];
+    let n = source.len();
+    let mut bucketed: Vec<i64> = Vec::with_capacity(n);
+    let mut keep = Vec::with_capacity(n);
+    for row in 0..n {
+        let value = source.f64_at(row).filter(|v| !v.is_nan());
+        if let Some(v) = value {
+            bucketed.push(width_bucket(v, lo, hi, buckets));
+        }
+        keep.push(value.is_some());
+    }
+    if bucketed.is_empty() {
+        return None;
+    }
+    if bucketed.len() < n {
+        batch = batch.select(&keep);
+    }
+    batch.schema = schema.clone();
+    batch.columns[col] = Column::I64(bucketed);
+    Some(batch)
+}
+
+/// [`MapFn::Custom`] over a batch, through records.
+fn map_records(
+    batch: &Batch,
+    schema: &SchemaRef,
+    f: &(dyn Fn(&Record) -> Option<Record> + Send + Sync),
+) -> Option<Batch> {
+    let rows: Vec<Record> = batch.to_records().iter().filter_map(f).collect();
+    if rows.is_empty() {
+        return None;
+    }
+    Some(
+        Batch::from_records(schema.clone(), &rows)
+            .expect("custom map output must match its declared schema"),
+    )
+}
+
+/// The persistent dictionaries of a `ParseJobStats` operator. The tenant
+/// and stat-name streams live in the operator, not the batch, so parsed
+/// columns carry codes that stay valid across batches *and* epochs and each
+/// page is a monotone snapshot of one stream — which is what lets the wire
+/// ship dictionary deltas instead of a full page per frame.
+struct ParseDicts {
+    tenants: StreamDict,
+    names: StreamDict,
+    /// Stat index → its code in `names`, interned when the stat's first row
+    /// is parsed (`u32::MAX` until then), so codes follow first-parse order.
+    name_codes: Vec<u32>,
+}
+
+impl ParseDicts {
+    fn new(stats: usize) -> ParseDicts {
+        ParseDicts {
+            tenants: StreamDict::new(),
+            names: StreamDict::new(),
+            name_codes: vec![u32::MAX; stats],
+        }
+    }
+
+    /// [`MapFn::ParseJobStats`] over a batch, interning into the streams.
+    fn parse(
+        &mut self,
+        batch: &Batch,
+        schema: &SchemaRef,
+        col: usize,
+        stats: &[String],
+    ) -> Option<Batch> {
+        let source = &batch.columns[col];
+        let n = source.len();
+        let mut timestamps = Vec::with_capacity(n);
+        let mut tenant_codes = Vec::with_capacity(n);
+        let mut name_codes = Vec::with_capacity(n);
+        let mut values = Vec::with_capacity(n);
+        for (row, &ts) in batch.timestamps.iter().enumerate() {
+            let Some((tenant, stat, value)) =
+                row_bytes(source, row).and_then(|line| parse_job_stats(line, stats))
+            else {
+                continue;
+            };
+            timestamps.push(ts);
+            tenant_codes.push(self.tenants.intern(tenant));
+            let code = &mut self.name_codes[stat];
+            if *code == u32::MAX {
+                *code = self.names.intern(&stats[stat]);
+            }
+            name_codes.push(*code);
+            values.push(value);
+        }
+        if timestamps.is_empty() {
+            return None;
+        }
+        Some(Batch {
+            schema: schema.clone(),
+            timestamps,
+            columns: vec![
+                Column::Dict {
+                    codes: tenant_codes,
+                    dict: self.tenants.snapshot(),
+                },
+                Column::Dict {
+                    codes: name_codes,
+                    dict: self.names.snapshot(),
+                },
+                Column::F64(values),
+            ],
+        })
+    }
+}
+
 /// The map operator.
 pub struct MapOp {
     f: MapFn,
     schema: SchemaRef,
     cost: CostModel,
-    /// Persistent parse-stage dictionaries (`ParseJobStats` only): the
-    /// tenant and stat-name streams live in the operator, not the batch, so
-    /// parsed columns carry codes that stay valid across batches *and*
-    /// epochs and each page is a monotone snapshot of one stream — which is
-    /// what lets the wire ship dictionary deltas instead of a full page per
-    /// frame.
-    parse_dicts: Option<(StreamDict, StreamDict)>,
+    /// `ParseJobStats` only.
+    parse_dicts: Option<ParseDicts>,
 }
 
 impl MapOp {
     /// Creates a map operator; `schema` must equal `f.output_schema(input)`.
     pub fn new(f: MapFn, schema: SchemaRef, cost: CostModel) -> MapOp {
-        let parse_dicts = matches!(f, MapFn::ParseJobStats { .. })
-            .then(|| (StreamDict::new(), StreamDict::new()));
+        let parse_dicts = match &f {
+            MapFn::ParseJobStats { stats, .. } => Some(ParseDicts::new(stats.len())),
+            _ => None,
+        };
         MapOp {
             f,
             schema,
@@ -344,11 +505,23 @@ impl Operator for MapOp {
     }
 
     fn process_batch(&mut self, batch: Batch, out: &mut Vec<Batch>) {
-        let mapped = match (&self.f, &mut self.parse_dicts) {
-            (MapFn::ParseJobStats { col, stats }, Some((tenants, names))) => {
-                parse_job_stats_persistent(&batch, &self.schema, *col, stats, tenants, names)
-            }
-            _ => self.f.apply_batch(&batch, &self.schema),
+        if batch.is_empty() {
+            return;
+        }
+        let mapped = match &self.f {
+            MapFn::TrimLower(col) => Some(trim_lower(batch, &self.schema, *col)),
+            MapFn::ParseJobStats { col, stats } => self
+                .parse_dicts
+                .as_mut()
+                .expect("a ParseJobStats operator owns its dictionaries")
+                .parse(&batch, &self.schema, *col, stats),
+            MapFn::WidthBucket {
+                col,
+                lo,
+                hi,
+                buckets,
+            } => width_buckets(batch, &self.schema, *col, (*lo, *hi, *buckets)),
+            MapFn::Custom { f, .. } => map_records(&batch, &self.schema, f.as_ref()),
         };
         if let Some(mapped) = mapped {
             out.push(mapped);
@@ -363,70 +536,9 @@ impl Operator for MapOp {
         // Fresh streams (fresh dict ids) for a fresh run: receivers must
         // never confuse a reset stream's codes with the old assignment.
         if let Some(dicts) = &mut self.parse_dicts {
-            *dicts = (StreamDict::new(), StreamDict::new());
+            *dicts = ParseDicts::new(dicts.name_codes.len());
         }
     }
-}
-
-/// Column-wise [`MapFn::ParseJobStats`] against the operator's persistent
-/// stream dictionaries. Row-identical to [`MapFn::apply_batch`] — same
-/// lines kept, same strings, same values — but tenant / stat codes are
-/// interned once per stream rather than once per batch, so downstream
-/// grouping and shard hashing stay code-native across epochs.
-fn parse_job_stats_persistent(
-    batch: &Batch,
-    out_schema: &SchemaRef,
-    col: usize,
-    stats: &[String],
-    tenants: &mut StreamDict,
-    names: &mut StreamDict,
-) -> Option<Batch> {
-    if batch.is_empty() {
-        return None;
-    }
-    let source = &batch.columns[col];
-    let n = source.len();
-    let mut timestamps: Vec<Ts> = Vec::with_capacity(n);
-    let mut tenant_codes: Vec<u32> = Vec::with_capacity(n);
-    let mut name_codes: Vec<u32> = Vec::with_capacity(n);
-    let mut values = ColumnBuilder::new(DataType::F64, n);
-    for row in 0..n {
-        let Some(line) = source.str_at(row) else {
-            continue;
-        };
-        let Some(tenant) = extract_kv(line, "tenant name") else {
-            continue;
-        };
-        for stat in stats {
-            if let Some(v) = extract_kv(line, stat) {
-                if let Ok(value) = v.trim().parse::<f64>() {
-                    timestamps.push(batch.timestamps[row]);
-                    tenant_codes.push(tenants.intern(tenant.trim()));
-                    name_codes.push(names.intern(stat));
-                    values.push(&Value::F64(value)).expect("f64 builder");
-                }
-                break;
-            }
-        }
-    }
-    if timestamps.is_empty() {
-        return None;
-    }
-    Some(Batch {
-        schema: out_schema.clone(),
-        timestamps,
-        columns: vec![
-            Column::Dict {
-                codes: tenant_codes,
-                dict: tenants.snapshot(),
-            },
-            Column::Dict {
-                codes: name_codes,
-                dict: names.snapshot(),
-            },
-            values.finish(),
-        ],
-    })
 }
 
 #[cfg(test)]
@@ -435,6 +547,15 @@ mod tests {
 
     fn log_schema() -> SchemaRef {
         Schema::new(vec![Field::new("line", DataType::Str)])
+    }
+
+    /// `f` run by a fresh operator over `batch`, as records.
+    fn op_records(f: &MapFn, batch: Batch) -> Vec<Record> {
+        let out_schema = f.output_schema(&batch.schema).unwrap();
+        let mut op = MapOp::new(f.clone(), out_schema, CostModel::fixed(1.0));
+        let mut out = Vec::new();
+        op.process_batch(batch, &mut out);
+        out.iter().flat_map(Batch::to_records).collect()
     }
 
     #[test]
@@ -483,6 +604,52 @@ mod tests {
         assert_eq!(width_bucket(0.0, 0.0, 100.0, 10), 1);
         assert_eq!(width_bucket(55.0, 0.0, 100.0, 10), 6);
         assert_eq!(width_bucket(100.0, 0.0, 100.0, 10), 11);
+        assert_eq!(width_bucket(f64::NEG_INFINITY, 0.0, 100.0, 10), 0);
+        assert_eq!(width_bucket(f64::INFINITY, 0.0, 100.0, 10), 11);
+    }
+
+    #[test]
+    fn width_bucket_drops_nan_rows_on_both_paths() {
+        // `cpu util=NaN` parses (`f64::from_str` accepts it); its row has no
+        // bucket and must not be counted in [0, 10).
+        let parse = MapFn::ParseJobStats {
+            col: 0,
+            stats: vec!["cpu util".into()],
+        };
+        let parsed = parse
+            .apply(&Record::new(
+                0,
+                vec![Value::str("tenant name=a, cpu util=NaN")],
+            ))
+            .unwrap();
+        assert!(parsed.values[2].as_f64().unwrap().is_nan());
+        let f = MapFn::WidthBucket {
+            col: 2,
+            lo: 0.0,
+            hi: 100.0,
+            buckets: 10,
+        };
+        assert_eq!(f.apply(&parsed), None);
+
+        let stats = Schema::new(vec![Field::new("stat", DataType::F64)]);
+        let f = MapFn::WidthBucket {
+            col: 0,
+            lo: 0.0,
+            hi: 100.0,
+            buckets: 10,
+        };
+        let recs: Vec<Record> = [f64::NAN, f64::NEG_INFINITY, 5.0, f64::NAN, f64::INFINITY]
+            .iter()
+            .enumerate()
+            .map(|(i, v)| Record::new(i as i64, vec![Value::F64(*v)]))
+            .collect();
+        let row: Vec<Record> = recs.iter().filter_map(|r| f.apply(r)).collect();
+        let buckets: Vec<Value> = row.iter().map(|r| r.values[0].clone()).collect();
+        assert_eq!(buckets, [Value::I64(0), Value::I64(1), Value::I64(11)]);
+        let batch = Batch::from_records(stats.clone(), &recs).unwrap();
+        assert_eq!(op_records(&f, batch), row);
+        let all_nan = Batch::from_records(stats, &[Record::new(0, vec![Value::F64(f64::NAN)])]);
+        assert!(op_records(&f, all_nan.unwrap()).is_empty());
     }
 
     #[test]
@@ -509,69 +676,73 @@ mod tests {
             col: 0,
             stats: vec!["cpu util".into()],
         };
-        let out_schema = f.output_schema(&log_schema()).unwrap();
-        let mut op = MapOp::new(f, out_schema, CostModel::fixed(1.0));
         let recs = vec![
             Record::new(0, vec![Value::str("noise")]),
             Record::new(0, vec![Value::str("tenant name=a, cpu util=5")]),
         ];
         let batch = Batch::from_records(log_schema(), &recs).unwrap();
-        let mut out = Vec::new();
-        op.process_batch(batch, &mut out);
-        assert_eq!(out.iter().map(Batch::len).sum::<usize>(), 1);
+        assert_eq!(op_records(&f, batch).len(), 1);
     }
 
     #[test]
     fn parse_op_dicts_are_persistent_across_batches() {
-        // The operator path (not the bare MapFn) interns into stream
-        // dictionaries: two epochs of lines must come back with the same
-        // dict id and stable codes, row-identical to the batch-local path.
+        // The operator interns into stream dictionaries: two epochs of lines
+        // must come back with the same dict id and stable codes, row-identical
+        // to the row path.
         let f = MapFn::ParseJobStats {
             col: 0,
-            stats: vec!["cpu util".into()],
+            stats: vec!["cpu util".into(), "memory util".into()],
         };
         let out_schema = f.output_schema(&log_schema()).unwrap();
-        let mut op = MapOp::new(f.clone(), out_schema.clone(), CostModel::fixed(1.0));
-        let epoch = |base: i64| -> Batch {
-            let recs: Vec<Record> = (0..6)
+        let mut op = MapOp::new(f.clone(), out_schema, CostModel::fixed(1.0));
+        let epoch = |base: i64| -> Vec<Record> {
+            (0..6)
                 .map(|i| {
                     let t = ["acme", "zed", "ora"][i % 3];
+                    let stat = ["memory util", "cpu util"][i % 2];
                     Record::new(
                         base + i as i64,
-                        vec![Value::str(format!("tenant name={t}, cpu util={i}.5"))],
+                        vec![Value::str(format!("tenant name={t}, {stat}={i}.5"))],
                     )
                 })
-                .collect();
-            Batch::from_records(log_schema(), &recs).unwrap()
+                .collect()
         };
         let mut out = Vec::new();
-        op.process_batch(epoch(0), &mut out);
-        op.process_batch(epoch(1_000_000), &mut out);
+        for base in [0, 1_000_000] {
+            let batch = Batch::from_records(log_schema(), &epoch(base)).unwrap();
+            op.process_batch(batch, &mut out);
+        }
         let (d0, c0) = out[0].columns[0].as_dict().unwrap();
         let (d1, c1) = out[1].columns[0].as_dict().unwrap();
         assert_ne!(d0.id(), 0, "parse dicts are persistent streams");
         assert_eq!(d0.id(), d1.id(), "one stream across batches");
         assert_eq!(d0.get(c0[0]), d1.get(c1[0]), "codes are stable identity");
+        // Stat names are coded in first-parse order, not list order.
+        let (names, codes) = out[0].columns[1].as_dict().unwrap();
+        assert_eq!((names.get(0), codes[0], codes[1]), ("memory util", 0, 1));
 
-        // Row contents equal the stateless batch-local path.
         for (e, batch) in out.iter().enumerate() {
-            let plain = f
-                .apply_batch(&epoch(e as i64 * 1_000_000), &out_schema)
-                .unwrap();
-            assert_eq!(batch.to_records(), plain.to_records());
+            let row: Vec<Record> = epoch(e as i64 * 1_000_000)
+                .iter()
+                .filter_map(|r| f.apply(r))
+                .collect();
+            assert_eq!(batch.to_records(), row);
         }
 
         // A reset starts a fresh stream: new id, so stale mirrors can never
         // misread re-interned codes.
         op.reset();
         let mut fresh = Vec::new();
-        op.process_batch(epoch(0), &mut fresh);
+        op.process_batch(
+            Batch::from_records(log_schema(), &epoch(0)).unwrap(),
+            &mut fresh,
+        );
         let (d2, _) = fresh[0].columns[0].as_dict().unwrap();
         assert_ne!(d2.id(), d0.id(), "reset must mint a new stream id");
     }
 
     #[test]
-    fn batch_apply_matches_row_apply() {
+    fn operator_matches_row_apply() {
         // Every MapFn shape must produce, row for row, what the scalar
         // `apply` path produces.
         let lines = [
@@ -579,13 +750,13 @@ mod tests {
             "heartbeat ok",
             "tenant name=zed, job running time=250.0, host=h7",
             "tenant name=bad, cpu util=NaNope",
+            "\u{a0}Tenant Name=ΣΑΣ; cpu util=1\u{85}",
         ];
         let recs: Vec<Record> = lines
             .iter()
             .enumerate()
             .map(|(i, l)| Record::new(i as i64, vec![Value::str(*l)]))
             .collect();
-        let schema = log_schema();
         let fns = [
             MapFn::TrimLower(0),
             MapFn::ParseJobStats {
@@ -594,14 +765,9 @@ mod tests {
             },
         ];
         for f in fns {
-            let out_schema = f.output_schema(&schema).unwrap();
             let row_out: Vec<Record> = recs.iter().filter_map(|r| f.apply(r)).collect();
-            let batch = Batch::from_records(schema.clone(), &recs).unwrap();
-            let batch_out = f
-                .apply_batch(&batch, &out_schema)
-                .map(|b| b.to_records())
-                .unwrap_or_default();
-            assert_eq!(batch_out, row_out, "mismatch for {f:?}");
+            let batch = Batch::from_records(log_schema(), &recs).unwrap();
+            assert_eq!(op_records(&f, batch), row_out, "mismatch for {f:?}");
         }
 
         // WidthBucket over a numeric column (needs the parsed schema).
@@ -615,7 +781,6 @@ mod tests {
             hi: 100.0,
             buckets: 10,
         };
-        let out_schema = f.output_schema(&parsed).unwrap();
         let precs = vec![
             Record::new(0, vec![Value::str("a"), Value::F64(31.0)]),
             Record::new(1, vec![Value::str("b"), Value::Null]),
@@ -623,7 +788,51 @@ mod tests {
         ];
         let row_out: Vec<Record> = precs.iter().filter_map(|r| f.apply(r)).collect();
         let batch = Batch::from_records(parsed, &precs).unwrap();
-        let batch_out = f.apply_batch(&batch, &out_schema).unwrap().to_records();
-        assert_eq!(batch_out, row_out);
+        assert_eq!(op_records(&f, batch), row_out);
+    }
+
+    #[test]
+    fn stat_parse_matches_str_parse() {
+        for text in [
+            "", ".", "7", "62.5", "1.", ".5", "5.5.5", "1e5", "-1.5", "+1.5", "inf", "NaN",
+            " 3.25 ", "\u{a0}4", "1_0", "٣",
+        ] {
+            let want = text.trim().parse::<f64>().ok().map(f64::to_bits);
+            assert_eq!(
+                parse_stat(text.as_bytes()).map(f64::to_bits),
+                want,
+                "{text:?}"
+            );
+        }
+        assert_eq!(parse_stat(b"\xff1"), None);
+    }
+
+    #[test]
+    fn byte_search_matches_str_find() {
+        let hay = "level=info job=12 tenant name=tenant-5, cpu util=1.5; jjjob";
+        for needle in [
+            "",
+            "l",
+            "level",
+            "job",
+            "jjob",
+            "tenant name",
+            "cpu util",
+            "5",
+            ";",
+            "jjjob",
+            "jjjobs",
+            "absent",
+            "tenant-5, cpu util=1.5; jjjob",
+        ] {
+            for start in 0..hay.len() {
+                assert_eq!(
+                    find_bytes(&hay.as_bytes()[start..], needle.as_bytes()),
+                    hay[start..].find(needle),
+                    "{needle:?} in {:?}",
+                    &hay[start..]
+                );
+            }
+        }
     }
 }

@@ -6,6 +6,7 @@
 //! derivation from \[11\]: 10s of PB/day over 200 K nodes ⇒ 0.62 MB/s
 //! (4.96 Mbps) per node, scaled 10× for experiments.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -39,6 +40,51 @@ pub fn structured_log_schema() -> SchemaRef {
         Field::new("stat_name", DataType::Str),
         Field::new("stat", DataType::F64),
     ])
+}
+
+/// Appends `v` in decimal, as `{v}` formats it.
+fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `v` as `{v:.1}` formats it: the exact binary value rounded to one
+/// decimal place, ties to even. Non-negative values below 10^15 are
+/// rounded in integer arithmetic; any other goes through `write!`.
+fn push_one_decimal(out: &mut Vec<u8>, v: f64) {
+    if !(v.is_sign_positive() && v < 1e15) {
+        use std::io::Write;
+        write!(out, "{v:.1}").expect("writing to a Vec cannot fail");
+        return;
+    }
+    // v = mantissa * 2^-shift exactly, with shift >= 3 below 10^15 < 2^50.
+    let bits = v.to_bits();
+    let exponent = (bits >> 52) as i64;
+    let (mantissa, shift) = match exponent {
+        0 => (bits, 1074),
+        _ => (bits & ((1 << 52) - 1) | (1 << 52), 1075 - exponent),
+    };
+    // Tenths: mantissa * 10 / 2^shift, rounded half to even.
+    let tenths = u128::from(mantissa) * 10;
+    let shift = shift.min(127) as u32;
+    let mut q = (tenths >> shift) as u64;
+    let rest = tenths & ((1 << shift) - 1);
+    let half = 1 << (shift - 1);
+    if rest > half || (rest == half && q % 2 == 1) {
+        q += 1;
+    }
+    push_decimal(out, q / 10);
+    out.push(b'.');
+    out.push(b'0' + (q % 10) as u8);
 }
 
 /// Generator configuration.
@@ -127,11 +173,12 @@ impl LogGenerator {
         &self.cfg
     }
 
-    /// Draws one matching line plus its parsed parts `(tenant id, stat
-    /// index, stat value)`. The value is the one a downstream parse of the
-    /// line recovers (one decimal place), so structured epochs correspond
-    /// exactly to parsing the raw stream.
-    fn matching_parts(&mut self) -> (String, u32, usize, f64) {
+    /// Appends one matching line to `data` and returns its parsed parts:
+    /// `(tenant id, stat index, the value's byte range in data)`. The value
+    /// is written to one decimal place, and parsing those bytes gives what
+    /// a downstream parse of the line recovers, so structured epochs
+    /// correspond exactly to parsing the raw stream.
+    fn push_matching_line(&mut self, data: &mut Vec<u8>) -> (u32, usize, Range<usize>) {
         let tenant = self.rng.gen_range(0..self.cfg.tenants);
         let stat_idx = (self.seq % STAT_NAMES.len() as u64) as usize;
         let stat = STAT_NAMES[stat_idx];
@@ -139,37 +186,48 @@ impl LogGenerator {
             "job running time" => self.rng.gen_range(20.0..30_000.0),
             _ => self.rng.gen_range(0.0..100.0),
         };
-        let shown = format!("{value:.1}");
-        let parsed: f64 = shown.parse().expect("formatted float parses");
-        let line = format!(
-            "level=INFO job={} tenant name=tenant-{tenant}, {stat}={shown}, host=h{}",
-            self.seq,
-            self.seq % 97
-        );
-        (line, tenant, stat_idx, parsed)
+        // level=INFO job={seq} tenant name=tenant-{tenant}, {stat}={value:.1}, host=h{seq % 97}
+        data.extend_from_slice(b"level=INFO job=");
+        push_decimal(data, self.seq);
+        data.extend_from_slice(b" tenant name=tenant-");
+        push_decimal(data, u64::from(tenant));
+        data.extend_from_slice(b", ");
+        data.extend_from_slice(stat.as_bytes());
+        data.push(b'=');
+        let shown = data.len();
+        push_one_decimal(data, value);
+        let shown = shown..data.len();
+        data.extend_from_slice(b", host=h");
+        push_decimal(data, self.seq % 97);
+        (tenant, stat_idx, shown)
     }
 
-    fn noise_line(&mut self) -> String {
+    /// Appends one noise line to `data`.
+    fn push_noise_line(&self, data: &mut Vec<u8>) {
         const KINDS: [&str; 3] = ["heartbeat ok", "gc pause", "scheduler tick"];
-        format!(
-            "level=DEBUG {} node=n{} seq={}",
-            KINDS[(self.seq % 3) as usize],
-            self.seq % 131,
-            self.seq
-        )
+        // level=DEBUG {kind} node=n{seq % 131} seq={seq}
+        data.extend_from_slice(b"level=DEBUG ");
+        data.extend_from_slice(KINDS[(self.seq % 3) as usize].as_bytes());
+        data.extend_from_slice(b" node=n");
+        push_decimal(data, self.seq % 131);
+        data.extend_from_slice(b" seq=");
+        push_decimal(data, self.seq);
     }
 
-    /// Drives one epoch's byte budget, calling `emit` for every line that
-    /// fits: `(timestamp, raw line, parsed parts for matching lines)`. The
-    /// single source of the rate model (burst fold, byte budget, carry,
-    /// even timestamp spread) behind both the raw and the structured epoch
-    /// generators — they must stay in lockstep or the structured stream
-    /// stops corresponding to parsing the raw one.
+    /// Drives one epoch's byte budget, appending every line that fits to
+    /// `data` and then calling `emit(timestamp, data, parts)`, where `parts`
+    /// are a matching line's [`LogGenerator::push_matching_line`] parts. A
+    /// line the budget refuses is truncated away. The single source of the
+    /// rate model (burst fold, byte budget, carry, even timestamp spread)
+    /// behind both the raw and the structured epoch generators — they must
+    /// stay in lockstep or the structured stream stops corresponding to
+    /// parsing the raw one.
     fn drive_epoch(
         &mut self,
         epoch_start: Ts,
         epoch_secs: f64,
-        mut emit: impl FnMut(Ts, &str, Option<(u32, usize, f64)>),
+        data: &mut Vec<u8>,
+        mut emit: impl FnMut(Ts, &mut Vec<u8>, Option<(u32, usize, Range<usize>)>),
     ) {
         let t_s = epoch_start as f64 / 1e6;
         let burst = self
@@ -187,29 +245,54 @@ impl LogGenerator {
         let total_budget = budget;
         let per_row_envelope = layout::row_envelope(&log_schema());
         while budget > 0.0 {
-            let (line, parts) = if self.rng.gen_bool(self.cfg.match_rate) {
-                let (line, tenant, stat_idx, value) = self.matching_parts();
-                (line, Some((tenant, stat_idx, value)))
+            let start = data.len();
+            let parts = if self.rng.gen_bool(self.cfg.match_rate) {
+                Some(self.push_matching_line(data))
             } else {
-                (self.noise_line(), None)
+                self.push_noise_line(data);
+                None
             };
             self.seq += 1;
             let frac = 1.0 - budget / total_budget;
             let ts = epoch_start + (frac * epoch_secs * 1e6) as Ts;
-            let size = (per_row_envelope + layout::str_bytes(line.len())) as f64;
+            let size = (per_row_envelope + layout::str_bytes(data.len() - start)) as f64;
             if size > budget {
                 // Not enough budget left for this line: carry the remainder.
                 self.carry_bytes = budget;
                 // Undo: the line is dropped, not carried (rates stay exact in
                 // expectation; line boundaries never split).
+                data.truncate(start);
                 break;
             }
             budget -= size;
-            emit(ts, &line, parts);
+            emit(ts, data, parts);
         }
         if budget <= 0.0 {
             self.carry_bytes = 0.0;
         }
+    }
+
+    /// [`LogGenerator::drive_epoch`] for the post-parse shape: calls
+    /// `emit(timestamp, tenant id, stat index, value)` for every matching
+    /// line, the value parsed from the bytes the line carries. Noise lines
+    /// consume budget but emit nothing.
+    fn drive_structured_epoch(
+        &mut self,
+        epoch_start: Ts,
+        epoch_secs: f64,
+        mut emit: impl FnMut(Ts, u32, usize, f64),
+    ) {
+        let mut line = Vec::new();
+        self.drive_epoch(epoch_start, epoch_secs, &mut line, |ts, line, parts| {
+            if let Some((tenant, stat_idx, shown)) = parts {
+                let value = std::str::from_utf8(&line[shown])
+                    .ok()
+                    .and_then(|shown| shown.parse().ok())
+                    .expect("a formatted value parses");
+                emit(ts, tenant, stat_idx, value);
+            }
+            line.clear();
+        });
     }
 
     /// Generates one epoch of log lines starting at `epoch_start` (µs),
@@ -219,9 +302,8 @@ impl LogGenerator {
         let mut timestamps = Vec::new();
         let mut offsets: Vec<u32> = vec![0];
         let mut data: Vec<u8> = Vec::new();
-        self.drive_epoch(epoch_start, epoch_secs, |ts, line, _| {
+        self.drive_epoch(epoch_start, epoch_secs, &mut data, |ts, data, _| {
             timestamps.push(ts);
-            data.extend_from_slice(line.as_bytes());
             offsets.push(data.len() as u32);
         });
         Batch {
@@ -257,11 +339,7 @@ impl LogGenerator {
         let mut tenant_codes: Vec<u32> = Vec::new();
         let mut stat_codes: Vec<u32> = Vec::new();
         let mut stats: Vec<f64> = Vec::new();
-        self.drive_epoch(epoch_start, epoch_secs, |ts, _, parts| {
-            // Noise lines consume budget but emit nothing post-parse.
-            let Some((tenant, stat_idx, value)) = parts else {
-                return;
-            };
+        self.drive_structured_epoch(epoch_start, epoch_secs, |ts, tenant, stat_idx, value| {
             let code = tenant_code[tenant as usize];
             let code = if code == u32::MAX {
                 let c = tenant_dict.push(&format!("tenant-{tenant}"));
@@ -307,10 +385,7 @@ impl LogGenerator {
         let mut tenant_codes: Vec<u32> = Vec::new();
         let mut stat_codes: Vec<u32> = Vec::new();
         let mut stats: Vec<f64> = Vec::new();
-        self.drive_epoch(epoch_start, epoch_secs, |ts, _, parts| {
-            let Some((tenant, stat_idx, value)) = parts else {
-                return;
-            };
+        self.drive_structured_epoch(epoch_start, epoch_secs, |ts, tenant, stat_idx, value| {
             let code = tenant_code[tenant as usize];
             let code = if code == u32::MAX {
                 let c = tenant_dict.intern(&format!("tenant-{tenant}"));
@@ -502,5 +577,99 @@ mod tests {
     fn generation_is_deterministic() {
         let mk = || LogGenerator::new(LogConfig::default()).generate_epoch(0, 0.5);
         assert_eq!(mk(), mk());
+    }
+
+    /// FNV-1a over every row's timestamp and line bytes, `epochs` 1 s epochs.
+    fn raw_fingerprint(cfg: LogConfig, epochs: i64) -> (usize, u64) {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let mut rows = 0;
+        let mut g = LogGenerator::new(cfg);
+        for e in 0..epochs {
+            let batch = g.generate_epoch_batch(e * 1_000_000, 1.0);
+            let Column::Str { offsets, data } = &batch.columns[0] else {
+                panic!("raw lines are a string column");
+            };
+            for (row, ts) in batch.timestamps.iter().enumerate() {
+                fold(&ts.to_le_bytes());
+                fold(&data[offsets[row] as usize..offsets[row + 1] as usize]);
+                fold(b"\n");
+            }
+            rows += batch.len();
+        }
+        (rows, h)
+    }
+
+    #[test]
+    fn raw_lines_keep_their_pinned_bytes() {
+        // Read when every line was built by `format!`: the byte writer must
+        // reproduce those lines exactly — `job=`, `host=`, `node=` and `seq=`
+        // digits included, which the query's results never see.
+        const PINNED: [(f64, u64, usize, u64); 6] = [
+            (1.0, 17, 26289, 0xf551_5748_6c61_8db6),
+            (1.0, 289, 26347, 0x18d3_5b81_2a84_32dd),
+            (1.0, 4913, 26350, 0x1816_9b2e_b647_7e51),
+            (5.0, 17, 130_604, 0x3548_8935_fdda_8fdd),
+            (5.0, 289, 130_735, 0x7398_4b6d_7409_6943),
+            (5.0, 4913, 130_728, 0xd2ff_8046_f577_7f03),
+        ];
+        for (scale, seed, rows, fnv) in PINNED {
+            let cfg = LogConfig {
+                scale,
+                seed,
+                ..Default::default()
+            };
+            assert_eq!(
+                raw_fingerprint(cfg, 3),
+                (rows, fnv),
+                "scale {scale}, seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn digit_writers_match_format() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let mut values: Vec<f64> = (0..200_000)
+            .map(|i| match i % 3 {
+                0 => rng.gen_range(20.0..30_000.0),
+                1 => rng.gen_range(0.0..100.0),
+                _ => f64::from_bits(rand::RngCore::next_u64(&mut rng) >> 1),
+            })
+            .collect();
+        // Exact ties (x.x5 is never exact in binary; x.25 and x.75 are).
+        values.extend((0..140_000).map(|k| f64::from(k) / 4.0));
+        values.extend([
+            0.0,
+            -0.0,
+            0.05,
+            0.95,
+            99.95,
+            29_999.95,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e15 - 0.25,
+            1e15,
+            -2.25,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ]);
+        let mut out = Vec::new();
+        for v in values {
+            out.clear();
+            push_one_decimal(&mut out, v);
+            assert_eq!(out, format!("{v:.1}").into_bytes(), "{v:e}");
+        }
+        for v in [0, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            out.clear();
+            push_decimal(&mut out, v);
+            assert_eq!(out, v.to_string().into_bytes());
+        }
     }
 }

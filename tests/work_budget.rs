@@ -9,7 +9,14 @@
 //!   path: `take_state_delta` → `Ring::split_state` (4 shards) → `netwire`
 //!   encode → decode → `merge_state` into final-role operators;
 //! - **checkpoint** — the SP side's snapshot of those operators:
-//!   `checkpoint_state` → `netwire` encode.
+//!   `checkpoint_state` → `netwire` encode;
+//!
+//! and per input row of the LogAnalytics text path (generator seed 17, the
+//! second of two 1 s epochs, so the parse dictionaries are warm):
+//!
+//! - **log** — the raw-line generator, then each operator of the query's
+//!   source prefix (`W → M[TrimLower] → F → M[ParseJobStats] →
+//!   M[WidthBucket]`), counted one stage at a time.
 //!
 //! Each ceiling is 1 % above the reading it was set from, and the counts
 //! are the same in debug and release builds. A change that lowers a count
@@ -24,9 +31,11 @@ use stats_alloc::{Region, StatsAlloc, INSTRUMENTED_SYSTEM};
 
 use jarvis::core::engine::netwire::{decode_shard_payload, encode_shard_payload};
 use jarvis::core::engine::NetPayload;
+use jarvis::streamkit::batch::Batch;
 use jarvis::streamkit::ops::{AggRole, Operator};
 use jarvis::streamkit::physical::{build_pipeline, CostProfile};
 use jarvis::streamkit::shard::Ring;
+use jarvis::telemetry::loganalytics::{LogConfig, LogGenerator};
 use jarvis::telemetry::pingmesh::{PingmeshConfig, PingmeshGenerator};
 
 #[global_allocator]
@@ -36,6 +45,20 @@ static GLOBAL: &StatsAlloc<System> = &INSTRUMENTED_SYSTEM;
 const SHIP_ALLOCS_PER_ENTRY: f64 = 2.077;
 /// Allocations per entry on the checkpoint path.
 const CHECKPOINT_ALLOCS_PER_ENTRY: f64 = 1.028;
+
+/// Allocations per input row of the LogAnalytics text path, per stage: the
+/// generator, then the source prefix's operators in plan order. Each stage
+/// now allocates a handful of times per batch (8,735 rows): 33 in all, 0.0038
+/// a row, where building a `String` per line and per trimmed line cost
+/// 2.756 a row.
+const LOG_ALLOCS_PER_ROW: [(&str, f64); 6] = [
+    ("gen", 0.001388),
+    ("W", 0.000116),
+    ("M[TrimLower]", 0.000463),
+    ("F", 0.000809),
+    ("M[ParseJobStats]", 0.000694),
+    ("M[WidthBucket]", 0.000347),
+];
 
 /// Virtual shards the partial is split over.
 const RING: usize = 4;
@@ -47,6 +70,57 @@ fn s2s_group(role: AggRole) -> (Vec<Box<dyn Operator>>, usize, Vec<usize>) {
     let mut ops = build_pipeline(&plan, &CostProfile::default(), role).expect("valid plan");
     ops.truncate(boundary + 1);
     (ops, boundary, keys)
+}
+
+/// Counts the LogAnalytics text path's allocations per input row, stage by
+/// stage, and checks each against its ceiling.
+fn log_text_path_allocates_within_its_budget() {
+    let plan = jarvis::telemetry::queries::log_analytics();
+    let (boundary, _) = plan.shard_boundary().expect("LogAnalytics has a G+R");
+    let mut prefix =
+        build_pipeline(&plan, &CostProfile::default(), AggRole::Partial).expect("valid plan");
+    prefix.truncate(boundary);
+    assert_eq!(prefix.len() + 1, LOG_ALLOCS_PER_ROW.len());
+    let mut gen = LogGenerator::new(LogConfig {
+        seed: 17,
+        ..Default::default()
+    });
+    // One epoch through every stage; `counts` gets each stage's allocations.
+    let mut run = |epoch: i64, counts: &mut Vec<usize>| {
+        let mut region = Region::new(GLOBAL);
+        let mut batches: Vec<Batch> = vec![gen.generate_epoch_batch(epoch * 1_000_000, 1.0)];
+        let rows = batches[0].len();
+        counts.push(region.change_and_reset().allocations);
+        for op in &mut prefix {
+            let mut next = Vec::new();
+            for b in batches {
+                op.process_batch(b, &mut next);
+            }
+            batches = next;
+            counts.push(region.change_and_reset().allocations);
+        }
+        rows
+    };
+    let mut counts = Vec::with_capacity(LOG_ALLOCS_PER_ROW.len());
+    run(0, &mut counts);
+    counts.clear();
+    let rows = run(1, &mut counts);
+    let per_row = |allocations: usize| allocations as f64 / rows as f64;
+    for ((stage, ceiling), &count) in LOG_ALLOCS_PER_ROW.iter().zip(&counts) {
+        println!(
+            "log {stage:>16}: {:.6} allocs/row ({count} over {rows} rows), ceiling {ceiling}",
+            per_row(count)
+        );
+    }
+    let total = per_row(counts.iter().sum());
+    println!("log text path: {total:.6} allocs/row");
+    for ((stage, ceiling), &count) in LOG_ALLOCS_PER_ROW.iter().zip(&counts) {
+        assert!(
+            per_row(count) <= *ceiling,
+            "log {stage}: {:.6} allocs/row over the {ceiling} ceiling",
+            per_row(count)
+        );
+    }
 }
 
 #[test]
@@ -155,4 +229,6 @@ fn shipped_state_allocates_within_its_budget() {
         "checkpoint path: {:.4} allocs/entry over the {CHECKPOINT_ALLOCS_PER_ENTRY} ceiling",
         per_entry(checkpoint.allocations)
     );
+
+    log_text_path_allocates_within_its_budget();
 }
