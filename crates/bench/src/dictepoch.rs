@@ -4,13 +4,14 @@
 //! Two arms, one workload (the LogAnalytics-style structured telemetry
 //! stream):
 //!
-//! - **Throughput** — the windowed group-by (tenant × stat name keys,
-//!   Sum/Avg/Max) over epochs whose dictionary columns either share one
-//!   persistent `StreamDict` per key stream (codes stable across epochs,
-//!   so the operator's fragment and dense-slot caches carry over) or are
-//!   rebuilt batch-locally every epoch (id-0 pages: fragments re-encoded
-//!   and keys re-hashed per batch — the pre-PR-9 regime, reproduced via
-//!   `LogConfig::persistent_dicts = false`).
+//! - **Throughput** — the LogAnalytics query's own `G+R` (count per
+//!   `(tenant, stat_name, stat)`, as [`crate::groupagg::log_group_by`]
+//!   builds it) over epochs after the plan's `M[WidthBucket]`, whose
+//!   dictionary columns either share one persistent `StreamDict` per key
+//!   stream (codes stable across epochs, so the operator's per-code key
+//!   fragments carry over) or are rebuilt batch-locally every epoch (id-0
+//!   pages: fragments re-encoded per batch — the pre-PR-9 regime,
+//!   reproduced via `LogConfig::persistent_dicts = false`).
 //! - **Wire** — the multi-node shape: each epoch's batch is partitioned
 //!   over the shard ring and every sub-batch crosses a node link as a
 //!   `NetPayload::ShardBatch`. Persistent streams ship a full dictionary
@@ -21,18 +22,16 @@
 //! This runner produces the `dict_epoch` series in
 //! `BENCH_throughput.json`.
 
-use std::time::Instant;
-
 use jarvis_core::engine::netwire::{
     decode_shard_payload_with, encode_shard_payload, encode_shard_payload_with,
 };
 use jarvis_core::engine::NetPayload;
 use serde::{Deserialize, Serialize};
 use streamkit::batch::{Batch, DictRegistry, DictVersions};
-use telemetry::loganalytics::{structured_log_schema, LogConfig, LogGenerator};
+use telemetry::loganalytics::structured_log_schema;
 
-use crate::groupagg::{build_group_op, GroupKeyLayout};
-use crate::measure::{best_secs, run_op};
+use crate::groupagg::{fold_all, log_group_by, structured_epochs};
+use crate::measure::best_secs_interleaved;
 
 /// Epochs per run — enough for the cross-epoch caches (and the delta wire
 /// regime) to dominate the first-contact setup cost.
@@ -87,18 +86,6 @@ impl DictEpochResult {
     }
 }
 
-/// The same structured telemetry stream in both dictionary regimes.
-pub fn structured_epochs_with(persistent_dicts: bool) -> Vec<Batch> {
-    let mut gen = LogGenerator::new(LogConfig {
-        scale: 0.5,
-        persistent_dicts,
-        ..Default::default()
-    });
-    (0..EPOCHS)
-        .map(|e| gen.generate_structured_epoch_batch(e * 1_000_000, 1.0))
-        .collect()
-}
-
 /// Total `ShardBatch` wire bytes for one run over a single node link.
 /// `link`/`registry` carry dictionary state across epochs for the delta
 /// arm; `None` measures the self-contained full-page form. Every delta
@@ -143,35 +130,23 @@ pub fn wire_bytes(batches: &[Batch], delta: bool) -> u64 {
 /// Measures the persistent-vs-rebuild dictionary series. `iters` timed
 /// iterations per throughput arm; the wire arm is deterministic.
 pub fn bench_dict_epoch(iters: u32) -> DictEpochResult {
-    let persistent = structured_epochs_with(true);
-    let rebuild = structured_epochs_with(false);
+    let persistent = structured_epochs(EPOCHS, true);
     let rows: u64 = persistent.iter().map(|b| b.len() as u64).sum();
-
-    let time = |batches: &[Batch]| -> f64 {
-        let mut op = build_group_op(GroupKeyLayout::Dict);
-        run_op(op.as_mut(), batches); // warm-up
-        let samples: Vec<f64> = (0..iters.max(1))
-            .map(|_| {
-                let start = Instant::now();
-                let emitted = run_op(op.as_mut(), batches);
-                let dt = start.elapsed().as_secs_f64();
-                assert!(emitted > 0, "the aggregation must emit results");
-                dt
-            })
-            .collect();
-        best_secs(samples)
-    };
-
-    let rebuild_rps = rows as f64 / time(&rebuild);
-    let persistent_rps = rows as f64 / time(&persistent);
+    let (mut rebuild_op, rebuild_in) = log_group_by(&structured_epochs(EPOCHS, false));
+    let (mut persistent_op, persistent_in) = log_group_by(&persistent);
+    let mut rebuild_arm = || fold_all(rebuild_op.as_mut(), &rebuild_in);
+    let mut persistent_arm = || fold_all(persistent_op.as_mut(), &persistent_in);
+    let secs = best_secs_interleaved(iters, &mut [&mut rebuild_arm, &mut persistent_arm]);
+    let rebuild_rps = rows as f64 / secs[0];
+    let persistent_rps = rows as f64 / secs[1];
 
     let full = wire_bytes(&persistent, false) as f64;
     let delta = wire_bytes(&persistent, true) as f64;
     let per_epoch = EPOCHS as f64;
 
     DictEpochResult {
-        pipeline: "LogAnalytics structured stream: persistent StreamDicts vs \
-                   per-epoch page rebuild"
+        pipeline: "LogAnalytics G+R over its structured stream: persistent StreamDicts \
+                   vs per-epoch page rebuild"
             .into(),
         epochs: EPOCHS as u32,
         rows,

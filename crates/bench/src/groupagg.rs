@@ -1,13 +1,17 @@
 //! Group-aggregate throughput by key shape for the perf trajectory.
 //!
-//! The `str` and `dict` arms run the LogAnalytics-style windowed group-by
-//! (tenant × stat name keys, Sum/Avg/Max over the stat column) over
-//! structured telemetry epochs, keyed off plain string columns and off
-//! native dictionary columns. The `wide_int` arm is the `s2s` keyed-boundary
-//! shape, where the table's memory layout rather than its arithmetic sets
-//! the rate: two 64-bit keys, 160 k groups that see two rows each, spread by
-//! the SP tier's `Ring` over 32 operators that take turns on ~55-row
-//! batches. This runner produces the machine-readable `group_agg` series in
+//! The `str` and `dict` arms run the LogAnalytics query's own `G+R`
+//! (Listing 3: count per `(tenant, stat_name, stat)` in 10-second windows,
+//! `stat` being the `I64` `WidthBucket` output), built from
+//! `telemetry::queries::log_analytics()` at its keyed boundary. Its input is
+//! structured telemetry epochs after the plan's own `M[WidthBucket]`,
+//! applied before timing starts: the `dict` arm keys off native dictionary
+//! columns, the `str` arm off the same rows with their dictionaries
+//! decoded. The `wide_int` arm is the `s2s` keyed-boundary shape, where the
+//! table's memory layout rather than its arithmetic sets the rate: two
+//! 64-bit keys, 160 k groups that see two rows each, spread by the SP tier's
+//! `Ring` over 32 operators that take turns on ~55-row batches. This runner
+//! produces the machine-readable `group_agg` series in
 //! `BENCH_throughput.json`.
 
 use std::collections::HashMap;
@@ -17,70 +21,48 @@ use serde::{Deserialize, Serialize};
 use streamkit::agg::{AggKind, AggSpec};
 use streamkit::batch::{Batch, Column};
 use streamkit::ops::{AggRole, CostModel, EmitMode, GroupAggregateOp, Operator};
+use streamkit::physical::{build_pipeline, CostProfile};
 use streamkit::schema::{DataType, Field, Schema, SchemaRef};
 use streamkit::shard::Ring;
 use streamkit::window::TumblingWindow;
-use telemetry::loganalytics::{structured_log_schema, LogConfig, LogGenerator};
+use telemetry::loganalytics::{LogConfig, LogGenerator};
+use telemetry::queries::log_analytics;
 
-use crate::measure::{best_secs, run_op, run_op_set};
+use crate::measure::{best_secs, best_secs_interleaved, run_op, run_op_set};
 
-/// Which physical layout the group keys arrive in.
-#[derive(Debug, Clone, Copy)]
-pub enum GroupKeyLayout {
-    /// Plain `Column::Str` keys (the pre-dictionary batch baseline).
-    Str,
-    /// Native `Column::Dict` keys.
-    Dict,
-}
-
-/// The same structured epochs in both key layouts.
-pub struct StructuredEpochs {
-    /// Native dictionary key columns.
-    pub dict: Vec<Batch>,
-    /// The identical rows with keys materialised as plain strings.
-    pub str: Vec<Batch>,
-}
-
-/// Generates `n` structured LogAnalytics epochs (deterministic seed) in
-/// both key layouts.
-pub fn structured_epochs(n: i64) -> StructuredEpochs {
+/// Generates `n` structured LogAnalytics epochs (deterministic seed), with
+/// persistent or per-epoch dictionaries.
+pub fn structured_epochs(n: i64, persistent_dicts: bool) -> Vec<Batch> {
     let mut gen = LogGenerator::new(LogConfig {
         scale: 0.5,
+        persistent_dicts,
         ..Default::default()
     });
-    let dict: Vec<Batch> = (0..n)
+    (0..n)
         .map(|e| gen.generate_structured_epoch_batch(e * 1_000_000, 1.0))
-        .collect();
-    let str: Vec<Batch> = dict
-        .iter()
-        .map(|b| {
-            let mut plain = b.clone();
-            plain.dict_decode();
-            plain
-        })
-        .collect();
-    StructuredEpochs { dict, str }
+        .collect()
 }
 
-/// Builds the LogAnalytics-style aggregation: group by (tenant, stat_name),
-/// fold Sum/Avg/Max over the stat column in 10-second windows.
-pub fn build_group_op(_layout: GroupKeyLayout) -> Box<dyn Operator> {
-    // The operator is layout-agnostic — the layout lives in the batches —
-    // but taking it as a parameter keeps call sites explicit about which
-    // arm they measure.
-    Box::new(GroupAggregateOp::new(
-        vec![0, 1],
-        vec![
-            AggSpec::new(AggKind::Sum, 2, "sum_stat"),
-            AggSpec::new(AggKind::Avg, 2, "avg_stat"),
-            AggSpec::new(AggKind::Max, 2, "max_stat"),
-        ],
-        &structured_log_schema(),
-        TumblingWindow::new(10_000_000),
-        EmitMode::OnWindowClose,
-        AggRole::Final,
-        CostModel::fixed(1.0),
-    ))
+/// The LogAnalytics query's `G+R` (Final role) as the plan builds it, and
+/// `epochs` after the plan's `M[WidthBucket]`: the operator and the rows it
+/// folds on the real query.
+pub fn log_group_by(epochs: &[Batch]) -> (Box<dyn Operator>, Vec<Batch>) {
+    let plan = log_analytics();
+    let (at, _) = plan.shard_boundary().expect("LogAnalytics has a G+R");
+    let mut ops = build_pipeline(&plan, &CostProfile::default(), AggRole::Final)
+        .expect("LogAnalytics builds");
+    let group = ops.remove(at);
+    let bucket = &mut ops[at - 1];
+    let mut input = Vec::new();
+    for batch in epochs {
+        bucket.process_batch(batch.clone(), &mut input);
+    }
+    (group, input)
+}
+
+/// Runs the operator over the batches and checks it emitted results.
+pub fn fold_all(op: &mut dyn Operator, batches: &[Batch]) {
+    assert!(run_op(op, batches) > 0, "the aggregation must emit results");
 }
 
 /// Sources, ring width, peers per source and epochs of the `wide_int` arm:
@@ -218,28 +200,18 @@ pub fn std_map_reference(n_ops: usize, traffic: &[(usize, Batch)]) -> usize {
 /// Measures the group-aggregate through every key shape. `iters` timed
 /// iterations per arm.
 pub fn bench_group_agg(iters: u32) -> GroupAggResult {
-    let epochs = structured_epochs(4);
-    let rows: u64 = epochs.dict.iter().map(|b| b.len() as u64).sum();
-
-    let time = |layout: GroupKeyLayout, batches: &[Batch]| -> f64 {
-        let mut op = build_group_op(layout);
-        run_op(op.as_mut(), batches); // warm-up
-        let samples: Vec<f64> = (0..iters.max(1))
-            .map(|_| {
-                let start = Instant::now();
-                let emitted = run_op(op.as_mut(), batches);
-                let dt = start.elapsed().as_secs_f64();
-                assert!(emitted > 0, "the aggregation must emit results");
-                dt
-            })
-            .collect();
-        best_secs(samples)
-    };
-
-    let str_secs = time(GroupKeyLayout::Str, &epochs.str);
-    let dict_secs = time(GroupKeyLayout::Dict, &epochs.dict);
-    let str_rps = rows as f64 / str_secs;
-    let dict_rps = rows as f64 / dict_secs;
+    let (mut dict_op, dict) = log_group_by(&structured_epochs(4, true));
+    let mut str = dict.clone();
+    for batch in &mut str {
+        batch.dict_decode();
+    }
+    let mut str_op = log_group_by(&[]).0;
+    let rows: u64 = dict.iter().map(|b| b.len() as u64).sum();
+    let mut str_arm = || fold_all(str_op.as_mut(), &str);
+    let mut dict_arm = || fold_all(dict_op.as_mut(), &dict);
+    let secs = best_secs_interleaved(iters, &mut [&mut str_arm, &mut dict_arm]);
+    let str_rps = rows as f64 / secs[0];
+    let dict_rps = rows as f64 / secs[1];
 
     let WideIntWorkload { mut ops, traffic } = wide_int_workload();
     let wide_rows: u64 = traffic.iter().map(|(_, b)| b.len() as u64).sum();
@@ -268,7 +240,7 @@ pub fn bench_group_agg(iters: u32) -> GroupAggResult {
             .collect(),
     );
     GroupAggResult {
-        pipeline: "LogAnalytics group-by (tenant, stat_name) Sum/Avg/Max".into(),
+        pipeline: "LogAnalytics G+R: count by (tenant, stat_name, stat bucket)".into(),
         rows,
         iters: iters.max(1),
         str_rows_per_sec: str_rps,

@@ -2,6 +2,8 @@
 //! drive loops and the timing estimator behind every series in
 //! `BENCH_throughput.json`.
 
+use std::time::Instant;
+
 use streamkit::batch::Batch;
 use streamkit::ops::Operator;
 
@@ -42,4 +44,23 @@ pub fn best_secs(samples: Vec<f64>) -> f64 {
         .into_iter()
         .min_by(|a, b| a.partial_cmp(b).expect("finite timings"))
         .expect("at least one sample")
+}
+
+/// Best-of-`iters` seconds of each arm, timed in turn: one untimed round of
+/// every arm, then `iters` rounds of one iteration per arm. A host phase
+/// change between rounds then slows every arm alike instead of moving the
+/// ratio of two arms run one after the other.
+pub fn best_secs_interleaved(iters: u32, arms: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    for arm in arms.iter_mut() {
+        arm();
+    }
+    let mut best = vec![f64::INFINITY; arms.len()];
+    for _ in 0..iters.max(1) {
+        for (arm, best) in arms.iter_mut().zip(&mut best) {
+            let start = Instant::now();
+            arm();
+            *best = best.min(start.elapsed().as_secs_f64());
+        }
+    }
+    best
 }
