@@ -109,8 +109,6 @@ impl TransportKind {
     }
 }
 
-/// Handshake/read-timeout default for TCP deployments.
-const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Registration/collection deadline default for TCP deployments.
 const DEFAULT_NODE_TIMEOUT: Duration = Duration::from_secs(60);
 /// Default epoch-acknowledgement (liveness) deadline for TCP deployments.
@@ -385,8 +383,6 @@ pub struct DeploymentSpec {
     pub listen_addr: Option<SocketAddr>,
     /// Shared-secret token nodes must present (empty disables auth).
     pub auth_token: String,
-    /// Per-connection handshake/read deadline (TCP transport only).
-    pub handshake_timeout: Duration,
     /// Registration and result-collection deadline (TCP transport only).
     pub node_timeout: Duration,
     /// Policy when a remote node is lost mid-run (TCP transport only).
@@ -450,7 +446,6 @@ pub struct DeploymentBuilder {
     transport: TransportKind,
     listen_addr: Option<String>,
     auth_token: String,
-    handshake_timeout: Duration,
     node_timeout: Duration,
     on_node_loss: OnNodeLoss,
     liveness_timeout: Duration,
@@ -479,7 +474,6 @@ impl Default for DeploymentBuilder {
             transport: TransportKind::InProcess,
             listen_addr: None,
             auth_token: String::new(),
-            handshake_timeout: DEFAULT_HANDSHAKE_TIMEOUT,
             node_timeout: DEFAULT_NODE_TIMEOUT,
             on_node_loss: OnNodeLoss::Fail,
             liveness_timeout: DEFAULT_LIVENESS_TIMEOUT,
@@ -615,12 +609,6 @@ impl DeploymentBuilder {
     /// little under 4 KiB of plain ASCII, less where JSON escapes it.
     pub fn auth_token(mut self, token: impl Into<String>) -> Self {
         self.auth_token = token.into();
-        self
-    }
-
-    /// Sets the per-connection handshake/read deadline (default 10 s).
-    pub fn handshake_timeout(mut self, timeout: Duration) -> Self {
-        self.handshake_timeout = timeout;
         self
     }
 
@@ -806,7 +794,6 @@ impl DeploymentBuilder {
             transport: self.transport,
             listen_addr,
             auth_token: self.auth_token.clone(),
-            handshake_timeout: self.handshake_timeout,
             node_timeout: self.node_timeout,
             on_node_loss: self.on_node_loss,
             liveness_timeout: self.liveness_timeout,

@@ -94,6 +94,10 @@ use crate::engine::NetPayload;
 use crate::planner::RuleConfig;
 use crate::rt::DeadlineQueue;
 
+/// Read deadline on a connection between accept and the end of its
+/// handshake (admission and reconnect alike).
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Cadence of the registered-but-dead probe during admission. Accept
 /// latency is event-driven (the acceptor thread blocks in `accept`); this
 /// timer only bounds how long an admitted node's death can go unnoticed
@@ -396,7 +400,6 @@ pub(crate) struct RemoteCluster {
     on_node_loss: OnNodeLoss,
     liveness_timeout: Duration,
     reconnect_grace: Duration,
-    handshake_timeout: Duration,
     node_timeout: Duration,
     checkpoint_interval: u64,
     auth_token: String,
@@ -595,7 +598,6 @@ impl RemoteCluster {
             on_node_loss: spec.on_node_loss,
             liveness_timeout: spec.liveness_timeout,
             reconnect_grace: spec.reconnect_grace,
-            handshake_timeout: spec.handshake_timeout,
             node_timeout: spec.node_timeout,
             checkpoint_interval: spec.checkpoint_interval,
             auth_token: spec.auth_token.clone(),
@@ -1067,9 +1069,7 @@ impl RemoteCluster {
     /// the window keeps polling.
     fn readmit(&mut self, stream: TcpStream, node: usize) -> bool {
         if stream.set_nonblocking(false).is_err()
-            || stream
-                .set_read_timeout(Some(self.handshake_timeout))
-                .is_err()
+            || stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err()
         {
             return false;
         }
@@ -1456,7 +1456,7 @@ fn admit(
         .set_nonblocking(false)
         .map_err(io_fail("set_nonblocking"))?;
     stream
-        .set_read_timeout(Some(spec.handshake_timeout))
+        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
         .map_err(io_fail("set_read_timeout"))?;
     let _ = stream.set_nodelay(true);
     let clone = stream.try_clone().map_err(io_fail("clone stream"))?;

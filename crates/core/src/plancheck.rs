@@ -58,7 +58,8 @@ pub mod code {
     /// A second keyed operator past the shard boundary under `sp_shards > 1`.
     pub const RESHARD_UNSUPPORTED: &str = "JP102";
     /// A string-typed group key behind an opaque map cannot carry a
-    /// persistent dictionary: grouping falls off the code-native fast path.
+    /// persistent dictionary: grouping and shard routing lose their
+    /// per-code fragment and hash caches.
     pub const KEY_OFF_CODE_FAST_PATH: &str = "JP105";
     /// Multiple keyed operators: the plan cannot scale out via sharding.
     pub const MULTI_KEYED_PLAN: &str = "JP103";
@@ -496,8 +497,10 @@ fn lint_key_provenance(
             // Perf fact on top of the routing concern: a string key that
             // passes through an opaque closure cannot ride a persistent
             // dictionary (custom maps rebuild rows, dropping stream pages),
-            // so `GroupAggregate` and `shard_by_key` hash its bytes per row
-            // instead of reusing cross-epoch code caches.
+            // so `shard_by_key` hashes its bytes per row instead of reading
+            // the stream's cross-epoch code→hash table, and `GroupAggregate`
+            // encodes them per row instead of copying the stream's cached
+            // per-code key fragments.
             let is_str = schemas[boundary]
                 .field(key)
                 .is_ok_and(|f| f.dtype == DataType::Str);
@@ -510,8 +513,8 @@ fn lint_key_provenance(
                         format!(
                             "group key '{field}' reaches the boundary through the \
                              opaque {:?}, so it cannot carry a persistent dictionary; \
-                             grouping and shard hashing fall back to per-row byte \
-                             encoding instead of the code-native fast path",
+                             grouping encodes and shard routing hashes its bytes per \
+                             row instead of reusing per-code fragment and hash caches",
                             plan.ops[op_index]
                         ),
                     )

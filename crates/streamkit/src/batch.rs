@@ -374,8 +374,8 @@ impl StreamDict {
 ///
 /// Mirrors are themselves [`StreamDict`]s: their snapshots carry a
 /// receiver-local persistent id that stays stable across frames, so the
-/// code-native fast paths (shard hash caches, group caches) work on the
-/// receiving side too.
+/// code-native fast paths (shard hash caches, group-key fragment caches)
+/// work on the receiving side too.
 #[derive(Debug, Default)]
 pub struct DictRegistry {
     mirrors: HashMap<u64, StreamDict>,

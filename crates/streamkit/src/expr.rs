@@ -8,6 +8,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use crate::batch::{Batch, Column};
+use crate::ops::map::{find_bytes, row_bytes};
 use crate::record::Record;
 use crate::value::Value;
 
@@ -472,15 +473,18 @@ fn cmp_kernel(op: CmpOp, col: &Column, lit: &Value, flip: bool) -> Option<(Vec<b
     }
 }
 
-/// Substring kernel for `Contains`/`ContainsAny` over a string column.
-/// Dictionary columns resolve the needles against each distinct entry once
-/// (a code-set test), then scan the codes.
+/// Substring kernel for `Contains`/`ContainsAny` over a string column,
+/// searching each row's bytes (`Str` columns hold UTF-8, where a byte match
+/// is a `str::contains` match). Dictionary columns resolve the needles
+/// against each distinct entry once (a code-set test), then scan the codes.
 fn contains_kernel(col: &Column, needles: &[String]) -> Option<(Vec<bool>, bool)> {
-    if let Column::Dict { codes, dict } = col {
-        let hits: Vec<bool> = dict
+    let hit = |hay: &[u8]| {
+        needles
             .iter()
-            .map(|e| needles.iter().any(|n| e.contains(n.as_str())))
-            .collect();
+            .any(|n| find_bytes(hay, n.as_bytes()).is_some())
+    };
+    if let Column::Dict { codes, dict } = col {
+        let hits: Vec<bool> = dict.iter().map(|e| hit(e.as_bytes())).collect();
         let mask = codes.iter().map(|&c| hits[c as usize]).collect();
         return Some((mask, true));
     }
@@ -495,10 +499,7 @@ fn contains_kernel(col: &Column, needles: &[String]) -> Option<(Vec<bool>, bool)
         _ => return None,
     };
     let mask = (0..col.len())
-        .map(|r| {
-            col.str_at(r)
-                .is_some_and(|s| needles.iter().any(|n| s.contains(n.as_str())))
-        })
+        .map(|r| row_bytes(col, r).is_some_and(hit))
         .collect();
     Some((mask, total))
 }
@@ -675,6 +676,66 @@ mod tests {
             let mask = e.eval_mask(&batch);
             let scalar: Vec<bool> = recs.iter().map(|r| e.matches(r)).collect();
             assert_eq!(mask, scalar, "dict mask mismatch for {e:?}");
+        }
+    }
+
+    #[test]
+    fn contains_masks_equal_str_contains_on_random_utf8() {
+        use crate::batch::Batch;
+        use crate::schema::{DataType, Field, Schema};
+
+        // Multi-byte characters share lead and continuation bytes, so a
+        // byte search that could match mid-character would show here.
+        const CHARS: [char; 8] = ['a', 'b', '=', ' ', 'é', 'ê', '€', '𝄞'];
+        let mut x = 29u64;
+        let mut next = || {
+            // xorshift64*: deterministic and spread over every bit.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let mut text = |max: u64| -> String {
+            let len = next() % (max + 1);
+            (0..len)
+                .map(|_| CHARS[next() as usize % CHARS.len()])
+                .collect()
+        };
+        let schema = Schema::new(vec![Field::new("line", DataType::Str)]);
+        for case in 0..200usize {
+            let lines: Vec<String> = (0..24).map(|_| text(12)).collect();
+            let mut needles: Vec<String> = (0..1 + case % 4).map(|_| text(3)).collect();
+            if case.is_multiple_of(10) {
+                needles.push(String::new());
+            }
+            // Odd cases null every third line: the column turns nullable.
+            let null = |row: usize| !case.is_multiple_of(2) && row.is_multiple_of(3);
+            let recs: Vec<Record> = lines
+                .iter()
+                .enumerate()
+                .map(|(row, l)| {
+                    let v = if null(row) {
+                        Value::Null
+                    } else {
+                        Value::str(l)
+                    };
+                    Record::new(0, vec![v])
+                })
+                .collect();
+            let batch = Batch::from_records(schema.clone(), &recs).unwrap();
+            let expected: Vec<bool> = lines
+                .iter()
+                .enumerate()
+                .map(|(row, l)| !null(row) && needles.iter().any(|n| l.contains(n.as_str())))
+                .collect();
+            let e = Expr::ContainsAny(0, needles.clone());
+            assert_eq!(e.eval_mask(&batch), expected, "{needles:?}");
+            let (_, total) = e.mask_kernel(&batch).expect("a string column has a kernel");
+            assert_eq!(
+                total,
+                case.is_multiple_of(2),
+                "null rows make the mask non-total"
+            );
         }
     }
 

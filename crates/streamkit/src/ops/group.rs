@@ -123,9 +123,9 @@ fn arena_offset(n: usize) -> u32 {
 }
 
 /// The groups of **one window** (see the module docs for the layout). A
-/// window's whole state — index, arenas, dense combo cache — lives and dies
-/// with its table: closing the window is taking the table out of the
-/// operator, which touches no other window. An empty table owns no memory.
+/// window's whole state — index and arenas — lives and dies with its table:
+/// closing the window is taking the table out of the operator, which touches
+/// no other window. An empty table owns no memory.
 #[derive(Default)]
 struct WindowTable {
     /// `hash tag << 32 | slot` words; empty or a power of two long. A word's
@@ -145,12 +145,6 @@ struct WindowTable {
     changed: Vec<u64>,
     /// Groups held.
     len: usize,
-    /// Dense `combined code → slot` cache (`u32::MAX` = empty) over this
-    /// window's groups; empty when none was built. See
-    /// [`GroupAggregateOp::fold_window`] for when it is valid.
-    combo: Vec<u32>,
-    /// `(dict id, cardinality)` per key column `combo` was built under.
-    combo_sig: Vec<(u64, usize)>,
 }
 
 impl WindowTable {
@@ -172,11 +166,11 @@ impl WindowTable {
         self.changed[slot / 64] & (1 << (slot % 64)) != 0
     }
 
-    /// Bytes held by the index, the arenas and the combo cache.
+    /// Bytes held by the index and the arenas.
     fn state_bytes(&self) -> usize {
         (self.index.capacity() + self.changed.capacity()) * size_of::<u64>()
             + self.keys.capacity()
-            + (self.bounds.capacity() + self.combo.capacity()) * size_of::<u32>()
+            + self.bounds.capacity() * size_of::<u32>()
             + self.states.capacity() * size_of::<AggState>()
     }
 
@@ -278,15 +272,13 @@ pub struct GroupAggregateOp {
     seed: u64,
     /// Per-batch scratch, reused across batches (boundary batches are a few
     /// dozen rows: a handful of allocations per call would show): the rows'
-    /// canonical keys back to back, their boundaries, their hashes, the
-    /// slots they resolved to, and the key columns' `(dict id, cardinality)`
-    /// signature while they are all persistent dictionaries. `merge_state`
-    /// reuses `hashes` and `slots` for shipped entries.
+    /// canonical keys back to back, their boundaries, their hashes and the
+    /// slots they resolved to. `merge_state` reuses `hashes` and `slots` for
+    /// shipped entries.
     scratch: Vec<u8>,
     key_bounds: Vec<usize>,
     hashes: Vec<u64>,
     slots: Vec<u32>,
-    sig: Vec<(u64, usize)>,
     /// Canonical fragments per persistent dict id, extended append-only.
     frag_cache: HashMap<u64, KeyFrags>,
 }
@@ -318,7 +310,6 @@ impl GroupAggregateOp {
             key_bounds: Vec::new(),
             hashes: Vec::new(),
             slots: Vec::new(),
-            sig: Vec::new(),
             frag_cache: HashMap::new(),
         }
     }
@@ -358,9 +349,8 @@ impl GroupAggregateOp {
         self.windows.len()
     }
 
-    /// Bytes of group state held: index, arena and combo-cache capacities
-    /// of every open window (sketches behind `ApproxQuantile` states not
-    /// included).
+    /// Bytes of group state held: index and arena capacities of every open
+    /// window (sketches behind `ApproxQuantile` states not included).
     pub fn state_bytes(&self) -> usize {
         self.windows.values().map(WindowTable::state_bytes).sum()
     }
@@ -368,16 +358,6 @@ impl GroupAggregateOp {
     /// This instance's role.
     pub fn role(&self) -> AggRole {
         self.role
-    }
-
-    /// Number of windows holding a cross-batch combo cache (test
-    /// observability).
-    #[cfg(test)]
-    fn cached_combo_windows(&self) -> usize {
-        self.windows
-            .values()
-            .filter(|t| !t.combo.is_empty())
-            .count()
     }
 
     /// Builds one result batch (none for no groups) for the listed
@@ -550,19 +530,6 @@ fn encode_keys(encs: &[KeyEnc], rows: usize, out: &mut Vec<u8>, bounds: &mut Vec
     }
 }
 
-/// While every key column is a *persistent* dictionary (id ≠ 0: codes are
-/// stable identity across batches and epochs) and the combined key space is
-/// at most this many codes, rows resolve through a dense per-window
-/// `combined code → slot` cache instead of hashing byte keys. The code is a
-/// cache key only — on a miss the canonical byte encoding still decides
-/// group identity, so the cache can never conflate distinct keys.
-const MAX_COMBO_CACHE: usize = 1 << 16;
-
-/// At most this many open windows hold a cross-batch combo cache; rows of
-/// further windows resolve through the byte-keyed index (bounds memory when
-/// a stream that never sees a watermark keeps many windows open).
-const MAX_WINDOW_CACHES: usize = 8;
-
 /// Keeps per-operator [`KeyFrags`] caches bounded: an operator normally sees
 /// one persistent dictionary per key column, so hitting this means dict ids
 /// are churning (e.g. streams being recreated) and caching stopped paying.
@@ -643,14 +610,6 @@ impl GroupAggregateOp {
     /// short loops whose rows are independent, so their cache misses
     /// overlap instead of queueing behind one another.
     ///
-    /// While every key column is a persistent dictionary with a small
-    /// combined key space, rows resolve through the window's dense
-    /// `combined code → slot` cache instead, hashing each distinct key only
-    /// once. The cache lives in the window's table — surviving batches and
-    /// epochs until the window closes — for as long as the `(dict id,
-    /// cardinality)` signature holds; a dictionary that grew shifts the
-    /// mixing radix and rebuilds it.
-    ///
     /// Pass 2 folds one aggregate at a time over the resolved slots: the
     /// first aggregate's loop takes the state arena's misses, again
     /// overlapped, and the others find their neighbours cached. Semantics
@@ -665,7 +624,6 @@ impl GroupAggregateOp {
             key_bounds,
             hashes,
             slots,
-            sig,
             frag_cache,
             ..
         } = self;
@@ -676,7 +634,6 @@ impl GroupAggregateOp {
         if frag_cache.len() > MAX_FRAG_CACHE {
             frag_cache.clear();
         }
-        sig.clear();
         let mut local_frags = Vec::new();
         for col in key_cols() {
             if let Column::Dict { dict, .. } = col {
@@ -687,7 +644,6 @@ impl GroupAggregateOp {
                         .entry(dict.id())
                         .or_insert_with(KeyFrags::new)
                         .extend_to(dict);
-                    sig.push((dict.id(), dict.len().max(1)));
                 }
             }
         }
@@ -707,71 +663,21 @@ impl GroupAggregateOp {
             .collect();
         let n = batch.len();
         let n_aggs = aggs.len();
-        slots.clear();
-
-        let cached_windows = windows.values().filter(|t| !t.combo.is_empty()).count();
         let table = windows.entry(ws).or_default();
-        let upsert = |table: &mut WindowTable, hash: u64, key: &[u8]| {
-            let (slot, created) = table.slot_of(hash, key, n_aggs);
-            if created {
-                table.states.extend(aggs.iter().map(AggSpec::init));
-            }
-            slot as u32
-        };
-        let card = sig
-            .iter()
-            .try_fold(1usize, |card, &(_, dim)| card.checked_mul(dim))
-            .filter(|&card| card <= MAX_COMBO_CACHE);
-        if let (Some(card), true) = (card, !keys.is_empty() && sig.len() == keys.len()) {
-            // Borrow the cache out of the table for the row loop (the table
-            // is mutated alongside it) and put it back afterwards.
-            let mut cache = std::mem::take(&mut table.combo);
-            if table.combo_sig != *sig {
-                cache.clear();
-                table.combo_sig.clone_from(sig);
-            }
-            // One more cached window only below the cap; past it the cache
-            // stays empty and every row takes the index.
-            if cache.is_empty() && cached_windows < MAX_WINDOW_CACHES {
-                cache.resize(card, u32::MAX);
-            }
-            for row in 0..n {
-                let mut code = 0usize;
-                let mut radix = 1usize;
-                for (enc, &(_, dim)) in encs.iter().zip(sig.iter()) {
-                    if let KeyEnc::Dict { codes, .. } = enc {
-                        code += codes[row] as usize * radix;
-                    }
-                    radix *= dim;
+        encode_keys(&encs, n, scratch, key_bounds);
+        let key_of = |row: usize| &scratch[key_bounds[row]..key_bounds[row + 1]];
+        hashes.clear();
+        hashes.extend((0..n).map(|row| hash_key(*seed, key_of(row))));
+        slots.clear();
+        slots.extend(hashes.iter().map(|&hash| table.guess(hash)));
+        for (row, slot) in slots.iter_mut().enumerate() {
+            let key = key_of(row);
+            if *slot == u32::MAX || table.key(*slot as usize) != key {
+                let (found, created) = table.slot_of(hashes[row], key, n_aggs);
+                if created {
+                    table.states.extend(aggs.iter().map(AggSpec::init));
                 }
-                let slot = match cache.get(code) {
-                    Some(&slot) if slot != u32::MAX => slot,
-                    _ => {
-                        scratch.clear();
-                        for enc in &encs {
-                            enc.encode_row(scratch, row);
-                        }
-                        let slot = upsert(table, hash_key(*seed, scratch), scratch);
-                        if let Some(cached) = cache.get_mut(code) {
-                            *cached = slot;
-                        }
-                        slot
-                    }
-                };
-                slots.push(slot);
-            }
-            table.combo = cache;
-        } else {
-            encode_keys(&encs, n, scratch, key_bounds);
-            let key_of = |row: usize| &scratch[key_bounds[row]..key_bounds[row + 1]];
-            hashes.clear();
-            hashes.extend((0..n).map(|row| hash_key(*seed, key_of(row))));
-            slots.extend(hashes.iter().map(|&hash| table.guess(hash)));
-            for (row, slot) in slots.iter_mut().enumerate() {
-                let key = key_of(row);
-                if *slot == u32::MAX || table.key(*slot as usize) != key {
-                    *slot = upsert(table, hashes[row], key);
-                }
+                *slot = found as u32;
             }
         }
 
@@ -1255,13 +1161,12 @@ mod tests {
     }
 
     #[test]
-    fn persistent_dict_keys_cache_slots_across_batches_and_epochs() {
-        // When every key column is a persistent dictionary, the dense
-        // (window, combined-code) → slot caches must survive across
-        // batches — and stay exact across dictionary growth (a signature
-        // change rebuilds the window's cache), window close (the closed
-        // window's cache goes with its table, the others stay), and versus
-        // the byte-hash path on the decoded rows.
+    fn persistent_dict_keys_group_exactly_across_batches_and_epochs() {
+        // Persistent dictionary keys encode through per-code fragments the
+        // operator keeps across batches, extended as the dictionary grows.
+        // Grouping must stay exact across dictionary growth, a watermark
+        // that closes nothing, and window close, versus the same rows as
+        // plain strings.
         use crate::batch::{Batch, StreamDict};
         use std::sync::Arc;
 
@@ -1304,6 +1209,8 @@ mod tests {
             fast.process_batch(b, sink);
             slow.process_batch(plain, sink);
         };
+        let id = stream.id();
+        let frags = |g: &GroupAggregateOp| g.frag_cache[&id].len();
 
         let snap = stream.snapshot();
         feed_both(
@@ -1312,12 +1219,8 @@ mod tests {
             &mut sink,
             mk_batch(snap.clone(), 1, vec![0, 1, 2, 0, 1, 2]),
         );
-        assert_eq!(
-            fast.cached_combo_windows(),
-            1,
-            "persistent dict keys must retain the combo cache across batches"
-        );
-        // Second batch, same window, same snapshot: pure cache hits.
+        assert_eq!(frags(&fast), 3, "one fragment per dictionary entry");
+        // Second batch, same window, same snapshot: the fragments carry over.
         feed_both(
             &mut fast,
             &mut slow,
@@ -1325,9 +1228,10 @@ mod tests {
             mk_batch(snap.clone(), 2, vec![2, 1, 0]),
         );
         assert_eq!(fast.group_count(), 3);
+        assert_eq!(fast.frag_cache.len(), 1);
 
-        // Dictionary growth changes the mixing radix: the stale caches must
-        // be dropped, and the new code must land in its own group.
+        // Dictionary growth extends the fragments, and the new code lands in
+        // its own group.
         stream.intern("tenant-d");
         let grown = stream.snapshot();
         feed_both(
@@ -1337,44 +1241,41 @@ mod tests {
             mk_batch(grown.clone(), 3, vec![3, 0, 3]),
         );
         assert_eq!(fast.group_count(), 4);
-        assert_eq!(
-            fast.cached_combo_windows(),
-            1,
-            "rebuilt under new signature"
-        );
+        assert_eq!(frags(&fast), 4, "extended, not rebuilt");
+        // An older snapshot still resolves through the extended fragments.
+        feed_both(&mut fast, &mut slow, &mut sink, mk_batch(snap, 4, vec![1]));
+        assert_eq!(fast.group_count(), 4);
 
-        // A second window populates a second cache.
+        // A second window.
         feed_both(
             &mut fast,
             &mut slow,
             &mut sink,
             mk_batch(grown.clone(), secs(10.0) + 1, vec![0, 1]),
         );
-        assert_eq!(fast.cached_combo_windows(), 2);
+        assert_eq!(fast.open_windows(), 2);
 
-        // A watermark that closes nothing touches no table and no cache.
+        // A watermark that closes nothing touches no table.
         let mut fast_out = Vec::new();
         let mut slow_out = Vec::new();
         fast.on_watermark(secs(9.0), &mut fast_out);
         assert!(fast_out.is_empty());
         assert_eq!(fast.group_count(), 6);
-        assert_eq!(fast.cached_combo_windows(), 2);
 
-        // Closing the first window takes its table and its cache with it;
-        // the second window's cache stays valid.
+        // Closing the first window takes its table; the second stays.
         fast.on_watermark(secs(10.0), &mut fast_out);
         slow.on_watermark(secs(10.0), &mut slow_out);
         assert_eq!(fast.group_count(), 2);
         assert_eq!(fast.open_windows(), 1);
-        assert_eq!(fast.cached_combo_windows(), 1);
 
-        // Post-close batches resolve through the surviving cache, exactly.
+        // Post-close batches resolve in the surviving window, exactly.
         feed_both(
             &mut fast,
             &mut slow,
             &mut sink,
             mk_batch(grown, secs(10.0) + 2, vec![1, 2, 3]),
         );
+        assert_eq!(fast.group_count(), 4);
         fast.on_watermark(Ts::MAX, &mut fast_out);
         slow.on_watermark(Ts::MAX, &mut slow_out);
         let sort = |out: &[Batch]| {
@@ -1385,13 +1286,13 @@ mod tests {
         assert_eq!(
             sort(&fast_out),
             sort(&slow_out),
-            "persistent-code grouping must equal byte-hash grouping"
+            "persistent-code grouping must equal plain-string grouping"
         );
         assert!(sink.is_empty());
     }
 
     #[test]
-    fn batch_local_dicts_do_not_persist_combo_caches() {
+    fn batch_local_dicts_keep_no_fragments() {
         use crate::batch::{Batch, StrDict};
         use std::sync::Arc;
 
@@ -1422,9 +1323,8 @@ mod tests {
         let mut sink = Vec::new();
         g.process_batch(batch, &mut sink);
         assert_eq!(g.group_count(), 2);
-        assert_eq!(
-            g.cached_combo_windows(),
-            0,
+        assert!(
+            g.frag_cache.is_empty(),
             "id-0 dict pages are batch-local: codes are not stable identity"
         );
     }

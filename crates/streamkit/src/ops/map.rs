@@ -211,7 +211,7 @@ fn extract_kv_bytes<'a>(line: &'a [u8], key: &[u8]) -> Option<&'a [u8]> {
 /// Offset of the first occurrence of `needle` in `hay`. For UTF-8 inputs
 /// this is `str::find`'s answer (a UTF-8 needle can only match at a char
 /// boundary), without building a searcher per call.
-fn find_bytes(hay: &[u8], needle: &[u8]) -> Option<usize> {
+pub(crate) fn find_bytes(hay: &[u8], needle: &[u8]) -> Option<usize> {
     let Some((&first, tail)) = needle.split_first() else {
         return Some(0);
     };
@@ -228,7 +228,7 @@ fn find_bytes(hay: &[u8], needle: &[u8]) -> Option<usize> {
 }
 
 /// The bytes of a string row; `None` for a null or a non-string column.
-fn row_bytes(col: &Column, row: usize) -> Option<&[u8]> {
+pub(crate) fn row_bytes(col: &Column, row: usize) -> Option<&[u8]> {
     match col {
         Column::Str { offsets, data } => {
             Some(&data[offsets[row] as usize..offsets[row + 1] as usize])

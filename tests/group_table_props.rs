@@ -62,7 +62,7 @@ type Row = (i64, u8, u8, u32);
 fn int_key(row: &Row) -> K {
     match row.1 {
         5 => K::Null,
-        // Wide and signed: no dense code space to fall back on.
+        // Wide and signed.
         k => K::Int((i64::from(k) - 2) << 40),
     }
 }

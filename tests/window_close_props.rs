@@ -2,9 +2,9 @@
 //!
 //! The operator keeps one group table per open window and closes a window
 //! by taking its table. Whatever the key layout (persistent dictionary
-//! codes, bounded integers on the dense combo cache, wide integers and
-//! plain strings on the byte-keyed index), however batches straddle
-//! windows, and wherever watermarks and `merge_state` calls interleave,
+//! codes, small and wide integers, plain strings — all resolved through the
+//! byte-keyed index), however batches straddle windows, and wherever
+//! watermarks and `merge_state` calls interleave,
 //! the rows it emits must add up to what one `TS_MAX` drain of the same
 //! input emits — and a watermark that closes nothing must leave the state
 //! exactly as it found it.
@@ -29,13 +29,13 @@ type Row = (i64, i64, u8, u32);
 /// How the key column is physically laid out.
 #[derive(Clone, Copy, Debug)]
 enum Layout {
-    /// Persistent dictionary codes (cross-batch combo cache).
+    /// Persistent dictionary codes (fragments kept across batches).
     Dict,
-    /// Small integers (batch-local combo cache).
+    /// Small integers.
     BoundedInt,
-    /// Integers 2^40 apart (byte-keyed index).
+    /// Integers 2^40 apart.
     WideInt,
-    /// Plain strings (byte-keyed index).
+    /// Plain strings.
     Str,
 }
 
