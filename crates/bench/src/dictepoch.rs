@@ -84,6 +84,28 @@ impl DictEpochResult {
         }
         out
     }
+
+    /// Failures against the committed baseline's wire bytes. They are
+    /// deterministic byte counts, so they must equal the committed ones
+    /// exactly: only a change to the codec or to the workload moves them,
+    /// and that change states the new bytes.
+    pub fn wire_failures_vs(&self, baseline: &DictEpochResult) -> Vec<String> {
+        let measured = (
+            self.full_page_wire_bytes_per_epoch,
+            self.delta_wire_bytes_per_epoch,
+        );
+        let committed = (
+            baseline.full_page_wire_bytes_per_epoch,
+            baseline.delta_wire_bytes_per_epoch,
+        );
+        if measured == committed {
+            return Vec::new();
+        }
+        vec![format!(
+            "dict_epoch wire: (full-page, delta) B/epoch = {measured:?} differs from the \
+             committed {committed:?}"
+        )]
+    }
 }
 
 /// Total `ShardBatch` wire bytes for one run over a single node link.

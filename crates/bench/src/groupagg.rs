@@ -15,7 +15,6 @@
 //! `BENCH_throughput.json`.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use streamkit::agg::{AggKind, AggSpec};
@@ -28,7 +27,7 @@ use streamkit::window::TumblingWindow;
 use telemetry::loganalytics::{LogConfig, LogGenerator};
 use telemetry::queries::log_analytics;
 
-use crate::measure::{best_secs, best_secs_interleaved, run_op, run_op_set};
+use crate::measure::{best_secs_interleaved, run_op, run_op_set};
 
 /// Generates `n` structured LogAnalytics epochs (deterministic seed), with
 /// persistent or per-epoch dictionaries.
@@ -215,30 +214,18 @@ pub fn bench_group_agg(iters: u32) -> GroupAggResult {
 
     let WideIntWorkload { mut ops, traffic } = wide_int_workload();
     let wide_rows: u64 = traffic.iter().map(|(_, b)| b.len() as u64).sum();
-    run_op_set(&mut ops, &traffic); // warm-up
-    let wide_secs = best_secs(
-        (0..iters.max(1))
-            .map(|_| {
-                let start = Instant::now();
-                let emitted = run_op_set(&mut ops, &traffic);
-                let dt = start.elapsed().as_secs_f64();
-                assert_eq!(emitted as u64 * WIDE_EPOCHS as u64, wide_rows);
-                dt
-            })
-            .collect(),
-    );
+    let n_ops = ops.len();
+    let mut wide_arm = || {
+        let emitted = run_op_set(&mut ops, &traffic);
+        assert_eq!(emitted as u64 * WIDE_EPOCHS as u64, wide_rows);
+    };
+    let mut reference_arm = || {
+        let groups = std_map_reference(n_ops, &traffic);
+        assert_eq!(groups as u64 * WIDE_EPOCHS as u64, wide_rows);
+    };
+    let wide = best_secs_interleaved(iters, &mut [&mut wide_arm, &mut reference_arm]);
+    let (wide_secs, reference_secs) = (wide[0], wide[1]);
     let wide_rps = wide_rows as f64 / wide_secs;
-    let reference_secs = best_secs(
-        (0..iters.max(1))
-            .map(|_| {
-                let start = Instant::now();
-                let groups = std_map_reference(ops.len(), &traffic);
-                let dt = start.elapsed().as_secs_f64();
-                assert_eq!(groups as u64 * WIDE_EPOCHS as u64, wide_rows);
-                dt
-            })
-            .collect(),
-    );
     GroupAggResult {
         pipeline: "LogAnalytics G+R: count by (tenant, stat_name, stat bucket)".into(),
         rows,

@@ -51,15 +51,33 @@ pub fn best_secs(samples: Vec<f64>) -> f64 {
 /// change between rounds then slows every arm alike instead of moving the
 /// ratio of two arms run one after the other.
 pub fn best_secs_interleaved(iters: u32, arms: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let mut timed: Vec<_> = arms
+        .iter_mut()
+        .map(|arm| {
+            move || {
+                let start = Instant::now();
+                arm();
+                start.elapsed().as_secs_f64()
+            }
+        })
+        .collect();
+    let mut arms: Vec<&mut dyn FnMut() -> f64> = timed
+        .iter_mut()
+        .map(|arm| arm as &mut dyn FnMut() -> f64)
+        .collect();
+    best_of_interleaved(iters, &mut arms)
+}
+
+/// [`best_secs_interleaved`] for arms that time themselves and return the
+/// seconds, so an arm's set-up stays outside its timing.
+pub fn best_of_interleaved(iters: u32, arms: &mut [&mut dyn FnMut() -> f64]) -> Vec<f64> {
     for arm in arms.iter_mut() {
         arm();
     }
     let mut best = vec![f64::INFINITY; arms.len()];
     for _ in 0..iters.max(1) {
         for (arm, best) in arms.iter_mut().zip(&mut best) {
-            let start = Instant::now();
-            arm();
-            *best = best.min(start.elapsed().as_secs_f64());
+            *best = best.min(arm());
         }
     }
     best

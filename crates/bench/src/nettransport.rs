@@ -18,7 +18,7 @@ use bytes::Bytes;
 use jarvis_core::engine::transport::{decode_frame, encode_frame, FrameKind, FrameReader, Link};
 use serde::{Deserialize, Serialize};
 
-use crate::measure::best_secs;
+use crate::measure::best_of_interleaved;
 
 /// Body size of each benchmark frame — the ballpark of an encoded
 /// `NetPayload::ShardBatch` for one epoch's shard slice.
@@ -117,21 +117,17 @@ pub fn run_tcp_iter(frames: &[Bytes]) -> f64 {
     secs
 }
 
-/// Measures the transport series. `iters` timed iterations per transport
-/// (best-of, like every trajectory series).
+/// Measures the transport series. `iters` timed iterations per transport,
+/// one of each in turn (best-of, like every trajectory series).
 pub fn bench_net_transport(iters: u32) -> NetTransportResult {
     let frames = transport_frames();
     let n_frames = frames.len() as u64;
     let frame_bytes: u64 = frames.iter().map(|f| f.len() as u64).sum();
 
-    run_channel_iter(&frames); // warm-up
-    let channel_secs = best_secs(
-        (0..iters.max(1))
-            .map(|_| run_channel_iter(&frames))
-            .collect(),
-    );
-    run_tcp_iter(&frames); // warm-up
-    let tcp_secs = best_secs((0..iters.max(1)).map(|_| run_tcp_iter(&frames)).collect());
+    let mut channel_arm = || run_channel_iter(&frames);
+    let mut tcp_arm = || run_tcp_iter(&frames);
+    let secs = best_of_interleaved(iters, &mut [&mut channel_arm, &mut tcp_arm]);
+    let (channel_secs, tcp_secs) = (secs[0], secs[1]);
 
     let channel_frames_per_sec = n_frames as f64 / channel_secs;
     let tcp_frames_per_sec = n_frames as f64 / tcp_secs;

@@ -67,11 +67,10 @@ impl ThroughputReport {
             self.net_transport.relative_throughput,
             baseline.net_transport.relative_throughput,
         );
-        // The dict-epoch throughput and wire-reduction halves gate like
-        // every other speedup series (ratios, machine-independent).
+        // The dict-epoch throughput half gates like every other speedup
+        // series (a ratio, machine-independent).
         if let (Some(de), Some(b)) = (&self.dict_epoch, &baseline.dict_epoch) {
             check("dict_epoch", de.speedup, b.speedup);
-            check("dict_epoch wire", de.wire_reduction, b.wire_reduction);
         }
         // The fault-recovery series gates on evidence, not speed: the
         // measured drill must prove exact recovery regardless of what the
@@ -88,9 +87,13 @@ impl ThroughputReport {
         }
         // The dict-epoch series additionally gates on deterministic
         // evidence: deltas must beat full pages in the measured run,
-        // whatever the baseline says.
+        // whatever the baseline says, and its wire bytes must equal the
+        // committed ones exactly.
         if let Some(de) = &self.dict_epoch {
             out.extend(de.contract_failures());
+            if let Some(b) = &baseline.dict_epoch {
+                out.extend(de.wire_failures_vs(b));
+            }
         } else if baseline.dict_epoch.is_some() {
             out.push(
                 "dict_epoch: series missing from the measured report but present \

@@ -100,6 +100,17 @@ impl Register {
     }
 }
 
+/// Largest body of the coordinator's reply to a [`Register`] a node reads:
+/// an [`Admit`], or a [`Reject`] with its one-line reason.
+pub const MAX_ADMIT_LEN: usize = 512;
+
+/// Largest body of a `Spec` frame a node reads. A [`NodeSpec`] holds
+/// fixed-width fields only, well under this at their widest.
+pub const MAX_SPEC_LEN: usize = 1 << 10;
+
+/// Largest body of the `Ready` frame the coordinator reads: it has none.
+pub const MAX_READY_LEN: usize = 0;
+
 /// Coordinator → node: registration accepted.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Admit {
@@ -221,6 +232,36 @@ pub fn from_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn handshake_replies_fit_the_bounds_nodes_read_them_with() {
+        let widest = |workload| NodeSpec {
+            node_id: u32::MAX,
+            n_nodes: u32::MAX,
+            n_shards: u32::MAX,
+            sources: u32::MAX,
+            workload,
+            rules: RuleConfig {
+                forbid_non_incremental: false,
+                quantiles_are_exact: false,
+                forbid_after_stateful: false,
+                max_source_parallelism: u32::MAX,
+            },
+            checkpoint_interval: u64::MAX,
+        };
+        for workload in [
+            RemoteWorkload::PingmeshS2S { scale: Scale::X10 },
+            RemoteWorkload::PingmeshT2T {
+                scale: Scale::X10,
+                table_size: u32::MAX,
+            },
+            RemoteWorkload::LogAnalytics { scale: Scale::X10 },
+        ] {
+            assert!(to_body(&widest(workload)).len() <= MAX_SPEC_LEN);
+        }
+        let admit = Admit { node_id: u32::MAX };
+        assert!(to_body(&admit).len() <= MAX_ADMIT_LEN);
+    }
 
     #[test]
     fn control_messages_round_trip_as_json() {

@@ -32,13 +32,12 @@
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use crossbeam::channel::{bounded, Sender};
-use parking_lot::Mutex;
 
 use crate::fault::{splitmix64, FaultKind, FaultTrigger, LinkFault};
 
@@ -385,6 +384,14 @@ impl<R: Read> FrameReader<R> {
         Arc::clone(&self.received)
     }
 
+    /// Moves the bytes counted so far onto `counter` and credits every
+    /// later frame there too: a connection is attributed to a node only
+    /// once its handshake names one.
+    pub fn credit_to(&mut self, counter: Arc<AtomicU64>) {
+        counter.fetch_add(self.bytes_received(), Ordering::Relaxed);
+        self.received = counter;
+    }
+
     /// Reads the next frame. A clean close at a frame boundary is
     /// [`TransportError::Closed`]; mid-frame end of stream is
     /// [`TransportError::Truncated`].
@@ -530,7 +537,7 @@ impl LinkShared {
     /// Raises the broken flag with its typed reason.
     fn fail(&self, e: TransportError) {
         self.broken.store(true, Ordering::Relaxed);
-        *self.last_error.lock() = Some(e);
+        *self.last_error.lock().expect("link writer panicked") = Some(e);
     }
 
     fn sever(&self, stream: &TcpStream) {
@@ -550,7 +557,7 @@ impl LinkShared {
 /// deadlock against a dead peer) and raises the broken flag; the failure
 /// surfaces as a typed error when the coordinator collects results.
 pub struct Link {
-    tx: Option<Sender<Bytes>>,
+    tx: Option<SyncSender<Bytes>>,
     shared: LinkShared,
     writer: Option<JoinHandle<()>>,
 }
@@ -569,7 +576,7 @@ impl Link {
     /// so the peer sees an abrupt EOF — the in-process shim behind the
     /// chaos tests and the [`crate::fault::FaultPlan`] harness.
     pub fn spawn_with_faults(stream: TcpStream, faults: Vec<LinkFault>, seed: u64) -> Link {
-        let (tx, rx) = bounded::<Bytes>(LINK_QUEUE);
+        let (tx, rx) = sync_channel::<Bytes>(LINK_QUEUE);
         let shared = LinkShared::new();
         let shared_w = shared.clone();
         let writer = std::thread::spawn(move || {
@@ -640,7 +647,11 @@ impl Link {
     /// lets a broken writer queue surface as a reasoned `NodeDown` instead
     /// of a bare boolean.
     pub fn error(&self) -> Option<TransportError> {
-        self.shared.last_error.lock().clone()
+        self.shared
+            .last_error
+            .lock()
+            .expect("link writer panicked")
+            .clone()
     }
 
     /// Closes the queue and joins the writer after it flushes.

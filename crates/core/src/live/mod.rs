@@ -6,8 +6,10 @@
 //! tier — and the backend behind `BackendKind::Live`. `host` is the
 //! single shard host both SP tiers drive (in-process node tasks here, the
 //! `jarvis-node` serve loop in [`crate::node`]); `remote` is the
-//! coordinator side of the TCP tier.
+//! coordinator side of the TCP tier, the TCP shell around the socket-free
+//! protocol state machine in `coordinator`.
 
+pub(crate) mod coordinator;
 pub(crate) mod host;
 pub(crate) mod remote;
 pub mod session;

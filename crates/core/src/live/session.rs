@@ -658,17 +658,9 @@ impl LiveSession {
     /// Finishes the session: ships residual partial state (routed by key
     /// ownership to the owning shard and node, like the live path), closes
     /// every window on every shard pipeline, and returns the merged results.
-    ///
-    /// Infallible convenience for in-process sessions; TCP-backed sessions
-    /// should prefer [`LiveSession::try_finish`], whose transport errors
-    /// this unwraps.
-    pub fn finish(self) -> LiveOutcome {
-        self.try_finish().expect("live session finish failed")
-    }
-
-    /// [`LiveSession::finish`] with transport failures surfaced as typed
-    /// errors: a remote node dying mid-run, missing epoch acks, undecodable
-    /// results, or the collection deadline expiring.
+    /// Transport failures surface as typed errors: a remote node dying
+    /// mid-run, missing epoch acks, undecodable results, or the collection
+    /// deadline expiring.
     pub fn try_finish(mut self) -> Result<LiveOutcome, DeployError> {
         self.finished = true;
         let mut drained_records = 0u64;
@@ -1272,7 +1264,7 @@ mod tests {
         let mut s = LiveSession::new(&spec(StrategyKind::AllSrc, 0.2)).unwrap();
         s.run_epochs(6).unwrap();
         assert_eq!(s.load_factors(0), vec![1.0, 1.0, 1.0]);
-        let out = s.finish();
+        let out = s.try_finish().expect("session finishes");
         assert_eq!(out.drained_records, 0, "All-Src drains nothing");
         assert!(out.state_deltas > 0, "state still ships");
         assert!(out.result_rows() > 0);
@@ -1283,10 +1275,10 @@ mod tests {
         // Exactness across load-factor plans, now under runtime adaptation.
         let mut adaptive = LiveSession::new(&spec(StrategyKind::Jarvis, 0.6)).unwrap();
         adaptive.run_epochs(10).unwrap();
-        let a = adaptive.finish();
+        let a = adaptive.try_finish().expect("session finishes");
         let mut all_sp = LiveSession::new(&spec(StrategyKind::AllSp, 0.6)).unwrap();
         all_sp.run_epochs(10).unwrap();
-        let b = all_sp.finish();
+        let b = all_sp.try_finish().expect("session finishes");
         let digest = |rows: &[Batch]| crate::deploy::ExactnessDigest::of_rows(rows);
         assert_eq!(digest(&a.results), digest(&b.results));
         assert!(a.drained_records < b.drained_records);
@@ -1310,7 +1302,7 @@ mod tests {
         assert_eq!(s.n_shards(), 4);
         assert_eq!(s.n_nodes(), 1);
         s.run_epochs(4).unwrap();
-        let out = s.finish();
+        let out = s.try_finish().expect("session finishes");
         assert_eq!(out.shard_drained_records.len(), 4);
         let busy = out.shard_drained_records.iter().filter(|&&r| r > 0).count();
         assert!(
@@ -1349,7 +1341,7 @@ mod tests {
         assert_eq!(s.n_shards(), 4);
         assert_eq!(s.n_nodes(), 2);
         s.run_epochs(4).unwrap();
-        let out = s.finish();
+        let out = s.try_finish().expect("session finishes");
         assert_eq!(out.node_drained_records.len(), 2);
         assert_eq!(
             out.node_drained_records.iter().sum::<u64>(),

@@ -63,7 +63,7 @@ use streamkit::shard::shards_of_node;
 
 use crate::deploy::remote::{
     from_body, to_body, Admit, AdoptMsg, CheckpointAck, NodeSpec, NodeStatsMsg, Progress, Register,
-    Reject,
+    Reject, MAX_ADMIT_LEN, MAX_SPEC_LEN,
 };
 use crate::engine::netwire::encode_shard_payload;
 use crate::engine::transport::{encode_frame, FrameKind, FrameReader, Link, TransportError};
@@ -266,7 +266,7 @@ fn run_session(config: &NodeConfig, state: &mut SessionState) -> Result<NodeSumm
             node_id: state.node_id,
         }),
     )?;
-    let node_id = match reader.read_frame()? {
+    let node_id = match reader.read_frame_within(MAX_ADMIT_LEN)? {
         (FrameKind::Admit, body) => {
             let admit: Admit = from_body(&body).map_err(|reason| NodeError::Protocol { reason })?;
             admit.node_id
@@ -285,7 +285,7 @@ fn run_session(config: &NodeConfig, state: &mut SessionState) -> Result<NodeSumm
         }
     };
     state.node_id = Some(node_id);
-    let spec: NodeSpec = match reader.read_frame()? {
+    let spec: NodeSpec = match reader.read_frame_within(MAX_SPEC_LEN)? {
         (FrameKind::Spec, body) => {
             from_body(&body).map_err(|reason| NodeError::Protocol { reason })?
         }

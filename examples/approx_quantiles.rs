@@ -18,7 +18,7 @@ use jarvis::streamkit::physical::CostProfile;
 use jarvis::telemetry::anomaly::AnomalySchedule;
 use jarvis::telemetry::pingmesh::{pingmesh_schema, PingmeshConfig, PingmeshGenerator};
 
-fn main() {
+fn main() -> Result<(), DeployError> {
     // p99 RTT per source cluster over 10-second windows.
     let plan = Query::stream("tail_latency", pingmesh_schema())
         .window_secs(10.0)
@@ -78,8 +78,8 @@ fn main() {
         .spec()
         .expect("valid deployment");
     let mut session = LiveSession::new(&spec).expect("live session");
-    session.run_epochs(20).expect("epochs run");
-    let outcome = session.finish();
+    session.run_epochs(20)?;
+    let outcome = session.try_finish()?;
     println!("--- merged p99 estimates ---");
     // Results are columnar batches; the few rows shown become records.
     let shown = outcome
@@ -109,4 +109,5 @@ fn main() {
         worst > 1_000.0,
         "the injected anomaly must surface in the p99"
     );
+    Ok(())
 }

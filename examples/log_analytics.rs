@@ -13,7 +13,7 @@ use jarvis::prelude::*;
 use jarvis::telemetry::loganalytics::{LogConfig, LogGenerator};
 use jarvis::telemetry::queries;
 
-fn main() {
+fn main() -> Result<(), DeployError> {
     // Part 1 — exact histograms through the threaded live runtime, with the
     // last two operators split 50/50 between the source and the SP replica.
     let workload = CustomWorkload::new(
@@ -30,9 +30,9 @@ fn main() {
         .spec()
         .expect("valid deployment");
     let mut session = LiveSession::new(&spec).expect("live session");
-    session.run_epochs(12).expect("epochs run");
+    session.run_epochs(12)?;
     println!("streamed {} log lines", session.input_records());
-    let outcome = session.finish();
+    let outcome = session.try_finish()?;
     println!(
         "result rows (tenant × stat × bucket): {}",
         outcome.result_rows()
@@ -74,4 +74,5 @@ fn main() {
     println!("network    : {:.2} Mbps", r.network_mbps);
     println!("factors    : {:?}", r.load_factors);
     assert!(r.throughput_mbps > 0.5 * r.input_mbps);
+    Ok(())
 }

@@ -19,7 +19,7 @@ use jarvis::telemetry::anomaly::AnomalySchedule;
 use jarvis::telemetry::pingmesh::{PingmeshConfig, PingmeshGenerator};
 use jarvis::telemetry::queries;
 
-fn main() {
+fn main() -> Result<(), DeployError> {
     // A network incident: 3 % of server pairs spike to ~30x RTT for 50 s.
     let cfg = PingmeshConfig {
         anomalies: AnomalySchedule::single(10.0, 50.0, 0.03, 30.0),
@@ -43,12 +43,12 @@ fn main() {
         .spec()
         .expect("valid deployment");
     let mut session = LiveSession::new(&spec).expect("live session");
-    session.run_epochs(30).expect("epochs run");
+    session.run_epochs(30)?;
     println!(
         "streamed {} probe records over 30 s",
         session.input_records()
     );
-    let outcome = session.finish();
+    let outcome = session.try_finish()?;
     println!(
         "live run: {} drained records, {} state deltas, {} result rows",
         outcome.drained_records,
@@ -82,4 +82,5 @@ fn main() {
         println!("network healthy");
     }
     assert!(frac > 0.01, "the injected incident must trigger the alert");
+    Ok(())
 }

@@ -47,7 +47,7 @@ fn run_live(
         .expect("valid fixed-factor deployment");
     let mut session = LiveSession::new(&spec).expect("session builds");
     session.run_epochs(epochs).expect("in-process epochs");
-    session.finish()
+    session.try_finish().expect("live session finishes")
 }
 
 fn s2s_live(config: &PingmeshConfig, epochs: u64, factors: &[f64], sources: u32) -> LiveOutcome {

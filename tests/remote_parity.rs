@@ -8,8 +8,9 @@
 //! in-process 4-node run of `tests/node_parity.rs` — the fixed ring makes
 //! shard routing node-count- and transport-independent, so nothing may
 //! change when the SP tier moves out of process. The handshake tests pin
-//! the typed failure paths: bad tokens, absent nodes, and connections that
-//! never speak the protocol.
+//! the typed failure paths: bad tokens, absent nodes, connections that
+//! never speak the protocol, and oversized handshake frames on either
+//! side.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -18,11 +19,15 @@ use std::thread;
 use std::time::Duration;
 
 use jarvis::core::calibration::Scale;
-use jarvis::core::deploy::remote::{Register, MAX_REGISTER_LEN};
+use jarvis::core::deploy::remote::{
+    to_body, Admit, Register, MAX_ADMIT_LEN, MAX_REGISTER_LEN, MAX_SPEC_LEN,
+};
 use jarvis::core::deploy::{
     BackendKind, DeployError, Deployment, DeploymentBuilder, RunReport, TransportKind,
 };
-use jarvis::core::engine::transport::{encode_frame, FrameKind, HEADER_LEN};
+use jarvis::core::engine::transport::{
+    encode_frame, FrameKind, FrameReader, TransportError, HEADER_LEN,
+};
 use jarvis::core::experiment::ScenarioSpec;
 use jarvis::core::node::{run_node, NodeConfig, NodeError, NodeSummary};
 use jarvis::core::strategy::StrategyKind;
@@ -452,4 +457,118 @@ fn oversized_register_headers_are_refused_before_the_body() {
     // first frame drops it from the header.
     let frame = encode_frame(FrameKind::Register, &vec![b' '; 1 << 20]);
     assert_stranger_dropped_unanswered(frame[..HEADER_LEN].to_vec());
+}
+
+/// The header alone of a `kind` frame advertising a `len`-byte body.
+fn forged_header(kind: FrameKind, len: usize) -> Vec<u8> {
+    encode_frame(kind, &vec![b' '; len])[..HEADER_LEN].to_vec()
+}
+
+#[test]
+fn oversized_ready_headers_are_refused_before_the_body() {
+    // A node that registers, then answers its spec with only the header of
+    // a `Ready` carrying one byte (it carries none) and stalls. Reading the
+    // body would hold admission until the handshake timeout; the bound on
+    // `Ready` refuses the node from its header.
+    let _guard = port_lock();
+    let addr = free_addr();
+    let token = "remote-parity";
+    let node_addr = addr.clone();
+    let node = thread::spawn(move || {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut s = loop {
+            match TcpStream::connect(&node_addr) {
+                Ok(s) => break s,
+                Err(_) if std::time::Instant::now() < deadline => {
+                    thread::sleep(Duration::from_millis(10));
+                }
+                Err(e) => panic!("node cannot connect: {e}"),
+            }
+        };
+        let reg = Register {
+            token: token.to_string(),
+            node_id: None,
+        };
+        s.write_all(&encode_frame(FrameKind::Register, &to_body(&reg)))
+            .expect("register");
+        let mut reader = FrameReader::new(s.try_clone().expect("clone"));
+        assert_eq!(reader.read_frame().expect("admit").0, FrameKind::Admit);
+        assert_eq!(reader.read_frame().expect("spec").0, FrameKind::Spec);
+        s.write_all(&forged_header(FrameKind::Ready, 1))
+            .expect("ready header");
+        s.set_read_timeout(Some(STRANGER_PATIENCE))
+            .expect("read timeout");
+        // The coordinator closes on it rather than wait for the body.
+        let mut rest = Vec::new();
+        if let Err(e) = s.read_to_end(&mut rest) {
+            assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "the coordinator held the node for {STRANGER_PATIENCE:?}"
+            );
+        }
+    });
+    let err = tcp_deployment(
+        &ScenarioSpec::pingmesh_s2s(Scale::X1),
+        StrategyKind::AllSp,
+        2,
+        &addr,
+        token,
+    )
+    .run(4)
+    .expect_err("a node whose Ready is oversized is refused");
+    match err {
+        DeployError::HandshakeFailed { reason, .. } => {
+            assert!(reason.contains("exceeds the 0-byte cap"), "{reason}");
+        }
+        other => panic!("expected HandshakeFailed, got {other:?}"),
+    }
+    node.join().expect("node thread");
+}
+
+#[test]
+fn oversized_admit_and_spec_headers_are_refused_by_the_node() {
+    // A fake coordinator answers a node's registration with the header
+    // alone of an oversized `Admit`, or of an oversized `Spec` after a
+    // valid `Admit`, and stalls. The node refuses each from its header
+    // with a typed error instead of waiting for the body.
+    let _guard = port_lock();
+    let admit = encode_frame(FrameKind::Admit, &to_body(&Admit { node_id: 0 })).to_vec();
+    let cases = [
+        (
+            forged_header(FrameKind::Admit, MAX_ADMIT_LEN + 1),
+            MAX_ADMIT_LEN,
+        ),
+        (
+            [admit, forged_header(FrameKind::Spec, MAX_SPEC_LEN + 1)].concat(),
+            MAX_SPEC_LEN,
+        ),
+    ];
+    for (reply, cap) in cases {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let coordinator = thread::spawn(move || {
+            let (mut s, _) = listener.accept().expect("accept");
+            let mut reader = FrameReader::new(s.try_clone().expect("clone"));
+            assert_eq!(
+                reader.read_frame().expect("register").0,
+                FrameKind::Register
+            );
+            s.write_all(&reply).expect("reply");
+            // Stall, without closing, until the node gives up on us.
+            s.set_read_timeout(Some(STRANGER_PATIENCE))
+                .expect("read timeout");
+            let _ = s.read_to_end(&mut Vec::new());
+        });
+        let err = run_node(&NodeConfig::new(&addr, "t")).expect_err("refused");
+        match err {
+            NodeError::Transport(TransportError::Oversized { len, max }) => {
+                assert_eq!((len, max), (cap + 1, cap));
+            }
+            other => panic!("expected an oversized-frame refusal, got {other:?}"),
+        }
+        coordinator.join().expect("coordinator thread");
+    }
 }
