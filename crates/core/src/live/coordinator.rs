@@ -1406,18 +1406,45 @@ mod tests {
         }
     }
 
+    /// One node's frames for one epoch, in link order: its owned shards'
+    /// `Results`, then either their `Ckpt` frames and a checkpointing ack
+    /// (`Progress` with argument 1) or a plain ack (argument 0).
+    fn epoch_frames(c: &Coordinator, node: usize, rng: &mut Rng) -> Vec<(FrameKind, u32)> {
+        let owned: Vec<u32> = (0..6)
+            .filter(|&s| c.owner(s as usize) == Some(node))
+            .collect();
+        let mut frames: Vec<_> = owned.iter().map(|&s| (FrameKind::Results, s)).collect();
+        if rng.below(2) == 0 {
+            frames.extend(owned.iter().map(|&s| (FrameKind::Ckpt, s)));
+            frames.push((FrameKind::Progress, 1));
+        } else {
+            frames.push((FrameKind::Progress, 0));
+        }
+        frames
+    }
+
     /// One seed of the interleaving sweep: three nodes on six shards run
-    /// six epochs. Each node sends its owned shards' `Results` (unique
-    /// tags), sometimes `Ckpt` frames plus a checkpointing ack, else a
-    /// plain ack; the links interleave at random, and up to two nodes are
-    /// lost at random points. Asserts that the barrier never settles before
-    /// every live node acked, and that the committed results are exactly
-    /// the tags no loss voided, each once. Returns the losses injected.
+    /// six epochs under `Reassign`, `Degrade`, or a reconnect window. Each
+    /// node sends its owned shards' `Results` (unique tags), sometimes
+    /// `Ckpt` frames plus a checkpointing ack, else a plain ack; the links
+    /// interleave at random, and up to two nodes are lost at random points
+    /// (a reconnecting node re-registers at a later random point, while the
+    /// other links keep sending). Asserts that the barrier never settles
+    /// before every live node acked, and that the committed results are
+    /// exactly the tags no loss voided, each once. Returns the losses
+    /// injected.
     fn interleaving(seed: u64) -> usize {
         let mut rng = Rng(seed);
-        let policy = [OnNodeLoss::Reassign, OnNodeLoss::Degrade][rng.below(2)];
-        let mut sim = Sim::new(3, 6, policy, Duration::ZERO);
+        let (policy, grace) = [
+            (OnNodeLoss::Reassign, Duration::ZERO),
+            (OnNodeLoss::Degrade, Duration::ZERO),
+            (OnNodeLoss::Fail, Duration::from_secs(10)),
+        ][rng.below(3)];
+        let mut sim = Sim::new(3, 6, policy, grace);
         let mut alive = [true; 3];
+        let mut gens = [0u32; 3];
+        // A lost node whose reconnect window is open.
+        let mut window: Option<usize> = None;
         // Per node: tags sent per shard since that shard's last committed
         // checkpoint on that node.
         let mut staged: Vec<BTreeMap<u32, Vec<u64>>> = vec![BTreeMap::new(); 3];
@@ -1427,56 +1454,56 @@ mod tests {
         for epoch in 0..6u64 {
             sim.on(In::EpochEnd(epoch)).unwrap();
             let mut acked = [false; 3];
-            // Each live node's frames for this epoch, in link order.
-            let mut queues: Vec<Vec<(FrameKind, u32)>> = vec![Vec::new(); 3];
-            for (node, queue) in queues.iter_mut().enumerate() {
-                let owned: Vec<u32> = (0..6)
-                    .filter(|&s| sim.c.owner(s as usize) == Some(node))
-                    .collect();
-                for &s in &owned {
-                    queue.push((FrameKind::Results, s));
-                }
-                if rng.below(2) == 0 {
-                    queue.extend(owned.iter().map(|&s| (FrameKind::Ckpt, s)));
-                    queue.push((FrameKind::Progress, 1));
-                } else {
-                    queue.push((FrameKind::Progress, 0));
-                }
-            }
+            let mut queues: Vec<Vec<(FrameKind, u32)>> =
+                (0..3).map(|n| epoch_frames(&sim.c, n, &mut rng)).collect();
             loop {
                 let live: Vec<usize> = (0..3)
                     .filter(|&n| alive[n] && !queues[n].is_empty())
                     .collect();
+                if let Some(lost) = window.filter(|_| live.is_empty() || rng.below(4) == 0) {
+                    // The lost node re-registers and is re-seeded; it owes
+                    // this epoch's frames again.
+                    sim.admit(Some(lost as u32)).unwrap();
+                    (window, alive[lost], acked[lost]) = (None, true, false);
+                    gens[lost] += 1;
+                    queues[lost] = epoch_frames(&sim.c, lost, &mut rng);
+                    continue;
+                }
                 if live.is_empty() {
                     break;
                 }
-                if losses < 2 && rng.below(12) == 0 {
-                    let victim = live[rng.below(live.len())];
-                    if policy == OnNodeLoss::Degrade || alive.iter().filter(|a| **a).count() > 1 {
-                        sim.broken(victim as u32, 0).unwrap();
-                        alive[victim] = false;
-                        losses += 1;
-                        // Rows staged but not committed die with the node.
-                        staged[victim].clear();
-                        continue;
+                let survivors = alive.iter().filter(|a| **a).count();
+                if losses < 2 && window.is_none() && survivors > 1 && rng.below(12) == 0 {
+                    // Acked or not: a loss can be detected after the ack.
+                    let alive_now: Vec<usize> = (0..3).filter(|&n| alive[n]).collect();
+                    let victim = alive_now[rng.below(alive_now.len())];
+                    sim.broken(victim as u32, gens[victim]).unwrap();
+                    alive[victim] = false;
+                    queues[victim].clear();
+                    losses += 1;
+                    // Rows staged but not committed die with the node.
+                    staged[victim].clear();
+                    if grace > Duration::ZERO {
+                        window = Some(victim);
                     }
+                    continue;
                 }
                 let node = live[rng.below(live.len())];
                 let (kind, arg) = queues[node].remove(0);
-                let n = node as u32;
+                let (n, gen) = (node as u32, gens[node]);
                 match kind {
                     FrameKind::Results => {
-                        sim.results(n, 0, arg, next_tag).unwrap();
+                        sim.results(n, gen, arg, next_tag).unwrap();
                         staged[node].entry(arg).or_default().push(next_tag);
                         next_tag += 1;
                     }
-                    FrameKind::Ckpt => sim.ckpt(n, 0, arg).unwrap(),
+                    FrameKind::Ckpt => sim.ckpt(n, gen, arg).unwrap(),
                     _ => {
                         let owned: Vec<u32> = (0..6)
                             .filter(|&s| sim.c.owner(s as usize) == Some(node))
                             .collect();
                         let ckpt = if arg == 1 { owned } else { Vec::new() };
-                        sim.ack(n, 0, epoch, &ckpt).unwrap();
+                        sim.ack(n, gen, epoch, &ckpt).unwrap();
                         for s in &ckpt {
                             expected.extend(staged[node].remove(s).unwrap_or_default());
                         }
@@ -1496,7 +1523,7 @@ mod tests {
         }
         sim.on(In::Finish).unwrap();
         for node in (0..3).filter(|&n| alive[n]) {
-            sim.stats_and_done(node as u32, 0).unwrap();
+            sim.stats_and_done(node as u32, gens[node]).unwrap();
             expected.extend(staged[node].values().flatten());
         }
         assert!(sim.c.settled(), "seed {seed}: collection never settled");
