@@ -1,10 +1,9 @@
 //! Cooperative task runtime for the live session's massive source fan-in.
 //!
 //! This is a thin facade over the vendored [`minirt`] crate: a
-//! work-stealing multi-worker executor ([`Runtime`]), bounded async MPSC
-//! channels ([`chan`]) whose receivers drain whole bursts per wakeup, and
-//! the [`DeadlineQueue`] the TCP control plane bounds its blocking waits
-//! with. The live session spawns one task per source — which does the whole
+//! work-stealing multi-worker executor ([`Runtime`]) and bounded async MPSC
+//! channels ([`chan`]) whose receivers drain whole bursts per wakeup. The
+//! live session spawns one task per source — which does the whole
 //! of its source's epoch, up to sending to the SP nodes — and one per SP
 //! node, so thousands of sources run on `rt_workers` worker threads instead
 //! of as many OS threads. Each node's channel holds [`CHANNEL_CAPACITY`]
@@ -30,7 +29,6 @@
 
 pub use minirt::chan;
 pub use minirt::exec::{Handle, JoinHandle, Runtime};
-pub use minirt::timer::DeadlineQueue;
 
 /// Capacity of the session's async channels: one per SP node, every source
 /// task sending into each.
